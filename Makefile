@@ -26,12 +26,12 @@ lint:
 # benchmark/script findings are tolerated, new findings fail.
 lint-dataflow:
 	python -m repro.lint --engine dataflow --baseline lint_baseline.json \
-		src/repro benchmarks scripts
+		src/repro benchmarks scripts perfbench
 
 # Re-record the baseline after deliberately accepting new findings.
 lint-baseline:
 	python -m repro.lint --engine dataflow --baseline lint_baseline.json \
-		--write-baseline src/repro benchmarks scripts
+		--write-baseline src/repro benchmarks scripts perfbench
 
 bench:
 	python -m pytest benchmarks/ --benchmark-only

@@ -26,6 +26,7 @@ Usage::
 """
 
 import argparse
+import multiprocessing
 import os
 import sys
 import tempfile
@@ -40,7 +41,6 @@ from _telemetry import append_record, record_history  # noqa: E402
 
 from repro.batch.corpus import CorpusSpec, analyze_corpus  # noqa: E402
 from repro.batch.pool import WorkerPool, resolve_jobs  # noqa: E402
-from repro.batch import shm  # noqa: E402
 
 RESULTS_PATH = REPO / "benchmarks" / "results" / "BENCH_throughput.json"
 
@@ -84,8 +84,8 @@ def main(argv=None):
 
     digests = {cold.digest, warm.digest, primed.digest, cached.digest}
     assert len(digests) == 1, f"bounds diverged across modes: {digests}"
-    assert shm.active_owned() == [], (
-        f"leaked shared-memory segments: {shm.active_owned()}"
+    assert multiprocessing.active_children() == [], (
+        f"leaked worker processes: {multiprocessing.active_children()}"
     )
 
     record = {

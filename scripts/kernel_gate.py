@@ -26,10 +26,11 @@ Any violation prints the offending scenario and exits non-zero.
 ``--warm-pool`` a single :class:`WorkerPool` is created once and
 reused across every scenario (payload epochs), proving the warm-pool
 fleet mode is as bit-exact as fresh pools.  Either way the gate ends
-by asserting no shared-memory segment leaked.
+by asserting no worker process outlived its pool.
 """
 
 import argparse
+import multiprocessing
 import sys
 import tempfile
 from pathlib import Path
@@ -37,7 +38,6 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.batch import BatchAnalyzer  # noqa: E402
-from repro.batch import shm  # noqa: E402
 from repro.batch.pool import WorkerPool  # noqa: E402
 from repro.configs import fig1_network, fig2_network  # noqa: E402
 from repro.configs.industrial import (  # noqa: E402
@@ -147,12 +147,12 @@ def main(argv=None):
     finally:
         if pool is not None:
             pool.close()
-    leaked = shm.active_owned()
+    leaked = multiprocessing.active_children()
     if leaked:
-        print(f"kernel gate FAILED: leaked shared-memory segments {leaked}")
+        print(f"kernel gate FAILED: worker processes outlived the pool {leaked}")
         sys.exit(1)
     shape = f"jobs={args.jobs}" + (" warm pool" if args.warm_pool else "")
-    print(f"kernel gate OK ({shape}, no shm segments leaked)")
+    print(f"kernel gate OK ({shape}, no worker processes leaked)")
 
 
 def _run_scenarios(jobs, pool):

@@ -58,7 +58,6 @@ from repro.obs.costmodel import (
 )
 from repro.obs.instrument import Instrumentation
 from repro.obs.logging import get_logger, kv
-from repro.batch import shm as _shm
 from repro.batch.pool import (
     WorkerPool,
     chunked,
@@ -91,9 +90,6 @@ class _Payload:
     incremental: bool = False
     cache_dir: Optional[str] = None
     trajectory_kernel: Optional[str] = None
-    #: shared-memory spec + per-port index of the coordinator's
-    #: exported fast-kernel tables (``export_fast_tables``), or None
-    fast_tables: Optional[Tuple[_shm.ShmSpec, Dict[PortId, Tuple[int, int]]]] = None
 
 
 def _worker_cache(payload: _Payload):
@@ -163,21 +159,7 @@ def _build_trajectory_analyzer(payload: _Payload) -> TrajectoryAnalyzer:
         cache=_worker_cache(payload),
         kernel=payload.trajectory_kernel,
     )
-    smax_seed = payload.smax_seed
-    if payload.fast_tables is not None:
-        spec, index = payload.fast_tables
-        try:
-            arrays, segment = _shm.attach(spec)
-        except (OSError, ValueError):
-            # the coordinator's segment is gone (e.g. it crashed and
-            # atexit unlinked); fall back to a local table build
-            pass
-        else:
-            # the segment handle must outlive the zero-copy views; the
-            # analyzer's lifetime bounds both (epoch-scoped state)
-            analyzer._shm_segment = segment
-            smax_seed = analyzer.adopt_fast_tables(arrays, index)
-    analyzer.prepare(smax_seed=smax_seed)
+    analyzer.prepare(smax_seed=payload.smax_seed)
     return analyzer
 
 
@@ -225,18 +207,15 @@ class _PoolStats:
     cache_stats: Dict[int, Dict[str, Tuple[int, int]]] = field(default_factory=dict)
     worker_busy: Dict[int, float] = field(default_factory=dict)
     # execution shape (manifest gauges; non-deterministic by design)
-    shm_tables: int = 0
     pool_reused: int = 0
     start_method: str = ""
     pool_epoch: int = 0
-    shm_segments: int = 0
 
     def record_pool(self, pool: WorkerPool, external: bool) -> None:
-        """Capture the pool's shape at phase start (epoch, shm, borrow)."""
+        """Capture the pool's shape at phase start (epoch, borrow)."""
         self.pool_reused = int(external)
         self.start_method = pool.start_method
         self.pool_epoch = pool.epochs_served
-        self.shm_segments = len(_shm.active_owned())
 
     def record_task(self, pid: int, busy: float) -> None:
         self.tasks += 1
@@ -307,10 +286,6 @@ class BatchAnalyzer:
         keep their persistent state (bound caches) — and never closes
         it; the caller owns its lifecycle.  ``jobs`` is taken from the
         pool.
-    use_shm:
-        Ship the fast kernel's flat tables (and warm-pool payload
-        epochs) through shared memory (default).  ``False`` falls back
-        to fork-copy/pickling — bounds are identical either way.
     """
 
     def __init__(
@@ -329,7 +304,6 @@ class BatchAnalyzer:
         explain: bool = False,
         trajectory_kernel: Optional[str] = None,
         pool: Optional[WorkerPool] = None,
-        use_shm: bool = True,
     ) -> None:
         self.network = network
         self.jobs = pool.jobs if pool is not None else resolve_jobs(jobs)
@@ -345,7 +319,6 @@ class BatchAnalyzer:
         self.incremental = incremental or cache_dir is not None
         self.cache_dir = str(cache_dir) if cache_dir is not None else None
         self._external_pool = pool
-        self.use_shm = use_shm
         self._cache = None
         if self.incremental:
             from repro.incremental.cache import BoundCache
@@ -359,7 +332,7 @@ class BatchAnalyzer:
             pool = self._external_pool
             pool.set_payload(payload)
             return _borrowed(pool)
-        return WorkerPool(self.jobs, payload, use_shm=self.use_shm)
+        return WorkerPool(self.jobs, payload)
 
     # ------------------------------------------------------------------
     # Network Calculus
@@ -493,96 +466,70 @@ class BatchAnalyzer:
         # same walk order as the sequential sweep; chunked contiguously
         vl_names = list(network.virtual_links)
         chunks = chunked(vl_names, self.jobs * 4)
-        # fast-kernel runs pack the coordinator's flat tables into one
-        # shared-memory arena: workers map the columns read-only
-        # instead of rebuilding (or fork-copying) them per process
-        arena: Optional[_shm.ShmArena] = None
-        fast_tables = None
-        if self.use_shm and coordinator.kernel == "fast":
-            columns, table_index = coordinator.export_fast_tables()
-            try:
-                arena = _shm.ShmArena(columns)
-            except _shm.ShmUnavailable as exc:
-                _LOG.info("fast-table arena unavailable, fork-copying: %s", exc)
-            else:
-                fast_tables = (arena.spec, table_index)
         cumulative: Dict[FlowPortKey, float] = {}
         bounds: Dict[FlowPortKey, TrajectoryPathBound] = {}
         sweeps = 0
-        # from here until the matching finally the arena is live: any
-        # failure (payload construction included) must still retire it
-        try:
-            stats = _PoolStats(jobs=self.jobs)
-            progress = obs.progress
-            started = time.perf_counter()
-            payload = _Payload(
-                network=network,
-                serialization=self.serialization,
-                smax_seed=coordinator.smax_snapshot(),
-                incremental=self.incremental,
-                cache_dir=self.cache_dir,
-                trajectory_kernel=self.trajectory_kernel,
-                fast_tables=fast_tables,
-            )
-            ledger = CostLedger("trajectory") if self.collect_stats else None
-            stats.shm_tables = int(fast_tables is not None)
-            with obs.tracer.span(
-                "batch.trajectory",
-                jobs=self.jobs,
-                n_vls=len(vl_names),
-                n_chunks=len(chunks),
-            ) as phase_span:
-                with self._pool_for(payload) as pool:
-                    stats.record_pool(pool, pool is self._external_pool)
-                    for _ in range(self.max_refinements):
-                        if self.explain:
-                            # the map this round's workers sweep with: the
-                            # seed plus every tightening broadcast so far
-                            coordinator._explain_smax = coordinator.smax_snapshot()
-                        tasks = [(chunk, dict(cumulative)) for chunk in chunks]
-                        bounds = {}
-                        for chunk_bounds, cache_stats, pid, busy in pool.map(
-                            _trajectory_worker, tasks
-                        ):
-                            stats.record_task(pid, busy)
-                            stats.cache_stats[pid] = cache_stats
-                            bounds.update(chunk_bounds)
-                        sweeps += 1
-                        if progress:
-                            progress.update("batch.trajectory.sweep", sweeps, sweeps)
-                        stable = True
-                        n_updates = 0
-                        if self.refine_smax:
-                            updates, _ = coordinator.tighten_smax(bounds)
-                            stable = not updates
-                            n_updates = len(updates)
-                            cumulative.update(updates)
-                        if ledger is not None:
-                            # the merged chunk bounds equal the sequential
-                            # sweep's map bit for bit, so the ledger is
-                            # identical for any --jobs N
-                            record_trajectory_sweep(
-                                ledger, bounds, smax_updates=n_updates
-                            )
-                        if stable:
-                            break
-                if obs.enabled:
-                    phase_span.attrs["workers"] = stats.worker_lanes()
-                    phase_span.attrs["start_method"] = stats.start_method
-                    phase_span.attrs["pool_reused"] = stats.pool_reused
-                    phase_span.attrs["shm_tables"] = stats.shm_tables
-        finally:
-            # every worker that will ever need the arena has mapped it
-            # by now (tasks for this payload epoch are done); retiring
-            # the name is safe while those mappings live
-            if arena is not None:
-                arena.close_and_unlink()
+        stats = _PoolStats(jobs=self.jobs)
+        progress = obs.progress
+        started = time.perf_counter()
+        payload = _Payload(
+            network=network,
+            serialization=self.serialization,
+            smax_seed=coordinator.smax_snapshot(),
+            incremental=self.incremental,
+            cache_dir=self.cache_dir,
+            trajectory_kernel=self.trajectory_kernel,
+        )
+        ledger = CostLedger("trajectory") if self.collect_stats else None
+        with obs.tracer.span(
+            "batch.trajectory",
+            jobs=self.jobs,
+            n_vls=len(vl_names),
+            n_chunks=len(chunks),
+        ) as phase_span:
+            with self._pool_for(payload) as pool:
+                stats.record_pool(pool, pool is self._external_pool)
+                for _ in range(self.max_refinements):
+                    if self.explain:
+                        # the map this round's workers sweep with: the
+                        # seed plus every tightening broadcast so far
+                        coordinator._explain_smax = coordinator.smax_snapshot()
+                    tasks = [(chunk, dict(cumulative)) for chunk in chunks]
+                    bounds = {}
+                    for chunk_bounds, cache_stats, pid, busy in pool.map(
+                        _trajectory_worker, tasks
+                    ):
+                        stats.record_task(pid, busy)
+                        stats.cache_stats[pid] = cache_stats
+                        bounds.update(chunk_bounds)
+                    sweeps += 1
+                    if progress:
+                        progress.update("batch.trajectory.sweep", sweeps, sweeps)
+                    stable = True
+                    n_updates = 0
+                    if self.refine_smax:
+                        updates, _ = coordinator.tighten_smax(bounds)
+                        stable = not updates
+                        n_updates = len(updates)
+                        cumulative.update(updates)
+                    if ledger is not None:
+                        # the merged chunk bounds equal the sequential
+                        # sweep's map bit for bit, so the ledger is
+                        # identical for any --jobs N
+                        record_trajectory_sweep(
+                            ledger, bounds, smax_updates=n_updates
+                        )
+                    if stable:
+                        break
+            if obs.enabled:
+                phase_span.attrs["workers"] = stats.worker_lanes()
+                phase_span.attrs["start_method"] = stats.start_method
+                phase_span.attrs["pool_reused"] = stats.pool_reused
         stats.wall_s = time.perf_counter() - started
 
         result = coordinator.build_result(bounds, sweeps)
         if ledger is not None:
             ledger.add_work("paths_bound", len(result.paths))
-            ledger.record_runtime("shm_table_segments", stats.shm_tables)
             ledger.record_runtime("pool_reused", stats.pool_reused)
             ledger.record_runtime("workers", stats.jobs)
         if self.explain:
@@ -631,7 +578,7 @@ class BatchAnalyzer:
             )
         own_pool: Optional[WorkerPool] = None
         if self._external_pool is None:
-            own_pool = WorkerPool(self.jobs, None, use_shm=self.use_shm)
+            own_pool = WorkerPool(self.jobs, None)
             self._external_pool = own_pool
         try:
             nc_result = self.network_calculus()
@@ -672,13 +619,9 @@ class BatchAnalyzer:
         # execution shape: gauges must be numeric (manifest contract),
         # so the start method is encoded as its fork-ness and the full
         # string rides the phase span / INFO log
-        metrics.gauge(f"batch.{phase}.shm_tables", stats.shm_tables)
         metrics.gauge(f"batch.{phase}.pool_reused", stats.pool_reused)
         metrics.gauge(
             f"batch.{phase}.start_method_fork",
             int(stats.start_method == "fork"),
         )
         metrics.gauge(f"batch.{phase}.pool_epoch", stats.pool_epoch)
-        metrics.gauge(
-            f"batch.{phase}.shm_segments_active", stats.shm_segments
-        )

@@ -5,21 +5,21 @@ A thin, deterministic wrapper over :class:`multiprocessing.pool.Pool`:
 * **fork first** — the coordinator prefers the ``fork`` start method so
   workers inherit the (read-only) network topology for free; on
   platforms without it the fallback start method is logged at INFO and
-  the payload travels through shared memory (or the ``spawn``
-  initializer) instead.  Either way the payload is delivered exactly
-  once per worker per epoch, not once per task.
+  the payload travels pickled through the ``spawn`` initializer
+  instead.  Either way each worker loads the payload once per epoch,
+  not once per task.
 * **persistent per-worker state** — the initializer parks the payload
   in a module global; task functions lazily build whatever expensive
   state they need from it (a prepared analyzer, cached port-flow sets)
   and reuse it across every task the worker receives.
 * **warm reuse across configs** — :meth:`WorkerPool.set_payload` swaps
   the payload without restarting the workers.  Each swap starts a new
-  *epoch*: the payload is pickled once into a shared-memory segment
-  (:mod:`repro.batch.shm`), every task carries the epoch tag, and a
-  worker seeing a newer tag reloads the payload and drops its
-  epoch-scoped state while keeping the *persistent* state
-  (:func:`worker_persistent`) — per-worker bound caches survive config
-  switches, which is what makes a corpus sweep warm.
+  *epoch*: the payload is pickled once to bytes, every task carries the
+  epoch tag and those bytes, and a worker seeing a newer tag unpickles
+  the payload and drops its epoch-scoped state while keeping the
+  *persistent* state (:func:`worker_persistent`) — per-worker bound
+  caches survive config switches, which is what makes a corpus sweep
+  warm.
 * **ordered results** — ``map()`` returns results in task-submission
   order regardless of which worker finished first, so merging is
   deterministic by construction.
@@ -36,9 +36,9 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
-from repro.batch import shm as _shm
 from repro.obs.logging import get_logger, kv, set_worker_lane
 
 __all__ = [
@@ -80,26 +80,19 @@ _WORKER_LANE: Optional[int] = None
 _WORKER_TELEMETRY: Optional[Any] = None
 
 
-def _load_payload_ref(ref: Any) -> Any:
-    """Materialize a payload reference shipped by the coordinator."""
-    if isinstance(ref, _shm.ShmSpec):
-        return _shm.get_pickled(ref)
-    return ref
-
-
 def _init_worker(
-    epoch: int, ref: Any, lane_counter: Any = None, telemetry: Any = None
+    epoch: int, payload: Any, lane_counter: Any = None, telemetry: Any = None
 ) -> None:
     global _WORKER_PAYLOAD, _WORKER_EPOCH, _WORKER_LANE, _WORKER_TELEMETRY
-    _WORKER_PAYLOAD = _load_payload_ref(ref)
+    _WORKER_PAYLOAD = payload
     _WORKER_EPOCH = epoch
     _WORKER_STATE.clear()
     _WORKER_PERSISTENT.clear()
     if lane_counter is not None:
         # first-come lane claim: each pool process takes the next slot
         # (LANE_BASE + index).  Lanes are identities of *slots*, not
-        # pids — a pool restart re-claims 100..100+jobs-1, so log
-        # prefixes and trace tids stay stable across payload epochs.
+        # pids; workers persist across payload epochs, so log prefixes
+        # and trace tids stay stable across them.
         with lane_counter.get_lock():
             index = lane_counter.value
             lane_counter.value = index + 1
@@ -142,25 +135,26 @@ def worker_emit(kind: str, **fields: Any) -> None:
         pass
 
 
-def _ensure_epoch(epoch: int, ref: Any) -> None:
-    """Reload the payload when a task carries a newer epoch tag.
+def _ensure_epoch(epoch: int, blob: Optional[bytes]) -> None:
+    """Load the payload when a task carries a newer epoch tag.
 
-    A respawned worker (after a crash) self-heals here too: its
-    initializer installed whatever epoch the pool was created with, and
-    the first task it receives upgrades it.
+    ``blob`` is the epoch's pickled payload (None for epoch 0, which the
+    initializer delivered).  A respawned worker (after a crash)
+    self-heals here too: its initializer installed the pool-creation
+    payload, and the first task it receives upgrades it.
     """
     global _WORKER_PAYLOAD, _WORKER_EPOCH
     if epoch == _WORKER_EPOCH:
         return
-    if ref is not None:
-        _WORKER_PAYLOAD = _load_payload_ref(ref)
+    if blob is not None:
+        _WORKER_PAYLOAD = pickle.loads(blob)
     _WORKER_EPOCH = epoch
     _WORKER_STATE.clear()
 
 
-def _run_task(wrapped: Tuple[int, Any, Callable[[Any], T], Any]) -> T:
-    epoch, ref, func, task = wrapped
-    _ensure_epoch(epoch, ref)
+def _run_task(wrapped: Tuple[int, Optional[bytes], Callable[[Any], T], Any]) -> T:
+    epoch, blob, func, task = wrapped
+    _ensure_epoch(epoch, blob)
     return func(task)
 
 
@@ -238,12 +232,6 @@ class WorkerPool:
         Arbitrary picklable object delivered once to each worker via
         the pool initializer; task functions read it back with
         :func:`worker_payload` / :func:`worker_state`.
-    use_shm:
-        Ship payload epochs through :mod:`repro.batch.shm` (default)
-        so a :meth:`set_payload` swap costs one pickle total instead of
-        one per worker.  When shared memory is unavailable the swap
-        falls back to restarting the pool processes (correct, but the
-        per-worker epoch-scoped state is rebuilt).
     telemetry:
         Open a telemetry queue from the workers back to the
         coordinator: task functions may then call :func:`worker_emit`
@@ -258,7 +246,6 @@ class WorkerPool:
         jobs: int,
         payload: Any,
         *,
-        use_shm: bool = True,
         telemetry: bool = False,
     ) -> None:
         if jobs < 2:
@@ -271,19 +258,15 @@ class WorkerPool:
                 "worker pool start method %s",
                 kv(start_method=self.start_method, jobs=jobs, fork_available=False),
             )
-        self.use_shm = use_shm
         self._epoch = 0
-        self._payload: Any = payload
-        #: segment holding the *current* epoch's pickled payload; built
-        #: lazily — the initial delivery rides the initializer (free
-        #: under ``fork``), only epoch swaps need the segment
-        self._payload_spec: Optional[_shm.ShmSpec] = None
+        #: the current epoch's pickled payload; None for epoch 0, whose
+        #: payload rides the initializer (free under ``fork``)
+        self._payload_blob: Optional[bytes] = None
         self._context = multiprocessing.get_context(
             self.start_method if "fork" in methods else None
         )
         #: next free worker-lane slot; workers claim LANE_BASE + slot
-        #: in their initializer (reset to 0 on a pool restart so the
-        #: replacement workers re-claim the same lane range)
+        #: in their initializer
         self._lane_counter = self._context.Value("i", 0)
         self.telemetry_queue = (
             self._context.SimpleQueue() if telemetry else None
@@ -302,42 +285,12 @@ class WorkerPool:
     def set_payload(self, payload: Any) -> None:
         """Swap the payload without restarting workers (new epoch).
 
-        The previous epoch's shared segment is unlinked eagerly — live
-        worker mappings survive the unlink, and any worker that never
-        loaded the old epoch will only ever be asked for the new one.
+        The payload is pickled once here; each task of the epoch
+        carries the bytes, and a worker unpickles them on its first
+        task of the epoch.
         """
         self._epoch += 1
-        self._payload = payload
-        old_spec = self._payload_spec
-        self._payload_spec = None
-        if self.use_shm:
-            try:
-                self._payload_spec = _shm.put_pickled(payload)
-            except _shm.ShmUnavailable as exc:
-                _LOG.info(
-                    "shared memory unavailable, restarting pool per epoch: %s", exc
-                )
-                self.use_shm = False
-        if self._payload_spec is None:
-            # fallback: re-deliver through the initializer; workers are
-            # replaced, so epoch-scoped state rebuilds (persistent
-            # per-worker state is lost too — the disk cache tier covers
-            # cross-config reuse on such platforms)
-            self._pool.terminate()
-            self._pool.join()
-            with self._lane_counter.get_lock():
-                self._lane_counter.value = 0
-            self._pool = self._context.Pool(
-                processes=self.jobs,
-                initializer=_init_worker,
-                initargs=(
-                    self._epoch,
-                    payload,
-                    self._lane_counter,
-                    self.telemetry_queue,
-                ),
-            )
-        _shm.unlink_spec(old_spec)
+        self._payload_blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
 
     @property
     def epochs_served(self) -> int:
@@ -358,11 +311,8 @@ class WorkerPool:
         instead of hanging when a worker dies mid-task (a killed worker
         is respawned by the pool, but its in-flight task is lost).
         """
-        # ``ref`` self-heals crash-respawned workers: their initializer
-        # installed the pool-creation payload, and the first task they
-        # see upgrades them to the current epoch from shared memory.
-        ref = self._payload_spec
-        wrapped = [(self._epoch, ref, func, task) for task in tasks]
+        blob = self._payload_blob
+        wrapped = [(self._epoch, blob, func, task) for task in tasks]
         if timeout is None:
             return self._pool.map(_run_task, wrapped, chunksize=1)
         return self._pool.map_async(_run_task, wrapped, chunksize=1).get(timeout)
@@ -386,20 +336,14 @@ class WorkerPool:
             pass
         return events
 
-    def _unlink_payload(self) -> None:
-        _shm.unlink_spec(self._payload_spec)
-        self._payload_spec = None
-
     def close(self) -> None:
         self._pool.close()
         self._pool.join()
-        self._unlink_payload()
         self.drain_telemetry()
 
     def terminate(self) -> None:
         self._pool.terminate()
         self._pool.join()
-        self._unlink_payload()
         self.drain_telemetry()
 
     def __enter__(self) -> "WorkerPool":

@@ -42,8 +42,8 @@ Subcommands
     and a clean configuration's bounds are bit-identical with or
     without the flag.
 
-``analyze``, ``experiment``, ``batch-sweep`` and ``explain`` accept
-``--jobs N`` to fan the analysis across N worker processes
+``analyze``, ``profile``, ``experiment``, ``batch-sweep`` and ``explain``
+accept ``--jobs N`` to fan the analysis across N worker processes
 (``repro.batch``); results are bit-identical to the sequential
 ``--jobs 1`` default.  ``analyze``, ``batch-sweep``, ``whatif`` and
 ``explain`` accept ``--cache-dir DIR`` to persist the
@@ -166,7 +166,24 @@ OBS_FLAG_DESTS = (
 #: They land in the run-history record's volatile ``execution``
 #: section, never its deterministic ``options`` core — the core must be
 #: byte-stable across ``--jobs`` and cache states.
-_EXECUTION_ARGS = frozenset(("jobs", "cache_dir", "no_shm", "trajectory_kernel"))
+_EXECUTION_ARGS = frozenset(("jobs", "cache_dir", "trajectory_kernel"))
+
+
+def _job_count(text: str) -> int:
+    """argparse type of ``--jobs``: a worker count, 0 meaning all cores.
+
+    Rejecting a negative count here makes it a usage error (exit 2)
+    instead of a traceback from :func:`repro.batch.pool.resolve_jobs`.
+    """
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be >= 0 (0 = all cores), got {value}"
+        )
+    return value
 
 
 def _obs_parent() -> argparse.ArgumentParser:
@@ -268,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also print the per-path jitter bound (bound - uncontended floor)",
     )
     analyze.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=_job_count, default=1, metavar="N",
         help="worker processes (1 = sequential, 0 = all cores); "
         "results are bit-identical for any N",
     )
@@ -276,11 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir", default=None, metavar="DIR",
         help="persist the content-addressed bound cache in DIR "
         "(bit-identical results, repeat runs reuse cached per-port work)",
-    )
-    analyze.add_argument(
-        "--no-shm", action="store_true",
-        help="ship worker state by fork/pickle instead of shared-memory "
-        "segments (bit-identical; diagnostic escape hatch)",
     )
     analyze.add_argument(
         "--preflight", action="store_true",
@@ -329,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
         "default: fast)",
     )
     profile_cmd.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=_job_count, default=1, metavar="N",
         help="worker processes (1 = sequential, 0 = all cores); the "
         "deterministic counter sections are identical for any N",
     )
@@ -337,11 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir", default=None, metavar="DIR",
         help="persist the content-addressed bound cache in DIR "
         "(cache hits appear as explicit ledger entries)",
-    )
-    profile_cmd.add_argument(
-        "--no-shm", action="store_true",
-        help="ship worker state by fork/pickle instead of shared-memory "
-        "segments (bit-identical; diagnostic escape hatch)",
     )
 
     validate = sub.add_parser("validate", parents=[obs], help="check a configuration")
@@ -392,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the artefact as CSV",
     )
     experiment.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=_job_count, default=1, metavar="N",
         help="worker processes for the industrial-config experiments "
         "(table1, fig5, fig6); bit-identical for any N",
     )
@@ -421,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="simulated time per scenario in ms (default 5)",
     )
     sweep.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=_job_count, default=1, metavar="N",
         help="worker processes (1 = sequential, 0 = all cores)",
     )
     sweep.add_argument(
@@ -511,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
         "default: fast)",
     )
     explain.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=_job_count, default=1, metavar="N",
         help="worker processes (1 = sequential, 0 = all cores); "
         "output is byte-identical for any N",
     )
@@ -689,7 +696,7 @@ def _history_options(args: argparse.Namespace) -> Dict[str, object]:
     """Manifest options minus execution shape.
 
     The run-history record splits a deterministic core from a volatile
-    shell; ``jobs``/``cache_dir``/``no_shm``/``trajectory_kernel`` only
+    shell; ``jobs``/``cache_dir``/``trajectory_kernel`` only
     change *how* bounds are computed, never their bytes, so they live
     in the record's ``execution`` section instead of here.
     """
@@ -749,7 +756,6 @@ def _cmd_analyze(args: argparse.Namespace, ctx: _RunContext) -> int:
         progress=ctx.progress,
         cache_dir=args.cache_dir,
         trajectory_kernel=args.trajectory_kernel,
-        use_shm=not args.no_shm,
     )
     nc = batch.network_calculus()
     # with workers, reuse the NC result as the trajectory's Smax seed
@@ -810,7 +816,6 @@ def _cmd_profile(args: argparse.Namespace, ctx: _RunContext) -> int:
         progress=ctx.progress,
         cache_dir=args.cache_dir,
         trajectory_kernel=args.trajectory_kernel,
-        use_shm=not args.no_shm,
     )
     nc = batch.network_calculus()
     seed = (

@@ -33,12 +33,15 @@ this on randomized edit sequences.
 
 The in-memory layer is a plain LRU (``OrderedDict``); the optional
 disk layer (``cache_dir``) persists entries as one JSON file per
-fingerprint so independent processes — ``afdx whatif`` invocations,
-``afdx batch-sweep`` workers, a warm CI run — share bounds.  Floats
-survive the JSON round trip exactly (``repr`` is shortest-round-trip
-in Python 3), which the disk tests assert.  Writes go through a
-temp-file + ``os.replace`` so concurrent writers can only ever publish
-complete entries.
+fingerprint under ``cache_dir/v<CACHE_VERSION>/`` so independent
+processes — ``afdx whatif`` invocations, ``afdx batch-sweep`` workers,
+a warm CI run — share bounds.  Floats survive the JSON round trip
+exactly (``repr`` is shortest-round-trip in Python 3), which the disk
+tests assert.  Writes go through a temp-file + ``os.replace`` so
+concurrent writers can only ever publish complete entries.  A
+fingerprint covers a computation's inputs, not the code that computed
+it; :data:`CACHE_VERSION` covers the code, so once it is bumped the
+entries older code wrote are misses.
 """
 
 from __future__ import annotations
@@ -54,7 +57,13 @@ from repro.netcalc.results import NetworkCalculusResult, PathBound, PortAnalysis
 from repro.obs.costmodel import CostLedger
 from repro.trajectory.results import TrajectoryPathBound, TrajectoryResult
 
-__all__ = ["BoundCache", "default_cache"]
+__all__ = ["CACHE_VERSION", "BoundCache", "default_cache"]
+
+#: Version of the analysis semantics behind the disk entries.  Bump it
+#: with any change that alters the value a fingerprint should map to
+#: (a soundness fix, a new serialization rule): entries written under
+#: another version live in another directory and are never read.
+CACHE_VERSION = 1
 
 #: Default in-memory entry capacity.  Entries are small (a dataclass or
 #: a handful of them), so this bounds memory at tens of MB worst case.
@@ -175,7 +184,13 @@ class BoundCache:
         if self.cache_dir is None:
             return None
         # two-level fan-out keeps directories small on big sweeps
-        return self.cache_dir / namespace / fingerprint[:2] / f"{fingerprint}.json"
+        return (
+            self.cache_dir
+            / f"v{CACHE_VERSION}"
+            / namespace
+            / fingerprint[:2]
+            / f"{fingerprint}.json"
+        )
 
     def _disk_get(self, namespace: str, fingerprint: str) -> Optional[object]:
         path = self._entry_path(namespace, fingerprint)

@@ -12,8 +12,8 @@ when the path
   ``close_and_unlink``, ``terminate``, ``join``, ``shutdown``,
   ``release``),
 * passes the bare name to *any* call — ownership transfer; this is
-  what makes ``_register_owned(seg)`` (the :data:`repro.batch.shm._OWNED`
-  hand-off) and the atexit sweep free of false positives,
+  what keeps a registry hand-off such as ``_register_owned(seg)`` and
+  an atexit sweep free of false positives,
 * returns it (the caller inherits the obligation via the function's
   ``resource_indices`` summary),
 * stores it on an object or into a container, or

@@ -139,8 +139,8 @@ RULES: List[Rule] = [
         "the process unless some path unlinks it, and a worker Pool "
         "that is never terminated/joined leaks child processes; a "
         "module that creates either must also contain the release "
-        "call (route acquisition through repro.batch.shm / "
-        "repro.batch.pool, which own the lifecycle).",
+        "call (route pool acquisition through repro.batch.pool, which "
+        "owns the lifecycle).",
     ),
     Rule(
         "REPRO501",
@@ -189,8 +189,8 @@ RULES: List[Rule] = [
         "Path-sensitive successor of REPRO401: a SharedMemory segment, "
         "arena or worker pool acquired on some path that can reach the "
         "function exit — or propagate an exception — while still owned "
-        "leaks a kernel object.  Release it, return it, hand it to the "
-        "repro.batch.shm._OWNED registry, or manage it with 'with'.",
+        "leaks a kernel object.  Release it, return it, hand it to an "
+        "owning object or registry, or manage it with 'with'.",
     ),
     Rule(
         "REPRO602",
@@ -518,7 +518,7 @@ class _RuleVisitor(ast.NodeVisitor):
                 node,
                 "SharedMemory segment created but the module never "
                 "references unlink(); POSIX segments outlive the process "
-                "— release through repro.batch.shm or unlink explicitly",
+                "— unlink it explicitly",
             )
         if name == "Pool" and not (
             self._module_refs & {"terminate", "join", "close"}

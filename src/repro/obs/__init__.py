@@ -74,7 +74,6 @@ from repro.obs.manifest import (
 )
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry, TimerStats
 from repro.obs.prometheus import (
-    pool_samples,
     registry_samples,
     render_prometheus,
     write_prometheus,
@@ -127,7 +126,6 @@ __all__ = [
     "registry_samples",
     "render_prometheus",
     "write_prometheus",
-    "pool_samples",
     "HISTORY_SCHEMA_VERSION",
     "RunHistory",
     "analysis_bounds_digest",

@@ -31,11 +31,10 @@ The ledger has four sections:
     differs between cold and warm runs, so
     :func:`deterministic_section` excludes it.
 ``runtime``
-    Execution-shape counters (shared-memory segments created, warm-pool
-    reuse, payload epochs) — facts about *how* the run executed, not
-    about the algorithm's work, so they differ across ``--jobs`` and
-    pool states and are excluded from :func:`deterministic_section`
-    alongside ``cache``.
+    Execution-shape counters (warm-pool reuse, worker count) — facts
+    about *how* the run executed, not about the algorithm's work, so
+    they differ across ``--jobs`` and pool states and are excluded from
+    :func:`deterministic_section` alongside ``cache``.
 
 Everything here is integers and dict bookkeeping: no clocks, no float
 accumulation, no hash-order iteration.

@@ -22,9 +22,10 @@ A :func:`build_run_record` record has two halves:
   and cache states (the same invariant the analyzers guarantee for
   the bounds themselves);
 * a **volatile shell** — ``run_id``, ``recorded_at`` timestamp,
-  ``git_rev``, wall times, cache tallies, execution shape (jobs, shm,
-  warm-pool reuse, fleet telemetry summary).  Provenance, legitimately
-  different per run, and excluded from the deterministic view.
+  ``git_rev``, wall times, cache tallies, execution shape (jobs,
+  kernel, warm-pool reuse, fleet telemetry summary).  Provenance,
+  legitimately different per run, and excluded from the deterministic
+  view.
 
 The split is what makes *drift detection* sound: at a fixed
 ``config_digest`` the ``bounds_digest`` must never change — across
@@ -232,7 +233,7 @@ def build_run_record(
     ``work`` is the deterministic cost-ledger signature
     (:func:`repro.obs.costmodel.work_summary` shape: analyzer ->
     counter -> int); ``cache`` the per-analyzer hit/miss tallies;
-    ``execution`` the run shape (jobs, shm, kernel, fleet summary).
+    ``execution`` the run shape (jobs, kernel, fleet summary).
     ``git_rev`` / ``recorded_at`` default to live provenance — tests
     pass explicit values to pin them.
     """

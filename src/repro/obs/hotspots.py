@@ -99,7 +99,7 @@ def worker_lane_summary(
                     if len(busy_ms) > 1 and value > _STRAGGLER_FACTOR * mean_ms
                 ],
             }
-            for extra in ("start_method", "pool_reused", "shm_tables"):
+            for extra in ("start_method", "pool_reused"):
                 if extra in attrs:
                     entry[extra] = attrs[extra]
             phases.append(entry)

@@ -32,7 +32,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "PrometheusSample",
-    "pool_samples",
     "render_prometheus",
     "write_prometheus",
 ]
@@ -106,36 +105,6 @@ def registry_samples(
                 (_metric_name(name, suffix), fixed, float(stats[stat_key]), "gauge")
             )
     return samples
-
-
-def pool_samples(
-    pool_epoch: int,
-    shm_segments: int,
-    borrowed: bool,
-    labels: Optional[Mapping[str, str]] = None,
-) -> List[PrometheusSample]:
-    """Gauges describing a worker pool's execution shape.
-
-    ``pool_epoch`` is how many payload swaps the pool has absorbed
-    (:attr:`repro.batch.pool.WorkerPool.epochs_served`),
-    ``shm_segments`` the live owned shared-memory segment count
-    (``len(repro.batch.shm.active_owned())``), and ``borrowed`` whether
-    the run reused a caller-owned warm pool instead of creating its
-    own.  Until now only the run manifest saw these; exposing them as
-    ``repro_pool_*`` gauges makes warm-pool reuse and segment leaks
-    scrapeable alongside the run counters.
-    """
-    fixed = tuple(sorted((labels or {}).items()))
-    return [
-        (_metric_name("pool.epoch"), fixed, float(int(pool_epoch)), "gauge"),
-        (
-            _metric_name("pool.shm_segments_active"),
-            fixed,
-            float(int(shm_segments)),
-            "gauge",
-        ),
-        (_metric_name("pool.borrowed"), fixed, float(bool(borrowed)), "gauge"),
-    ]
 
 
 def render_prometheus(samples: Sequence[PrometheusSample]) -> str:

@@ -280,9 +280,6 @@ class TrajectoryAnalyzer:
         self._obs = Instrumentation.create(collect_stats, progress)
         self._result: Optional[TrajectoryResult] = None
         self._prepared = False
-        # shared-memory contract columns adopted from a coordinator
-        # (``adopt_fast_tables``); None means build tables locally
-        self._adopted_tables: Optional[Tuple[Dict[str, "np.ndarray"], Dict]] = None
         self._event_memo_enabled = True  # test hook: equivalence guard
         # explain=True recording: the Smax map the final sweep ran with
         # and that sweep's complete prefix-bound dictionary
@@ -643,45 +640,13 @@ class TrajectoryAnalyzer:
             name: index for index, name in enumerate(vl_order)
         }
         self._n_vls = len(vl_order)
-        adopted_arrays: Optional[Dict[str, "np.ndarray"]] = None
-        adopted_index: Dict[PortId, Tuple[int, int]] = {}
-        if self._adopted_tables is not None:
-            adopted_arrays, adopted_index = self._adopted_tables
         # per-port tuples plus their numpy mirrors for the batched fold
         # (`_batch_fold`) on wide ports; the fifth numpy column maps
         # each member's upstream port to a small per-port integer id
         # (-1 for source members) for the serialization-gain grouping.
-        # A port covered by adopted shared-memory columns slices its
-        # arrays zero-copy and lifts the scalars out of the slice —
-        # the exporter built them with the exact expressions below, so
-        # every float is bit-identical to a local build.
         self._port_tab: Dict[PortId, Tuple] = {}
         self._port_np: Dict[PortId, Tuple] = {}
         for pid, members in self._port_vls.items():
-            span = adopted_index.get(pid)
-            if span is not None and adopted_arrays is not None:
-                lo, hi = span
-                if hi - lo != len(members):
-                    raise ValueError(
-                        f"adopted fast tables do not match port {pid}: "
-                        f"{hi - lo} rows for {len(members)} members"
-                    )
-                c_np = adopted_arrays["C"][lo:hi]
-                t_np = adopted_arrays["T"][lo:hi]
-                g_np = adopted_arrays["G"][lo:hi]
-                smin_np = adopted_arrays["SMIN"][lo:hi]
-                mup_np = adopted_arrays["MUP"][lo:hi]
-                self._port_tab[pid] = (
-                    members,
-                    tuple(c_np.tolist()),
-                    tuple(t_np.tolist()),
-                    tuple(g_np.tolist()),
-                    tuple(self._upstream[(m, pid)] for m in members),
-                    tuple(smin_np.tolist()),
-                    {m: index for index, m in enumerate(members)},
-                )
-                self._port_np[pid] = (c_np, t_np, g_np, smin_np, mup_np)
-                continue
             rate = self._port_rate[pid]
             tab = (
                 members,
@@ -735,79 +700,6 @@ class TrajectoryAnalyzer:
         self._port_struct_packs: Dict[PortId, bytes] = {}
         if self.incremental:
             self._cache_counters["node"] = [0, 0]
-
-    def export_fast_tables(
-        self,
-    ) -> Tuple[Dict[str, "np.ndarray"], Dict[PortId, Tuple[int, int]]]:
-        """Flat concatenation of the fast kernel's tables for shm shipping.
-
-        Returns ``(columns, index)``: ``columns`` holds the per-port
-        contract columns ``C``/``T``/``G``/``SMIN``/``MUP`` concatenated
-        over the sorted port order plus the current ``Smax`` map packed
-        over its sorted keys (``SMAX``); ``index`` maps each port to its
-        ``(start, stop)`` slice.  A worker rebuilds bit-identical tables
-        from these via :meth:`adopt_fast_tables` without re-walking the
-        network contracts.
-        """
-        if self.kernel != "fast" or not self._prepared:
-            raise RuntimeError(
-                "export_fast_tables needs a prepared fast-kernel analyzer"
-            )
-        index: Dict[PortId, Tuple[int, int]] = {}
-        parts: Dict[str, List["np.ndarray"]] = {
-            "C": [], "T": [], "G": [], "SMIN": [], "MUP": []
-        }
-        start = 0
-        for pid in sorted(self._port_np):
-            c_np, t_np, g_np, smin_np, mup_np = self._port_np[pid]
-            index[pid] = (start, start + len(c_np))
-            start += len(c_np)
-            parts["C"].append(c_np)
-            parts["T"].append(t_np)
-            parts["G"].append(g_np)
-            parts["SMIN"].append(smin_np)
-            parts["MUP"].append(mup_np)
-        empty = {
-            "C": np.float64, "T": np.float64, "G": np.intp,
-            "SMIN": np.float64, "MUP": np.intp,
-        }
-        columns = {
-            key: (
-                np.concatenate(arrays)
-                if arrays
-                else np.empty(0, dtype=empty[key])
-            )
-            for key, arrays in parts.items()
-        }
-        columns["SMAX"] = np.array(
-            [self._smax[key] for key in sorted(self._smax)], dtype=np.float64
-        )
-        return columns, index
-
-    def adopt_fast_tables(
-        self,
-        columns: Dict[str, "np.ndarray"],
-        index: Dict[PortId, Tuple[int, int]],
-    ) -> Dict[FlowPortKey, float]:
-        """Serve the fast kernel's contract columns from shared arrays.
-
-        Must be called before :meth:`prepare`.  Returns the ``Smax``
-        seed reconstructed from the exported pack — the key order is
-        recomputed from the network (:func:`tree_prefixes` sorted), the
-        same order :meth:`export_fast_tables` packed, so the floats land
-        on their keys bit for bit.
-        """
-        if self._prepared:
-            raise RuntimeError("adopt_fast_tables must precede prepare()")
-        self._adopted_tables = (columns, dict(index))
-        keys = sorted(tree_prefixes(self.network))
-        smax = columns["SMAX"]
-        if len(keys) != len(smax):
-            raise ValueError(
-                f"adopted Smax pack has {len(smax)} entries "
-                f"for {len(keys)} tree prefixes"
-            )
-        return {key: float(smax[pos]) for pos, key in enumerate(keys)}
 
     def _smax_slice(self, port: PortId) -> List[float]:
         """This sweep's ``Smax`` values of one port's members, in order."""

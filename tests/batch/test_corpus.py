@@ -1,8 +1,10 @@
 """The seeded scenario corpus: determinism and cross-mode identity."""
 
+import multiprocessing
+
 import pytest
 
-from repro.batch import analyze_corpus, shm
+from repro.batch import analyze_corpus
 from repro.batch.corpus import CorpusSpec, corpus_edits, corpus_network
 from repro.batch.pool import WorkerPool
 
@@ -62,7 +64,7 @@ class TestCorpusIdentity:
             cached.digest,
         }
         assert len(digests) == 1, digests
-        assert shm.active_owned() == []
+        assert multiprocessing.active_children() == []
 
     def test_sequential_cache_matches_uncached(self, tmp_path):
         cold = analyze_corpus(SPEC, jobs=1)

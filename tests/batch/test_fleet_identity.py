@@ -12,12 +12,13 @@ example so payload epochs get hammered too.
 """
 
 import json
+import multiprocessing
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.batch import BatchAnalyzer, shm
+from repro.batch import BatchAnalyzer
 from repro.batch.pool import WorkerPool
 from repro.configs import fig1_network, random_network
 from repro.obs.costmodel import deterministic_section
@@ -102,7 +103,7 @@ class TestShapeCrossProduct:
             assert _ledger_bytes(result) == ledger, (
                 f"{kernel}: ledger section not byte-identical under {label}"
             )
-        assert shm.active_owned() == []
+        assert multiprocessing.active_children() == []
 
 
 #: One warm pool shared by every hypothesis example below — each
@@ -125,7 +126,7 @@ def _close_shared_pool():
     if _SHARED_POOL is not None:
         _SHARED_POOL.close()
         _SHARED_POOL = None
-    assert shm.active_owned() == []
+    assert multiprocessing.active_children() == []
 
 
 class TestRandomizedShapes:

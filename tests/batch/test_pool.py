@@ -1,8 +1,13 @@
 """Unit tests for the worker-pool plumbing."""
 
+import multiprocessing
+import os
+import signal
+import time
+
 import pytest
 
-from repro.batch.pool import WorkerPool, chunked, resolve_jobs
+from repro.batch.pool import WorkerPool, chunked, resolve_jobs, worker_payload
 from repro.errors import AnalysisError, ConfigurationError, UnstableNetworkError
 
 
@@ -77,6 +82,98 @@ class TestWorkerPool:
         with pytest.raises(type(_ERRORS[kind]), match=str(_ERRORS[kind])):
             with WorkerPool(2, payload=None) as pool:
                 pool.map(_raise_payload_error, [kind])
+
+
+def _pid(_task):
+    return os.getpid()
+
+
+def _pid_and_payload(_task):
+    time.sleep(0.02)  # long enough that every idle worker takes a task
+    return os.getpid(), worker_payload()
+
+
+def _kill_self(_task):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _wait_for_respawn(known_pids, timeout=15.0):
+    """Block until a worker pid outside ``known_pids`` is alive."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        fresh = {child.pid for child in multiprocessing.active_children()} - known_pids
+        if fresh:
+            return fresh
+        time.sleep(0.05)
+    pytest.fail("the killed worker was not respawned")
+
+
+class TestPayloadEpochs:
+    def test_swapped_payload_reaches_workers_and_close_reaps(self):
+        """An explicit ``close()`` after a swap leaves no worker behind."""
+        pool = WorkerPool(2, {"epoch": 0})
+        try:
+            pool.set_payload({"epoch": 1})
+            answers = pool.map(_pid_and_payload, [0, 1])
+            assert [payload for _pid, payload in answers] == [{"epoch": 1}] * 2
+        finally:
+            pool.close()
+        assert multiprocessing.active_children() == []
+
+    def test_three_epochs_reach_the_workers(self):
+        with WorkerPool(2, {"epoch": "initial"}) as pool:
+            for epoch in range(3):
+                pool.set_payload({"epoch": epoch})
+                assert pool.epochs_served == epoch + 1
+                answers = pool.map(_pid_and_payload, range(8))
+                assert [payload for _pid, payload in answers] == [{"epoch": epoch}] * 8
+        assert multiprocessing.active_children() == []
+
+    def test_sigkilled_worker_times_out_and_terminate_reaps(self):
+        """A SIGKILLed worker loses its in-flight task: ``map(timeout=)``
+        raises instead of hanging, and ``terminate()`` still reaps every
+        worker process."""
+        pool = WorkerPool(2, None)
+        try:
+            pool.set_payload({"epoch": 0})
+            assert pool.map(_pid, [0])
+            with pytest.raises(multiprocessing.TimeoutError):
+                pool.map(_kill_self, [0], timeout=5.0)
+        finally:
+            pool.terminate()
+        assert multiprocessing.active_children() == []
+
+    def test_respawned_worker_answers_with_current_payload(self):
+        """The pool respawns a killed worker with its creation payload;
+        its first task upgrades it to the epoch it died in, and the next
+        swap reaches it like any other worker."""
+        pool = WorkerPool(2, {"epoch": 0})
+        try:
+            pool.set_payload({"epoch": 1})
+            assert pool.map(_pid, range(4))
+            known = {child.pid for child in multiprocessing.active_children()}
+            # killed mid-task, not idle: an idle worker may hold the task
+            # queue's lock, and killing it would wedge the whole pool
+            with pytest.raises(multiprocessing.TimeoutError):
+                pool.map(_kill_self, [0], timeout=5.0)
+            respawned = _wait_for_respawn(known)
+            _assert_respawned_answers(pool, respawned, {"epoch": 1})
+            pool.set_payload({"epoch": 2})
+            _assert_respawned_answers(pool, respawned, {"epoch": 2})
+        finally:
+            # the killed task never completes, so close() would wait on it
+            pool.terminate()
+        assert multiprocessing.active_children() == []
+
+
+def _assert_respawned_answers(pool, respawned, payload):
+    """Map until a ``respawned`` pid answers; every answer is ``payload``."""
+    for _round in range(5):
+        answers = pool.map(_pid_and_payload, range(8), timeout=30.0)
+        assert [got for _pid, got in answers] == [payload] * 8
+        if respawned & {pid for pid, _got in answers}:
+            return
+    pytest.fail("the respawned worker never answered")
 
 
 def _lane(_x):

@@ -90,6 +90,18 @@ class TestDiskLayer:
         fresh = BoundCache(cache_dir=tmp_path)
         assert fresh.get("nc.port", "dead") is None
 
+    def test_entry_from_another_cache_version_is_a_miss(self, tmp_path, monkeypatch):
+        from repro.incremental import cache as cache_module
+
+        current = cache_module.CACHE_VERSION
+        monkeypatch.setattr(cache_module, "CACHE_VERSION", current - 1)
+        BoundCache(cache_dir=tmp_path).put("nc.port", "old", _port())
+        assert BoundCache(cache_dir=tmp_path).get("nc.port", "old") == _port()
+        monkeypatch.setattr(cache_module, "CACHE_VERSION", current)
+        fresh = BoundCache(cache_dir=tmp_path)
+        assert fresh.get("nc.port", "old") is None
+        assert fresh.stats()["misses"] == 1
+
     def test_invalidate_removes_disk_entry(self, tmp_path):
         cache = BoundCache(cache_dir=tmp_path)
         cache.put("nc.port", "gone", _port())

@@ -44,7 +44,7 @@ class TestNodeNamespace:
         hits, misses = analyzer.cache_stats()["node"]
         assert hits == 0
         assert misses > 0
-        assert list((tmp_path / "traj.node").rglob("*.json")), (
+        assert list(tmp_path.glob("v*/traj.node/**/*.json")), (
             "misses were not persisted to the disk tier"
         )
 

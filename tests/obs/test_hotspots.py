@@ -32,7 +32,6 @@ class TestWorkerLaneSummary:
                         "workers": [50.0, 80.0],
                         "start_method": "fork",
                         "pool_reused": 1,
-                        "shm_tables": 1,
                     },
                 )
             ]
@@ -46,7 +45,6 @@ class TestWorkerLaneSummary:
         assert phase["stragglers"] == []
         assert phase["start_method"] == "fork"
         assert phase["pool_reused"] == 1
-        assert phase["shm_tables"] == 1
 
     def test_straggler_lane_detected(self):
         stats = {

@@ -4,7 +4,6 @@ import pytest
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.prometheus import (
-    pool_samples,
     registry_samples,
     render_prometheus,
     write_prometheus,
@@ -109,20 +108,3 @@ class TestWrite:
         write_prometheus(target, [("repro_only", (), 1.0, "gauge")])
         assert target.read_text() == "# TYPE repro_only gauge\nrepro_only 1\n"
 
-
-class TestPoolSamples:
-    def test_three_execution_shape_gauges(self):
-        samples = pool_samples(3, 2, True)
-        by_name = {name: value for name, _labels, value, kind in samples}
-        assert by_name == {
-            "repro_pool_epoch": 3.0,
-            "repro_pool_shm_segments_active": 2.0,
-            "repro_pool_borrowed": 1.0,
-        }
-        assert all(kind == "gauge" for _n, _l, _v, kind in samples)
-
-    def test_labels_attached_and_renderable(self):
-        samples = pool_samples(0, 0, False, labels={"command": "batch-sweep"})
-        text = render_prometheus(samples)
-        assert 'repro_pool_borrowed{command="batch-sweep"} 0' in text
-        assert 'repro_pool_epoch{command="batch-sweep"} 0' in text

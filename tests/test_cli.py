@@ -81,6 +81,25 @@ def test_unknown_experiment_rejected():
         main(["experiment", "fig99"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "{config}"],
+        ["profile", "{config}"],
+        ["experiment", "fig3_4"],
+        ["batch-sweep"],
+        ["explain", "{config}"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_negative_jobs_is_a_usage_error(argv, fig2_json, capsys):
+    argv = [arg.format(config=fig2_json) for arg in argv] + ["--jobs", "-1"]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "argument --jobs: must be >= 0" in capsys.readouterr().err
+
+
 def test_validate_invalid_network_exits_with_config_code(tmp_path, capsys):
     # wire an ES twice by editing the JSON directly
     net = fig2_network()

@@ -103,7 +103,9 @@ class TestAtScale:
         sequential floats exactly (the fleet engine's contract at the
         scale the paper targets).
         """
-        from repro.batch import BatchAnalyzer, shm
+        import multiprocessing
+
+        from repro.batch import BatchAnalyzer
         from repro.batch.pool import WorkerPool
         from repro.configs.industrial import (
             IndustrialConfigSpec,
@@ -128,4 +130,4 @@ class TestAtScale:
                 assert getattr(parallel.paths[key], name) == getattr(
                     result.paths[key], name
                 ), (key, name)
-        assert shm.active_owned() == []
+        assert multiprocessing.active_children() == []
