@@ -22,16 +22,20 @@ lint:
 	python -m repro.cli lint examples/configs/*.json --no-utilization-table
 
 # Interprocedural dataflow lint (taint + ownership + fork-safety) over
-# everything we ship, gated on the committed baseline: pre-existing
+# everything we ship plus the trajectory test oracle the kernel gate
+# trusts, gated on the committed baseline: pre-existing
 # benchmark/script findings are tolerated, new findings fail.
+LINT_DATAFLOW_PATHS := src/repro benchmarks scripts perfbench \
+	tests/trajectory/reference_kernel.py
+
 lint-dataflow:
 	python -m repro.lint --engine dataflow --baseline lint_baseline.json \
-		src/repro benchmarks scripts perfbench
+		$(LINT_DATAFLOW_PATHS)
 
 # Re-record the baseline after deliberately accepting new findings.
 lint-baseline:
 	python -m repro.lint --engine dataflow --baseline lint_baseline.json \
-		--write-baseline src/repro benchmarks scripts perfbench
+		--write-baseline $(LINT_DATAFLOW_PATHS)
 
 bench:
 	python -m pytest benchmarks/ --benchmark-only
@@ -81,7 +85,8 @@ profile-smoke:
 obs-smoke:
 	python scripts/obs_smoke.py
 
-# Trajectory kernel equivalence: fast vs reference bounds bit-identical
-# on every scenario, across --jobs and cold/warm incremental cache.
+# Trajectory kernel equivalence: product kernel vs test oracle
+# (tests/trajectory/reference_kernel.py), bounds bit-identical on every
+# scenario, across --jobs and cold/warm incremental cache.
 kernel-gate:
 	python scripts/kernel_gate.py

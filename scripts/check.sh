@@ -18,9 +18,9 @@ python -m compileall -q src
 echo "== repro.lint (dataflow engine, zero unwaived findings in src/repro) =="
 python -m repro.lint --engine dataflow src/repro
 
-echo "== repro.lint dataflow baseline (src + benchmarks + scripts + perfbench; new findings fail) =="
+echo "== repro.lint dataflow baseline (src + benchmarks + scripts + perfbench + kernel test oracle; new findings fail) =="
 python -m repro.lint --engine dataflow --baseline lint_baseline.json \
-    src/repro benchmarks scripts perfbench
+    src/repro benchmarks scripts perfbench tests/trajectory/reference_kernel.py
 
 echo "== afdx lint (config verifier over shipped examples) =="
 python -m repro.cli lint examples/configs/*.json --no-utilization-table
@@ -36,10 +36,10 @@ python -m pytest -x -q \
 echo "== incremental equivalence (30-edit replay vs cold, jobs=2, warm cache dir) =="
 python scripts/incremental_gate.py
 
-echo "== kernel equivalence (fast vs reference, bit-identical across jobs + cache) =="
+echo "== kernel equivalence (product kernel vs test oracle, bit-identical across jobs + cache) =="
 python scripts/kernel_gate.py
 
-echo "== fleet equivalence (one warm pool across all scenarios at --jobs 4, no leaked workers) =="
+echo "== fleet equivalence (product kernel vs test oracle, one warm pool across all scenarios at --jobs 4, no leaked workers) =="
 python scripts/kernel_gate.py --jobs 4 --warm-pool
 
 echo "== profile smoke (afdx profile on fig1; traces valid; ledger byte-identical) =="

@@ -1,22 +1,22 @@
 """Kernel-equivalence gate (run by ``scripts/check.sh``).
 
-The trajectory analyzer ships two sweep implementations: the
-``reference`` kernel (the straight transcription of the paper's
-per-candidate walk) and the ``fast`` kernel (flat per-port competitor
-tables, batched busy-period folds, shared-subpath memoization and a
-proven candidate-dominance prune — see docs/PERFORMANCE.md).  The
-contract is Zippo & Stea's: *faster, not looser*.  This gate enforces
-it bit for bit:
+The trajectory analyzer ships one sweep kernel (flat per-port
+competitor tables, batched busy-period folds, shared-subpath
+memoization and a proven candidate-dominance prune — see
+docs/PERFORMANCE.md).  Its ground truth is the test oracle in
+``tests/trajectory/reference_kernel.py``: the straight transcription of
+the paper's per-candidate walk.  The contract is Zippo & Stea's:
+*faster, not looser*.  This gate enforces it bit for bit:
 
-1. On every scenario below, the fast kernel's per-path bounds equal
-   the reference kernel's **exactly** — every float field and the
-   competitor count; only ``n_candidates`` may be *smaller* (the
-   dominance prune skips candidates it proves cannot win).
-2. The fast kernel is self-consistent across execution shapes:
-   ``--jobs 1`` vs ``--jobs 2`` and cold vs warm incremental cache all
-   yield bit-identical paths and byte-identical deterministic
-   :class:`CostLedger` sections.
-3. Across kernels the deterministic ledger sections agree after the
+1. On every scenario below, every product execution shape yields
+   per-path bounds equal to the oracle's **exactly** — every float
+   field and the competitor count; only ``n_candidates`` may be
+   *smaller* (the dominance prune skips candidates it proves cannot
+   win).
+2. The product is self-consistent across execution shapes:
+   ``--jobs 1`` vs ``--jobs N`` and cold vs warm incremental cache all
+   yield byte-identical deterministic :class:`CostLedger` sections.
+3. Product and oracle ledger sections agree after the
    candidate-evaluation counters (the only prune-dependent numbers)
    are dropped.
 
@@ -35,7 +35,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(_ROOT / "src"))
+sys.path.insert(0, str(_ROOT))
 
 from repro.batch import BatchAnalyzer  # noqa: E402
 from repro.batch.pool import WorkerPool  # noqa: E402
@@ -46,7 +48,9 @@ from repro.configs.industrial import (  # noqa: E402
 )
 from repro.configs.random_topology import random_network  # noqa: E402
 from repro.obs.costmodel import deterministic_section  # noqa: E402
-from repro.trajectory.analyzer import TrajectoryAnalyzer  # noqa: E402
+from tests.trajectory.reference_kernel import (  # noqa: E402
+    ReferenceTrajectoryAnalyzer,
+)
 
 _FLOAT_FIELDS = (
     "total_us",
@@ -105,7 +109,7 @@ def _check_paths(scenario, label, reference, candidate):
         if fast.n_candidates > ref.n_candidates:
             _fail(
                 scenario,
-                f"{label}: {key} fast evaluated more candidates "
+                f"{label}: {key} product evaluated more candidates "
                 f"({fast.n_candidates} > {ref.n_candidates}) — the prune "
                 "must only ever skip work",
             )
@@ -157,59 +161,58 @@ def main(argv=None):
 
 def _run_scenarios(jobs, pool):
     for scenario, network, mode in _scenarios():
-        reference = TrajectoryAnalyzer(
-            network, serialization=mode, kernel="reference", collect_stats=True
+        reference = ReferenceTrajectoryAnalyzer(
+            network, serialization=mode, collect_stats=True
         ).analyze()
 
-        fast_j1 = BatchAnalyzer(
+        product_j1 = BatchAnalyzer(
             network, jobs=1, serialization=mode, collect_stats=True,
-            trajectory_kernel="fast",
         ).trajectory()
-        _check_paths(scenario, "fast jobs=1 vs reference", reference, fast_j1)
+        _check_paths(scenario, "jobs=1 vs oracle", reference, product_j1)
 
-        fast_jn = BatchAnalyzer(
+        product_jn = BatchAnalyzer(
             network, jobs=jobs, serialization=mode, collect_stats=True,
-            trajectory_kernel="fast", pool=pool,
+            pool=pool,
         ).trajectory()
-        _check_paths(scenario, f"fast jobs={jobs} vs reference", reference, fast_jn)
+        _check_paths(scenario, f"jobs={jobs} vs oracle", reference, product_jn)
 
         with tempfile.TemporaryDirectory(prefix="afdx-kernel-gate-") as cache:
             cold = BatchAnalyzer(
                 network, jobs=1, serialization=mode, collect_stats=True,
-                trajectory_kernel="fast", incremental=True, cache_dir=cache,
+                incremental=True, cache_dir=cache,
             ).trajectory()
-            _check_paths(scenario, "fast cold cache vs reference", reference, cold)
+            _check_paths(scenario, "cold cache vs oracle", reference, cold)
             warm = BatchAnalyzer(
                 network, jobs=1, serialization=mode, collect_stats=True,
-                trajectory_kernel="fast", incremental=True, cache_dir=cache,
+                incremental=True, cache_dir=cache,
             ).trajectory()
-            _check_paths(scenario, "fast warm cache vs reference", reference, warm)
+            _check_paths(scenario, "warm cache vs oracle", reference, warm)
 
         # deterministic ledger sections: byte-identical across every
-        # fast execution shape...
-        section = _ledger_section(fast_j1)
+        # product execution shape...
+        section = _ledger_section(product_j1)
         for label, result in (
-            (f"jobs={jobs}", fast_jn),
+            (f"jobs={jobs}", product_jn),
             ("cold cache", cold),
             ("warm cache", warm),
         ):
             if _ledger_section(result) != section:
-                _fail(scenario, f"fast ledger section drifted under {label}")
-        # ...and equal to the reference's once the prune-dependent
+                _fail(scenario, f"ledger section drifted under {label}")
+        # ...and equal to the oracle's once the prune-dependent
         # candidate counters are dropped
         if _scrub_candidates(section) != _scrub_candidates(
             _ledger_section(reference)
         ):
-            _fail(scenario, "cross-kernel ledger sections differ beyond "
-                            "candidate evaluations")
+            _fail(scenario, "product and oracle ledger sections differ "
+                            "beyond candidate evaluations")
 
         pruned = sum(
-            reference.paths[key].n_candidates - fast_j1.paths[key].n_candidates
+            reference.paths[key].n_candidates - product_j1.paths[key].n_candidates
             for key in reference.paths
         )
         print(
-            f"  {scenario}: {len(reference.paths)} paths bit-identical "
-            f"(4 fast shapes), ledgers agree, {pruned} candidates pruned"
+            f"  {scenario}: {len(reference.paths)} paths bit-identical to "
+            f"the oracle (4 shapes), ledgers agree, {pruned} candidates pruned"
         )
 
 

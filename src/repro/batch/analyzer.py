@@ -89,7 +89,6 @@ class _Payload:
     smax_seed: Optional[Dict[FlowPortKey, float]] = None
     incremental: bool = False
     cache_dir: Optional[str] = None
-    trajectory_kernel: Optional[str] = None
 
 
 def _worker_cache(payload: _Payload):
@@ -157,7 +156,6 @@ def _build_trajectory_analyzer(payload: _Payload) -> TrajectoryAnalyzer:
         refine_smax=False,
         incremental=payload.incremental,
         cache=_worker_cache(payload),
-        kernel=payload.trajectory_kernel,
     )
     analyzer.prepare(smax_seed=payload.smax_seed)
     return analyzer
@@ -259,9 +257,9 @@ class BatchAnalyzer:
         ``0`` means one worker per CPU core.
     grouping / frame_overhead_bytes:
         Forwarded to the Network Calculus analyzer.
-    serialization / refine_smax / max_refinements / trajectory_kernel:
+    serialization / refine_smax / max_refinements:
         Forwarded to the Trajectory analyzer (coordinator and every
-        worker; bounds are bit-identical for either kernel).
+        worker).
     collect_stats / progress:
         Observability (:mod:`repro.obs`): when enabled, worker
         utilization, chunk counts and per-worker cache hit-rates land
@@ -302,7 +300,6 @@ class BatchAnalyzer:
         incremental: bool = False,
         cache_dir: Optional[str] = None,
         explain: bool = False,
-        trajectory_kernel: Optional[str] = None,
         pool: Optional[WorkerPool] = None,
     ) -> None:
         self.network = network
@@ -313,7 +310,6 @@ class BatchAnalyzer:
         self.refine_smax = refine_smax
         self.max_refinements = max_refinements
         self.explain = explain
-        self.trajectory_kernel = trajectory_kernel
         self.collect_stats = collect_stats
         self._progress = progress
         self.incremental = incremental or cache_dir is not None
@@ -451,7 +447,6 @@ class BatchAnalyzer:
                 incremental=self.incremental,
                 cache=self._cache,
                 explain=self.explain,
-                kernel=self.trajectory_kernel,
             )
         network = self.network
         obs = Instrumentation.create(self.collect_stats, self._progress)
@@ -460,7 +455,6 @@ class BatchAnalyzer:
             serialization=self.serialization,
             refine_smax=self.refine_smax,
             max_refinements=self.max_refinements,
-            kernel=self.trajectory_kernel,
         )
         coordinator.prepare(smax_seed=smax_seed)
         # same walk order as the sequential sweep; chunked contiguously
@@ -478,7 +472,6 @@ class BatchAnalyzer:
             smax_seed=coordinator.smax_snapshot(),
             incremental=self.incremental,
             cache_dir=self.cache_dir,
-            trajectory_kernel=self.trajectory_kernel,
         )
         ledger = CostLedger("trajectory") if self.collect_stats else None
         with obs.tracer.span(
@@ -574,7 +567,6 @@ class BatchAnalyzer:
                 collect_stats=self.collect_stats,
                 progress=self._progress,
                 explain=self.explain,
-                trajectory_kernel=self.trajectory_kernel,
             )
         own_pool: Optional[WorkerPool] = None
         if self._external_pool is None:

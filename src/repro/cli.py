@@ -162,11 +162,11 @@ OBS_FLAG_DESTS = (
 )
 
 #: argparse dests that describe *how* a run executed (worker count,
-#: cache placement, kernel choice) rather than *what* it analyzed.
+#: cache placement) rather than *what* it analyzed.
 #: They land in the run-history record's volatile ``execution``
 #: section, never its deterministic ``options`` core — the core must be
 #: byte-stable across ``--jobs`` and cache states.
-_EXECUTION_ARGS = frozenset(("jobs", "cache_dir", "trajectory_kernel"))
+_EXECUTION_ARGS = frozenset(("jobs", "cache_dir"))
 
 
 def _job_count(text: str) -> int:
@@ -271,13 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="Trajectory serialization mode (default: windowed)",
     )
     analyze.add_argument(
-        "--trajectory-kernel",
-        choices=["fast", "reference"],
-        default="fast",
-        help="trajectory sweep implementation (bit-identical bounds; "
-        "default: fast)",
-    )
-    analyze.add_argument(
         "--top", type=int, default=0, help="print only the N largest combined bounds"
     )
     analyze.add_argument(
@@ -332,13 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["paper", "windowed", "safe"],
         default="windowed",
         help="Trajectory serialization mode (default: windowed)",
-    )
-    profile_cmd.add_argument(
-        "--trajectory-kernel",
-        choices=["fast", "reference"],
-        default="fast",
-        help="trajectory sweep implementation (bit-identical bounds; "
-        "default: fast)",
     )
     profile_cmd.add_argument(
         "--jobs", type=_job_count, default=1, metavar="N",
@@ -461,13 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="Trajectory serialization mode (default: windowed)",
     )
     whatif.add_argument(
-        "--trajectory-kernel",
-        choices=["fast", "reference"],
-        default="fast",
-        help="trajectory sweep implementation (bit-identical bounds; "
-        "default: fast)",
-    )
-    whatif.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="persist the bound cache in DIR so repeated what-ifs on the "
         "same base configuration skip the cold run's recomputation",
@@ -509,13 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["paper", "windowed", "safe"],
         default="windowed",
         help="Trajectory serialization mode (default: windowed)",
-    )
-    explain.add_argument(
-        "--trajectory-kernel",
-        choices=["fast", "reference"],
-        default="fast",
-        help="trajectory sweep implementation (bit-identical bounds; "
-        "default: fast)",
     )
     explain.add_argument(
         "--jobs", type=_job_count, default=1, metavar="N",
@@ -696,9 +668,9 @@ def _history_options(args: argparse.Namespace) -> Dict[str, object]:
     """Manifest options minus execution shape.
 
     The run-history record splits a deterministic core from a volatile
-    shell; ``jobs``/``cache_dir``/``trajectory_kernel`` only
-    change *how* bounds are computed, never their bytes, so they live
-    in the record's ``execution`` section instead of here.
+    shell; ``jobs``/``cache_dir`` only change *how* bounds are
+    computed, never their bytes, so they live in the record's
+    ``execution`` section instead of here.
     """
     return {
         key: value
@@ -755,7 +727,6 @@ def _cmd_analyze(args: argparse.Namespace, ctx: _RunContext) -> int:
         collect_stats=ctx.collect,
         progress=ctx.progress,
         cache_dir=args.cache_dir,
-        trajectory_kernel=args.trajectory_kernel,
     )
     nc = batch.network_calculus()
     # with workers, reuse the NC result as the trajectory's Smax seed
@@ -815,7 +786,6 @@ def _cmd_profile(args: argparse.Namespace, ctx: _RunContext) -> int:
         collect_stats=True,
         progress=ctx.progress,
         cache_dir=args.cache_dir,
-        trajectory_kernel=args.trajectory_kernel,
     )
     nc = batch.network_calculus()
     seed = (
@@ -997,7 +967,6 @@ def _cmd_whatif(args: argparse.Namespace, ctx: _RunContext) -> int:
         serialization=args.serialization,
         collect_stats=ctx.collect,
         progress=ctx.progress,
-        trajectory_kernel=args.trajectory_kernel,
     )
     engine.analyze_base()
     delta = engine.apply(edits)
@@ -1051,7 +1020,6 @@ def _cmd_explain(args: argparse.Namespace, ctx: _RunContext) -> int:
         cache_dir=args.cache_dir,
         collect_stats=ctx.collect,
         progress=ctx.progress,
-        trajectory_kernel=args.trajectory_kernel,
     )
     ctx.record_bounds(explanation.netcalc, explanation.trajectory)
     text = render_explanation(
@@ -1103,9 +1071,6 @@ def _cmd_lint(args: argparse.Namespace, ctx: _RunContext) -> int:
             document = json.loads(Path(config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             unreadable.append(f"{config}: {exc}")
-            continue
-        if not isinstance(document, dict):
-            unreadable.append(f"{config}: configuration must be a JSON object")
             continue
         reports.append(verifier.verify_dict(document, source=config))
 

@@ -64,7 +64,6 @@ def explain_network(
     cache_dir: Optional[str] = None,
     collect_stats: bool = False,
     progress=None,
-    trajectory_kernel: Optional[str] = None,
 ) -> Explanation:
     """Run both analyses with provenance recording and attribute gaps.
 
@@ -88,7 +87,6 @@ def explain_network(
         incremental=cache_dir is not None,
         cache_dir=cache_dir,
         explain=True,
-        trajectory_kernel=trajectory_kernel,
     )
     nc_result = batch.network_calculus()
     # jobs>1: reuse our NC run as the trajectory seed exactly like the

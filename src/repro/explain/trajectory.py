@@ -42,6 +42,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 from repro.errors import ProvenanceError
 from repro.network.port import PortId
 from repro.obs.provenance import (
@@ -65,45 +67,42 @@ def _path_walk_state(analyzer, vl_name: str, ports: List[PortId]):
     the order the walk folded the flows in.  Mirrors
     :meth:`TrajectoryAnalyzer._walk_tree` exactly: the state at a tree
     node only depends on the root->node path (sibling branches are
-    rolled back), so a linear walk reproduces it.
+    rolled back), so a linear walk with its own met bitmap reproduces
+    it through the same :meth:`TrajectoryAnalyzer._discover_meetings`.
     """
     network = analyzer.network
     vl = network.vl(vl_name)
     root = ports[0]
     own_c = vl.s_max_bits / analyzer._port_rate[root]
-    competitors: Dict[object, Tuple[float, float, float]] = {
-        vl_name: (own_c, vl.bag_us, 0.0)
-    }
     entries: List[Tuple[str, PortId, Tuple[float, float, float], str]] = [
-        (vl_name, root, competitors[vl_name], "studied")
+        (vl_name, root, (own_c, vl.bag_us, 0.0), "studied")
     ]
+    met = np.zeros(analyzer._n_vls, dtype=np.uint8)
+    met[analyzer._vl_index[vl_name]] = 1
     for other in analyzer._port_vls[root]:
         if other == vl_name:
             continue
+        met[analyzer._vl_index[other]] = 1
         entry = analyzer._competitor_entry(vl_name, other, root)
-        competitors[other] = entry
         entries.append((other, root, entry, "competitor"))
 
     safe = analyzer.serialization_mode == "safe"
     gains: List[Tuple[PortId, float]] = []
-    for port in ports[1:]:
-        key = (vl_name, port)
-        cached = analyzer._meeting_cache.get(key)
-        if cached is None:
-            # batch coordinators never ran a sweep themselves: discover
-            # (and memoize) the structural meeting info on demand
-            cached = analyzer._discover_meetings(vl_name, port, competitors)
-            analyzer._meeting_cache[key] = cached
-        added, readded, port_gain = cached
+    for parent, port in zip(ports, ports[1:]):
+        _n, added, readded, port_gain, _vec = analyzer._discover_meetings(
+            port, parent, met
+        )
+        members = analyzer._port_vls[port]
         gains.append((port, port_gain))
-        for other in added:
+        for index in added:
+            other = members[index]
+            met[analyzer._vl_index[other]] = 1
             entry = analyzer._competitor_entry(vl_name, other, port)
-            competitors[other] = entry
             entries.append((other, port, entry, "competitor"))
         if safe:
-            for other in readded:
+            for index in readded:
+                other = members[index]
                 entry = analyzer._competitor_entry(vl_name, other, port)
-                competitors[(other, port)] = entry
                 entries.append((other, port, entry, "re-meeting"))
     return entries, gains
 

@@ -375,7 +375,7 @@ def _decode(payload: Dict[str, object]) -> object:
     if kind == "cost_ledger":
         return CostLedger.from_dict(payload["cost"])
     if kind == "node_fold":
-        # rebuild the exact tuple shape the fast kernel replays from
+        # rebuild the exact tuple shape the trajectory kernel replays from
         # its in-memory fold cache (events are (time, C) float pairs)
         return (
             tuple(payload["folded"]),

@@ -166,7 +166,6 @@ class DeltaAnalyzer:
         collect_stats: bool = False,
         progress=None,
         explain: bool = False,
-        trajectory_kernel: Optional[str] = None,
     ) -> None:
         if cache is None:
             cache = BoundCache(cache_dir=cache_dir)
@@ -179,7 +178,6 @@ class DeltaAnalyzer:
         self.refine_smax = refine_smax
         self.max_refinements = max_refinements
         self.explain = explain
-        self.trajectory_kernel = trajectory_kernel
         self.collect_stats = collect_stats
         self.progress = progress
         self._network = network
@@ -270,7 +268,6 @@ class DeltaAnalyzer:
             incremental=True,
             cache=self.cache,
             explain=self.explain,
-            kernel=self.trajectory_kernel,
         ).analyze()
         return netcalc, trajectory
 

@@ -296,13 +296,11 @@ class ConfigVerifier:
         """Stage-1 raw-document checks, then stage 2 when constructible.
 
         Never raises on malformed content: structural problems become
-        findings.  (A document that is not even a JSON object raises
-        ``ConfigurationError`` like the loader would.)
+        findings, and whatever the loader rejects is a CFG106 error.
         """
-        if not isinstance(document, dict):
-            raise ConfigurationError("configuration document must be a JSON object")
         report = ConfigReport(source=source)
-        self._raw_checks(document, report)
+        if isinstance(document, dict):
+            self._raw_checks(document, report)
         if not report.errors:
             from repro.network.serialization import network_from_dict
 

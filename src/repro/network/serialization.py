@@ -29,7 +29,7 @@ from typing import Any, Dict, Union
 
 from repro import units
 from repro.errors import ConfigurationError
-from repro.network.node import EndSystem, Switch
+from repro.network.node import DEFAULT_SWITCH_LATENCY_US, EndSystem, Switch
 from repro.network.topology import Network
 from repro.network.virtual_link import VirtualLink
 
@@ -80,52 +80,105 @@ def network_to_dict(network: Network) -> Dict[str, Any]:
     }
 
 
-def network_from_dict(data: Dict[str, Any]) -> Network:
-    """Rebuild a network from :func:`network_to_dict` output."""
-    try:
-        network = Network(
-            rate_bits_per_us=units.mbps_to_bits_per_us(data.get("rate_mbps", 100.0)),
-            name=data.get("name", "afdx"),
+def _typed(value: Any, kind: type, what: str) -> Any:
+    """``value`` if it is a ``kind`` (a JSON object, list or string)."""
+    if not isinstance(value, kind):
+        label = {dict: "an object", list: "a list", str: "a string"}[kind]
+        raise ConfigurationError(f"{what} must be {label}, got {value!r}")
+    return value
+
+
+#: largest magnitude a numeric field may reach in internal units (us,
+#: bits, bits/us): past 2^53 doubles stop representing integers exactly,
+#: and the analyses' sums and products of such values overflow to
+#: infinity (a 1e308 latency makes NC curve arithmetic fail)
+_MAX_MAGNITUDE = 2.0 ** 53
+
+
+def _number(value: Any, what: str, scale: float = 1.0) -> Any:
+    """``value`` if it is a JSON number of at most :data:`_MAX_MAGNITUDE`
+    once scaled to internal units.  Rejects NaN and Infinity, which
+    ``json.loads`` accepts."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not abs(value * scale) <= _MAX_MAGNITUDE
+    ):
+        raise ConfigurationError(
+            f"{what} must be a finite number of magnitude at most "
+            f"{_MAX_MAGNITUDE / scale:g}, got {value!r}"
         )
-        for node in data["nodes"]:
+    return value
+
+
+def network_from_dict(data: Dict[str, Any]) -> Network:
+    """Rebuild a network from :func:`network_to_dict` output.
+
+    Every malformed document raises :class:`ConfigurationError`: a
+    missing field, a value of the wrong JSON type, a non-finite number,
+    or a value the model constructors reject.
+    """
+    try:
+        _typed(data, dict, "configuration document")
+        network = Network(
+            rate_bits_per_us=units.mbps_to_bits_per_us(
+                _number(data.get("rate_mbps", 100.0), "'rate_mbps'")
+            ),
+            name=_typed(data.get("name", "afdx"), str, "configuration name"),
+        )
+        for node in _typed(data["nodes"], list, "'nodes'"):
+            _typed(node, dict, "node entry")
+            name = _typed(node["name"], str, "node name")
             kind = node["kind"]
-            if kind == "end_system":
-                network.add_node(
-                    EndSystem(
-                        name=node["name"],
-                        technological_latency_us=node.get("latency_us", 0.0),
-                    )
-                )
-            elif kind == "switch":
-                network.add_node(
-                    Switch(
-                        name=node["name"],
-                        technological_latency_us=node.get("latency_us", 16.0),
-                    )
-                )
-            else:
+            if kind not in ("end_system", "switch"):
                 raise ConfigurationError(f"unknown node kind {kind!r}")
-        for link in data.get("links", []):
-            rate = link.get("rate_mbps")
-            network.add_link(
-                link["a"],
-                link["b"],
-                rate_bits_per_us=None if rate is None else units.mbps_to_bits_per_us(rate),
+            end_system = kind == "end_system"
+            latency = node.get(
+                "latency_us", 0.0 if end_system else DEFAULT_SWITCH_LATENCY_US
             )
-        for vl in data.get("virtual_links", []):
+            network.add_node(
+                (EndSystem if end_system else Switch)(
+                    name=name,
+                    technological_latency_us=_number(latency, f"node {name!r} latency"),
+                )
+            )
+        for link in _typed(data.get("links", []), list, "'links'"):
+            _typed(link, dict, "link entry")
+            a = _typed(link["a"], str, "link end 'a'")
+            b = _typed(link["b"], str, "link end 'b'")
+            rate = link.get("rate_mbps")
+            if rate is not None:
+                rate = units.mbps_to_bits_per_us(_number(rate, f"link {a}-{b} rate"))
+            network.add_link(a, b, rate_bits_per_us=rate)
+        for vl in _typed(data.get("virtual_links", []), list, "'virtual_links'"):
+            _typed(vl, dict, "virtual link entry")
+            name = _typed(vl["name"], str, "VL name")
+            what = f"VL {name!r}"
+            paths = _typed(vl["paths"], list, f"{what}: 'paths'")
+            bits = units.BITS_PER_BYTE
             network.add_virtual_link(
                 VirtualLink(
-                    name=vl["name"],
-                    source=vl["source"],
-                    paths=tuple(tuple(p) for p in vl["paths"]),
-                    bag_ms=vl["bag_ms"],
-                    s_max_bytes=vl["s_max_bytes"],
-                    s_min_bytes=vl.get("s_min_bytes", 64),
-                    priority=vl.get("priority", 0),
+                    name=name,
+                    source=_typed(vl["source"], str, f"{what}: 'source'"),
+                    paths=tuple(
+                        tuple(
+                            _typed(hop, str, f"{what}: route hop")
+                            for hop in _typed(path, list, f"{what}: path")
+                        )
+                        for path in paths
+                    ),
+                    bag_ms=_number(vl["bag_ms"], f"{what}: 'bag_ms'", units.US_PER_MS),
+                    s_max_bytes=_number(vl["s_max_bytes"], f"{what}: 's_max_bytes'", bits),
+                    s_min_bytes=_number(
+                        vl.get("s_min_bytes", 64), f"{what}: 's_min_bytes'", bits
+                    ),
+                    priority=_number(vl.get("priority", 0), f"{what}: 'priority'"),
                 )
             )
     except KeyError as exc:
         raise ConfigurationError(f"missing required field {exc.args[0]!r}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigurationError(f"invalid configuration: {exc}") from exc
     return network
 
 

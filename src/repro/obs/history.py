@@ -23,7 +23,7 @@ A :func:`build_run_record` record has two halves:
   the bounds themselves);
 * a **volatile shell** — ``run_id``, ``recorded_at`` timestamp,
   ``git_rev``, wall times, cache tallies, execution shape (jobs,
-  kernel, warm-pool reuse, fleet telemetry summary).  Provenance,
+  cache placement, warm-pool reuse, fleet telemetry summary).  Provenance,
   legitimately different per run, and excluded from the deterministic
   view.
 
@@ -233,7 +233,7 @@ def build_run_record(
     ``work`` is the deterministic cost-ledger signature
     (:func:`repro.obs.costmodel.work_summary` shape: analyzer ->
     counter -> int); ``cache`` the per-analyzer hit/miss tallies;
-    ``execution`` the run shape (jobs, kernel, fleet summary).
+    ``execution`` the run shape (jobs, cache placement, fleet summary).
     ``git_rev`` / ``recorded_at`` default to live provenance — tests
     pass explicit values to pin them.
     """

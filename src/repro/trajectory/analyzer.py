@@ -36,29 +36,21 @@ maintaining the competitor set, the base workload and the candidate
 jump events incrementally (with rollback on backtrack), so the cost per
 tree port is proportional to the *new* competitors met there rather
 than to the whole competitor set — this is what keeps the ~1000-VL
-industrial configuration tractable in seconds.
+industrial configuration tractable in seconds.  The walk reads flat
+per-port competitor tables (parallel ``(C, T, Smin, Smax)`` arrays over
+each port's sorted members) instead of dict walks; the meeting
+structure is resolved once per port path into member *indices*;
+finished walks are memoized across sweeps keyed by the packed ``Smax``
+slices they read (``repro.incremental``'s content-addressed packing),
+so a converged region is never re-walked; and the candidate scan prunes
+provably dominated instants (:meth:`TrajectoryAnalyzer._maximize`).
 
-Two interchangeable kernels execute that walk (``kernel=`` parameter):
-
-``"fast"`` (the default)
-    Flat per-port competitor tables (parallel ``(C, T, Smin, Smax)``
-    arrays over each port's sorted members) replace the per-candidate
-    dict walks and attribute-property chains; the meeting structure is
-    resolved once per ``(VL, port)`` into member *indices*; finished
-    walks are memoized across sweeps keyed by the packed ``Smax``
-    slices they read (``repro.incremental``'s content-addressed
-    packing), so a converged region is never re-walked; and the
-    candidate scan prunes provably dominated instants
-    (:meth:`TrajectoryAnalyzer._maximize_fast`).
-
-``"reference"``
-    The original dict-based walk, kept verbatim as the control.
-
-Both kernels replay the exact same floating-point operation sequence
-for every bound they emit, so their results are **bit-identical** —
-``scripts/kernel_gate.py`` enforces this on every ``make check``; only
-``n_candidates`` may differ (the fast kernel evaluates fewer, see
-``docs/PERFORMANCE.md`` for the dominance proof).
+None of this changes a float: every bound replays the operation
+sequence of the plain dict-based walk, which is kept as a test oracle
+in ``tests/trajectory/reference_kernel.py``.  ``scripts/kernel_gate.py``
+diffs the two bit for bit on every ``make check``; only
+``n_candidates`` may be smaller here (see ``docs/PERFORMANCE.md`` for
+the dominance proof).
 """
 
 from __future__ import annotations
@@ -94,7 +86,7 @@ _LOG = get_logger("trajectory")
 
 _EPS = 1e-6
 
-#: fast kernel: smallest per-port competitor batch worth the numpy
+#: smallest per-port competitor batch worth the numpy
 #: dispatch overhead; smaller batches run the scalar fold loop (both
 #: paths compute the same floats, so the threshold is purely a tuning
 #: knob, not a semantics switch)
@@ -114,7 +106,7 @@ _BOUNDARY_TOL = 2.0 ** -50
 def _batch_fold(
     c: "np.ndarray", period: "np.ndarray", offset: "np.ndarray", horizon: float
 ) -> Tuple["np.ndarray", "np.ndarray"]:
-    """Vector twin of the scalar per-competitor fold (fast kernel).
+    """Vector twin of the scalar per-competitor fold.
 
     ``bases[i]`` is bit-identical to
     ``interference_count(0.0, offset[i], period[i]) * c[i]``: every
@@ -152,7 +144,7 @@ def _batch_fold(
 def _replay_add(value: float, terms) -> float:
     """``(((value + t0) + t1) + ...)`` — the exact sequential chain.
 
-    This *is* the reference kernel's accumulation: a ``+=`` chain over
+    This *is* the reference walk's accumulation: a ``+=`` chain over
     the per-flow bases in add order.  The batch fold hands the bases
     over as a tuple of Python floats so replaying a cached fold costs a
     plain scalar loop (cheaper than any numpy round-trip at the 16-64
@@ -169,7 +161,7 @@ def _flow_events(
 ) -> Tuple[float, Tuple[Tuple[float, float], ...]]:
     """One flow's base workload and candidate jump events ``(t, C)``.
 
-    Pure in its four floats, which is what makes the per-sweep
+    Pure in its four floats, which is what makes the
     event memo in :meth:`TrajectoryAnalyzer._walk_tree` exact: the same
     ``(C, T, A, horizon)`` always reproduces the same event tuple.
     """
@@ -239,12 +231,6 @@ class TrajectoryAnalyzer:
         skipped — provenance needs the final sweep's live state, so it
         is always recomputed, never served stale (per-walk and per-port
         caches still apply).
-    kernel:
-        ``"fast"`` (default) or ``"reference"`` — which tree-walk
-        implementation executes the sweeps (see the module docstring).
-        Bounds are bit-identical between the two; the fast kernel may
-        evaluate fewer candidates (``n_candidates``) thanks to the
-        proven dominance pruning.
     """
 
     def __init__(
@@ -258,17 +244,9 @@ class TrajectoryAnalyzer:
         incremental: bool = False,
         cache=None,
         explain: bool = False,
-        kernel: Optional[str] = None,
     ):
         if max_refinements < 1:
             raise ValueError(f"max_refinements must be >= 1, got {max_refinements}")
-        kernel = "fast" if kernel is None else str(kernel)
-        if kernel not in ("fast", "reference"):
-            raise ValueError(
-                f"unknown trajectory kernel {kernel!r}; "
-                "expected 'fast' or 'reference'"
-            )
-        self.kernel = kernel
         self.network = network
         self.serialization_mode = normalize_mode(serialization)
         self.refine_smax = refine_smax
@@ -339,10 +317,6 @@ class TrajectoryAnalyzer:
             self.serialization_mode,
             self.refine_smax,
             self.max_refinements,
-            # kernel tag: cached records embed n_candidates, which is
-            # legitimately smaller under the fast kernel's pruning —
-            # entries must never cross kernels
-            self.kernel,
         )
 
     def analyze(self) -> TrajectoryResult:
@@ -549,7 +523,25 @@ class TrajectoryAnalyzer:
     # ------------------------------------------------------------------
 
     def _precompute_structure(self) -> None:
+        """Sweep-invariant per-port tables, per-VL trees and memo tiers.
+
+        Each used port gets one tuple of parallel arrays, indexed by the
+        position of each member in the port's sorted member tuple:
+
+        ``(members, C, T, vl_index, upstream, Smin, position)``
+
+        ``C`` is built with the exact expression the reference walk
+        evaluates per meeting (``vl.s_max_bits / rate``), so every float
+        read from these tables is bit-identical to the dict walk.
+        ``Smax`` is the only sweep-varying input; its per-port slices
+        are rebuilt lazily each sweep (:meth:`_smax_slice`).
+        """
         network = self.network
+        vl_order = sorted(network.virtual_links)
+        self._vl_index: Dict[str, int] = {
+            name: index for index, name in enumerate(vl_order)
+        }
+        self._n_vls = len(vl_order)
         # sorted flow tuple per port: a deterministic iteration order
         # regardless of process hash seed (frozenset order is not)
         self._port_vls: Dict[PortId, Tuple[str, ...]] = {
@@ -565,6 +557,11 @@ class TrajectoryAnalyzer:
             self._port_max_c[pid] = max(
                 network.vl(v).s_max_bits / rate for v in members
             )
+        # owner-node technological latency per port (hot in every visit)
+        self._port_lat: Dict[PortId, float] = {
+            pid: network.node(pid[0]).technological_latency_us
+            for pid in self._port_vls
+        }
         # per-VL multicast tree: root port and children adjacency
         self._trees: Dict[str, Tuple[PortId, Dict[PortId, List[PortId]]]] = {}
         for vl_name in network.virtual_links:
@@ -579,67 +576,15 @@ class TrajectoryAnalyzer:
                         siblings.append(child)
             assert root is not None
             self._trees[vl_name] = (root, children)
+        # each VL's tree ports in walk order: the per-VL key of the
+        # sweep memo and of the walk fingerprints
+        self._walk_tree_ports: Dict[str, Tuple[PortId, ...]] = {
+            name: tuple(self._tree_ports(name)) for name in vl_order
+        }
         # upstream port of each VL at each of its tree ports
         self._upstream: Dict[FlowPortKey, Optional[PortId]] = {
             key: network.upstream_port(key[0], key[1]) for key in self._prefixes
         }
-        # per-node memo caches (sweep- and flow-invariant quantities):
-        # the source busy period only involves flows sourced at the root
-        # ES port, all with zero arrival offset, so it is one number per
-        # *node* shared by every VL of that port and every sweep; the
-        # meeting structure (which competitors join at a port, and the
-        # serialization credit they earn) is structural, so it is
-        # computed on the first sweep and replayed afterwards.
-        self._horizon_cache: Dict[PortId, float] = {}
-        self._meeting_cache: Dict[
-            FlowPortKey, Tuple[Tuple[str, ...], Tuple[str, ...], float]
-        ] = {}
-        # candidate-event memo: the jump instants of a competitor entry
-        # depend only on (C, T, offset, horizon), and within one sweep
-        # the same entry recurs at every meeting port of every studied
-        # VL sharing it — cleared per sweep since offsets move between
-        # sweeps (`_flow_events`).
-        self._event_cache: Dict[
-            Tuple[float, float, float, float], Tuple[float, Tuple[Tuple[float, float], ...]]
-        ] = {}
-        # per-sweep packed Smax slices, one per port (`_port_pack`) —
-        # only filled when incremental, but cleared unconditionally
-        self._port_packs: Dict[PortId, bytes] = {}
-        self._cache_counters: Dict[str, List[int]] = {
-            "horizon": [0, 0],
-            "meetings": [0, 0],
-            "events": [0, 0],
-        }
-        if self.incremental:
-            self._cache_counters["walk"] = [0, 0]
-        # owner-node technological latency per port (hot in every visit)
-        self._port_lat: Dict[PortId, float] = {
-            pid: network.node(pid[0]).technological_latency_us
-            for pid in self._port_vls
-        }
-        if self.kernel == "fast":
-            self._precompute_fast_tables()
-
-    def _precompute_fast_tables(self) -> None:
-        """Flat per-port competitor tables for the fast kernel.
-
-        One tuple of parallel arrays per port, indexed by the position
-        of each member in the port's sorted member tuple:
-
-        ``(members, C, T, vl_index, upstream, Smin, position)``
-
-        ``C`` is built with the exact expression the reference kernel
-        evaluates per meeting (``vl.s_max_bits / rate``), so every
-        float read from these tables is bit-identical to the dict walk.
-        ``Smax`` is the only sweep-varying input; its per-port slices
-        are rebuilt lazily each sweep (:meth:`_smax_slice`).
-        """
-        network = self.network
-        vl_order = sorted(network.virtual_links)
-        self._vl_index: Dict[str, int] = {
-            name: index for index, name in enumerate(vl_order)
-        }
-        self._n_vls = len(vl_order)
         # per-port tuples plus their numpy mirrors for the batched fold
         # (`_batch_fold`) on wide ports; the fifth numpy column maps
         # each member's upstream port to a small per-port integer id
@@ -672,6 +617,19 @@ class TrajectoryAnalyzer:
                 np.array(tab[5], dtype=np.float64),
                 np.array(mup_id, dtype=np.intp),
             )
+
+        # ---- memo tiers ----------------------------------------------
+        # the source busy period only involves flows sourced at the root
+        # ES port, all with zero arrival offset, so it is one number per
+        # root port shared by every VL of that port and every sweep
+        self._horizon_cache: Dict[PortId, float] = {}
+        # candidate-event memo: the jump instants of a competitor entry
+        # depend only on (C, T, offset, horizon), and the same entry
+        # recurs at every meeting port of every studied VL sharing it
+        # (`_flow_events`)
+        self._event_cache: Dict[
+            Tuple[float, float, float, float], Tuple[float, Tuple[Tuple[float, float], ...]]
+        ] = {}
         # (port, parent) -> bool column: does each member cross parent?
         # (the re-meeting test of `_discover_meetings`, vectorized)
         self._crosses_cache: Dict[Tuple[PortId, PortId], "np.ndarray"] = {}
@@ -679,26 +637,31 @@ class TrajectoryAnalyzer:
         # the union of the path ports' member sets — independent of
         # *which* member is the studied VL — so discovery results are
         # keyed by the port path from the root, not per VL.  Each node
-        # is ``[entry, children, fold_cache]`` with ``children`` keyed
-        # by port and ``fold_cache`` keyed by the fold inputs
+        # is ``[entry, children, fold_cache, node_fp]`` with ``children``
+        # keyed by port and ``fold_cache`` keyed by the fold inputs
         # ``(Smin_i, Smax_i, packed port Smax)`` — a hit replays the
         # node's batch bases and events bit for bit across sweeps
         self._meet_tree: Dict[PortId, list] = {}
-        self._fast_tree_ports: Dict[str, Tuple[PortId, ...]] = {
-            name: tuple(self._tree_ports(name)) for name in vl_order
-        }
-        # per-sweep Smax slices (cleared with the packs each sweep)
+        # per-sweep packed Smax slices and raw slices, one per port
+        # (`_port_pack`, `_smax_slice`) — cleared every sweep
+        self._port_packs: Dict[PortId, bytes] = {}
         self._port_smax: Dict[PortId, List[float]] = {}
         self._port_smax_np: Dict[PortId, "np.ndarray"] = {}
         # cross-sweep walk memo: vl -> (packed Smax slices, bounds);
         # a walk whose entire Smax input is unchanged since the last
         # sweep is replayed from here without touching the tree
         self._sweep_memo: Dict[str, Tuple[bytes, Dict]] = {}
-        self._cache_counters["sweep_memo"] = [0, 0]
         # per-port structural digests feeding the cross-config
         # ``"traj.node"`` cache namespace (`_port_struct_pack`)
         self._port_struct_packs: Dict[PortId, bytes] = {}
+        self._cache_counters: Dict[str, List[int]] = {
+            "horizon": [0, 0],
+            "meetings": [0, 0],
+            "events": [0, 0],
+            "sweep_memo": [0, 0],
+        }
         if self.incremental:
+            self._cache_counters["walk"] = [0, 0]
             self._cache_counters["node"] = [0, 0]
 
     def _smax_slice(self, port: PortId) -> List[float]:
@@ -761,15 +724,9 @@ class TrajectoryAnalyzer:
             name: vl_fingerprint(network.vl(name))
             for name in sorted(network.virtual_links)
         }
-        self._walk_tree_ports: Dict[str, Tuple[PortId, ...]] = {}
         self._walk_struct_fp: Dict[str, bytes] = {}
-        for vl_name in sorted(network.virtual_links):
-            # the kernel tag keeps cached walk records (which embed the
-            # kernel-dependent n_candidates) from crossing kernels
-            parts: List[object] = [
-                self.serialization_mode, self.kernel, contracts[vl_name]
-            ]
-            tree_ports = tuple(self._tree_ports(vl_name))
+        for vl_name, tree_ports in self._walk_tree_ports.items():
+            parts: List[object] = [self.serialization_mode, contracts[vl_name]]
             for port in tree_ports:
                 members = self._port_vls[port]
                 parts.append(
@@ -785,7 +742,6 @@ class TrajectoryAnalyzer:
                         tuple(float(self._smin[(m, port)]) for m in members),
                     )
                 )
-            self._walk_tree_ports[vl_name] = tree_ports
             self._walk_struct_fp[vl_name] = stable_digest(
                 "trajwalk", *parts
             ).encode()
@@ -924,7 +880,7 @@ class TrajectoryAnalyzer:
         bounds: Dict[FlowPortKey, TrajectoryPathBound] = {}
         progress = self._obs.progress
         cache = self._walk_cache
-        fast = self.kernel == "fast"
+        memo_counters = self._cache_counters["sweep_memo"]
         # the candidate-event memo persists across sweeps on purpose:
         # its keys are the exact fold floats ``(C, T, offset, horizon)``
         # so a stale entry is unreachable, and most offsets survive a
@@ -934,60 +890,40 @@ class TrajectoryAnalyzer:
         # Smax tightened since the last sweep, and a stale pack would
         # alias two different walk inputs onto one fingerprint
         self._port_packs.clear()
-        if fast:
-            self._port_smax.clear()
-            self._port_smax_np.clear()
+        self._port_smax.clear()
+        self._port_smax_np.clear()
         for index, vl_name in enumerate(vl_names):
             if progress:
                 progress.update("trajectory.sweep", index, len(vl_names))
-            if fast:
-                # cross-sweep memo: a walk reads only its tree ports'
-                # Smax slices beyond sweep-invariant structure, so an
-                # unchanged packed slice sequence proves the previous
-                # sweep's bounds replay bit for bit
-                memo_counters = self._cache_counters["sweep_memo"]
-                memo_key = b"".join(
-                    self._port_pack(port)
-                    for port in self._fast_tree_ports[vl_name]
-                )
-                memo = self._sweep_memo.get(vl_name)
-                if memo is not None and memo[0] == memo_key:
-                    memo_counters[0] += 1
-                    bounds.update(memo[1])
-                    continue
-                memo_counters[1] += 1
-                local: Dict[FlowPortKey, TrajectoryPathBound] = {}
-                if cache is None:
-                    self._walk_tree_fast(vl_name, local)
-                else:
-                    walk_counters = self._cache_counters["walk"]
-                    fingerprint = self._walk_fingerprint(vl_name)
-                    cached = cache.get("traj.walk", fingerprint)
-                    if cached is not None:
-                        walk_counters[0] += 1
-                        local = cached
-                    else:
-                        walk_counters[1] += 1
-                        self._walk_tree_fast(vl_name, local)
-                        cache.put("traj.walk", fingerprint, local)
-                self._sweep_memo[vl_name] = (memo_key, local)
-                bounds.update(local)
+            # cross-sweep memo: a walk reads only its tree ports' Smax
+            # slices beyond sweep-invariant structure, so an unchanged
+            # packed slice sequence proves the previous sweep's bounds
+            # replay bit for bit
+            memo_key = b"".join(
+                self._port_pack(port) for port in self._walk_tree_ports[vl_name]
+            )
+            memo = self._sweep_memo.get(vl_name)
+            if memo is not None and memo[0] == memo_key:
+                memo_counters[0] += 1
+                bounds.update(memo[1])
                 continue
+            memo_counters[1] += 1
+            local: Dict[FlowPortKey, TrajectoryPathBound] = {}
             if cache is None:
-                self._walk_tree(vl_name, bounds)
-                continue
-            walk_counters = self._cache_counters["walk"]
-            fingerprint = self._walk_fingerprint(vl_name)
-            cached = cache.get("traj.walk", fingerprint)
-            if cached is not None:
-                walk_counters[0] += 1
-                bounds.update(cached)
-            else:
-                walk_counters[1] += 1
-                local = {}
                 self._walk_tree(vl_name, local)
-                cache.put("traj.walk", fingerprint, local)
-                bounds.update(local)
+            else:
+                walk_counters = self._cache_counters["walk"]
+                fingerprint = self._walk_fingerprint(vl_name)
+                cached = cache.get("traj.walk", fingerprint)
+                if cached is not None:
+                    walk_counters[0] += 1
+                    local = cached
+                else:
+                    walk_counters[1] += 1
+                    self._walk_tree(vl_name, local)
+                    cache.put("traj.walk", fingerprint, local)
+            self._sweep_memo[vl_name] = (memo_key, local)
+            bounds.update(local)
         if progress:
             progress.update("trajectory.sweep", len(vl_names), len(vl_names))
         return bounds
@@ -1015,68 +951,6 @@ class TrajectoryAnalyzer:
             offset,
         )
 
-    def _discover_meetings(
-        self,
-        vl_name: str,
-        port: PortId,
-        competitors: Dict[str, Tuple[float, float, float]],
-    ) -> Tuple[Tuple[str, ...], Tuple[str, ...], float]:
-        """Which flows join the studied path at ``port``, and their credit.
-
-        Returns ``(added, readded, serialization_gain)``.  ``added`` are
-        flows met for the first time.  ``readded`` are flows already
-        counted upstream that *diverged from the studied path and meet
-        it again* here — possible on meshed topologies, where a
-        competitor's frames can overtake the studied packet off-path and
-        delay it a second time.  The Martin & Minet tree formulation
-        counts every competitor exactly once (sound on trees, where a
-        frame ahead in a FIFO queue stays ahead for the whole shared
-        segment); ``safe`` mode charges every re-meeting as an
-        *additional* fresh meeting, while the historical ``paper`` and
-        ``windowed`` reproduction modes keep the counted-once treatment
-        and therefore remain optimistic on such configurations.
-
-        The serialization gain is computed from first meetings only, to
-        match the historical credit exactly (it is zero in safe mode
-        anyway).
-
-        The result is structural — independent of the sweep's ``Smax``
-        values — so callers memoize it per ``(VL, port)``.
-        """
-        parent = self._upstream[(vl_name, port)]
-        added: List[str] = []
-        readded: List[str] = []
-        for other in self._port_vls[port]:
-            if other == vl_name:
-                continue
-            if other not in competitors:
-                added.append(other)
-            elif parent is not None and (other, parent) not in self._prefixes:
-                # `other` was met upstream but does not cross the port we
-                # arrived from: it left the path and is rejoining here.
-                readded.append(other)
-
-        mode = self.serialization_mode
-        port_gain = 0.0
-        if mode != "safe" and added:
-            rate = self._port_rate[port]
-            groups: Dict[PortId, List[float]] = {}
-            for other in added:
-                upstream = self._upstream[(other, port)]
-                if upstream is None:
-                    continue
-                groups.setdefault(upstream, []).append(
-                    self.network.vl(other).s_max_bits / rate
-                )
-            spans = [
-                math.fsum(members) - max(members)
-                for members in groups.values()
-                if len(members) >= 2
-            ]
-            if spans:
-                port_gain = math.fsum(spans) if mode == "paper" else max(spans)
-        return tuple(added), tuple(readded), port_gain
-
     def _root_horizon(self, root: PortId) -> float:
         """Source busy-period bound, memoized per root port.
 
@@ -1100,229 +974,47 @@ class TrajectoryAnalyzer:
         self._horizon_cache[root] = horizon
         return horizon
 
-    def _walk_tree(
-        self, vl_name: str, bounds: Dict[FlowPortKey, TrajectoryPathBound]
-    ) -> None:
-        """DFS one VL's tree, maintaining the interference state.
-
-        State carried down the recursion (and rolled back on return):
-
-        * ``competitors`` — ``{name: (C, T, A)}`` for every flow met so
-          far (the studied flow included, with ``A = 0``);
-        * ``base_workload`` — ``sum_j N_j(0) C_j`` over that set;
-        * ``events`` — candidate jump instants ``(t, C)`` inside the
-          source busy period;
-        * per-port serialization groups for the gain bookkeeping.
-        """
-        network = self.network
-        vl = network.vl(vl_name)
-        root, children = self._trees[vl_name]
-
-        own_c = vl.s_max_bits / self._port_rate[root]
-        competitors: Dict[object, Tuple[float, float, float]] = {
-            vl_name: (own_c, vl.bag_us, 0.0)
-        }
-        safe = self.serialization_mode == "safe"
-
-        # ---- root-level quantities -----------------------------------
-        root_added: List[str] = []
-        for other in self._port_vls[root]:
-            if other == vl_name:
-                continue
-            competitors[other] = self._competitor_entry(vl_name, other, root)
-            root_added.append(other)
-
-        horizon = self._root_horizon(root)
-
-        base_workload = 0.0
-        events: List[Tuple[float, float]] = []
-        event_cache = self._event_cache
-        event_counters = self._cache_counters["events"]
-        memo_enabled = self._event_memo_enabled
-
-        def add_flow(entry: Tuple[float, float, float]) -> int:
-            """Fold one flow into the workload state; return #events added."""
-            nonlocal base_workload
-            c, period, offset = entry
-            if memo_enabled:
-                key = (c, period, offset, horizon)
-                cached = event_cache.get(key)
-                if cached is None:
-                    event_counters[1] += 1
-                    cached = _flow_events(c, period, offset, horizon)
-                    event_cache[key] = cached
-                else:
-                    event_counters[0] += 1
-                base, flow_events = cached
-            else:
-                base, flow_events = _flow_events(c, period, offset, horizon)
-            base_workload += base
-            events.extend(flow_events)
-            return len(flow_events)
-
-        def remove_flow(entry: Tuple[float, float, float]) -> None:
-            nonlocal base_workload
-            c, period, offset = entry
-            base_workload -= interference_count(0.0, offset, period) * c
-
-        add_flow(competitors[vl_name])
-        for name in root_added:
-            add_flow(competitors[name])
-
-        meeting_cache = self._meeting_cache
-        meeting_counters = self._cache_counters["meetings"]
-
-        # ---- recursive descent ---------------------------------------
-        def visit(
-            port: PortId,
-            depth: int,
-            transitions: float,
-            latencies: float,
-            gain: float,
-            n_met: int,
-        ) -> None:
-            latencies += network.node(port[0]).technological_latency_us
-            if depth > 0:
-                transitions += self._port_max_c[port]
-
-            added: Tuple[str, ...] = ()
-            readded: Tuple[str, ...] = ()
-            port_gain = 0.0
-            rollback: List[object] = []
-            added_events = 0
-            if depth > 0:
-                key = (vl_name, port)
-                cached = meeting_cache.get(key)
-                if cached is None:
-                    meeting_counters[1] += 1
-                    cached = self._discover_meetings(vl_name, port, competitors)
-                    meeting_cache[key] = cached
-                else:
-                    meeting_counters[0] += 1
-                added, readded, port_gain = cached
-                for other in added:
-                    entry = self._competitor_entry(vl_name, other, port)
-                    competitors[other] = entry
-                    rollback.append(other)
-                    added_events += add_flow(entry)
-                if safe:
-                    # A re-met competitor's frames can overtake the
-                    # studied packet on the off-path detour, so they may
-                    # interfere again here.  Charge the re-meeting as an
-                    # extra competitor (the first meeting's charge stays
-                    # in place); synthetic keys keep the name-membership
-                    # test in `_discover_meetings` intact.
-                    for other in readded:
-                        entry = self._competitor_entry(vl_name, other, port)
-                        remeet_key = (other, port)
-                        competitors[remeet_key] = entry
-                        rollback.append(remeet_key)
-                        added_events += add_flow(entry)
-                    n_met += len(readded)
-            gain += port_gain
-            n_met += len(added)
-
-            constant = transitions + latencies - gain
-            best, best_t, best_w, n_cand = self._maximize(
-                base_workload, events, constant
-            )
-            bounds[(vl_name, port)] = TrajectoryPathBound(
-                vl_name=vl_name,
-                path_index=-1,  # prefix record; path index filled by analyze()
-                node_path=(),
-                port_ids=(port,),
-                total_us=best,
-                critical_instant_us=best_t,
-                busy_period_us=horizon,
-                workload_us=best_w,
-                transition_us=transitions,
-                latency_us=latencies,
-                serialization_gain_us=gain,
-                n_competitors=n_met,
-                n_candidates=n_cand,
-            )
-
-            for child in children.get(port, ()):
-                visit(child, depth + 1, transitions, latencies, gain, n_met)
-
-            # rollback this port's additions
-            for entry_key in rollback:
-                remove_flow(competitors.pop(entry_key))
-            if added_events:
-                del events[-added_events:]
-
-        visit(root, 0, 0.0, 0.0, 0.0, len(root_added))
-
-    @staticmethod
-    def _maximize(
-        base_workload: float,
-        events: List[Tuple[float, float]],
-        constant: float,
-    ) -> Tuple[float, float, float, int]:
-        """Maximize ``W(t) + constant - t`` over the candidate instants.
-
-        ``W(0) = base_workload``; each event ``(t, C)`` raises the
-        workload by ``C`` at instant ``t``.  Between events the
-        objective strictly decreases, so only ``t = 0`` and the event
-        instants need evaluation.  Returns ``(best value, argmax t,
-        workload at argmax, number of candidates)``.
-        """
-        best_value = base_workload + constant
-        best_t = 0.0
-        best_workload = base_workload
-        n_candidates = 1
-        if not events:
-            return best_value, best_t, best_workload, n_candidates
-
-        workload = base_workload
-        idx = 0
-        ordered = sorted(events)
-        while idx < len(ordered):
-            t = ordered[idx][0]
-            while idx < len(ordered) and ordered[idx][0] <= t + _EPS:
-                workload += ordered[idx][1]
-                idx += 1
-            n_candidates += 1
-            value = workload + constant - t
-            if value > best_value + _EPS:
-                best_value = value
-                best_t = t
-                best_workload = workload
-        return best_value, best_t, best_workload, n_candidates
-
-    # ------------------------------------------------------------------
-    # Fast kernel (kernel="fast"): bit-identical twin of _walk_tree
-    # ------------------------------------------------------------------
-
-    def _discover_meetings_fast(
+    def _discover_meetings(
         self, port: PortId, parent: Optional[PortId], metview: "np.ndarray"
     ) -> Tuple:
-        """Index form of :meth:`_discover_meetings` over the flat tables.
+        """Which flows join the studied path at ``port``, and their credit.
+
+        ``added`` are flows met for the first time.  ``readded`` are
+        flows already counted upstream that *diverged from the studied
+        path and meet it again* here — possible on meshed topologies,
+        where a competitor's frames can overtake the studied packet
+        off-path and delay it a second time.  The Martin & Minet tree
+        formulation counts every competitor exactly once (sound on
+        trees, where a frame ahead in a FIFO queue stays ahead for the
+        whole shared segment); ``safe`` mode charges every re-meeting as
+        an *additional* fresh meeting, while the historical ``paper``
+        and ``windowed`` reproduction modes keep the counted-once
+        treatment and therefore remain optimistic on such
+        configurations.  The serialization gain is computed from first
+        meetings only, to match the historical credit exactly (it is
+        zero in safe mode anyway).
 
         ``metview`` is the walk's membership bitmap over global VL
-        indices — the exact same set the reference kernel represents
-        with its ``competitors`` dict keys (re-met flows enter that dict
-        under synthetic tuple keys and therefore never flip a name's
-        membership, which is why the bitmap needs no re-meeting marks).
-        Every unmet member joins here, so the added set is one vectorized
-        bitmap gather; only already-met members need the per-member
-        rejoin test.  The serialization-gain floats replay the reference
-        expression operation for operation: group insertion follows the
-        added order, members fold with ``math.fsum``.
+        indices: the studied flow and every flow met so far.  Re-met
+        flows are already marked, so the bitmap needs no re-meeting
+        marks.  Every unmet member joins here, so the added set is one
+        vectorized bitmap gather; only already-met members need the
+        per-member rejoin test.  The serialization-gain floats replay
+        the reference walk's expression operation for operation: group
+        insertion follows the added order, members fold with
+        ``math.fsum``.
 
-        The result depends only on the port path walked from the root
-        (the bitmap at a node is the union of the path ports' member
-        sets, whichever member is the studied VL), so callers key it in
-        the shared :attr:`_meet_tree` rather than per VL.
+        The result depends only on the port path walked from ``parent``
+        back to the root (the bitmap at a node is the union of the path
+        ports' member sets, whichever member is the studied VL), so the
+        walk keys it in the shared :attr:`_meet_tree` rather than per
+        VL.
 
-        Returns ``(n_added, added, readded, gain, vec, names)`` with
-        positions into the port's member tuple; for batches wide
-        enough for :func:`_batch_fold`, ``vec`` carries the pre-sliced
-        numpy columns ``(positions, vl indices, C, T, Smin)`` and
-        ``added`` is left empty (the batch path never iterates
-        positions).  ``names`` is the name-level
-        ``(added, readded, gain)`` triple mirrored into
-        ``_meeting_cache`` for provenance replay and tests.
+        Returns ``(n_added, added, readded, gain, vec)`` with
+        ``added``/``readded`` as positions into the port's member tuple;
+        for batches wide enough for :func:`_batch_fold`, ``vec``
+        carries the pre-sliced numpy columns ``(positions, vl indices,
+        C, T, Smin)``.
         """
         members, _mc, _mt, _mg, _mup, _msmin, _mpos = self._port_tab[port]
         mc_np, mt_np, mg_np, msmin_np, mup_id = self._port_np[port]
@@ -1371,11 +1063,7 @@ class TrajectoryAnalyzer:
                         spans.append(math.fsum(group) - max(group))
                 if spans:
                     port_gain = math.fsum(spans) if mode == "paper" else max(spans)
-        names = (
-            tuple(map(members.__getitem__, added_np.tolist())),
-            tuple(map(members.__getitem__, readded)),
-            port_gain,
-        )
+        vec = None
         if n_added >= _VEC_MIN:
             vec = (
                 added_np,
@@ -1384,31 +1072,31 @@ class TrajectoryAnalyzer:
                 mt_np[added_np],
                 msmin_np[added_np],
             )
-            added: Tuple[int, ...] = ()
-        else:
-            vec = None
-            added = tuple(added_np.tolist())
-        return n_added, added, readded, port_gain, vec, names
+        return n_added, tuple(added_np.tolist()), readded, port_gain, vec
 
-    def _walk_tree_fast(
+    def _walk_tree(
         self, vl_name: str, bounds: Dict[FlowPortKey, TrajectoryPathBound]
     ) -> None:
-        """Flat-table DFS of one VL's tree — bit-identical to the reference.
+        """DFS one VL's tree, maintaining the interference state.
 
-        Every float the reference walk computes is reproduced here by
-        the same expression in the same order: the base workload grows
-        by sequential ``+=`` of the memoized per-flow bases in the
-        reference's add order (own flow, root members, then each port's
-        added/re-added members in sorted-member order) and shrinks on
-        backtrack by ``-=`` of the *same stored floats* in the same
-        order (never by restoring a saved value — float addition does
-        not cancel exactly).  What changes is the bookkeeping around
-        those operations: competitor contracts come from parallel
-        arrays instead of attribute-property chains, membership is a
-        bytearray over VL indices instead of dict lookups, and the
-        meeting structure is replayed from the shared per-path index
-        tuples of :attr:`_meet_tree` after the first walk of each
-        distinct port path.
+        State carried down the recursion (and rolled back on return):
+        the met bitmap over VL indices, the base workload
+        ``sum_j N_j(0) C_j`` over the flows met so far (the studied
+        flow included, with ``A = 0``), and the candidate jump events
+        ``(t, C)`` inside the source busy period.
+
+        Every float is the one the plain dict-based walk (the test
+        oracle) computes, by the same expression in the same order: the
+        base workload grows by sequential ``+=`` of the memoized
+        per-flow bases in add order (own flow, root members, then each
+        port's added/re-added members in sorted-member order) and
+        shrinks on backtrack by ``-=`` of the *same stored floats* in
+        the same order (never by restoring a saved value — float
+        addition does not cancel exactly).  Competitor contracts come
+        from the parallel per-port arrays, and the meeting structure is
+        replayed from the shared per-path index tuples of
+        :attr:`_meet_tree` after the first walk of each distinct port
+        path.
         """
         network = self.network
         vl = network.vl(vl_name)
@@ -1423,10 +1111,9 @@ class TrajectoryAnalyzer:
         event_counters = self._cache_counters["events"]
         memo_enabled = self._event_memo_enabled
         meet_tree = self._meet_tree
-        meeting_cache = self._meeting_cache
         meeting_counters = self._cache_counters["meetings"]
-        maximize = self._maximize_fast
-        discover = self._discover_meetings_fast
+        maximize = self._maximize
+        discover = self._discover_meetings
         smax_slice = self._smax_slice
         smax_np = self._smax_np
         port_pack = self._port_pack
@@ -1480,8 +1167,8 @@ class TrajectoryAnalyzer:
             events.extend(flow_events)
             return len(flow_events)
 
-        # ---- root-level folds (reference order: own flow, then the
-        # root port's other members in sorted-member order) -----------
+        # ---- root-level folds (own flow, then the root port's other
+        # members in sorted-member order) -----------------------------
         own_c = vl.s_max_bits / self._port_rate[root]
         fold(own_c, vl.bag_us, 0.0)
         _members, mc, mt, mg, _mup, msmin, mpos = port_tab[root]
@@ -1537,13 +1224,7 @@ class TrajectoryAnalyzer:
                     node[0] = meetings
                 else:
                     meeting_counters[0] += 1
-                n_added, added_idx, readded_idx, port_gain, vec, names = meetings
-                # keep the name-level view in sync: provenance replay
-                # (and tests poking at internals) read `_meeting_cache`
-                # regardless of which kernel ran the sweeps
-                key = (vl_name, port)
-                if key not in meeting_cache:
-                    meeting_cache[key] = names
+                n_added, added_idx, readded_idx, port_gain, vec = meetings
                 if n_added or (safe and readded_idx):
                     _m, mc, mt, _mg, _mu, msmin, mpos = port_tab[port]
                     mg_port = _mg
@@ -1636,8 +1317,8 @@ class TrajectoryAnalyzer:
                             added_events += n_events
                             met[mg_port[index]] = 1
                     if safe:
-                        # re-met competitors charge again (reference
-                        # semantics); they are already member-marked
+                        # re-met competitors charge again (see
+                        # `_discover_meetings`); they are already marked
                         for index in readded_idx:
                             first = smax_arr[index] - smin_self
                             second = smax_self - msmin[index]
@@ -1705,19 +1386,24 @@ class TrajectoryAnalyzer:
         visit(root, root_node, None, 0, 0.0, 0.0, 0.0, n_root)
 
     @staticmethod
-    def _maximize_fast(
+    def _maximize(
         base_workload: float,
         events: List[Tuple[float, float]],
         constant: float,
     ) -> Tuple[float, float, float, int]:
-        """:meth:`_maximize` with a proven dominance prune.
+        """Maximize ``W(t) + constant - t`` over the candidate instants.
 
-        The scan consumes the sorted events exactly like the reference
-        (same grouping, same ``+=`` order), so at every group boundary
-        its ``workload`` float equals the reference's bit for bit.  At
-        each boundary it additionally knows the total mass ``S`` of the
-        unconsumed events: for any later candidate ``t' >= t_next`` the
-        reference can compute at most
+        ``W(0) = base_workload``; each event ``(t, C)`` raises the
+        workload by ``C`` at instant ``t``.  Between events the
+        objective strictly decreases, so only ``t = 0`` and the event
+        instants need evaluation.  Returns ``(best value, argmax t,
+        workload at argmax, number of candidates evaluated)``.
+
+        The scan groups the sorted events within ``_EPS`` and folds
+        each group with ``+=``, exactly like the plain scan of the test
+        oracle.  At each group boundary it additionally knows the total
+        mass ``S`` of the unconsumed events: for any later candidate
+        ``t' >= t_next`` the plain scan can compute at most
 
             ``value' <= workload + S + constant - t_next + slack``
 
@@ -1726,8 +1412,8 @@ class TrajectoryAnalyzer:
         that ceiling cannot clear the incumbent's update threshold
         ``best + _EPS``, no later candidate can win and the scan stops.
         The returned ``(value, t, workload)`` triple is therefore
-        bit-identical to the reference; only ``n_candidates`` — the
-        number of candidates actually evaluated — may be smaller.
+        bit-identical to the plain scan; only ``n_candidates`` may be
+        smaller.
         """
         best_value = base_workload + constant
         best_t = 0.0
@@ -1782,7 +1468,6 @@ def analyze_trajectory(
     incremental: bool = False,
     cache=None,
     explain: bool = False,
-    kernel: Optional[str] = None,
 ) -> TrajectoryResult:
     """One-shot convenience wrapper around :class:`TrajectoryAnalyzer`."""
     return TrajectoryAnalyzer(
@@ -1795,5 +1480,4 @@ def analyze_trajectory(
         incremental=incremental,
         cache=cache,
         explain=explain,
-        kernel=kernel,
     ).analyze()

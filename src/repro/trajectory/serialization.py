@@ -44,8 +44,9 @@ meetings, which is where the whole serialization argument lives: a
 group is serialized on the link it arrives through when it *joins* the
 studied path.  On meshed routings a competitor can additionally leave
 the studied path and rejoin it downstream; how such re-meetings are
-*charged* is the analyzer's concern
-(:meth:`~repro.trajectory.analyzer.TrajectoryAnalyzer._discover_meetings`):
+*charged* is the trajectory kernel's concern
+(:meth:`~repro.trajectory.analyzer.TrajectoryAnalyzer._discover_meetings`,
+mirrored by name in the test oracle ``tests/trajectory/reference_kernel.py``):
 ``paper`` and ``windowed`` keep the historical counted-once treatment
 (optimistic on meshes), ``safe`` charges every re-meeting as an
 additional competitor.  See ``tests/trajectory/test_analyzer.py::

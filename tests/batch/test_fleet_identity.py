@@ -1,14 +1,15 @@
 """Execution-shape identity: the fleet engine's central contract.
 
-Every way of running an analysis — ``jobs`` in {1, 2, 4}, either
-trajectory kernel, cold, through a warm reused :class:`WorkerPool`, or
-against a cold/warm incremental cache — must produce *bit-identical*
-per-path bounds and a *byte-identical* deterministic
-:class:`CostLedger` section.  The committed-scenario sweep lives in
-``scripts/kernel_gate.py``; here the same contract is exercised on the
-full shape cross product (fig1) and property-tested on randomized
-topologies under hypothesis, sharing one warm pool across every
-example so payload epochs get hammered too.
+Every way of running an analysis — ``jobs`` in {1, 2, 4}, cold,
+through a warm reused :class:`WorkerPool`, or against a cold/warm
+incremental cache — must produce per-path bounds *bit-identical* to
+the sequential run and to the reference walk kept as a test oracle
+(``tests/trajectory/reference_kernel.py``), and a deterministic
+:class:`CostLedger` section byte-identical to the sequential run's.
+The committed-scenario sweep lives in ``scripts/kernel_gate.py``; here
+the same contract is exercised on the full shape cross product (fig1)
+and property-tested on randomized topologies under hypothesis, sharing
+one warm pool across every example so payload epochs get hammered too.
 """
 
 import json
@@ -22,6 +23,7 @@ from repro.batch import BatchAnalyzer
 from repro.batch.pool import WorkerPool
 from repro.configs import fig1_network, random_network
 from repro.obs.costmodel import deterministic_section
+from tests.trajectory.reference_kernel import ReferenceTrajectoryAnalyzer
 
 FLOAT_FIELDS = (
     "total_us",
@@ -33,7 +35,6 @@ FLOAT_FIELDS = (
     "serialization_gain_us",
 )
 
-KERNELS = ("fast", "reference")
 MODES = ("paper", "windowed", "safe")
 
 
@@ -51,57 +52,63 @@ def _ledger_bytes(result):
     ).encode()
 
 
-def _trajectory(network, mode, kernel, **kwargs):
+def _trajectory(network, mode, **kwargs):
     return BatchAnalyzer(
         network,
         serialization=mode,
         collect_stats=True,
-        trajectory_kernel=kernel,
         **kwargs,
     ).trajectory()
 
 
-class TestShapeCrossProduct:
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_every_shape_bit_identical(self, kernel, tmp_path):
-        network = fig1_network()
-        baseline = _trajectory(network, "safe", kernel, jobs=1)
-        bounds, ledger = _bounds(baseline), _ledger_bytes(baseline)
+def _reference(network, mode):
+    return ReferenceTrajectoryAnalyzer(
+        network, serialization=mode, collect_stats=True
+    ).analyze()
 
-        shaped = []
+
+class TestShapeCrossProduct:
+    @pytest.mark.parametrize("baseline", ("fast", "reference"))
+    def test_every_shape_bit_identical(self, baseline, tmp_path):
+        """Every shape against the sequential run, or against the oracle.
+
+        ``fast``: bounds and ledger bytes equal the ``jobs=1`` product
+        run.  ``reference``: bounds equal the test oracle's (its ledger
+        differs in the prune-dependent candidate counters, so only the
+        bounds are compared).
+        """
+        network = fig1_network()
+        sequential = _trajectory(network, "safe", jobs=1)
+        reference = baseline == "reference"
+        expected = _reference(network, "safe") if reference else sequential
+        bounds, ledger = _bounds(expected), _ledger_bytes(sequential)
+
+        shaped = [("jobs=1", sequential)]
         for jobs in (2, 4):
-            shaped.append((f"jobs={jobs}", _trajectory(network, "safe", kernel, jobs=jobs)))
+            shaped.append((f"jobs={jobs}", _trajectory(network, "safe", jobs=jobs)))
         with WorkerPool(2, None) as pool:
             for round_ in (1, 2):
                 shaped.append(
                     (
                         f"warm pool round {round_}",
-                        _trajectory(network, "safe", kernel, jobs=2, pool=pool),
+                        _trajectory(network, "safe", jobs=2, pool=pool),
                     )
                 )
-        shaped.append(
-            (
-                "cold cache",
-                _trajectory(
-                    network, "safe", kernel, jobs=1,
-                    incremental=True, cache_dir=str(tmp_path),
-                ),
+        for label in ("cold cache", "warm cache"):
+            shaped.append(
+                (
+                    label,
+                    _trajectory(
+                        network, "safe", jobs=1,
+                        incremental=True, cache_dir=str(tmp_path),
+                    ),
+                )
             )
-        )
-        shaped.append(
-            (
-                "warm cache",
-                _trajectory(
-                    network, "safe", kernel, jobs=1,
-                    incremental=True, cache_dir=str(tmp_path),
-                ),
-            )
-        )
 
         for label, result in shaped:
-            assert _bounds(result) == bounds, f"{kernel}: bounds drifted under {label}"
+            assert _bounds(result) == bounds, f"{baseline}: bounds drifted under {label}"
             assert _ledger_bytes(result) == ledger, (
-                f"{kernel}: ledger section not byte-identical under {label}"
+                f"ledger section not byte-identical under {label}"
             )
         assert multiprocessing.active_children() == []
 
@@ -145,14 +152,12 @@ class TestRandomizedShapes:
         network = random_network(
             seed, n_switches=3, n_end_systems=6, n_virtual_links=6
         )
-        sequential = _trajectory(network, mode, "fast", jobs=1)
-        pooled = _trajectory(
-            network, mode, "fast", jobs=2, pool=_shared_pool()
-        )
-        reference = _trajectory(network, mode, "reference", jobs=1)
+        sequential = _trajectory(network, mode, jobs=1)
+        pooled = _trajectory(network, mode, jobs=2, pool=_shared_pool())
+        reference = _reference(network, mode)
 
         assert _bounds(pooled) == _bounds(sequential)
         assert _ledger_bytes(pooled) == _ledger_bytes(sequential)
-        # cross-kernel: bounds exact; ledgers agree modulo the
-        # prune-dependent candidate counters (dropped by the scrub)
+        # against the oracle: bounds exact (its ledger differs in the
+        # prune-dependent candidate counters)
         assert _bounds(reference) == _bounds(sequential)

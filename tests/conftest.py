@@ -46,6 +46,34 @@ def single_switch():
 
 
 @pytest.fixture
+def mesh():
+    """A meshed routing where a competitor leaves the path and rejoins.
+
+    v2 meets v1 at (S1, S2), detours via S4 while v1 goes straight to
+    S3, and re-meets v1 at (S3, d).
+    """
+    return (
+        NetworkBuilder("mesh")
+        .switches("S1", "S2", "S3", "S4")
+        .end_systems("a", "b", "d")
+        .links(
+            [("a", "S1"), ("b", "S1"), ("S1", "S2"), ("S2", "S3"),
+             ("S2", "S4"), ("S4", "S3"), ("S3", "d")]
+        )
+        .virtual_link(
+            "v1", source="a", destinations=["d"], bag_ms=1,
+            s_max_bytes=1518, paths=[["a", "S1", "S2", "S3", "d"]],
+        )
+        .virtual_link(
+            "v2", source="b", destinations=["d"], bag_ms=1,
+            s_max_bytes=1518,
+            paths=[["b", "S1", "S2", "S4", "S3", "d"]],
+        )
+        .build()
+    )
+
+
+@pytest.fixture
 def optimism_network():
     """The configuration demonstrating the 'paper' serialization optimism.
 

@@ -100,6 +100,25 @@ def test_negative_jobs_is_a_usage_error(argv, fig2_json, capsys):
     assert "argument --jobs: must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "{config}"],
+        ["profile", "{config}"],
+        ["whatif", "{config}", "{config}"],
+        ["explain", "{config}"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_trajectory_kernel_option_is_gone(argv, fig2_json, capsys):
+    """One trajectory kernel: the old selector is a usage error."""
+    argv = [arg.format(config=fig2_json) for arg in argv]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + ["--trajectory-kernel", "fast"])
+    assert excinfo.value.code == 2
+    assert "--trajectory-kernel" in capsys.readouterr().err
+
+
 def test_validate_invalid_network_exits_with_config_code(tmp_path, capsys):
     # wire an ES twice by editing the JSON directly
     net = fig2_network()

@@ -1,5 +1,6 @@
 """Trajectory analyzer end-to-end behaviour."""
 
+import numpy as np
 import pytest
 
 from repro.errors import UnstableNetworkError
@@ -137,34 +138,18 @@ class TestMeshReMeeting:
     historical counted-once treatment.
     """
 
-    @pytest.fixture
-    def mesh(self):
-        return (
-            NetworkBuilder("mesh")
-            .switches("S1", "S2", "S3", "S4")
-            .end_systems("a", "b", "d")
-            .links(
-                [("a", "S1"), ("b", "S1"), ("S1", "S2"), ("S2", "S3"),
-                 ("S2", "S4"), ("S4", "S3"), ("S3", "d")]
-            )
-            .virtual_link(
-                "v1", source="a", destinations=["d"], bag_ms=1,
-                s_max_bytes=1518, paths=[["a", "S1", "S2", "S3", "d"]],
-            )
-            .virtual_link(
-                "v2", source="b", destinations=["d"], bag_ms=1,
-                s_max_bytes=1518,
-                paths=[["b", "S1", "S2", "S4", "S3", "d"]],
-            )
-            .build()
-        )
-
     def test_re_meeting_discovered_at_rejoin_port(self, mesh):
         analyzer = TrajectoryAnalyzer(mesh, serialization="safe")
-        analyzer.analyze()
-        added, readded, _gain = analyzer._meeting_cache[("v1", ("S3", "d"))]
-        assert readded == ("v2",)
-        assert "v2" not in added
+        analyzer.prepare()
+        # walking v1 down to (S2, S3): v2 was met at (S1, S2)
+        met = np.zeros(analyzer._n_vls, dtype=np.uint8)
+        met[[analyzer._vl_index["v1"], analyzer._vl_index["v2"]]] = 1
+        n_added, added, readded, _gain, _vec = analyzer._discover_meetings(
+            ("S3", "d"), ("S2", "S3"), met
+        )
+        members = analyzer._port_vls[("S3", "d")]
+        assert [members[index] for index in readded] == ["v2"]
+        assert n_added == 0 and added == ()
 
     def test_safe_charges_one_extra_competitor(self, mesh):
         safe = analyze_trajectory(mesh, serialization="safe")

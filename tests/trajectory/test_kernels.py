@@ -1,10 +1,12 @@
-"""Fast-kernel equivalence: bit-identical bounds vs the reference walk.
+"""Kernel equivalence: bit-identical bounds vs the reference walk.
 
-The ``fast`` trajectory kernel (flat competitor tables, batched folds,
+The trajectory kernel (flat competitor tables, batched folds,
 shared-subpath memoization, dominance pruning — docs/PERFORMANCE.md)
-promises *exactly* the reference kernel's floats, not merely close
-ones.  These tests enforce that promise on randomized topologies under
-hypothesis and on a seeded 1000-VL industrial configuration; the
+promises *exactly* the floats of the plain reference walk kept as a
+test oracle in ``tests/trajectory/reference_kernel.py``, not merely
+close ones.  These tests enforce that promise on the paper
+configurations and on randomized topologies under hypothesis, and
+smoke-test a seeded 1000-VL industrial configuration; the
 committed-scenario sweep (including ``--jobs`` and incremental-cache
 shapes) lives in ``scripts/kernel_gate.py``.
 """
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.configs import fig1_network, fig2_network, random_network
 from repro.trajectory import analyze_trajectory
+from tests.trajectory.reference_kernel import ReferenceTrajectoryAnalyzer
 
 FLOAT_FIELDS = (
     "total_us",
@@ -30,10 +33,10 @@ MODES = ("paper", "windowed", "safe")
 
 
 def assert_kernels_identical(network, serialization):
-    reference = analyze_trajectory(
-        network, serialization=serialization, kernel="reference"
-    )
-    fast = analyze_trajectory(network, serialization=serialization, kernel="fast")
+    reference = ReferenceTrajectoryAnalyzer(
+        network, serialization=serialization
+    ).analyze()
+    fast = analyze_trajectory(network, serialization=serialization)
     assert set(reference.paths) == set(fast.paths)
     for key in reference.paths:
         ref, got = reference.paths[key], fast.paths[key]
@@ -53,6 +56,12 @@ class TestPaperConfigs:
     @pytest.mark.parametrize("mode", MODES)
     def test_fig2(self, mode):
         assert_kernels_identical(fig2_network(), mode)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_mesh_with_re_meeting(mesh, mode):
+    """Re-met competitors (charged again in safe mode) match the oracle."""
+    assert_kernels_identical(mesh, mode)
 
 
 class TestRandomConfigs:
@@ -76,15 +85,13 @@ class TestRandomConfigs:
         assert_kernels_identical(network, mode)
 
     def test_refinement_disabled(self):
-        """Kernels must also agree on the unrefined single sweep."""
+        """Kernel and oracle must also agree on the unrefined single sweep."""
         network = random_network(42, n_virtual_links=8)
         for mode in MODES:
-            reference = analyze_trajectory(
-                network, serialization=mode, refine_smax=False, kernel="reference"
-            )
-            fast = analyze_trajectory(
-                network, serialization=mode, refine_smax=False, kernel="fast"
-            )
+            reference = ReferenceTrajectoryAnalyzer(
+                network, serialization=mode, refine_smax=False
+            ).analyze()
+            fast = analyze_trajectory(network, serialization=mode, refine_smax=False)
             for key in reference.paths:
                 assert (
                     reference.paths[key].total_us == fast.paths[key].total_us
@@ -94,12 +101,12 @@ class TestRandomConfigs:
 @pytest.mark.slow
 class TestAtScale:
     def test_thousand_vl_smoke(self):
-        """Seeded 1000-VL industrial configuration, fast kernel.
+        """Seeded 1000-VL industrial configuration.
 
-        Reference-kernel bit-identity at this size is covered (slowly)
-        by the benchmark equivalence run; here we assert the fast
-        kernel completes with sound-looking bounds for every path, and
-        that the ``--jobs 4`` warm-pool execution shape reproduces the
+        Oracle bit-identity is checked on the smaller scenarios above
+        and in ``scripts/kernel_gate.py``; here we assert the kernel
+        completes with sound-looking bounds for every path, and that
+        the ``--jobs 4`` warm-pool execution shape reproduces the
         sequential floats exactly (the fleet engine's contract at the
         scale the paper targets).
         """
@@ -113,7 +120,7 @@ class TestAtScale:
         )
 
         network = industrial_network(IndustrialConfigSpec(n_virtual_links=1000))
-        result = analyze_trajectory(network, serialization="windowed", kernel="fast")
+        result = analyze_trajectory(network, serialization="windowed")
         assert len(result.paths) == len(network.flow_paths())
         for key, bound in result.paths.items():
             assert bound.total_us > 0.0, key
@@ -121,8 +128,7 @@ class TestAtScale:
 
         with WorkerPool(4, None) as pool:
             parallel = BatchAnalyzer(
-                network, jobs=4, serialization="windowed",
-                trajectory_kernel="fast", pool=pool,
+                network, jobs=4, serialization="windowed", pool=pool,
             ).trajectory()
         assert set(parallel.paths) == set(result.paths)
         for key in result.paths:
