@@ -8,8 +8,8 @@ same 200-configuration corpus (``repro.batch.corpus``) three ways —
 * **warm-pool** — a pre-warmed :class:`~repro.batch.pool.WorkerPool`
   reused across the corpus (payload epochs), still no cache;
 * **warm-pool+cache** — the warm pool plus a primed shared
-  ``cache_dir``, the engine's peak-throughput mode (whole-result and
-  ``traj.node`` cross-config hits) —
+  ``cache_dir``: every config was analyzed before, so each one is
+  served whole from the result cache —
 
 verifies all three produce bit-identical bounds (one digest over every
 path bound of every config), and appends a record to

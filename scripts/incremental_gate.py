@@ -7,9 +7,12 @@ the result of a cold full analysis of the same configuration:
 1. a chained :class:`~repro.incremental.delta.DeltaAnalyzer` with a
    disk-backed cache, compared against cold NC + trajectory per step;
 2. the final configuration through ``BatchAnalyzer(jobs=2)`` sharing
-   the (now warm) ``--cache-dir``;
+   the (now warm) ``--cache-dir``, twice: the second pass must be
+   served whole from the cache, with zero misses;
 3. a fresh engine on the same directory replaying the whole scenario
-   warm (the interactive "reopen the tool" path).
+   warm (the interactive "reopen the tool" path), again with zero
+   misses: every configuration of the replay was analyzed before, so
+   the whole-result tier alone must serve it.
 
 Any mismatch prints the offending step and exits non-zero.
 """
@@ -68,6 +71,13 @@ def _expect(step, label, incremental, cold):
         sys.exit(1)
 
 
+def _expect_no_misses(label, cache):
+    misses = cache.stats()["misses"]
+    if misses:
+        print(f"incremental gate FAILED: {label} missed the warm cache {misses} time(s)")
+        sys.exit(1)
+
+
 def _run(cache_dir):
     network = random_network(SEED, n_switches=3, n_end_systems=6, n_virtual_links=10)
     rng = random.Random(SEED)
@@ -93,11 +103,21 @@ def _run(cache_dir):
     cold_nc = analyze_network_calculus(final)
     cold_tr = analyze_trajectory(final)
 
-    # the pooled path through the same warm cache directory
-    batch = BatchAnalyzer(final, jobs=2, incremental=True, cache_dir=cache_dir)
-    _expect("batch jobs=2", "NC paths", batch.network_calculus().paths, cold_nc.paths)
-    _expect("batch jobs=2", "trajectory paths", batch.trajectory().paths, cold_tr.paths)
-    print("  batch --jobs 2 over the warm cache dir bit-identical")
+    # the pooled path through the same warm cache directory, twice: the
+    # second pass must be served whole (the coordinator probes before
+    # it fans out), so it records no miss and reports one result hit
+    # per analysis in its ledgers
+    for label in ("batch jobs=2", "second batch jobs=2"):
+        batch = BatchAnalyzer(final, jobs=2, cache_dir=cache_dir, collect_stats=True)
+        nc, tr = batch.network_calculus(), batch.trajectory()
+        _expect(label, "NC paths", nc.paths, cold_nc.paths)
+        _expect(label, "trajectory paths", tr.paths, cold_tr.paths)
+    _expect_no_misses("second batch jobs=2", batch.cache)
+    for name, result in (("NC", nc), ("trajectory", tr)):
+        _expect("second batch jobs=2", f"{name} ledger cache section",
+                result.stats["cost"]["cache"], {"result": {"hits": 1, "misses": 0}})
+    print("  batch --jobs 2 over the warm cache dir bit-identical; "
+          "second pass served whole with no miss")
 
     # a fresh engine replays the whole scenario from disk
     warm = DeltaAnalyzer(
@@ -115,7 +135,8 @@ def _run(cache_dir):
     if totals["disk_hits"] == 0:
         print("incremental gate FAILED: warm replay never touched the disk cache")
         sys.exit(1)
-    print(f"  warm replay bit-identical ({totals['disk_hits']} disk hits)")
+    _expect_no_misses("warm replay", warm.cache)
+    print(f"  warm replay bit-identical ({totals['disk_hits']} disk hits, no miss)")
 
 
 def main():

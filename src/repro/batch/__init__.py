@@ -20,7 +20,7 @@ Entry points
 :func:`analyze_corpus`
     Fleet throughput: every configuration of a seeded
     :class:`CorpusSpec` analyzed through a (reusable, warm) worker
-    pool with shared cross-config caches.
+    pool, with whole results cached when given a ``cache_dir``.
 
 See ``docs/BATCH.md`` for the design and the cache-sharing model.
 """

@@ -17,7 +17,8 @@ sequential analyzer's.
 **Trajectory** — one fixed-point sweep walks every VL tree with a
 frozen ``Smax`` map, and the walks of different VLs are independent
 (see :meth:`TrajectoryAnalyzer.sweep_vls`).  The coordinator prepares
-one analyzer (computing the Network Calculus seed exactly once), ships
+one analyzer (computing the Network Calculus seed exactly once, or
+reusing this analyzer's own NC result when it is that seed), ships
 the seed to every worker through the pool payload, and then fans each
 sweep's VL chunks across workers that hold a fully *prepared* analyzer
 — per-node busy-period horizons, meeting structures and serialization
@@ -28,13 +29,17 @@ entries with the next round of tasks, so every worker sweeps with the
 exact ``Smax`` map the sequential analyzer would have used —
 bit-identical bounds, sweep for sweep.
 
-**Combined** — Network Calculus first (parallel), its result seeds the
-parallel trajectory run (the seed the sequential path would recompute),
-then the per-path minimum is taken on the coordinator.
+**Combined** — Network Calculus first, then trajectory, then the
+per-path minimum on the coordinator.
 
 ``jobs=1`` never touches :mod:`multiprocessing`: every method delegates
 to the sequential analyzer, which keeps the default CLI path exactly as
 fast and exactly as deterministic as before the batch engine existed.
+
+**Bound cache** — only whole results are cached, and only the
+coordinator touches the cache: at ``jobs>1`` it probes each analyzer's
+``cached_result()`` before fanning out (a hit starts no pool) and
+calls ``store_result()`` after.  Workers never open a cache.
 """
 
 from __future__ import annotations
@@ -63,10 +68,9 @@ from repro.batch.pool import (
     chunked,
     resolve_jobs,
     worker_emit,
-    worker_persistent,
     worker_state,
 )
-from repro.core.combined import analyze_network, build_comparison
+from repro.core.combined import build_comparison
 from repro.core.results import AnalysisResult
 from repro.trajectory.analyzer import TrajectoryAnalyzer, analyze_trajectory
 from repro.trajectory.results import TrajectoryPathBound, TrajectoryResult
@@ -87,32 +91,6 @@ class _Payload:
     frame_overhead_bytes: float = 0.0
     serialization: object = True
     smax_seed: Optional[Dict[FlowPortKey, float]] = None
-    incremental: bool = False
-    cache_dir: Optional[str] = None
-
-
-def _worker_cache(payload: _Payload):
-    """One per-process :class:`BoundCache` (None when not incremental).
-
-    Workers of one pool cannot share Python objects, so each process
-    opens its own cache; a ``cache_dir`` makes them share entries
-    through the disk layer (safe: writes are atomic and entries are
-    content-addressed, so concurrent writers only ever duplicate work,
-    never corrupt results).  The cache is *persistent* worker state: it
-    survives payload epochs, so a warm pool re-used across configs
-    keeps serving its in-memory entries — content addressing makes
-    cross-config hits sound by construction.
-    """
-    if not payload.incremental:
-        return None
-    cache_dir = payload.cache_dir
-
-    def build():
-        from repro.incremental.cache import BoundCache
-
-        return BoundCache(cache_dir=cache_dir)
-
-    return worker_persistent(f"bound_cache:{cache_dir}", build)
 
 
 def _build_nc_analyzer(payload: _Payload) -> NetworkCalculusAnalyzer:
@@ -120,8 +98,6 @@ def _build_nc_analyzer(payload: _Payload) -> NetworkCalculusAnalyzer:
         payload.network,
         grouping=payload.grouping,
         frame_overhead_bytes=payload.frame_overhead_bytes,
-        incremental=payload.incremental,
-        cache=_worker_cache(payload),
     )
 
 
@@ -141,7 +117,7 @@ def _nc_worker(
         worker_emit("heartbeat", at=str(task[0][0]))
     start = time.perf_counter()
     out = [
-        (port_id, analyzer.analyze_port_cached(port_id, buckets))
+        (port_id, analyzer.analyze_port(port_id, buckets))
         for port_id, buckets in task
     ]
     busy = time.perf_counter() - start
@@ -154,8 +130,6 @@ def _build_trajectory_analyzer(payload: _Payload) -> TrajectoryAnalyzer:
         payload.network,
         serialization=payload.serialization,
         refine_smax=False,
-        incremental=payload.incremental,
-        cache=_worker_cache(payload),
     )
     analyzer.prepare(smax_seed=payload.smax_seed)
     return analyzer
@@ -266,10 +240,9 @@ class BatchAnalyzer:
         in the result's ``stats`` field (and from there in the run
         manifest).
     incremental / cache_dir:
-        Serve per-port analyses and per-VL walks from the
-        content-addressed bound cache (:mod:`repro.incremental`).  With
-        workers, each process opens its own cache on ``cache_dir``
-        (persistence makes them share entries); results stay
+        Serve whole results from the content-addressed bound cache
+        (:mod:`repro.incremental`), persisted in ``cache_dir`` when
+        given.  Only the coordinator opens the cache; results stay
         bit-identical for any ``jobs``.
     explain:
         Attach bound provenance ledgers (:mod:`repro.explain`) to the
@@ -280,10 +253,14 @@ class BatchAnalyzer:
     pool:
         An existing warm :class:`WorkerPool` to reuse instead of
         creating (and tearing down) one per phase.  The analyzer swaps
-        its payload in via :meth:`WorkerPool.set_payload` — workers
-        keep their persistent state (bound caches) — and never closes
-        it; the caller owns its lifecycle.  ``jobs`` is taken from the
-        pool.
+        its payload in via :meth:`WorkerPool.set_payload` and never
+        closes it; the caller owns its lifecycle.  ``jobs`` is taken
+        from the pool.
+
+    With workers, :meth:`trajectory` reuses the result of an earlier
+    :meth:`network_calculus` call as its ``Smax`` seed when grouping is
+    on and the frame overhead is 0: exactly the seed the sequential
+    trajectory analyzer computes for itself.
     """
 
     def __init__(
@@ -315,11 +292,13 @@ class BatchAnalyzer:
         self.incremental = incremental or cache_dir is not None
         self.cache_dir = str(cache_dir) if cache_dir is not None else None
         self._external_pool = pool
-        self._cache = None
+        #: the bound cache (None when not incremental)
+        self.cache = None
         if self.incremental:
             from repro.incremental.cache import BoundCache
 
-            self._cache = BoundCache(cache_dir=self.cache_dir)
+            self.cache = BoundCache(cache_dir=self.cache_dir)
+        self._nc_result: Optional[NetworkCalculusResult] = None
 
     def _pool_for(self, payload: _Payload):
         """One phase's pool: the external warm pool (payload swapped
@@ -337,26 +316,38 @@ class BatchAnalyzer:
     def network_calculus(self) -> NetworkCalculusResult:
         """Level-parallel Network Calculus propagation."""
         if self.jobs == 1:
-            return analyze_network_calculus(
+            result = analyze_network_calculus(
                 self.network,
                 grouping=self.grouping,
                 frame_overhead_bytes=self.frame_overhead_bytes,
                 collect_stats=self.collect_stats,
                 progress=self._progress,
-                incremental=self.incremental,
-                cache=self._cache,
+                cache=self.cache,
                 explain=self.explain,
             )
+        else:
+            result = self._parallel_network_calculus()
+        self._nc_result = result
+        return result
+
+    def _parallel_network_calculus(self) -> NetworkCalculusResult:
         network = self.network
-        obs = Instrumentation.create(self.collect_stats, self._progress)
-        check_network(network)
-        order = topological_port_order(network)
-        levels = port_levels(network)
         coordinator = NetworkCalculusAnalyzer(
             network,
             grouping=self.grouping,
             frame_overhead_bytes=self.frame_overhead_bytes,
+            collect_stats=self.collect_stats,
+            progress=self._progress,
+            cache=self.cache,
+            explain=self.explain,
         )
+        cached = coordinator.cached_result()
+        if cached is not None:
+            return cached
+        obs = Instrumentation.create(self.collect_stats, self._progress)
+        check_network(network)
+        order = topological_port_order(network)
+        levels = port_levels(network)
         entering = coordinator.ingress_buckets()
         analyses: Dict[PortId, PortAnalysis] = {}
         stats = _PoolStats(jobs=self.jobs)
@@ -364,8 +355,6 @@ class BatchAnalyzer:
             network=network,
             grouping=self.grouping,
             frame_overhead_bytes=self.frame_overhead_bytes,
-            incremental=self.incremental,
-            cache_dir=self.cache_dir,
         )
         progress = obs.progress
         started = time.perf_counter()
@@ -413,12 +402,15 @@ class BatchAnalyzer:
             result.ports[port_id] = analyses[port_id]
         port_delay = {port_id: analyses[port_id].delay_us for port_id in order}
         coordinator.finalize_paths(result, port_delay)
+        stored = coordinator.store_result(result)
         if self.explain:
             with obs.tracer.span("batch.netcalc.explain"):
                 coordinator._attach_provenance(result)
         if obs.enabled:
             self._export_pool_stats(obs, "netcalc", stats)
             ledger = netcalc_cost_ledger(result)
+            if stored:
+                ledger.record_cache("result", 0, 1)
             exported = obs.export()
             exported["cost"] = ledger.to_dict()
             result.stats = exported
@@ -432,9 +424,7 @@ class BatchAnalyzer:
     # Trajectory
     # ------------------------------------------------------------------
 
-    def trajectory(
-        self, smax_seed: Optional[Dict[FlowPortKey, float]] = None
-    ) -> TrajectoryResult:
+    def trajectory(self) -> TrajectoryResult:
         """Parallel trajectory fixed point (per-VL sweep fan-out)."""
         if self.jobs == 1:
             return analyze_trajectory(
@@ -444,19 +434,32 @@ class BatchAnalyzer:
                 max_refinements=self.max_refinements,
                 collect_stats=self.collect_stats,
                 progress=self._progress,
-                incremental=self.incremental,
-                cache=self._cache,
+                cache=self.cache,
                 explain=self.explain,
             )
         network = self.network
-        obs = Instrumentation.create(self.collect_stats, self._progress)
         coordinator = TrajectoryAnalyzer(
             network,
             serialization=self.serialization,
             refine_smax=self.refine_smax,
             max_refinements=self.max_refinements,
+            collect_stats=self.collect_stats,
+            progress=self._progress,
+            cache=self.cache,
+            explain=self.explain,
         )
-        coordinator.prepare(smax_seed=smax_seed)
+        cached = coordinator.cached_result()
+        if cached is not None:
+            return cached
+        obs = Instrumentation.create(self.collect_stats, self._progress)
+        nc_result = self._nc_result
+        coordinator.prepare(
+            smax_seed=seed_smax_from_netcalc(network, nc_result)
+            if nc_result is not None
+            and self.grouping
+            and self.frame_overhead_bytes == 0
+            else None
+        )
         # same walk order as the sequential sweep; chunked contiguously
         vl_names = list(network.virtual_links)
         chunks = chunked(vl_names, self.jobs * 4)
@@ -470,10 +473,10 @@ class BatchAnalyzer:
             network=network,
             serialization=self.serialization,
             smax_seed=coordinator.smax_snapshot(),
-            incremental=self.incremental,
-            cache_dir=self.cache_dir,
         )
-        ledger = CostLedger("trajectory") if self.collect_stats else None
+        # built even with stats off: the result cache stores its
+        # deterministic sections next to the result
+        ledger = CostLedger("trajectory")
         with obs.tracer.span(
             "batch.trajectory",
             jobs=self.jobs,
@@ -505,13 +508,10 @@ class BatchAnalyzer:
                         stable = not updates
                         n_updates = len(updates)
                         cumulative.update(updates)
-                    if ledger is not None:
-                        # the merged chunk bounds equal the sequential
-                        # sweep's map bit for bit, so the ledger is
-                        # identical for any --jobs N
-                        record_trajectory_sweep(
-                            ledger, bounds, smax_updates=n_updates
-                        )
+                    # the merged chunk bounds equal the sequential sweep's
+                    # map bit for bit, so the ledger is identical for
+                    # any --jobs N
+                    record_trajectory_sweep(ledger, bounds, smax_updates=n_updates)
                     if stable:
                         break
             if obs.enabled:
@@ -521,10 +521,10 @@ class BatchAnalyzer:
         stats.wall_s = time.perf_counter() - started
 
         result = coordinator.build_result(bounds, sweeps)
-        if ledger is not None:
-            ledger.add_work("paths_bound", len(result.paths))
-            ledger.record_runtime("pool_reused", stats.pool_reused)
-            ledger.record_runtime("workers", stats.jobs)
+        ledger.add_work("paths_bound", len(result.paths))
+        stored = coordinator.store_result(result, ledger)
+        ledger.record_runtime("pool_reused", stats.pool_reused)
+        ledger.record_runtime("workers", stats.jobs)
         if self.explain:
             coordinator._explain_bounds = bounds
             with obs.tracer.span("batch.trajectory.explain"):
@@ -534,12 +534,12 @@ class BatchAnalyzer:
             for name, (hits, misses) in sorted(stats.merged_cache_stats().items()):
                 obs.metrics.counter(f"trajectory.{name}_cache_hits", hits)
                 obs.metrics.counter(f"trajectory.{name}_cache_misses", misses)
-                if ledger is not None:
-                    ledger.record_cache(name, hits, misses)
+                ledger.record_cache(name, hits, misses)
+            if stored:
+                ledger.record_cache("result", 0, 1)
             self._export_pool_stats(obs, "trajectory", stats)
             exported = obs.export()
-            if ledger is not None:
-                exported["cost"] = ledger.to_dict()
+            exported["cost"] = ledger.to_dict()
             result.stats = exported
         _LOG.debug(
             "batch trajectory done %s",
@@ -554,35 +554,17 @@ class BatchAnalyzer:
     def combined(self) -> AnalysisResult:
         """Both analyses (parallel) and their per-path minimum.
 
-        One worker pool serves both phases: the trajectory phase swaps
-        its payload into the pool the NC phase warmed up (a payload
-        epoch) instead of forking a second set of processes.
+        With workers, one pool serves both phases: the trajectory phase
+        swaps its payload into the pool the NC phase warmed up (a
+        payload epoch) instead of forking a second set of processes.
         """
-        if self.jobs == 1:
-            return analyze_network(
-                self.network,
-                grouping=self.grouping,
-                serialization=self.serialization,
-                refine_smax=self.refine_smax,
-                collect_stats=self.collect_stats,
-                progress=self._progress,
-                explain=self.explain,
-            )
         own_pool: Optional[WorkerPool] = None
-        if self._external_pool is None:
+        if self.jobs > 1 and self._external_pool is None:
             own_pool = WorkerPool(self.jobs, None)
             self._external_pool = own_pool
         try:
             nc_result = self.network_calculus()
-            # the sequential path seeds Smax from a grouping=True NC
-            # run; reuse ours when it matches, otherwise let the
-            # trajectory coordinator compute its own grouped seed
-            seed = (
-                seed_smax_from_netcalc(self.network, nc_result)
-                if self.grouping
-                else None
-            )
-            trajectory_result = self.trajectory(smax_seed=seed)
+            trajectory_result = self.trajectory()
         except BaseException:
             if own_pool is not None:
                 self._external_pool = None

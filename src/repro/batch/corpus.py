@@ -3,12 +3,10 @@
 A *corpus* models the admission-control workload the fleet-throughput
 engine exists for: one base topology (an airframe) and many lightly
 edited variants of it (candidate configuration changes), all analyzed
-with the same claimed-sound methods.  Because the variants share most
-of their structure, the cross-config cache namespaces (``nc.port``,
-``traj.walk``, ``traj.node``, whole-result) convert the fleet from
-``configs x full-analysis`` into ``one full analysis + per-variant
-deltas`` — which is what ``benchmarks/bench_throughput.py`` measures
-as configs/sec.
+with the same claimed-sound methods.  With a ``cache_dir`` every config
+analyzed once is served whole from the result cache on a repeat run;
+``benchmarks/bench_throughput.py`` measures the fleet as configs/sec
+cold, on a warm pool and on a primed cache.
 
 Everything is seeded: ``corpus_network(spec, i)`` is a pure function
 of ``(spec, i)``, so workers regenerate their configurations from the
@@ -247,9 +245,9 @@ def analyze_corpus(
     One task per configuration (embarrassingly parallel).  ``pool``
     reuses an existing warm :class:`WorkerPool` — the corpus payload is
     swapped in as a new epoch and the workers keep their persistent
-    per-process bound caches, so a warm pool plus a shared
-    ``cache_dir`` is the engine's peak-throughput mode.  Bounds are
-    bit-identical across all modes (compare :attr:`CorpusReport.digest`).
+    per-process bound caches, whose whole-result entries a shared
+    ``cache_dir`` persists across runs.  Bounds are bit-identical
+    across all modes (compare :attr:`CorpusReport.digest`).
     """
     jobs = pool.jobs if pool is not None else resolve_jobs(jobs)
     obs = Instrumentation.create(collect_stats, progress)

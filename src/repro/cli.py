@@ -20,9 +20,9 @@ Subcommands
     configurations in parallel and report any path whose observed
     delay exceeds a claimed bound (see ``docs/BATCH.md``).
 ``afdx whatif CONFIG.json EDITS.json``
-    Incremental what-if analysis: apply an edit script (add / remove /
-    retime / resize / re-route VLs) and re-analyze only the dirty
-    region, printing the paths whose bounds changed (see
+    What-if analysis: apply an edit script (add / remove / retime /
+    resize / re-route VLs), report the dirty region it can affect and
+    re-analyze, printing the paths whose bounds changed (see
     ``docs/INCREMENTAL.md``).
 ``afdx explain CONFIG.json``
     Bound provenance: decompose every path's WCNC and Trajectory bound
@@ -128,7 +128,6 @@ from repro.obs.manifest import bound_summary
 from repro.obs.trace import ProgressHook
 from repro.sim.scenarios import TrafficScenario, simulate
 from repro.trajectory.analyzer import analyze_trajectory
-from repro.trajectory.timing import seed_smax_from_netcalc
 
 __all__ = [
     "main",
@@ -285,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="persist the content-addressed bound cache in DIR "
-        "(bit-identical results, repeat runs reuse cached per-port work)",
+        "(bit-identical results, a repeat run reuses the cached results)",
     )
     analyze.add_argument(
         "--preflight", action="store_true",
@@ -430,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     whatif = sub.add_parser(
         "whatif", parents=[obs],
-        help="apply an edit script and re-analyze only the dirty region",
+        help="apply an edit script, report its dirty region and re-analyze",
     )
     whatif.add_argument("config", help="configuration JSON file")
     whatif.add_argument(
@@ -729,14 +728,7 @@ def _cmd_analyze(args: argparse.Namespace, ctx: _RunContext) -> int:
         cache_dir=args.cache_dir,
     )
     nc = batch.network_calculus()
-    # with workers, reuse the NC result as the trajectory's Smax seed
-    # (the sequential path recomputes the identical grouped-NC seed)
-    seed = (
-        seed_smax_from_netcalc(network, nc)
-        if batch.jobs > 1 and not args.no_grouping
-        else None
-    )
-    trajectory = batch.trajectory(smax_seed=seed)
+    trajectory = batch.trajectory()
     ctx.record_bounds(nc, trajectory)
     result = analyze_network(network, nc_result=nc, trajectory_result=trajectory)
     result.stats = summarize(result.paths.values())
@@ -788,12 +780,7 @@ def _cmd_profile(args: argparse.Namespace, ctx: _RunContext) -> int:
         cache_dir=args.cache_dir,
     )
     nc = batch.network_calculus()
-    seed = (
-        seed_smax_from_netcalc(network, nc)
-        if batch.jobs > 1 and not args.no_grouping
-        else None
-    )
-    trajectory = batch.trajectory(smax_seed=seed)
+    trajectory = batch.trajectory()
     ctx.record_bounds(nc, trajectory)
     ctx.analyzers = {"network_calculus": nc.stats, "trajectory": trajectory.stats}
     if ctx.collect:

@@ -74,7 +74,6 @@ def explain_network(
     """
     from repro.batch.analyzer import BatchAnalyzer
     from repro.core.combined import build_comparison
-    from repro.trajectory.timing import seed_smax_from_netcalc
 
     batch = BatchAnalyzer(
         network,
@@ -89,15 +88,7 @@ def explain_network(
         explain=True,
     )
     nc_result = batch.network_calculus()
-    # jobs>1: reuse our NC run as the trajectory seed exactly like the
-    # combined batch path (the sequential path recomputes a grouped
-    # seed itself, so only a grouped result may be forwarded)
-    seed = (
-        seed_smax_from_netcalc(network, nc_result)
-        if batch.jobs > 1 and grouping
-        else None
-    )
-    trajectory_result = batch.trajectory(smax_seed=seed)
+    trajectory_result = batch.trajectory()
     comparison = build_comparison(nc_result, trajectory_result)
     assert nc_result.provenance is not None
     assert trajectory_result.provenance is not None

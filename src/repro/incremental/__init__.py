@@ -29,7 +29,6 @@ from repro.incremental.edits import (
     parse_edit_script,
 )
 from repro.incremental.fingerprint import (
-    netcalc_port_fingerprints,
     network_fingerprint,
     stable_digest,
     vl_fingerprint,
@@ -52,7 +51,6 @@ __all__ = [
     "dirty_closure",
     "dirty_vls",
     "load_edit_script",
-    "netcalc_port_fingerprints",
     "network_fingerprint",
     "parse_edit_script",
     "stable_digest",

@@ -1,26 +1,22 @@
 """The persistent bound cache: in-memory LRU plus optional disk layer.
 
 A :class:`BoundCache` maps content-addressed fingerprints
-(:mod:`repro.incremental.fingerprint`) to previously computed analysis
-values, namespaced by what they are:
+(:mod:`repro.incremental.fingerprint`) to previously computed whole
+analyses, namespaced by what they are:
 
-* ``"nc.port"`` — a :class:`~repro.netcalc.results.PortAnalysis`;
-* ``"traj.walk"`` — one VL's per-(VL, port) prefix bounds from a
-  single fixed-point sweep;
 * ``"nc.result"`` / ``"traj.result"`` — a whole analysis keyed by the
-  network fingerprint, so re-analyzing a configuration the cache has
-  already seen (an identical what-if re-query, a warm ``--cache-dir``)
-  costs one fingerprint plus one lookup;
+  network fingerprint plus the analyzer parameters, so re-analyzing a
+  configuration the cache has already seen (an identical what-if
+  re-query, a warm ``--cache-dir``) costs one fingerprint plus one
+  lookup;
 * ``"traj.cost"`` — the deterministic sections of the trajectory's
   :class:`~repro.obs.costmodel.CostLedger`, stored next to
   ``"traj.result"`` so a warm hit reports the same work counters as
-  the cold run that produced it;
-* ``"traj.node"`` — one meeting-tree node's batch fold
-  ``(bases, negated bases, events)``, keyed by the node's chained
-  structural fingerprint plus its sweep-varying floats — the finest
-  granularity, which is what lets *structurally identical subproblems*
-  hit across different configurations of a corpus (and across worker
-  processes, through the disk layer).
+  the cold run that produced it.
+
+Finer tiers (per port, per walk, per meeting-tree node) are not
+cached: one edit of a realistic configuration moves almost every
+bound, so they rarely hit and cost more to write than to recompute.
 
 Cached results are stored without their ``stats`` snapshot (counters
 are run-specific observability, not bounds) and returned as shallow
@@ -35,7 +31,7 @@ The in-memory layer is a plain LRU (``OrderedDict``); the optional
 disk layer (``cache_dir``) persists entries as one JSON file per
 fingerprint under ``cache_dir/v<CACHE_VERSION>/`` so independent
 processes — ``afdx whatif`` invocations, ``afdx batch-sweep`` workers,
-a warm CI run — share bounds.  Floats survive the JSON round trip
+a warm CI run — share results.  Floats survive the JSON round trip
 exactly (``repr`` is shortest-round-trip in Python 3), which the disk
 tests assert.  Writes go through a temp-file + ``os.replace`` so
 concurrent writers can only ever publish complete entries.  A
@@ -65,13 +61,14 @@ __all__ = ["CACHE_VERSION", "BoundCache", "default_cache"]
 #: another version live in another directory and are never read.
 CACHE_VERSION = 1
 
-#: Default in-memory entry capacity.  Entries are small (a dataclass or
-#: a handful of them), so this bounds memory at tens of MB worst case.
+#: Default in-memory entry capacity.  Each entry is one whole result
+#: (or its cost ledger), so this caps the count of analyzed
+#: configurations held in memory, not their bytes.
 DEFAULT_MAX_ENTRIES = 65536
 
 
 class BoundCache:
-    """Content-addressed store for per-port and per-walk bounds.
+    """Content-addressed store for whole analysis results.
 
     Parameters
     ----------
@@ -281,8 +278,6 @@ def _decode_trajectory_bound(entry: Dict[str, object]) -> TrajectoryPathBound:
 
 
 def _encode(value: object) -> Dict[str, object]:
-    if isinstance(value, PortAnalysis):
-        return {"kind": "port_analysis", **_encode_port_analysis(value)}
     if isinstance(value, NetworkCalculusResult):
         return {
             "kind": "nc_result",
@@ -309,38 +304,13 @@ def _encode(value: object) -> Dict[str, object]:
                 _encode_trajectory_bound(b) for _, b in sorted(value.paths.items())
             ],
         }
-    if isinstance(value, dict) and all(
-        isinstance(v, TrajectoryPathBound) for v in value.values()
-    ):
-        return {
-            "kind": "walk_bounds",
-            "entries": [
-                {"key_port": list(port), **_encode_trajectory_bound(bound)}
-                for (_vl, port), bound in value.items()
-            ],
-        }
     if isinstance(value, CostLedger):
         return {"kind": "cost_ledger", "cost": value.to_dict()}
-    if (
-        isinstance(value, tuple)
-        and len(value) == 3
-        and all(isinstance(part, tuple) for part in value)
-    ):
-        # a "traj.node" batch fold: (bases, negated bases, events)
-        folded, folded_negs, batch_events = value
-        return {
-            "kind": "node_fold",
-            "folded": list(folded),
-            "folded_negs": list(folded_negs),
-            "events": [[t, c] for t, c in batch_events],
-        }
     raise TypeError(f"BoundCache cannot persist values of type {type(value)!r}")
 
 
 def _decode(payload: Dict[str, object]) -> object:
     kind = payload["kind"]
-    if kind == "port_analysis":
-        return _decode_port_analysis(payload)
     if kind == "nc_result":
         result = NetworkCalculusResult(grouping=payload["grouping"])
         for entry in payload["ports"]:
@@ -366,22 +336,8 @@ def _decode(payload: Dict[str, object]) -> object:
             bound = _decode_trajectory_bound(entry)
             result.paths[(bound.vl_name, bound.path_index)] = bound
         return result
-    if kind == "walk_bounds":
-        out = {}
-        for entry in payload["entries"]:
-            bound = _decode_trajectory_bound(entry)
-            out[(bound.vl_name, tuple(entry["key_port"]))] = bound
-        return out
     if kind == "cost_ledger":
         return CostLedger.from_dict(payload["cost"])
-    if kind == "node_fold":
-        # rebuild the exact tuple shape the trajectory kernel replays from
-        # its in-memory fold cache (events are (time, C) float pairs)
-        return (
-            tuple(payload["folded"]),
-            tuple(payload["folded_negs"]),
-            tuple((pair[0], pair[1]) for pair in payload["events"]),
-        )
     raise ValueError(f"unknown cache entry kind {kind!r}")
 
 

@@ -7,14 +7,9 @@ cacheable computation into a SHA-256 digest:
 
 * floats are encoded with :meth:`float.hex` (lossless round-trip), so
   two values collide only when they are the same IEEE-754 double;
-* iteration orders are made explicit (sorted VL names, topological
-  port order), because the analyzers' floating-point sums depend on
-  operand order;
-* per-port Network Calculus fingerprints are *Merkle-style*: a port's
-  digest folds in the digests of every upstream port its flows arrive
-  through, so a change anywhere upstream changes the digest of the
-  whole downstream closure — exactly the dirty region the incremental
-  engine must recompute.
+* iteration orders are made explicit (sorted node and VL names), so
+  two networks built in different insertion orders hash alike — sound
+  because the analyzers order every float reduction by name too.
 
 Digests are stable across processes and ``PYTHONHASHSEED`` values
 (nothing here uses Python's randomized ``hash``), which is what lets
@@ -26,10 +21,8 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Sequence
 
-from repro.network.port import PortId
-from repro.network.port_graph import topological_port_order
 from repro.network.topology import Network
 
 __all__ = [
@@ -37,8 +30,6 @@ __all__ = [
     "pack_floats",
     "vl_fingerprint",
     "network_fingerprint",
-    "upstream_port_map",
-    "netcalc_port_fingerprints",
 ]
 
 
@@ -74,8 +65,9 @@ def _fold(hasher, value: object) -> None:
 def pack_floats(values: Sequence[float]) -> bytes:
     """Lossless binary encoding of a float sequence (one C call).
 
-    Used for the per-sweep ``Smax`` slices of the Trajectory walk
-    cache, where hashing must stay far cheaper than the walk itself.
+    Used for the per-sweep ``Smax`` slices that key the trajectory
+    analyzer's in-process sweep and fold memos, where packing must stay
+    far cheaper than the walk itself.
     """
     return struct.pack(f"<{len(values)}d", *values)
 
@@ -109,65 +101,3 @@ def network_fingerprint(network: Network) -> str:
     links = tuple((a, b, float(rate)) for a, b, rate in network.links())
     vls = tuple(vl_fingerprint(network.vl(name)) for name in sorted(network.virtual_links))
     return stable_digest("network", float(network.default_rate), nodes, links, vls)
-
-
-def upstream_port_map(network: Network) -> Dict[Tuple[str, PortId], Optional[PortId]]:
-    """``(vl, port) -> upstream port`` for every port of every VL tree.
-
-    One pass over ``flow_paths()`` — unlike
-    :meth:`Network.upstream_port`, which rescans the VL's paths per
-    query and is too slow to call once per (port, flow) incidence.
-    """
-    upstream: Dict[Tuple[str, PortId], Optional[PortId]] = {}
-    for vl_name, _idx, path in network.flow_paths():
-        ports = [(a, b) for a, b in zip(path, path[1:])]
-        previous: Optional[PortId] = None
-        for pid in ports:
-            upstream[(vl_name, pid)] = previous
-            previous = pid
-    return upstream
-
-
-def netcalc_port_fingerprints(
-    network: Network,
-    grouping: bool,
-    frame_overhead_bits: float,
-    order: Optional[Iterable[PortId]] = None,
-) -> Dict[PortId, str]:
-    """Merkle dependency digest of every used output port.
-
-    A port's digest determines, bit for bit, everything its
-    :meth:`~repro.netcalc.analyzer.NetworkCalculusAnalyzer.analyze_port`
-    call can observe: the port's own rate/latency, the analyzer options,
-    and — per crossing flow, in the sorted-name order the aggregation
-    sums in — the flow's contract, its arrival link (the grouping key)
-    and the digest of the upstream port that shaped its entering bucket.
-    The upstream digest recursively covers the upstream delays the
-    bucket was inflated by, so equal digests imply equal entering
-    buckets and therefore an equal :class:`PortAnalysis`.
-    """
-    if order is None:
-        order = topological_port_order(network)
-    upstream = upstream_port_map(network)
-    contracts = {
-        name: vl_fingerprint(network.vl(name)) for name in network.virtual_links
-    }
-    digests: Dict[PortId, str] = {}
-    for pid in order:
-        port = network.output_port(*pid)
-        flow_parts: List[object] = []
-        for name in sorted(network.vls_at_port(pid)):
-            up = upstream[(name, pid)]
-            flow_parts.append(
-                (name, contracts[name], up, digests[up] if up is not None else "ingress")
-            )
-        digests[pid] = stable_digest(
-            "ncport",
-            pid,
-            float(port.rate_bits_per_us),
-            float(port.latency_us),
-            bool(grouping),
-            float(frame_overhead_bits),
-            tuple(flow_parts),
-        )
-    return digests

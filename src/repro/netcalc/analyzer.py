@@ -65,13 +65,12 @@ class NetworkCalculusAnalyzer:
         Optional ``callable(phase, done, total)`` invoked during the
         port propagation of large configurations.
     incremental:
-        Serve per-port analyses from a content-addressed
-        :class:`~repro.incremental.cache.BoundCache` keyed by Merkle
-        dependency fingerprints (:mod:`repro.incremental.fingerprint`).
-        A hit is bit-identical to recomputation by construction — the
-        fingerprint covers every input of :meth:`analyze_port` — so
-        results are unchanged; only repeated analyses of near-identical
-        configurations get faster.
+        Serve the whole result from a content-addressed
+        :class:`~repro.incremental.cache.BoundCache` keyed by
+        :meth:`result_fingerprint`.  A hit is bit-identical to
+        recomputation by construction — the fingerprint covers the
+        whole network and every analyzer parameter — so results are
+        unchanged; only a configuration analyzed before gets faster.
     cache:
         The cache to use when ``incremental`` (shared by the
         :class:`~repro.incremental.delta.DeltaAnalyzer` across edits
@@ -104,7 +103,7 @@ class NetworkCalculusAnalyzer:
         self.incremental = incremental or cache is not None
         self.explain = explain
         self._cache = cache
-        self._fingerprints: "Dict[PortId, str] | None" = None
+        self._result_fp: Optional[str] = None
         self._obs = Instrumentation.create(collect_stats, progress)
         self._result: "NetworkCalculusResult | None" = None
 
@@ -120,42 +119,72 @@ class NetworkCalculusAnalyzer:
 
     def result_fingerprint(self) -> str:
         """Digest of the whole analysis' inputs (network + parameters)."""
-        from repro.incremental.fingerprint import network_fingerprint, stable_digest
+        if self._result_fp is None:
+            from repro.incremental.fingerprint import network_fingerprint, stable_digest
 
-        return stable_digest(
-            "ncresult",
-            network_fingerprint(self.network),
-            self.grouping,
-            self.frame_overhead_bits,
-        )
-
-    def port_fingerprints(self) -> Dict[PortId, str]:
-        """Merkle dependency digests of every used port (computed once)."""
-        if self._fingerprints is None:
-            from repro.incremental.fingerprint import netcalc_port_fingerprints
-
-            self._fingerprints = netcalc_port_fingerprints(
-                self.network, self.grouping, self.frame_overhead_bits
+            self._result_fp = stable_digest(
+                "ncresult",
+                network_fingerprint(self.network),
+                self.grouping,
+                self.frame_overhead_bits,
             )
-        return self._fingerprints
+        return self._result_fp
 
-    def analyze_port_cached(
-        self, port_id: PortId, buckets: "Dict[str, LeakyBucket]"
-    ) -> PortAnalysis:
-        """:meth:`analyze_port` through the bound cache (if incremental).
+    def cached_result(self) -> Optional[NetworkCalculusResult]:
+        """The whole result from the bound cache, or None on a miss.
 
-        The batch workers' entry point: falls back to a plain
-        :meth:`analyze_port` when the analyzer is not incremental.
+        A hit is a shallow copy (callers may attach stats without
+        touching the cached object) carrying the stats and provenance a
+        computed run would attach.  Always None when not incremental.
         """
         cache = self._resolve_cache()
         if cache is None:
-            return self.analyze_port(port_id, buckets)
-        fingerprint = self.port_fingerprints()[port_id]
-        analysis = cache.get("nc.port", fingerprint)
-        if analysis is None:
-            analysis = self.analyze_port(port_id, buckets)
-            cache.put("nc.port", fingerprint, analysis)
-        return analysis
+            return None
+        obs = self._obs
+        with obs.tracer.span("netcalc.result_probe"):
+            cached = cache.get("nc.result", self.result_fingerprint())
+        if cached is None:
+            return None
+        result = NetworkCalculusResult(
+            grouping=cached.grouping,
+            ports=dict(cached.ports),
+            paths=dict(cached.paths),
+        )
+        if obs.enabled:
+            obs.metrics.counter("netcalc.result_cache_hit", 1)
+            # the ledger is a pure function of the (cached) result, so
+            # cache-served runs get identical deterministic sections for
+            # free; the hit itself is an explicit cache entry
+            ledger = netcalc_cost_ledger(result)
+            ledger.record_cache("result", 1, 0)
+            stats = obs.export()
+            stats["cost"] = ledger.to_dict()
+            result.stats = stats
+        _LOG.debug("netcalc result cache hit %s", kv(paths=len(result.paths)))
+        if self.explain:
+            with obs.tracer.span("netcalc.explain"):
+                self._attach_provenance(result)
+        return result
+
+    def store_result(self, result: NetworkCalculusResult) -> bool:
+        """Put a computed result into the bound cache.
+
+        Stored without stats or provenance: both are per-run.  Returns
+        False, storing nothing, when not incremental.
+        """
+        cache = self._resolve_cache()
+        if cache is None:
+            return False
+        cache.put(
+            "nc.result",
+            self.result_fingerprint(),
+            NetworkCalculusResult(
+                grouping=result.grouping,
+                ports=dict(result.ports),
+                paths=dict(result.paths),
+            ),
+        )
+        return True
 
     # ------------------------------------------------------------------
 
@@ -258,45 +287,14 @@ class NetworkCalculusAnalyzer:
 
     def analyze(self) -> NetworkCalculusResult:
         """Run the full propagation and return (and cache) the result."""
-        if self._result is not None:
-            return self._result
+        if self._result is None:
+            result = self.cached_result()
+            self._result = result if result is not None else self._propagate()
+        return self._result
+
+    def _propagate(self) -> NetworkCalculusResult:
         network = self.network
         obs = self._obs
-
-        result_cache = self._resolve_cache()
-        result_fp: "str | None" = None
-        if result_cache is not None:
-            with obs.tracer.span("netcalc.result_probe"):
-                result_fp = self.result_fingerprint()
-                cached = result_cache.get("nc.result", result_fp)
-            if cached is not None:
-                # shallow copy: callers may attach stats without
-                # touching the cached object
-                result = NetworkCalculusResult(
-                    grouping=cached.grouping,
-                    ports=dict(cached.ports),
-                    paths=dict(cached.paths),
-                )
-                if obs.enabled:
-                    obs.metrics.counter("netcalc.result_cache_hit", 1)
-                    # the ledger is a pure function of the (cached)
-                    # result, so cache-served runs get identical
-                    # deterministic sections for free; the hit itself
-                    # is an explicit cache entry
-                    ledger = netcalc_cost_ledger(result)
-                    ledger.record_cache("result", 1, 0)
-                    stats = obs.export()
-                    stats["cost"] = ledger.to_dict()
-                    result.stats = stats
-                _LOG.debug(
-                    "netcalc result cache hit %s", kv(paths=len(result.paths))
-                )
-                if self.explain:
-                    with obs.tracer.span("netcalc.explain"):
-                        self._attach_provenance(result)
-                self._result = result
-                return result
-
         with obs.tracer.span("netcalc.validate"):
             check_network(network)
         with obs.tracer.span("netcalc.toposort"):
@@ -305,14 +303,6 @@ class NetworkCalculusAnalyzer:
 
         # bucket of each flow when entering each port of its tree
         entering = self.ingress_buckets()
-
-        cache = self._resolve_cache()
-        fingerprints: Dict[PortId, str] = {}
-        cache_hits = cache_misses = 0
-        if cache is not None:
-            with obs.tracer.span("netcalc.fingerprint"):
-                fingerprints = self.port_fingerprints()
-
         result = NetworkCalculusResult(grouping=self.grouping)
         port_delay: Dict[PortId, float] = {}
 
@@ -326,22 +316,11 @@ class NetworkCalculusAnalyzer:
             for index, port_id in enumerate(order):
                 if progress:
                     progress.update("netcalc.propagate", index, len(order))
-                analysis = (
-                    cache.get("nc.port", fingerprints[port_id])
-                    if cache is not None
-                    else None
-                )
-                if analysis is None:
-                    buckets = {
-                        name: entering[(name, port_id)]
-                        for name in sorted(network.vls_at_port(port_id))
-                    }
-                    analysis = self.analyze_port(port_id, buckets)
-                    if cache is not None:
-                        cache.put("nc.port", fingerprints[port_id], analysis)
-                        cache_misses += 1
-                else:
-                    cache_hits += 1
+                buckets = {
+                    name: entering[(name, port_id)]
+                    for name in sorted(network.vls_at_port(port_id))
+                }
+                analysis = self.analyze_port(port_id, buckets)
                 port_delay[port_id] = analysis.delay_us
                 result.ports[port_id] = analysis
                 # propagate every flow to its next port(s)
@@ -354,9 +333,6 @@ class NetworkCalculusAnalyzer:
         if collect:
             obs.metrics.counter("netcalc.ports_analyzed", len(order))
             obs.metrics.counter("netcalc.flow_propagations", flows_propagated)
-            if cache is not None:
-                obs.metrics.counter("netcalc.port_cache_hits", cache_hits)
-                obs.metrics.counter("netcalc.port_cache_misses", cache_misses)
             obs.metrics.gauge(
                 "netcalc.groups",
                 # repro-lint: allow[REPRO101] integer group counts; exact in floats
@@ -365,25 +341,14 @@ class NetworkCalculusAnalyzer:
 
         with obs.tracer.span("netcalc.paths"):
             self.finalize_paths(result, port_delay)
-        if result_cache is not None and result_fp is not None:
-            result_cache.put(
-                "nc.result",
-                result_fp,
-                NetworkCalculusResult(
-                    grouping=result.grouping,
-                    ports=dict(result.ports),
-                    paths=dict(result.paths),
-                ),
-            )
+        stored = self.store_result(result)
         if self.explain:
             with obs.tracer.span("netcalc.explain"):
                 self._attach_provenance(result)
         if collect:
             obs.metrics.counter("netcalc.paths_bound", len(result.paths))
             ledger = netcalc_cost_ledger(result)
-            if cache is not None:
-                ledger.record_cache("port", cache_hits, cache_misses)
-            if result_cache is not None:
+            if stored:
                 ledger.record_cache("result", 0, 1)
             stats = obs.export()
             stats["cost"] = ledger.to_dict()
@@ -392,8 +357,6 @@ class NetworkCalculusAnalyzer:
             "netcalc done %s",
             kv(ports=len(order), paths=len(result.paths), grouping=self.grouping),
         )
-
-        self._result = result
         return result
 
     def _attach_provenance(self, result: NetworkCalculusResult) -> None:

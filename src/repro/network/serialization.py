@@ -116,7 +116,8 @@ def network_from_dict(data: Dict[str, Any]) -> Network:
 
     Every malformed document raises :class:`ConfigurationError`: a
     missing field, a value of the wrong JSON type, a non-finite number,
-    or a value the model constructors reject.
+    a value the model constructors reject, or no virtual link at all
+    (there is nothing to bound).
     """
     try:
         _typed(data, dict, "configuration document")
@@ -175,6 +176,8 @@ def network_from_dict(data: Dict[str, Any]) -> Network:
                     priority=_number(vl.get("priority", 0), f"{what}: 'priority'"),
                 )
             )
+        if not network.virtual_links:
+            raise ConfigurationError("the configuration defines no virtual link")
     except KeyError as exc:
         raise ConfigurationError(f"missing required field {exc.args[0]!r}") from exc
     except (TypeError, ValueError, OverflowError) as exc:

@@ -55,9 +55,7 @@ the dominance proof).
 
 from __future__ import annotations
 
-import hashlib
 import math
-import struct
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -91,12 +89,6 @@ _EPS = 1e-6
 #: paths compute the same floats, so the threshold is purely a tuning
 #: knob, not a semantics switch)
 _VEC_MIN = 16
-
-#: sweep-varying floats of one ``"traj.node"`` cache address, packed
-#: losslessly: (horizon, Smin_self, Smax_self) — same encoding as
-#: ``repro.incremental.fingerprint.pack_floats`` but pre-compiled for
-#: the fold hot path
-_pack_fold_floats = struct.Struct("<3d").pack
 
 #: boundary tolerance of the `interference_count` fast path (one part
 #: in 2^50 of the quotient — 8x the worst-case division error)
@@ -209,15 +201,11 @@ class TrajectoryAnalyzer:
         Optional ``callable(phase, done, total)`` invoked as each
         sweep walks the VL population.
     incremental:
-        Serve per-VL tree walks from a content-addressed
-        :class:`~repro.incremental.cache.BoundCache`.  The fixed point
-        is *replayed* — the same sweep/tighten sequence as a cold run,
-        so every intermediate ``Smax`` map stays a sound upper bound
-        and the final bounds are bit-identical — but each walk whose
-        inputs (tree structure, competitor contracts and the exact
-        ``Smax`` slice it reads) are unchanged is a cache hit.  On an
-        edited configuration only the VLs crossing the dirty closure
-        ever miss; see :mod:`repro.incremental.delta`.
+        Serve the whole result (and its cost ledger) from a
+        content-addressed :class:`~repro.incremental.cache.BoundCache`
+        keyed by :meth:`result_fingerprint`.  A hit is bit-identical to
+        recomputation: the fingerprint covers the whole network and
+        every analyzer parameter.
     cache:
         The cache to use when ``incremental``; defaults to the
         process-wide cache.  Passing a cache implies
@@ -227,10 +215,9 @@ class TrajectoryAnalyzer:
         (:func:`repro.explain.trajectory.trajectory_provenance`) to the
         result.  The bounds themselves are bit-identical either way;
         the only recording cost is one ``Smax`` snapshot per sweep.
-        Under ``incremental`` the whole-result cache shortcut is
-        skipped — provenance needs the final sweep's live state, so it
-        is always recomputed, never served stale (per-walk and per-port
-        caches still apply).
+        Under ``incremental`` the whole-result cache is skipped —
+        provenance needs the final sweep's live state, so it is always
+        recomputed, never served stale.
     """
 
     def __init__(
@@ -254,7 +241,7 @@ class TrajectoryAnalyzer:
         self.incremental = incremental or cache is not None
         self.explain = explain
         self._cache = cache
-        self._walk_cache = None
+        self._result_fp: Optional[str] = None
         self._obs = Instrumentation.create(collect_stats, progress)
         self._result: Optional[TrajectoryResult] = None
         self._prepared = False
@@ -296,75 +283,121 @@ class TrajectoryAnalyzer:
             self._smax: Dict[FlowPortKey, float] = dict(smax_seed)
             self._prefixes = tree_prefixes(network)
             self._precompute_structure()
-        if self.incremental:
-            # imported lazily: repro.incremental depends on this module
-            from repro.incremental.cache import default_cache
-
-            self._walk_cache = (
-                self._cache if self._cache is not None else default_cache()
-            )
-            with obs.tracer.span("trajectory.walk_fingerprints"):
-                self._prepare_walk_fingerprints()
         self._prepared = True
 
     def result_fingerprint(self) -> str:
         """Digest of the whole analysis' inputs (network + parameters)."""
-        from repro.incremental.fingerprint import network_fingerprint, stable_digest
+        if self._result_fp is None:
+            from repro.incremental.fingerprint import network_fingerprint, stable_digest
 
-        return stable_digest(
-            "trajresult",
-            network_fingerprint(self.network),
-            self.serialization_mode,
-            self.refine_smax,
-            self.max_refinements,
+            self._result_fp = stable_digest(
+                "trajresult",
+                network_fingerprint(self.network),
+                self.serialization_mode,
+                self.refine_smax,
+                self.max_refinements,
+            )
+        return self._result_fp
+
+    def _result_cache(self):
+        """The bound cache serving whole results, or None.
+
+        None when not incremental, and under ``explain``: provenance
+        needs the final sweep's live state, so it is never served from
+        the cache.
+        """
+        if not self.incremental or self.explain:
+            return None
+        if self._cache is None:
+            # imported lazily: repro.incremental depends on this module
+            from repro.incremental.cache import default_cache
+
+            self._cache = default_cache()
+        return self._cache
+
+    def cached_result(self) -> Optional[TrajectoryResult]:
+        """The whole result from the bound cache, or None on a miss.
+
+        The fingerprint does not cover the ``Smax`` seed: a hit is the
+        result of the default seeding (a grouped, overhead-free Network
+        Calculus run, what :meth:`prepare` computes without
+        ``smax_seed``).  The hit is a shallow copy carrying the stats a
+        computed run would attach, with the cold run's deterministic
+        ledger sections.
+        """
+        cache = self._result_cache()
+        if cache is None:
+            return None
+        obs = self._obs
+        with obs.tracer.span("trajectory.result_probe"):
+            fingerprint = self.result_fingerprint()
+            cached = cache.get("traj.result", fingerprint)
+        if cached is None:
+            return None
+        result = TrajectoryResult(
+            serialization=cached.serialization,
+            refinement_iterations=cached.refinement_iterations,
+            paths=dict(cached.paths),
         )
+        if obs.enabled:
+            obs.metrics.counter("trajectory.result_cache_hit", 1)
+            # the deterministic ledger sections travel with the cached
+            # result; the hit itself is recorded as an explicit cache
+            # entry, never silently absent
+            cached_cost = cache.get("traj.cost", fingerprint)
+            ledger = (
+                cached_cost.snapshot()
+                if isinstance(cached_cost, CostLedger)
+                else CostLedger("trajectory")
+            )
+            ledger.record_cache("result", 1, 0)
+            stats = obs.export()
+            stats["cost"] = ledger.to_dict()
+            result.stats = stats
+        _LOG.debug("trajectory result cache hit %s", kv(paths=len(result.paths)))
+        return result
+
+    def store_result(self, result: TrajectoryResult, ledger: CostLedger) -> bool:
+        """Put a computed result and its ledger into the bound cache.
+
+        Only for a result of the default seeding (see
+        :meth:`cached_result`).  The ledger is stored as a snapshot —
+        deterministic sections only — so a warm hit reconstructs them
+        byte-identically while recording its own cache tallies.
+        Returns False, storing nothing, when :meth:`cached_result`
+        would never probe.
+        """
+        cache = self._result_cache()
+        if cache is None:
+            return False
+        fingerprint = self.result_fingerprint()
+        cache.put(
+            "traj.result",
+            fingerprint,
+            TrajectoryResult(
+                serialization=result.serialization,
+                refinement_iterations=result.refinement_iterations,
+                paths=dict(result.paths),
+            ),
+        )
+        cache.put("traj.cost", fingerprint, ledger.snapshot())
+        return True
 
     def analyze(self) -> TrajectoryResult:
         """Run the analysis and return (and cache) the result."""
         if self._result is not None:
             return self._result
-        network = self.network
         obs = self._obs
         collect = obs.enabled
 
-        # Whole-result reuse: only when this call would do the default
-        # NC seeding itself (a custom prepare(smax_seed) is not covered
-        # by the fingerprint) and no provenance is wanted (the replay
-        # needs the final sweep's live state).
-        result_cache = result_fp = None
-        if self.incremental and not self._prepared and not self.explain:
-            from repro.incremental.cache import default_cache
-
-            result_cache = self._cache if self._cache is not None else default_cache()
-            with obs.tracer.span("trajectory.result_probe"):
-                result_fp = self.result_fingerprint()
-                cached = result_cache.get("traj.result", result_fp)
+        # a custom prepare(smax_seed) is not covered by the fingerprint,
+        # so only a run that seeds itself touches the result cache
+        cacheable = not self._prepared and self._result_cache() is not None
+        if cacheable:
+            cached = self.cached_result()
             if cached is not None:
-                result = TrajectoryResult(
-                    serialization=cached.serialization,
-                    refinement_iterations=cached.refinement_iterations,
-                    paths=dict(cached.paths),
-                )
-                if collect:
-                    obs.metrics.counter("trajectory.result_cache_hit", 1)
-                    # the deterministic ledger sections travel with the
-                    # cached result; the hit itself is recorded as an
-                    # explicit cache entry, never silently absent
-                    cached_cost = result_cache.get("traj.cost", result_fp)
-                    ledger = (
-                        cached_cost.snapshot()
-                        if isinstance(cached_cost, CostLedger)
-                        else CostLedger("trajectory")
-                    )
-                    ledger.record_cache("result", 1, 0)
-                    stats = obs.export()
-                    stats["cost"] = ledger.to_dict()
-                    result.stats = stats
-                _LOG.debug(
-                    "trajectory result cache hit %s", kv(paths=len(result.paths))
-                )
-                self._result = result
-                return result
+                self._result = cached
+                return cached
 
         self.prepare()
 
@@ -375,11 +408,7 @@ class TrajectoryAnalyzer:
         # whenever either a stats consumer or the result cache needs it
         # (a cold stats-off run must still persist the ledger so a warm
         # stats-on run reads identical deterministic sections)
-        ledger = (
-            CostLedger("trajectory")
-            if collect or result_cache is not None
-            else None
-        )
+        ledger = CostLedger("trajectory") if collect or cacheable else None
         for _ in range(self.max_refinements):
             with obs.tracer.span("trajectory.sweep", sweep=sweeps + 1) as span:
                 if self.explain:
@@ -425,24 +454,12 @@ class TrajectoryAnalyzer:
             self._explain_bounds = bounds
             with obs.tracer.span("trajectory.explain"):
                 self._attach_provenance(result)
-        if result_cache is not None and result_fp is not None:
-            result_cache.put(
-                "traj.result",
-                result_fp,
-                TrajectoryResult(
-                    serialization=result.serialization,
-                    refinement_iterations=result.refinement_iterations,
-                    paths=dict(result.paths),
-                ),
-            )
-            # snapshot: deterministic sections only, so a warm hit can
-            # reconstruct them byte-identically while recording its own
-            # cache tallies
-            result_cache.put("traj.cost", result_fp, ledger.snapshot())
+        if cacheable:
+            self.store_result(result, ledger)
         if ledger is not None:
             for name, (hits, misses) in sorted(self.cache_stats().items()):
                 ledger.record_cache(name, hits, misses)
-            if result_cache is not None:
+            if cacheable:
                 ledger.record_cache("result", 0, 1)
         if collect:
             obs.metrics.counter("trajectory.sweeps", sweeps)
@@ -577,7 +594,7 @@ class TrajectoryAnalyzer:
             assert root is not None
             self._trees[vl_name] = (root, children)
         # each VL's tree ports in walk order: the per-VL key of the
-        # sweep memo and of the walk fingerprints
+        # sweep memo
         self._walk_tree_ports: Dict[str, Tuple[PortId, ...]] = {
             name: tuple(self._tree_ports(name)) for name in vl_order
         }
@@ -637,7 +654,7 @@ class TrajectoryAnalyzer:
         # the union of the path ports' member sets — independent of
         # *which* member is the studied VL — so discovery results are
         # keyed by the port path from the root, not per VL.  Each node
-        # is ``[entry, children, fold_cache, node_fp]`` with ``children``
+        # is ``[entry, children, fold_cache]`` with ``children``
         # keyed by port and ``fold_cache`` keyed by the fold inputs
         # ``(Smin_i, Smax_i, packed port Smax)`` — a hit replays the
         # node's batch bases and events bit for bit across sweeps
@@ -651,18 +668,12 @@ class TrajectoryAnalyzer:
         # a walk whose entire Smax input is unchanged since the last
         # sweep is replayed from here without touching the tree
         self._sweep_memo: Dict[str, Tuple[bytes, Dict]] = {}
-        # per-port structural digests feeding the cross-config
-        # ``"traj.node"`` cache namespace (`_port_struct_pack`)
-        self._port_struct_packs: Dict[PortId, bytes] = {}
         self._cache_counters: Dict[str, List[int]] = {
             "horizon": [0, 0],
             "meetings": [0, 0],
             "events": [0, 0],
             "sweep_memo": [0, 0],
         }
-        if self.incremental:
-            self._cache_counters["walk"] = [0, 0]
-            self._cache_counters["node"] = [0, 0]
 
     def _smax_slice(self, port: PortId) -> List[float]:
         """This sweep's ``Smax`` values of one port's members, in order."""
@@ -692,60 +703,6 @@ class TrajectoryAnalyzer:
             stack.extend(reversed(children.get(port, ())))
         return out
 
-    def _prepare_walk_fingerprints(self) -> None:
-        """Per-VL structural digest + the ``Smax`` slice each walk reads.
-
-        A walk of ``v`` observes: its own contract and tree; at each
-        tree port the rate, largest frame, owner latency, and every
-        crossing flow's contract (``C``/``T`` terms, gain groups and
-        the re-meeting test all derive from contracts + routing) and
-        upstream port; the ``Smin`` entries at those ports; the
-        serialization mode — all sweep-invariant, folded into
-        ``_walk_struct_fp`` here — plus the current ``Smax`` values of
-        every member at every tree port, hashed per sweep in
-        :meth:`sweep_vls`.  Together these cover every input of
-        :meth:`_walk_tree` bit for bit, so equal fingerprints
-        guarantee an identical walk result.
-
-        The ``Smax`` slice is packed *per port* (``_port_pack``), not
-        per VL: many VLs share a port, and packing each port's member
-        slice once per sweep instead of once per sharing VL drops the
-        fingerprint cost from |VLs|x|tree|x|members| float reads to
-        |ports|x|members|.  Concatenating per-port packs over
-        ``_walk_tree_ports`` feeds the hash exactly the same bytes in
-        the same order as the flat per-VL slice did (members per port,
-        ports in tree order), so the resulting digest — and therefore
-        every cache address — is bit-identical to the naive packing.
-        """
-        from repro.incremental.fingerprint import stable_digest, vl_fingerprint
-
-        network = self.network
-        contracts = {
-            name: vl_fingerprint(network.vl(name))
-            for name in sorted(network.virtual_links)
-        }
-        self._walk_struct_fp: Dict[str, bytes] = {}
-        for vl_name, tree_ports in self._walk_tree_ports.items():
-            parts: List[object] = [self.serialization_mode, contracts[vl_name]]
-            for port in tree_ports:
-                members = self._port_vls[port]
-                parts.append(
-                    (
-                        port,
-                        float(self._port_rate[port]),
-                        float(self._port_max_c[port]),
-                        float(network.node(port[0]).technological_latency_us),
-                        tuple(
-                            (m, contracts[m], self._upstream[(m, port)])
-                            for m in members
-                        ),
-                        tuple(float(self._smin[(m, port)]) for m in members),
-                    )
-                )
-            self._walk_struct_fp[vl_name] = stable_digest(
-                "trajwalk", *parts
-            ).encode()
-
     def _port_pack(self, port: PortId) -> bytes:
         """This sweep's packed ``Smax`` slice of one port's members."""
         pack = self._port_packs.get(port)
@@ -756,56 +713,6 @@ class TrajectoryAnalyzer:
             pack = pack_floats([smax[(m, port)] for m in self._port_vls[port]])
             self._port_packs[port] = pack
         return pack
-
-    def _walk_fingerprint(self, vl_name: str) -> str:
-        """Digest of one walk's complete inputs under the current ``Smax``."""
-        digest = hashlib.sha256(self._walk_struct_fp[vl_name])
-        for port in self._walk_tree_ports[vl_name]:
-            digest.update(self._port_pack(port))
-        return digest.hexdigest()
-
-    def _port_struct_pack(self, port: PortId) -> bytes:
-        """Digest of one port's sweep-invariant competitor table.
-
-        Covers exactly the structural inputs a node fold reads from the
-        flat tables — the sorted member names and their ``C`` / ``T`` /
-        ``Smin`` columns.  Deliberately *excludes* the global VL index
-        column (membership bookkeeping, never a cached float) and the
-        upstream grouping (serialization gain is not part of the cached
-        fold), so structurally identical ports hash alike even when the
-        surrounding configuration differs.
-        """
-        pack = self._port_struct_packs.get(port)
-        if pack is None:
-            from repro.incremental.fingerprint import pack_floats
-
-            members, mc, mt, _mg, _mup, msmin, _mpos = self._port_tab[port]
-            digest = hashlib.sha256("\x00".join(members).encode())
-            digest.update(pack_floats(mc))
-            digest.update(pack_floats(mt))
-            digest.update(pack_floats(msmin))
-            pack = digest.digest()
-            self._port_struct_packs[port] = pack
-        return pack
-
-    def _node_fp(self, parent_fp: Optional[bytes], port: PortId) -> bytes:
-        """Chained structural fingerprint of one meeting-tree node.
-
-        A node's batch fold is a function of the port path walked from
-        the root (which determines the already-met set and therefore
-        the added positions) plus the path ports' competitor tables —
-        so the fingerprint chains each path port's
-        :meth:`_port_struct_pack` down the DFS, seeded with the
-        serialization mode at the root.  The sweep-varying inputs
-        (horizon, ``Smin``/``Smax`` of the studied VL, the port's packed
-        ``Smax`` slice) are appended per entry at the probe site.
-        """
-        seed = (
-            parent_fp
-            if parent_fp is not None
-            else f"trajnode:{self.serialization_mode}".encode()
-        )
-        return hashlib.sha256(seed + self._port_struct_pack(port)).digest()
 
     def cache_stats(self) -> Dict[str, Tuple[int, int]]:
         """Per-cache ``(hits, misses)`` of the per-node memo caches."""
@@ -879,7 +786,6 @@ class TrajectoryAnalyzer:
             raise RuntimeError("prepare() must run before sweep_vls()")
         bounds: Dict[FlowPortKey, TrajectoryPathBound] = {}
         progress = self._obs.progress
-        cache = self._walk_cache
         memo_counters = self._cache_counters["sweep_memo"]
         # the candidate-event memo persists across sweeps on purpose:
         # its keys are the exact fold floats ``(C, T, offset, horizon)``
@@ -888,7 +794,7 @@ class TrajectoryAnalyzer:
         # them) — later sweeps hit where they used to rebuild.
         # port packs and Smax slices, by contrast, MUST be dropped:
         # Smax tightened since the last sweep, and a stale pack would
-        # alias two different walk inputs onto one fingerprint
+        # alias two different walk inputs onto one memo key
         self._port_packs.clear()
         self._port_smax.clear()
         self._port_smax_np.clear()
@@ -909,19 +815,7 @@ class TrajectoryAnalyzer:
                 continue
             memo_counters[1] += 1
             local: Dict[FlowPortKey, TrajectoryPathBound] = {}
-            if cache is None:
-                self._walk_tree(vl_name, local)
-            else:
-                walk_counters = self._cache_counters["walk"]
-                fingerprint = self._walk_fingerprint(vl_name)
-                cached = cache.get("traj.walk", fingerprint)
-                if cached is not None:
-                    walk_counters[0] += 1
-                    local = cached
-                else:
-                    walk_counters[1] += 1
-                    self._walk_tree(vl_name, local)
-                    cache.put("traj.walk", fingerprint, local)
+            self._walk_tree(vl_name, local)
             self._sweep_memo[vl_name] = (memo_key, local)
             bounds.update(local)
         if progress:
@@ -1117,9 +1011,6 @@ class TrajectoryAnalyzer:
         smax_slice = self._smax_slice
         smax_np = self._smax_np
         port_pack = self._port_pack
-        node_cache = self._walk_cache
-        node_counters = self._cache_counters.get("node")
-        node_fp = self._node_fp
 
         horizon = self._root_horizon(root)
         met = bytearray(self._n_vls)
@@ -1240,24 +1131,6 @@ class TrajectoryAnalyzer:
                         pos_a, gidx_a, c_a, t_a, ms_a = vec
                         fkey = (smin_self, smax_self, port_pack(port))
                         cached_fold = node[2].get(fkey)
-                        entry_fp = None
-                        if cached_fold is None and node_cache is not None:
-                            # cross-config probe: the shared BoundCache
-                            # serves structurally identical node folds
-                            # computed by other configs and processes
-                            entry_fp = hashlib.sha256(
-                                node[3]
-                                + _pack_fold_floats(
-                                    horizon, smin_self, smax_self
-                                )
-                                + fkey[2]
-                            ).hexdigest()
-                            cached_fold = node_cache.get("traj.node", entry_fp)
-                            if cached_fold is not None:
-                                node_counters[0] += 1
-                                node[2][fkey] = cached_fold
-                            else:
-                                node_counters[1] += 1
                         if cached_fold is None:
                             offs = smax_np(port)[pos_a] - smin_self
                             if safe:
@@ -1278,16 +1151,11 @@ class TrajectoryAnalyzer:
                                     float(t_a[pos]),
                                     float(offs[pos]),
                                 )
-                            fold_value = (
+                            node[2][fkey] = (
                                 folded,
                                 folded_negs,
                                 tuple(events[event_start:]),
                             )
-                            node[2][fkey] = fold_value
-                            if entry_fp is not None:
-                                node_cache.put(
-                                    "traj.node", entry_fp, fold_value
-                                )
                         else:
                             folded, folded_negs, batch_events = cached_fold
                             base_workload = _replay_add(
@@ -1358,7 +1226,7 @@ class TrajectoryAnalyzer:
             for child in children.get(port, ()):
                 child_node = kids.get(child)
                 if child_node is None:
-                    child_node = [None, {}, {}, node_fp(node[3], child)]
+                    child_node = [None, {}, {}]
                     kids[child] = child_node
                 visit(
                     child, child_node, port, depth + 1,
@@ -1381,7 +1249,7 @@ class TrajectoryAnalyzer:
 
         root_node = meet_tree.get(root)
         if root_node is None:
-            root_node = [None, {}, {}, node_fp(None, root)]
+            root_node = [None, {}, {}]
             meet_tree[root] = root_node
         visit(root, root_node, None, 0, 0.0, 0.0, 0.0, n_root)
 

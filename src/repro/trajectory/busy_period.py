@@ -26,18 +26,6 @@ __all__ = ["interference_count", "busy_period_bound", "candidate_instants"]
 _MAX_ITERATIONS = 10_000
 
 
-def _multiple_le(k: int, period: float, shifted: float) -> bool:
-    """Exact test ``k * period <= shifted`` over the floats' real values.
-
-    ``float.as_integer_ratio`` is exact (every binary float is a dyadic
-    rational), so the comparison is performed in integer arithmetic with
-    no rounding at all.
-    """
-    pn, pd = period.as_integer_ratio()
-    sn, sd = shifted.as_integer_ratio()
-    return k * pn * sd <= sn * pd
-
-
 def interference_count(t: float, offset: float, period: float) -> int:
     """Frames of a sporadic ``(C, T)`` flow able to delay a release at ``t``.
 
@@ -48,13 +36,15 @@ def interference_count(t: float, offset: float, period: float) -> int:
     periodic frame still counts.
 
     The floor is evaluated *exactly* on the real values of the floats
-    (``shifted = fl(t + A)`` is the defined input): the rounded quotient
-    seeds the answer and is then corrected against the exact integer
-    comparison ``k * T <= shifted``.  A historical ``+ 1e-9`` epsilon
-    fudge both over-counted a frame whenever ``t + A`` landed just
-    below a multiple of ``T`` (a tightness loss) and under-protected
-    once the quotient grew past ``~1e9`` ulps (where the division error
-    exceeds 1e-9).
+    (``shifted = fl(t + A)`` is the defined input): away from a period
+    boundary the rounded quotient's floor is already exact; near one,
+    it is one integer floor division over the floats' exact ratios
+    (``float.as_integer_ratio`` is exact for every binary float), a few
+    big-integer operations however large the quotient.  A historical
+    ``+ 1e-9`` epsilon fudge both over-counted a frame whenever
+    ``t + A`` landed just below a multiple of ``T`` (a tightness loss)
+    and under-protected once the quotient grew past ``~1e9`` ulps
+    (where the division error exceeds 1e-9).
     """
     shifted = t + offset
     if shifted < 0:
@@ -68,12 +58,10 @@ def interference_count(t: float, offset: float, period: float) -> int:
     tolerance = (quotient + 1.0) * 2.0 ** -50
     if tolerance < fraction < 1.0 - tolerance:
         return 1 + k
-    # Near a boundary: settle k = max{j : j * T <= shifted} exactly.
-    while k > 0 and not _multiple_le(k, period, shifted):
-        k -= 1
-    while _multiple_le(k + 1, period, shifted):
-        k += 1
-    return 1 + k
+    # Near a boundary: k = max{j : j * T <= shifted}, in exact integers.
+    pn, pd = period.as_integer_ratio()
+    sn, sd = shifted.as_integer_ratio()
+    return 1 + (sn * pd) // (sd * pn)
 
 
 def busy_period_bound(

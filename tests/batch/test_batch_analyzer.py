@@ -12,13 +12,15 @@ import pytest
 
 from repro.batch import BatchAnalyzer
 from repro.cli import main
-from repro.configs import fig2_network
+from repro.configs import fig2_network, random_network
 from repro.configs.industrial import IndustrialConfigSpec, industrial_network
 from repro.core.combined import analyze_network
 from repro.errors import UnstableNetworkError
+from repro.incremental.cache import CACHE_VERSION
 from repro.netcalc import analyze_network_calculus
 from repro.network import NetworkBuilder
 from repro.network.serialization import network_to_json
+from repro.obs.costmodel import deterministic_section
 from repro.trajectory import analyze_trajectory
 
 JOBS = 4
@@ -126,6 +128,40 @@ class TestJobsOne:
             analyze_trajectory(fig2, serialization="safe"), batch.trajectory()
         )
 
+    @pytest.mark.parametrize(
+        "build, options, key, method, expected_us",
+        [
+            (
+                fig2_network,
+                {"frame_overhead_bytes": 20},
+                ("v1", 0),
+                "network_calculus_us",
+                282.76,
+            ),
+            (
+                lambda: random_network(
+                    3, n_switches=4, n_end_systems=10, n_virtual_links=16
+                ),
+                {"max_refinements": 1},
+                ("v12", 0),
+                "trajectory_us",
+                486.44,
+            ),
+        ],
+        ids=["frame_overhead_bytes", "max_refinements"],
+    )
+    def test_combined_forwards_every_option(
+        self, build, options, key, method, expected_us
+    ):
+        """combined() honours every option at jobs=1, exactly as with workers."""
+        network = build()
+        sequential = BatchAnalyzer(network, jobs=1, **options).combined()
+        parallel = BatchAnalyzer(network, jobs=2, **options).combined()
+        assert getattr(sequential.paths[key], method) == pytest.approx(
+            expected_us, abs=0.005
+        )
+        assert sequential.paths == parallel.paths
+
     def test_jobs_zero_means_all_cores(self, fig2):
         batch = BatchAnalyzer(fig2, jobs=0)
         assert batch.jobs >= 1
@@ -142,6 +178,35 @@ class TestStats:
         assert gauges["batch.trajectory.jobs"] == 2
         assert 0.0 <= gauges["batch.trajectory.worker_utilization"] <= 1.0
         assert any(span["name"] == "batch.trajectory" for span in result.stats["spans"])
+
+
+class TestResultCache:
+    def test_second_pooled_run_is_served_whole(self, fig2, tmp_path):
+        """With workers, the coordinator probes and stores whole results.
+
+        The cold run stores one entry per analysis; a second run on the
+        same directory is one hit per analysis, reports the cold run's
+        deterministic work counters, and looks up nothing else.
+        """
+        cold = BatchAnalyzer(fig2, jobs=2, cache_dir=tmp_path, collect_stats=True)
+        cold_nc, cold_tr = cold.network_calculus(), cold.trajectory()
+        for result in (cold_nc, cold_tr):
+            assert result.stats["cost"]["cache"]["result"] == {"hits": 0, "misses": 1}
+        assert sorted(entry.name for entry in (tmp_path / f"v{CACHE_VERSION}").iterdir()) == [
+            "nc.result",
+            "traj.cost",
+            "traj.result",
+        ]
+
+        warm = BatchAnalyzer(fig2, jobs=2, cache_dir=tmp_path, collect_stats=True)
+        nc, tr = warm.network_calculus(), warm.trajectory()
+        for result in (nc, tr):
+            assert result.stats["cost"]["cache"] == {"result": {"hits": 1, "misses": 0}}
+        assert warm.cache.stats()["misses"] == 0
+        assert (nc.ports, nc.paths, tr.paths) == (cold_nc.ports, cold_nc.paths, cold_tr.paths)
+        assert deterministic_section(tr.stats["cost"]) == deterministic_section(
+            cold_tr.stats["cost"]
+        )
 
 
 class TestErrorPropagation:

@@ -7,12 +7,13 @@ import pytest
 from repro.configs.random_topology import random_network
 from repro.incremental.cache import BoundCache, _decode, _encode
 from repro.netcalc.analyzer import analyze_network_calculus
-from repro.netcalc.results import PortAnalysis
+from repro.netcalc.results import NetworkCalculusResult, PortAnalysis
 from repro.trajectory.analyzer import analyze_trajectory
 
 
-def _port(delay=1.25):
-    return PortAnalysis(
+def _result(delay=1.25):
+    """A one-port NC result: the smallest value the cache stores."""
+    port = PortAnalysis(
         port_id=("a", "b"),
         delay_us=delay,
         backlog_bits=1000.5,
@@ -20,14 +21,15 @@ def _port(delay=1.25):
         n_flows=3,
         n_groups=2,
     )
+    return NetworkCalculusResult(grouping=True, ports={port.port_id: port})
 
 
 class TestMemoryLayer:
     def test_get_put_and_counters(self):
         cache = BoundCache()
-        assert cache.get("nc.port", "f1") is None
-        cache.put("nc.port", "f1", _port())
-        assert cache.get("nc.port", "f1") == _port()
+        assert cache.get("nc.result", "f1") is None
+        cache.put("nc.result", "f1", _result())
+        assert cache.get("nc.result", "f1") == _result()
         assert cache.stats() == {
             "hits": 1,
             "misses": 1,
@@ -40,26 +42,26 @@ class TestMemoryLayer:
 
     def test_lru_evicts_least_recently_used(self):
         cache = BoundCache(max_entries=2)
-        cache.put("nc.port", "a", _port(1.0))
-        cache.put("nc.port", "b", _port(2.0))
-        cache.get("nc.port", "a")  # refresh a; b becomes LRU
-        cache.put("nc.port", "c", _port(3.0))
-        assert cache.get("nc.port", "b") is None
-        assert cache.get("nc.port", "a") is not None
+        cache.put("nc.result", "a", _result(1.0))
+        cache.put("nc.result", "b", _result(2.0))
+        cache.get("nc.result", "a")  # refresh a; b becomes LRU
+        cache.put("nc.result", "c", _result(3.0))
+        assert cache.get("nc.result", "b") is None
+        assert cache.get("nc.result", "a") is not None
         assert cache.stats()["evictions"] == 1
 
     def test_invalidate(self):
         cache = BoundCache()
-        cache.put("nc.port", "a", _port())
-        assert cache.invalidate("nc.port", "a") is True
-        assert cache.invalidate("nc.port", "a") is False
-        assert cache.get("nc.port", "a") is None
+        cache.put("nc.result", "a", _result())
+        assert cache.invalidate("nc.result", "a") is True
+        assert cache.invalidate("nc.result", "a") is False
+        assert cache.get("nc.result", "a") is None
         assert cache.stats()["invalidations"] == 1
 
     def test_namespaces_do_not_collide(self):
         cache = BoundCache()
-        cache.put("nc.port", "same-fp", _port())
-        assert cache.get("traj.walk", "same-fp") is None
+        cache.put("nc.result", "same-fp", _result())
+        assert cache.get("traj.result", "same-fp") is None
 
     def test_max_entries_validation(self):
         with pytest.raises(ValueError, match="max_entries"):
@@ -69,45 +71,48 @@ class TestMemoryLayer:
 class TestDiskLayer:
     def test_round_trip_across_instances(self, tmp_path):
         first = BoundCache(cache_dir=tmp_path)
-        first.put("nc.port", "abcd", _port())
+        first.put("nc.result", "abcd", _result())
         second = BoundCache(cache_dir=tmp_path)
-        value = second.get("nc.port", "abcd")
-        assert value == _port()
+        value = second.get("nc.result", "abcd")
+        assert value == _result()
         assert second.stats()["disk_hits"] == 1
 
     def test_floats_survive_json_exactly(self, tmp_path):
-        ugly = _port(delay=0.1 + 0.2)  # 0.30000000000000004
+        ugly = _result(delay=0.1 + 0.2)  # 0.30000000000000004
         first = BoundCache(cache_dir=tmp_path)
-        first.put("nc.port", "f", ugly)
+        first.put("nc.result", "f", ugly)
         second = BoundCache(cache_dir=tmp_path)
-        assert second.get("nc.port", "f").delay_us == ugly.delay_us
+        assert (
+            second.get("nc.result", "f").ports[("a", "b")].delay_us
+            == ugly.ports[("a", "b")].delay_us
+        )
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = BoundCache(cache_dir=tmp_path)
-        cache.put("nc.port", "dead", _port())
-        path = cache._entry_path("nc.port", "dead")
+        cache.put("nc.result", "dead", _result())
+        path = cache._entry_path("nc.result", "dead")
         path.write_text("{ torn")
         fresh = BoundCache(cache_dir=tmp_path)
-        assert fresh.get("nc.port", "dead") is None
+        assert fresh.get("nc.result", "dead") is None
 
     def test_entry_from_another_cache_version_is_a_miss(self, tmp_path, monkeypatch):
         from repro.incremental import cache as cache_module
 
         current = cache_module.CACHE_VERSION
         monkeypatch.setattr(cache_module, "CACHE_VERSION", current - 1)
-        BoundCache(cache_dir=tmp_path).put("nc.port", "old", _port())
-        assert BoundCache(cache_dir=tmp_path).get("nc.port", "old") == _port()
+        BoundCache(cache_dir=tmp_path).put("nc.result", "old", _result())
+        assert BoundCache(cache_dir=tmp_path).get("nc.result", "old") == _result()
         monkeypatch.setattr(cache_module, "CACHE_VERSION", current)
         fresh = BoundCache(cache_dir=tmp_path)
-        assert fresh.get("nc.port", "old") is None
+        assert fresh.get("nc.result", "old") is None
         assert fresh.stats()["misses"] == 1
 
     def test_invalidate_removes_disk_entry(self, tmp_path):
         cache = BoundCache(cache_dir=tmp_path)
-        cache.put("nc.port", "gone", _port())
-        cache.invalidate("nc.port", "gone")
+        cache.put("nc.result", "gone", _result())
+        cache.invalidate("nc.result", "gone")
         fresh = BoundCache(cache_dir=tmp_path)
-        assert fresh.get("nc.port", "gone") is None
+        assert fresh.get("nc.result", "gone") is None
 
 
 class TestResultCodec:
@@ -144,21 +149,3 @@ class TestResultCodec:
             _encode(object())
         with pytest.raises(ValueError):
             _decode({"kind": "mystery"})
-
-    def test_node_fold_round_trip(self, tmp_path):
-        """The ``traj.node`` fold value survives the JSON disk tier
-        exactly (repr round-trips every float)."""
-        fold = (
-            (1.25, 3.0000000000000004, 7.1e-300),
-            (-0.5, 0.0),
-            ((12.5, 1500.0), (25.0, 64.0)),
-        )
-        decoded = _decode(json.loads(json.dumps(_encode(fold))))
-        assert decoded == fold
-        assert isinstance(decoded, tuple)
-        assert all(isinstance(part, tuple) for part in decoded)
-
-        cache = BoundCache(cache_dir=tmp_path)
-        cache.put("traj.node", "aa" + "0" * 62, fold)
-        fresh = BoundCache(cache_dir=tmp_path)
-        assert fresh.get("traj.node", "aa" + "0" * 62) == fold

@@ -15,14 +15,17 @@ Snippet 1, specialised to one token bucket ``(s, r = s / BAG)``):
 
 These formulas are independent of the analyzers' code, so they pin
 NC, trajectory and the simulator to the same numbers from outside.
+They hold only below utilization 1 (``s / BAG < R``); at or above it no
+busy period is finite and the analysis must refuse the chain.
 """
 
 import math
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from repro.errors import UnstableNetworkError
 from repro.netcalc.analyzer import analyze_network_calculus
 from repro.network import NetworkBuilder
 from repro.sim import TrafficScenario, simulate
@@ -69,10 +72,11 @@ def _burst_growth(k, rate, latency, s, bag):
 def test_lone_vl_on_a_chain_matches_closed_forms(
     k, rate_mbps, latency_us, s_max_bytes, bag_ms
 ):
-    network = _chain(k, rate_mbps, latency_us, s_max_bytes, bag_ms)
     s = s_max_bytes * 8.0  # bits
     rate = rate_mbps  # bits per microsecond
     bag = bag_ms * 1000.0  # microseconds
+    assume(s / bag < rate)  # see test_chain_without_spare_rate_is_unstable
+    network = _chain(k, rate_mbps, latency_us, s_max_bytes, bag_ms)
     key = ("v", 0)
 
     ungrouped = analyze_network_calculus(network, grouping=False).paths[key].total_us
@@ -104,3 +108,14 @@ def test_hand_computed_chains(
     assert math.isclose(ungrouped, ungrouped_us, rel_tol=1e-8)
     trajectory = analyze_trajectory(network, serialization="safe").paths[key].total_us
     assert math.isclose(trajectory, store_and_forward_us, rel_tol=REL)
+
+
+@pytest.mark.parametrize("s_max_bytes", [1250, 1251], ids=["utilization-1", "overloaded"])
+def test_chain_without_spare_rate_is_unstable(s_max_bytes):
+    """10 Mb/s, BAG 1 ms: 1250 B is utilization 1.0, 1251 B above it.
+
+    No busy period is finite there, so trajectory refuses the chain
+    (1250 B) or the network builder already does (1251 B).
+    """
+    with pytest.raises(UnstableNetworkError):
+        analyze_trajectory(_chain(1, 10.0, 0.0, s_max_bytes, 1))

@@ -94,6 +94,7 @@ REPROS = [
     (("virtual_links", V1, "bag_ms"), math.inf, "CFG104"),
     (("virtual_links", V1, "bag_ms"), 1e308, "CFG104"),
     (("virtual_links", V1, "paths"), 5, "CFG106"),
+    (("virtual_links",), [], "CFG106"),
 ]
 
 

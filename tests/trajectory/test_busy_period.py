@@ -98,6 +98,28 @@ class TestInterferenceCountBoundaries:
                     shifted, 0.0, period
                 )
 
+    def test_huge_quotient_is_one_division(self):
+        # fl(2^80 / 3) is ~2^26 units away from the true floor: stepping
+        # k one unit at a time toward it did not return within 10 s
+        assert interference_count(0.0, 2.0**80, 3.0) == 1 + 2**80 // 3
+
+    @given(
+        k=st.integers(min_value=0, max_value=2**80),
+        period=st.floats(min_value=1e-6, max_value=1e8, allow_nan=False),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_property_one_ulp_around_boundaries(self, k, period):
+        boundary = k * period  # fl(k * T): on, just below or just above k * T
+        for shifted in (
+            math.nextafter(boundary, -math.inf),
+            boundary,
+            math.nextafter(boundary, math.inf),
+        ):
+            if shifted >= 0.0:
+                assert interference_count(0.0, shifted, period) == _exact_count(
+                    0.0, shifted, period
+                ), shifted
+
     @given(
         t=st.floats(min_value=0.0, max_value=1e9, allow_nan=False),
         offset=st.floats(min_value=-1e6, max_value=1e9, allow_nan=False),
