@@ -33,7 +33,7 @@ python -m pytest -x -q \
     tests/batch/test_batch_analyzer.py::TestJobsOne \
     tests/batch/test_batch_analyzer.py::TestBitIdenticalFig2
 
-echo "== incremental equivalence (30-edit replay vs cold, jobs=2, warm cache dir) =="
+echo "== incremental equivalence (30-edit replay vs cold, jobs=2 and jobs=1, warm cache dir) =="
 python scripts/incremental_gate.py
 
 echo "== kernel equivalence (product kernel vs test oracle, bit-identical across jobs + cache) =="

@@ -7,8 +7,11 @@ the result of a cold full analysis of the same configuration:
 1. a chained :class:`~repro.incremental.delta.DeltaAnalyzer` with a
    disk-backed cache, compared against cold NC + trajectory per step;
 2. the final configuration through ``BatchAnalyzer(jobs=2)`` sharing
-   the (now warm) ``--cache-dir``, twice: the second pass must be
-   served whole from the cache, with zero misses;
+   the (now warm) ``--cache-dir``, twice, then through
+   ``BatchAnalyzer(jobs=1)``: the second pooled pass and the sequential
+   pass must be served whole from the cache, with zero misses (the
+   sequential trajectory run takes its seed from the batch's NC result
+   and must still have stored and now probe its whole result);
 3. a fresh engine on the same directory replaying the whole scenario
    warm (the interactive "reopen the tool" path), again with zero
    misses: every configuration of the replay was analyzed before, so
@@ -103,21 +106,27 @@ def _run(cache_dir):
     cold_nc = analyze_network_calculus(final)
     cold_tr = analyze_trajectory(final)
 
-    # the pooled path through the same warm cache directory, twice: the
-    # second pass must be served whole (the coordinator probes before
-    # it fans out), so it records no miss and reports one result hit
-    # per analysis in its ledgers
-    for label in ("batch jobs=2", "second batch jobs=2"):
-        batch = BatchAnalyzer(final, jobs=2, cache_dir=cache_dir, collect_stats=True)
+    # the pooled path through the same warm cache directory, twice, then
+    # the sequential one: every pass after the first must be served
+    # whole (the coordinator probes before it fans out; the sequential
+    # trajectory run is seeded from the batch's NC result and still
+    # counts as self-seeded), so it records no miss and reports one
+    # result hit per analysis in its ledgers
+    for label, jobs, served_whole in (("batch jobs=2", 2, False),
+                                      ("second batch jobs=2", 2, True),
+                                      ("batch jobs=1", 1, True)):
+        batch = BatchAnalyzer(final, jobs=jobs, cache_dir=cache_dir, collect_stats=True)
         nc, tr = batch.network_calculus(), batch.trajectory()
         _expect(label, "NC paths", nc.paths, cold_nc.paths)
         _expect(label, "trajectory paths", tr.paths, cold_tr.paths)
-    _expect_no_misses("second batch jobs=2", batch.cache)
-    for name, result in (("NC", nc), ("trajectory", tr)):
-        _expect("second batch jobs=2", f"{name} ledger cache section",
-                result.stats["cost"]["cache"], {"result": {"hits": 1, "misses": 0}})
-    print("  batch --jobs 2 over the warm cache dir bit-identical; "
-          "second pass served whole with no miss")
+        if served_whole:
+            _expect_no_misses(label, batch.cache)
+            for name, result in (("NC", nc), ("trajectory", tr)):
+                _expect(label, f"{name} ledger cache section",
+                        result.stats["cost"]["cache"],
+                        {"result": {"hits": 1, "misses": 0}})
+    print("  batch --jobs 2 and --jobs 1 over the warm cache dir bit-identical; "
+          "later passes served whole with no miss")
 
     # a fresh engine replays the whole scenario from disk
     warm = DeltaAnalyzer(

@@ -17,9 +17,9 @@ sequential analyzer's.
 **Trajectory** — one fixed-point sweep walks every VL tree with a
 frozen ``Smax`` map, and the walks of different VLs are independent
 (see :meth:`TrajectoryAnalyzer.sweep_vls`).  The coordinator prepares
-one analyzer (computing the Network Calculus seed exactly once, or
-reusing this analyzer's own NC result when it is that seed), ships
-the seed to every worker through the pool payload, and then fans each
+one analyzer (seeded from this analyzer's own NC result when it is the
+default seed, else computing that seed exactly once), ships the seed
+to every worker through the pool payload, and then fans each
 sweep's VL chunks across workers that hold a fully *prepared* analyzer
 — per-node busy-period horizons, meeting structures and serialization
 terms are memoized inside each worker and reused across sweeps.
@@ -74,7 +74,7 @@ from repro.core.combined import build_comparison
 from repro.core.results import AnalysisResult
 from repro.trajectory.analyzer import TrajectoryAnalyzer, analyze_trajectory
 from repro.trajectory.results import TrajectoryPathBound, TrajectoryResult
-from repro.trajectory.timing import FlowPortKey, seed_smax_from_netcalc
+from repro.trajectory.timing import FlowPortKey
 
 __all__ = ["BatchAnalyzer"]
 
@@ -257,10 +257,10 @@ class BatchAnalyzer:
         closes it; the caller owns its lifecycle.  ``jobs`` is taken
         from the pool.
 
-    With workers, :meth:`trajectory` reuses the result of an earlier
-    :meth:`network_calculus` call as its ``Smax`` seed when grouping is
-    on and the frame overhead is 0: exactly the seed the sequential
-    trajectory analyzer computes for itself.
+    At every ``jobs``, :meth:`trajectory` hands the result of an
+    earlier :meth:`network_calculus` call to the trajectory analyzer,
+    which takes it as its ``Smax`` seed when grouping is on and the
+    frame overhead is 0: exactly the seed it would compute for itself.
     """
 
     def __init__(
@@ -397,7 +397,9 @@ class BatchAnalyzer:
                 phase_span.attrs["pool_reused"] = stats.pool_reused
         stats.wall_s = time.perf_counter() - started
 
-        result = NetworkCalculusResult(grouping=self.grouping)
+        result = NetworkCalculusResult(
+            grouping=self.grouping, frame_overhead_bytes=self.frame_overhead_bytes
+        )
         for port_id in order:  # sequential insertion order, bit for bit
             result.ports[port_id] = analyses[port_id]
         port_delay = {port_id: analyses[port_id].delay_us for port_id in order}
@@ -436,6 +438,7 @@ class BatchAnalyzer:
                 progress=self._progress,
                 cache=self.cache,
                 explain=self.explain,
+                nc_result=self._nc_result,
             )
         network = self.network
         coordinator = TrajectoryAnalyzer(
@@ -447,19 +450,13 @@ class BatchAnalyzer:
             progress=self._progress,
             cache=self.cache,
             explain=self.explain,
+            nc_result=self._nc_result,
         )
         cached = coordinator.cached_result()
         if cached is not None:
             return cached
         obs = Instrumentation.create(self.collect_stats, self._progress)
-        nc_result = self._nc_result
-        coordinator.prepare(
-            smax_seed=seed_smax_from_netcalc(network, nc_result)
-            if nc_result is not None
-            and self.grouping
-            and self.frame_overhead_bytes == 0
-            else None
-        )
+        coordinator.prepare()
         # same walk order as the sequential sweep; chunked contiguously
         vl_names = list(network.virtual_links)
         chunks = chunked(vl_names, self.jobs * 4)

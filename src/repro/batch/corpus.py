@@ -148,7 +148,9 @@ def analyze_one_config(
     """Analyze config ``index`` with both claimed-sound methods."""
     network = corpus_network(spec, index)
     nc = analyze_network_calculus(network, cache=cache)
-    trajectory = analyze_trajectory(network, serialization="safe", cache=cache)
+    trajectory = analyze_trajectory(
+        network, serialization="safe", cache=cache, nc_result=nc
+    )
     digest = hashlib.sha256()
     for key in sorted(nc.paths):
         digest.update(repr(key).encode())

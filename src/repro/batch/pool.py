@@ -17,9 +17,10 @@ A thin, deterministic wrapper over :class:`multiprocessing.pool.Pool`:
   *epoch*: the payload is pickled once to bytes, every task carries the
   epoch tag and those bytes, and a worker seeing a newer tag unpickles
   the payload and drops its epoch-scoped state while keeping the
-  *persistent* state (:func:`worker_persistent`) — per-worker bound
-  caches survive config switches, which is what makes a corpus sweep
-  warm.
+  *persistent* state (:func:`worker_persistent`): a corpus worker's
+  :class:`~repro.incremental.cache.BoundCache` (one per cache
+  directory, whole results only) survives config switches, so the
+  worker serves every configuration it analyzed before from memory.
 * **ordered results** — ``map()`` returns results in task-submission
   order regardless of which worker finished first, so merging is
   deterministic by construction.
@@ -69,8 +70,9 @@ _WORKER_PAYLOAD: Optional[Any] = None
 #: Lazily-built per-worker state, keyed by task family (see ``worker_state``).
 #: Cleared on every payload epoch — it derives from the payload.
 _WORKER_STATE: dict = {}
-#: Per-worker state that *survives* payload epochs (bound caches keyed
-#: by cache directory); cleared only when the worker process dies.
+#: Per-worker state that *survives* payload epochs (the corpus workers'
+#: BoundCache, one per cache directory); cleared only when the worker
+#: process dies.
 _WORKER_PERSISTENT: dict = {}
 #: Epoch of the payload currently loaded in this worker (-1 = none).
 _WORKER_EPOCH: int = -1
@@ -178,7 +180,8 @@ def worker_state(key: str, build: Callable[[Any], T]) -> T:
 
 
 def worker_persistent(key: str, build: Callable[[], T]) -> T:
-    """Per-worker memo that survives payload epochs (e.g. bound caches)."""
+    """Per-worker memo that survives payload epochs (e.g. a corpus
+    worker's BoundCache)."""
     try:
         return _WORKER_PERSISTENT[key]
     except KeyError:

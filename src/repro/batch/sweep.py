@@ -197,7 +197,9 @@ def sweep_one_config(config_seed: int, spec: SweepSpec) -> SweepConfigRecord:
                 record.error = f"preflight {first.rule_id}: {first.message}"
                 return record
         nc = analyze_network_calculus(network, cache=cache)
-        trajectory = analyze_trajectory(network, serialization="safe", cache=cache)
+        trajectory = analyze_trajectory(
+            network, serialization="safe", cache=cache, nc_result=nc
+        )
     except (ConfigurationError, UnstableNetworkError, AnalysisError) as exc:
         record.error = f"{type(exc).__name__}: {exc}"
         return record

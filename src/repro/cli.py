@@ -92,6 +92,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Dict, List, Optional
 
@@ -168,21 +169,41 @@ OBS_FLAG_DESTS = (
 _EXECUTION_ARGS = frozenset(("jobs", "cache_dir"))
 
 
-def _job_count(text: str) -> int:
-    """argparse type of ``--jobs``: a worker count, 0 meaning all cores.
+def _bounded(convert, minimum, strict=False, maximum=None):
+    """An argparse type: a finite number ``>= minimum`` (``>`` when
+    ``strict``), and ``<= maximum`` when given.
 
-    Rejecting a negative count here makes it a usage error (exit 2)
-    instead of a traceback from :func:`repro.batch.pool.resolve_jobs`.
+    Checking the range at parse time makes a bad value a usage error
+    (exit 2) instead of a traceback or a silently wrong run later, such
+    as ``--top -1`` dropping the last row or ``--jobs -1`` reaching
+    :func:`repro.batch.pool.resolve_jobs`.
     """
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"must be >= 0 (0 = all cores), got {value}"
-        )
-    return value
+    expected = f"{'>' if strict else '>='} {minimum}"
+    if maximum is not None:
+        expected += f" and <= {maximum}"
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value: {text!r}"
+            ) from None
+        if (
+            (isinstance(value, float) and not math.isfinite(value))
+            or (value <= minimum if strict else value < minimum)
+            or (maximum is not None and value > maximum)
+        ):
+            raise argparse.ArgumentTypeError(f"must be {expected}, got {text}")
+        return value
+
+    return parse
+
+
+#: ``--jobs`` (0 = all cores), ``--top`` and ``--limit`` (0 = all rows)
+_count = _bounded(int, 0)
+_positive_int = _bounded(int, 1)
+_duration_ms = _bounded(float, 0, strict=True)
 
 
 def _obs_parent() -> argparse.ArgumentParser:
@@ -270,14 +291,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="Trajectory serialization mode (default: windowed)",
     )
     analyze.add_argument(
-        "--top", type=int, default=0, help="print only the N largest combined bounds"
+        "--top", type=_count, default=0,
+        help="print only the N largest combined bounds (0 = all)",
     )
     analyze.add_argument(
         "--jitter", action="store_true",
         help="also print the per-path jitter bound (bound - uncontended floor)",
     )
     analyze.add_argument(
-        "--jobs", type=_job_count, default=1, metavar="N",
+        "--jobs", type=_count, default=1, metavar="N",
         help="worker processes (1 = sequential, 0 = all cores); "
         "results are bit-identical for any N",
     )
@@ -300,11 +322,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile_cmd.add_argument("config", help="configuration JSON file")
     profile_cmd.add_argument(
-        "--top", type=int, default=10, metavar="K",
+        "--top", type=_count, default=10, metavar="K",
         help="rows per hot-port table (default: 10)",
     )
     profile_cmd.add_argument(
-        "--busy-share", type=float, default=5.0, metavar="PCT",
+        "--busy-share", type=_bounded(float, 0, maximum=100), default=5.0,
+        metavar="PCT",
         help="report paths whose busy-period share of the total exceeds "
         "PCT%% (default: 5)",
     )
@@ -326,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="Trajectory serialization mode (default: windowed)",
     )
     profile_cmd.add_argument(
-        "--jobs", type=_job_count, default=1, metavar="N",
+        "--jobs", type=_count, default=1, metavar="N",
         help="worker processes (1 = sequential, 0 = all cores); the "
         "deterministic counter sections are identical for any N",
     )
@@ -349,14 +372,15 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("-o", "--output", required=True, help="output JSON path")
     generate.add_argument("--seed", type=int, default=2010, help="generator seed")
     generate.add_argument(
-        "--vls", type=int, default=1000, help="VL count (industrial/random)"
+        "--vls", type=_positive_int, default=1000,
+        help="VL count (industrial/random)",
     )
 
     simulate_cmd = sub.add_parser(
         "simulate", parents=[obs], help="simulate a configuration"
     )
     simulate_cmd.add_argument("config", help="configuration JSON file")
-    simulate_cmd.add_argument("--duration-ms", type=float, default=100.0)
+    simulate_cmd.add_argument("--duration-ms", type=_duration_ms, default=100.0)
     simulate_cmd.add_argument("--seed", type=int, default=0)
     simulate_cmd.add_argument(
         "--random-offsets",
@@ -369,14 +393,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument("config", help="configuration JSON file")
     report.add_argument("-o", "--output", default=None, help="write to a file")
-    report.add_argument("--top", type=int, default=10, help="critical paths to detail")
+    report.add_argument(
+        "--top", type=_count, default=10, help="critical paths to detail"
+    )
 
     experiment = sub.add_parser(
         "experiment", parents=[obs], help="regenerate a paper table/figure"
     )
     experiment.add_argument("id", choices=sorted(EXPERIMENTS), help="experiment id")
     experiment.add_argument(
-        "--vls", type=int, default=None,
+        "--vls", type=_positive_int, default=None,
         help="override the industrial configuration's VL count (faster runs)",
     )
     experiment.add_argument(
@@ -384,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the artefact as CSV",
     )
     experiment.add_argument(
-        "--jobs", type=_job_count, default=1, metavar="N",
+        "--jobs", type=_count, default=1, metavar="N",
         help="worker processes for the industrial-config experiments "
         "(table1, fig5, fig6); bit-identical for any N",
     )
@@ -394,26 +420,28 @@ def build_parser() -> argparse.ArgumentParser:
         help="fuzz many seeded random configurations for bound soundness",
     )
     sweep.add_argument(
-        "--configs", type=int, default=50, metavar="N",
+        "--configs", type=_positive_int, default=50, metavar="N",
         help="number of seeded random configurations (default 50)",
     )
     sweep.add_argument(
         "--base-seed", type=int, default=0, metavar="SEED",
         help="first topology seed; configs use SEED..SEED+N-1",
     )
-    sweep.add_argument("--switches", type=int, default=3, metavar="N")
-    sweep.add_argument("--end-systems", type=int, default=6, metavar="N")
-    sweep.add_argument("--vls", type=int, default=6, metavar="N")
+    sweep.add_argument("--switches", type=_positive_int, default=3, metavar="N")
     sweep.add_argument(
-        "--scenarios", type=int, default=2, metavar="N",
+        "--end-systems", type=_bounded(int, 2), default=6, metavar="N"
+    )
+    sweep.add_argument("--vls", type=_positive_int, default=6, metavar="N")
+    sweep.add_argument(
+        "--scenarios", type=_positive_int, default=2, metavar="N",
         help="traffic scenarios simulated per configuration (default 2)",
     )
     sweep.add_argument(
-        "--duration-ms", type=float, default=5.0,
+        "--duration-ms", type=_duration_ms, default=5.0,
         help="simulated time per scenario in ms (default 5)",
     )
     sweep.add_argument(
-        "--jobs", type=_job_count, default=1, metavar="N",
+        "--jobs", type=_count, default=1, metavar="N",
         help="worker processes (1 = sequential, 0 = all cores)",
     )
     sweep.add_argument(
@@ -475,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default: text)",
     )
     explain.add_argument(
-        "--top", type=int, default=0, metavar="N",
+        "--top", type=_count, default=0, metavar="N",
         help="detail only the N paths with the largest |gap| "
         "(the summary always covers every path)",
     )
@@ -489,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="Trajectory serialization mode (default: windowed)",
     )
     explain.add_argument(
-        "--jobs", type=_job_count, default=1, metavar="N",
+        "--jobs", type=_count, default=1, metavar="N",
         help="worker processes (1 = sequential, 0 = all cores); "
         "output is byte-identical for any N",
     )
@@ -520,7 +548,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit 1 when only warnings are found (default: warnings pass)",
     )
     lint.add_argument(
-        "--max-utilization", type=float, default=1.0, metavar="U",
+        "--max-utilization", type=_bounded(float, 0, strict=True, maximum=1),
+        default=1.0, metavar="U",
         help="stability threshold for CFG102 (default 1.0, the theoretical "
         "limit; admission control may verify a stricter value)",
     )
@@ -546,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
         "more, diff exactly two",
     )
     obs_cmd.add_argument(
-        "--limit", type=int, default=20, metavar="N",
+        "--limit", type=_count, default=20, metavar="N",
         help="newest N records for list (default 20, 0 = all)",
     )
     obs_cmd.add_argument(
@@ -847,7 +876,11 @@ def _cmd_simulate(args: argparse.Namespace, ctx: _RunContext) -> int:
         network, collect_stats=ctx.collect, progress=ctx.progress
     )
     trajectory = analyze_trajectory(
-        network, serialization="safe", collect_stats=ctx.collect, progress=ctx.progress
+        network,
+        serialization="safe",
+        collect_stats=ctx.collect,
+        progress=ctx.progress,
+        nc_result=nc,
     )
     ctx.record_bounds(nc, trajectory)
     if ctx.collect:
@@ -1103,14 +1136,14 @@ def _cmd_report(args: argparse.Namespace, ctx: _RunContext) -> int:
     from pathlib import Path
 
     from repro.core.reporting import certification_report
-    from repro.core.comparison import compare_methods
 
     network = network_from_json(args.config)
     ctx.set_config(network, source=args.config)
     nc = analyze_network_calculus(
         network, collect_stats=ctx.collect, progress=ctx.progress
     )
-    result = compare_methods(network)
+    result = analyze_network(network, nc_result=nc)
+    result.stats = summarize(result.paths.values())
     text = certification_report(network, result, nc_result=nc, top_paths=args.top)
     if args.output:
         Path(args.output).write_text(text)

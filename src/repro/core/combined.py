@@ -74,6 +74,9 @@ def analyze_network(
     nc_result / trajectory_result:
         Pre-computed results to reuse instead of re-running an analysis
         (e.g. in parameter sweeps that only perturb one method's input).
+        The trajectory run also takes the NC result as its ``Smax``
+        seed when it is the default seed (grouping on), so the
+        combined approach runs Network Calculus once.
     collect_stats / progress:
         Observability hooks forwarded to both analyzers (see
         :mod:`repro.obs`); the collected snapshots live on the
@@ -99,5 +102,6 @@ def analyze_network(
             collect_stats=collect_stats,
             progress=progress,
             explain=explain,
+            nc_result=nc_result,
         )
     return build_comparison(nc_result, trajectory_result)

@@ -7,13 +7,10 @@ from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.configs.industrial import IndustrialConfigSpec, industrial_network
-from repro.core.combined import build_comparison
 from repro.core.results import AnalysisResult
-from repro.netcalc.analyzer import analyze_network_calculus
 from repro.network.topology import Network
 from repro.obs.logging import get_logger, kv
 from repro.obs.metrics import MetricsRegistry
-from repro.trajectory.analyzer import analyze_trajectory
 
 _LOG = get_logger("experiments")
 
@@ -146,12 +143,9 @@ def industrial_comparison(
     value, so the cache key including ``jobs`` only ever duplicates
     work, never changes results.
     """
-    network = industrial_config(spec)
-    if jobs != 1:
-        from repro.batch import BatchAnalyzer  # deferred: avoid an import cycle
+    from repro.batch import BatchAnalyzer  # deferred: avoid an import cycle
 
-        batch = BatchAnalyzer(network, jobs=jobs, grouping=True, serialization=True)
-        return batch.combined()
-    nc = analyze_network_calculus(network, grouping=True)
-    trajectory = analyze_trajectory(network, serialization=True)
-    return build_comparison(nc, trajectory)
+    network = industrial_config(spec)
+    return BatchAnalyzer(
+        network, jobs=jobs, grouping=True, serialization=True
+    ).combined()

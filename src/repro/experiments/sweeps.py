@@ -33,6 +33,6 @@ def bounds_for_v1(
     network = fig2_network()
     v1 = network.vl("v1").with_bag_ms(bag_ms).with_s_max_bytes(s_max_bytes)
     network.replace_virtual_link(v1)
-    nc = analyze_network_calculus(network, grouping=True).bound_us("v1")
-    trajectory = analyze_trajectory(network, serialization=True).bound_us("v1")
-    return nc, trajectory
+    nc = analyze_network_calculus(network, grouping=True)
+    trajectory = analyze_trajectory(network, serialization=True, nc_result=nc)
+    return nc.bound_us("v1"), trajectory.bound_us("v1")

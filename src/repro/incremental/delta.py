@@ -258,6 +258,7 @@ class DeltaAnalyzer:
             incremental=True,
             cache=self.cache,
             explain=self.explain,
+            nc_result=netcalc,
         ).analyze()
         return netcalc, trajectory
 

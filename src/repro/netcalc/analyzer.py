@@ -99,6 +99,7 @@ class NetworkCalculusAnalyzer:
             raise ValueError(f"frame overhead must be >= 0, got {frame_overhead_bytes}")
         self.network = network
         self.grouping = grouping
+        self.frame_overhead_bytes = frame_overhead_bytes
         self.frame_overhead_bits = frame_overhead_bytes * 8.0
         self.incremental = incremental or cache is not None
         self.explain = explain
@@ -147,6 +148,7 @@ class NetworkCalculusAnalyzer:
             return None
         result = NetworkCalculusResult(
             grouping=cached.grouping,
+            frame_overhead_bytes=self.frame_overhead_bytes,
             ports=dict(cached.ports),
             paths=dict(cached.paths),
         )
@@ -303,7 +305,9 @@ class NetworkCalculusAnalyzer:
 
         # bucket of each flow when entering each port of its tree
         entering = self.ingress_buckets()
-        result = NetworkCalculusResult(grouping=self.grouping)
+        result = NetworkCalculusResult(
+            grouping=self.grouping, frame_overhead_bytes=self.frame_overhead_bytes
+        )
         port_delay: Dict[PortId, float] = {}
 
         collect = obs.enabled

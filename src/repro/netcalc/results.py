@@ -68,6 +68,11 @@ class NetworkCalculusResult:
     ----------
     grouping:
         Whether the grouping (serialization) technique was applied.
+    frame_overhead_bytes:
+        Per-frame wire overhead the analysis added to every ``s_max``.
+        With ``grouping``, this tells whether the result is the
+        trajectory analyzer's default ``Smax`` seed (grouping on,
+        overhead 0).
     ports:
         Per-port analyses, keyed by port id.
     paths:
@@ -84,6 +89,7 @@ class NetworkCalculusResult:
     """
 
     grouping: bool
+    frame_overhead_bytes: float = 0.0
     ports: Dict[PortId, PortAnalysis] = field(default_factory=dict)
     paths: Dict[FlowPathKey, PathBound] = field(default_factory=dict)
     stats: Optional[Dict[str, object]] = None

@@ -61,6 +61,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.netcalc.analyzer import analyze_network_calculus
+from repro.netcalc.results import NetworkCalculusResult
 from repro.network.port import PortId
 from repro.network.port_graph import topological_port_order
 from repro.network.topology import Network
@@ -218,6 +219,15 @@ class TrajectoryAnalyzer:
         Under ``incremental`` the whole-result cache is skipped —
         provenance needs the final sweep's live state, so it is always
         recomputed, never served stale.
+    nc_result:
+        The caller's Network Calculus result for the same network, so
+        that the combined approach runs NC once.  It becomes the
+        ``Smax`` seed only when it is the default seed (grouping on,
+        frame overhead 0); otherwise the analyzer seeds itself, as it
+        does without one.  Either way the run counts as self-seeded:
+        bounds and result-cache entries are those of a run without
+        ``nc_result``.  A result whose path keys differ from the
+        network's raises :class:`ValueError`.
     """
 
     def __init__(
@@ -231,9 +241,17 @@ class TrajectoryAnalyzer:
         incremental: bool = False,
         cache=None,
         explain: bool = False,
+        nc_result: Optional[NetworkCalculusResult] = None,
     ):
         if max_refinements < 1:
             raise ValueError(f"max_refinements must be >= 1, got {max_refinements}")
+        if nc_result is not None and set(nc_result.paths) != {
+            (name, index) for name, index, _ in network.flow_paths()
+        }:
+            raise ValueError(
+                "nc_result covers different VL paths than the network; "
+                "pass the Network Calculus result of the same configuration"
+            )
         self.network = network
         self.serialization_mode = normalize_mode(serialization)
         self.refine_smax = refine_smax
@@ -243,6 +261,15 @@ class TrajectoryAnalyzer:
         self._cache = cache
         self._result_fp: Optional[str] = None
         self._obs = Instrumentation.create(collect_stats, progress)
+        # the one seed rule: only the default seed may replace the NC
+        # run prepare() would make (the result fingerprint assumes it)
+        self._nc_seed = (
+            nc_result
+            if nc_result is not None
+            and nc_result.grouping
+            and nc_result.frame_overhead_bytes == 0
+            else None
+        )
         self._result: Optional[TrajectoryResult] = None
         self._prepared = False
         self._event_memo_enabled = True  # test hook: equivalence guard
@@ -256,10 +283,12 @@ class TrajectoryAnalyzer:
     def prepare(self, smax_seed: Optional[Dict[FlowPortKey, float]] = None) -> None:
         """Validate, seed ``Smax`` and precompute sweep-invariant state.
 
-        ``smax_seed`` replaces the Network Calculus seeding — the batch
-        engine computes the seed once on the coordinator and ships it to
-        every worker instead of re-running the NC analysis per process.
-        Idempotent: the first call wins.
+        The seed comes from the constructor's ``nc_result`` when it is
+        the default seed, else from a Network Calculus run of its own.
+        ``smax_seed`` is for pool workers only: it ships the
+        coordinator's seed to every worker instead of re-running NC per
+        process, and :meth:`analyze` never caches a run seeded that
+        way.  Idempotent: the first call wins.
         """
         if self._prepared:
             return
@@ -270,13 +299,15 @@ class TrajectoryAnalyzer:
             topological_port_order(network)  # raises CyclicRoutingError if cyclic
 
         if smax_seed is None:
-            with obs.tracer.span("trajectory.nc_seed"):
-                nc_seed = analyze_network_calculus(
-                    network,
-                    grouping=True,
-                    incremental=self.incremental,
-                    cache=self._cache,
-                )
+            nc_seed = self._nc_seed
+            if nc_seed is None:
+                with obs.tracer.span("trajectory.nc_seed"):
+                    nc_seed = analyze_network_calculus(
+                        network,
+                        grouping=True,
+                        incremental=self.incremental,
+                        cache=self._cache,
+                    )
             smax_seed = seed_smax_from_netcalc(network, nc_seed)
         with obs.tracer.span("trajectory.precompute"):
             self._smin = compute_smin(network)
@@ -320,10 +351,10 @@ class TrajectoryAnalyzer:
 
         The fingerprint does not cover the ``Smax`` seed: a hit is the
         result of the default seeding (a grouped, overhead-free Network
-        Calculus run, what :meth:`prepare` computes without
-        ``smax_seed``).  The hit is a shallow copy carrying the stats a
-        computed run would attach, with the cold run's deterministic
-        ledger sections.
+        Calculus run, what :meth:`prepare` computes or takes from
+        ``nc_result`` without ``smax_seed``).  The hit is a shallow
+        copy carrying the stats a computed run would attach, with the
+        cold run's deterministic ledger sections.
         """
         cache = self._result_cache()
         if cache is None:
@@ -391,7 +422,8 @@ class TrajectoryAnalyzer:
         collect = obs.enabled
 
         # a custom prepare(smax_seed) is not covered by the fingerprint,
-        # so only a run that seeds itself touches the result cache
+        # so only a run that seeds itself (nc_result included: it is
+        # the default seed or ignored) touches the result cache
         cacheable = not self._prepared and self._result_cache() is not None
         if cacheable:
             cached = self.cached_result()
@@ -1336,6 +1368,7 @@ def analyze_trajectory(
     incremental: bool = False,
     cache=None,
     explain: bool = False,
+    nc_result: Optional[NetworkCalculusResult] = None,
 ) -> TrajectoryResult:
     """One-shot convenience wrapper around :class:`TrajectoryAnalyzer`."""
     return TrajectoryAnalyzer(
@@ -1348,4 +1381,5 @@ def analyze_trajectory(
         incremental=incremental,
         cache=cache,
         explain=explain,
+        nc_result=nc_result,
     ).analyze()

@@ -61,22 +61,31 @@ def test_whatif_manifest_records_dirty_region_and_cache(fig2_json, tmp_path, cap
     from repro.obs import validate_manifest
 
     script = _script(tmp_path, [{"op": "retime", "vl": "v1", "bag_ms": 8}])
-    out = tmp_path / "manifest.json"
-    assert main(["whatif", fig2_json, script, "--metrics-json", str(out)]) == 0
-    manifest = json.loads(out.read_text())
-    validate_manifest(manifest)
-    assert manifest["command"] == "whatif"
-    gauges = manifest["metrics"]["gauges"]
+    cache_dir = str(tmp_path / "cache")
+    manifests = []
+    for run in ("cold", "warm"):
+        out = tmp_path / f"{run}.json"
+        argv = ["whatif", fig2_json, script, "--cache-dir", cache_dir]
+        assert main(argv + ["--metrics-json", str(out)]) == 0
+        manifest = json.loads(out.read_text())
+        validate_manifest(manifest)
+        manifests.append(manifest)
+    cold, warm = manifests
+    assert cold["command"] == "whatif"
+    gauges = cold["metrics"]["gauges"]
     assert gauges["whatif.dirty_ports"] > 0
     assert gauges["whatif.dirty_vls"] > 0
     assert gauges["whatif.changed_paths"] > 0
     assert gauges["whatif.cache_entries"] > 0
-    counters = manifest["metrics"]["counters"]
-    assert counters["whatif.cache_hits"] > 0  # clean region reused
-    assert counters["whatif.cache_misses"] > 0  # dirty region recomputed
+    # the edited configuration is new to the cold run: recomputed
+    assert cold["metrics"]["counters"]["whatif.cache_misses"] > 0
+    # the warm run analyzed it before: served whole, nothing missed
+    counters = warm["metrics"]["counters"]
+    assert counters["whatif.cache_hits"] > 0
+    assert counters["whatif.cache_misses"] == 0
     # both analyzers' incremental stats ride along
-    assert "network_calculus" in manifest["analyzers"]
-    assert "trajectory" in manifest["analyzers"]
+    assert "network_calculus" in cold["analyzers"]
+    assert "trajectory" in cold["analyzers"]
 
 
 def test_whatif_cache_dir_persists_across_invocations(fig2_json, tmp_path, capsys):

@@ -100,6 +100,49 @@ def test_negative_jobs_is_a_usage_error(argv, fig2_json, capsys):
     assert "argument --jobs: must be >= 0" in capsys.readouterr().err
 
 
+_BAD_NUMBERS = [
+    (["analyze", "{config}", "--top", "-1"], "--top: must be >= 0"),
+    (["report", "{config}", "--top", "-2"], "--top: must be >= 0"),
+    (["explain", "{config}", "--top", "-1"], "--top: must be >= 0"),
+    (["profile", "{config}", "--top", "-1"], "--top: must be >= 0"),
+    (["profile", "{config}", "--busy-share", "-5"], "--busy-share: must be >= 0"),
+    (["simulate", "{config}", "--duration-ms", "0"], "--duration-ms: must be > 0"),
+    (["simulate", "{config}", "--duration-ms", "nan"], "--duration-ms: must be > 0"),
+    (["batch-sweep", "--duration-ms", "0"], "--duration-ms: must be > 0"),
+    (["batch-sweep", "--configs", "0"], "--configs: must be >= 1"),
+    (["batch-sweep", "--end-systems", "1"], "--end-systems: must be >= 2"),
+    (["generate", "industrial", "-o", "{out}", "--vls", "0"], "--vls: must be >= 1"),
+    (["generate", "random", "-o", "{out}", "--vls", "0"], "--vls: must be >= 1"),
+    (["experiment", "table1", "--vls", "0"], "--vls: must be >= 1"),
+    (["lint", "{config}", "--max-utilization", "1.5"], "must be > 0 and <= 1"),
+    (["obs", "list", "--limit", "-1"], "--limit: must be >= 0"),
+    (["analyze", "{config}", "--top", "two"], "--top: invalid int value: 'two'"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    _BAD_NUMBERS,
+    ids=[
+        " ".join(arg for arg in argv if arg not in ("{config}", "-o", "{out}"))
+        for argv, _ in _BAD_NUMBERS
+    ],
+)
+def test_bad_numeric_argument_is_a_usage_error(
+    argv, message, fig2_json, tmp_path, capsys
+):
+    """Out-of-range numbers fail at parse time, before any work is done."""
+    out = tmp_path / "generated.json"
+    argv = [arg.format(config=fig2_json, out=out) for arg in argv]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
