@@ -33,6 +33,9 @@ python -m pytest -x -q \
     tests/batch/test_batch_analyzer.py::TestJobsOne \
     tests/batch/test_batch_analyzer.py::TestBitIdenticalFig2
 
+echo "== CLI start-up budget (fresh interpreter) =="
+python -m pytest -x -q tests/test_startup.py
+
 echo "== incremental equivalence (30-edit replay vs cold, jobs=2 and jobs=1, warm cache dir) =="
 python scripts/incremental_gate.py
 

@@ -29,17 +29,7 @@ Quickstart::
         print(path.flow, path.network_calculus_us, path.trajectory_us, path.best_us)
 """
 
-from repro.network import (
-    EndSystem,
-    Network,
-    NetworkBuilder,
-    OutputPort,
-    Switch,
-    VirtualLink,
-    network_from_json,
-    network_to_json,
-)
-from repro.core import analyze_network, compare_methods
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -56,3 +46,19 @@ __all__ = [
     "compare_methods",
     "__version__",
 ]
+
+#: Where each name of ``__all__`` is defined; resolved on first access
+#: so that ``import repro`` (and ``python -m repro.cli``) loads no
+#: analyzer.
+_EXPORTS = {
+    "repro.network.builder": ("NetworkBuilder",),
+    "repro.network.node": ("EndSystem", "Switch"),
+    "repro.network.port": ("OutputPort",),
+    "repro.network.serialization": ("network_from_json", "network_to_json"),
+    "repro.network.topology": ("Network",),
+    "repro.network.virtual_link": ("VirtualLink",),
+    "repro.core.combined": ("analyze_network",),
+    "repro.core.comparison": ("compare_methods",),
+}
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

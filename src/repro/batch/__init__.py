@@ -25,27 +25,7 @@ Entry points
 See ``docs/BATCH.md`` for the design and the cache-sharing model.
 """
 
-from repro.batch.analyzer import BatchAnalyzer
-from repro.batch.corpus import (
-    CorpusReport,
-    CorpusSpec,
-    analyze_corpus,
-    corpus_network,
-)
-from repro.batch.pool import (
-    LANE_BASE,
-    WorkerPool,
-    chunked,
-    worker_emit,
-    worker_lane,
-)
-from repro.batch.sweep import (
-    SweepConfigRecord,
-    SweepReport,
-    SweepSpec,
-    SweepViolation,
-    batch_sweep,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BatchAnalyzer",
@@ -64,3 +44,29 @@ __all__ = [
     "analyze_corpus",
     "corpus_network",
 ]
+
+_EXPORTS = {
+    "repro.batch.analyzer": ("BatchAnalyzer",),
+    "repro.batch.corpus": (
+        "CorpusReport",
+        "CorpusSpec",
+        "analyze_corpus",
+        "corpus_network",
+    ),
+    "repro.batch.pool": (
+        "LANE_BASE",
+        "WorkerPool",
+        "chunked",
+        "worker_emit",
+        "worker_lane",
+    ),
+    "repro.batch.sweep": (
+        "SweepConfigRecord",
+        "SweepReport",
+        "SweepSpec",
+        "SweepViolation",
+        "batch_sweep",
+    ),
+}
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

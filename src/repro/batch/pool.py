@@ -35,7 +35,6 @@ not a general task framework.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import pickle
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar
@@ -253,6 +252,9 @@ class WorkerPool:
     ) -> None:
         if jobs < 2:
             raise ValueError(f"WorkerPool needs jobs >= 2, got {jobs}")
+        # imported here: a run that starts no pool never loads it
+        import multiprocessing
+
         self.jobs = jobs
         methods = multiprocessing.get_all_start_methods()
         self.start_method = "fork" if "fork" in methods else methods[0]

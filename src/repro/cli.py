@@ -91,44 +91,19 @@ violations) · 2 usage error (argparse) · 3 configuration error
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from typing import Dict, List, Optional
 
-from repro.batch import BatchAnalyzer, SweepSpec, batch_sweep
-from repro.configs import (
-    IndustrialConfigSpec,
-    fig1_network,
-    fig2_network,
-    industrial_network,
-    random_network,
-)
-from repro.core.combined import analyze_network
-from repro.core.comparison import summarize
-from repro.core.jitter import jitter_bounds
 from repro.errors import (
     AnalysisError,
     ConfigurationError,
     CyclicRoutingError,
     UnstableNetworkError,
 )
-from repro.experiments import EXPERIMENTS, run_experiment
-from repro.netcalc.analyzer import analyze_network_calculus
-from repro.network.serialization import network_from_json, network_to_json
-from repro.network.validation import validate_network
 from repro.obs import configure as configure_logging
-from repro.obs import (
-    build_manifest,
-    network_identity,
-    work_summary,
-    write_manifest,
-)
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.manifest import bound_summary
 from repro.obs.trace import ProgressHook
-from repro.sim.scenarios import TrafficScenario, simulate
-from repro.trajectory.analyzer import analyze_trajectory
 
 __all__ = [
     "main",
@@ -167,6 +142,14 @@ OBS_FLAG_DESTS = (
 #: section, never its deterministic ``options`` core — the core must be
 #: byte-stable across ``--jobs`` and cache states.
 _EXECUTION_ARGS = frozenset(("jobs", "cache_dir"))
+
+#: ``afdx experiment`` ids, equal to ``sorted(repro.experiments.EXPERIMENTS)``
+#: (``tests/test_startup.py`` pins the two).  Spelled out because the
+#: registry fills only as the drivers are imported, and building the
+#: parser must not import them.
+_EXPERIMENT_IDS = (
+    "fig3_4", "fig5", "fig6", "fig7", "fig8", "fig9", "optimism", "table1",
+)
 
 
 def _bounded(convert, minimum, strict=False, maximum=None):
@@ -400,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiment = sub.add_parser(
         "experiment", parents=[obs], help="regenerate a paper table/figure"
     )
-    experiment.add_argument("id", choices=sorted(EXPERIMENTS), help="experiment id")
+    experiment.add_argument("id", choices=_EXPERIMENT_IDS, help="experiment id")
     experiment.add_argument(
         "--vls", type=_positive_int, default=None,
         help="override the industrial configuration's VL count (faster runs)",
@@ -652,6 +635,8 @@ class _RunContext:
         """Record the configuration identity for the manifest."""
         if not self.collect:
             return
+        from repro.obs.manifest import network_identity
+
         self.config = network_identity(network)
         if source is not None:
             self.config["source"] = str(source)
@@ -743,6 +728,12 @@ def _run_preflight(network, source: str, ctx: _RunContext) -> None:
 
 
 def _cmd_analyze(args: argparse.Namespace, ctx: _RunContext) -> int:
+    from repro.batch.analyzer import BatchAnalyzer
+    from repro.core.combined import analyze_network
+    from repro.core.comparison import summarize
+    from repro.core.jitter import jitter_bounds
+    from repro.network.serialization import network_from_json
+
     network = network_from_json(args.config)
     ctx.set_config(network, source=args.config)
     if args.preflight:
@@ -762,6 +753,8 @@ def _cmd_analyze(args: argparse.Namespace, ctx: _RunContext) -> int:
     result = analyze_network(network, nc_result=nc, trajectory_result=trajectory)
     result.stats = summarize(result.paths.values())
     if ctx.collect:
+        from repro.obs.manifest import bound_summary
+
         ctx.analyzers = {"network_calculus": nc.stats, "trajectory": trajectory.stats}
         ctx.bounds = bound_summary(result)
     jitters = jitter_bounds(network, result) if args.jitter else None
@@ -793,9 +786,14 @@ def _cmd_profile(args: argparse.Namespace, ctx: _RunContext) -> int:
     consumer — independent of the ``--metrics-json`` / ``--trace``
     flags, which additionally persist what was collected.
     """
+    import json
     from pathlib import Path
 
+    from repro.batch.analyzer import BatchAnalyzer
+    from repro.core.combined import analyze_network
+    from repro.network.serialization import network_from_json
     from repro.obs import build_profile_report, render_profile_report
+    from repro.obs.manifest import bound_summary, network_identity
 
     network = network_from_json(args.config)
     ctx.set_config(network, source=args.config)
@@ -837,6 +835,9 @@ def _cmd_profile(args: argparse.Namespace, ctx: _RunContext) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace, ctx: _RunContext) -> int:
+    from repro.network.serialization import network_from_json
+    from repro.network.validation import validate_network
+
     network = network_from_json(args.config)
     ctx.set_config(network, source=args.config)
     report = validate_network(network)
@@ -853,6 +854,15 @@ def _cmd_validate(args: argparse.Namespace, ctx: _RunContext) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace, ctx: _RunContext) -> int:
+    from repro.configs import (
+        IndustrialConfigSpec,
+        fig1_network,
+        fig2_network,
+        industrial_network,
+        random_network,
+    )
+    from repro.network.serialization import network_to_json
+
     if args.kind == "fig1":
         network = fig1_network()
     elif args.kind == "fig2":
@@ -870,6 +880,11 @@ def _cmd_generate(args: argparse.Namespace, ctx: _RunContext) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace, ctx: _RunContext) -> int:
+    from repro.netcalc.analyzer import analyze_network_calculus
+    from repro.network.serialization import network_from_json
+    from repro.sim.scenarios import TrafficScenario, simulate
+    from repro.trajectory.analyzer import analyze_trajectory
+
     network = network_from_json(args.config)
     ctx.set_config(network, source=args.config)
     nc = analyze_network_calculus(
@@ -910,6 +925,9 @@ def _cmd_simulate(args: argparse.Namespace, ctx: _RunContext) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace, ctx: _RunContext) -> int:
+    from repro.configs.industrial import IndustrialConfigSpec
+    from repro.experiments import run_experiment
+
     kwargs = {}
     if args.vls is not None and args.id in ("table1", "fig5", "fig6"):
         kwargs["spec"] = IndustrialConfigSpec(n_virtual_links=args.vls)
@@ -926,6 +944,8 @@ def _cmd_experiment(args: argparse.Namespace, ctx: _RunContext) -> int:
 
 
 def _cmd_batch_sweep(args: argparse.Namespace, ctx: _RunContext) -> int:
+    from repro.batch.sweep import SweepSpec, batch_sweep
+
     spec = SweepSpec(
         configs=args.configs,
         base_seed=args.base_seed,
@@ -964,6 +984,7 @@ def _fmt_bound(value: Optional[float]) -> str:
 def _cmd_whatif(args: argparse.Namespace, ctx: _RunContext) -> int:
     from repro.incremental import DeltaAnalyzer
     from repro.incremental.edits import load_edit_script
+    from repro.network.serialization import network_from_json
 
     network = network_from_json(args.config)
     ctx.set_config(network, source=args.config)
@@ -1029,6 +1050,7 @@ def _cmd_explain(args: argparse.Namespace, ctx: _RunContext) -> int:
     from pathlib import Path
 
     from repro.explain import explain_network, render_explanation
+    from repro.network.serialization import network_from_json
 
     network = network_from_json(args.config)
     ctx.set_config(network, source=args.config)
@@ -1056,6 +1078,8 @@ def _cmd_explain(args: argparse.Namespace, ctx: _RunContext) -> int:
         print(text, end="")
     summary = explanation.summary
     if ctx.collect:
+        from repro.obs.manifest import bound_summary
+
         ctx.analyzers = {
             "network_calculus": explanation.netcalc.stats,
             "trajectory": explanation.trajectory.stats,
@@ -1135,7 +1159,11 @@ def _cmd_lint(args: argparse.Namespace, ctx: _RunContext) -> int:
 def _cmd_report(args: argparse.Namespace, ctx: _RunContext) -> int:
     from pathlib import Path
 
+    from repro.core.combined import analyze_network
+    from repro.core.comparison import summarize
     from repro.core.reporting import certification_report
+    from repro.netcalc.analyzer import analyze_network_calculus
+    from repro.network.serialization import network_from_json
 
     network = network_from_json(args.config)
     ctx.set_config(network, source=args.config)
@@ -1166,6 +1194,8 @@ def _resolve_run(history, run_id: str):
 
 def _cmd_obs(args: argparse.Namespace, ctx: _RunContext) -> int:
     """``afdx obs``: query the persistent run history."""
+    import json
+
     from repro.obs.history import (
         RunHistory,
         diff_runs,
@@ -1349,6 +1379,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if error is not None:
         print(f"afdx: error: {error}", file=sys.stderr)
     if ctx.metrics_path is not None:
+        from repro.obs.manifest import build_manifest, write_manifest
+
         manifest = build_manifest(
             command=args.command,
             options=_manifest_options(args),
@@ -1420,6 +1452,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             return code if code != EXIT_OK else EXIT_FAILURE
         print(f"(trace written to {ctx.trace_path})", file=sys.stderr)
     if ctx.record_history:
+        from repro.obs.costmodel import work_summary
         from repro.obs.history import (
             RunHistory,
             build_run_record,

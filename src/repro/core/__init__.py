@@ -14,16 +14,7 @@ Entry points:
 * :func:`compare_methods` — the same plus aggregate benefit statistics.
 """
 
-from repro.core.combined import analyze_network, build_comparison
-from repro.core.comparison import (
-    benefit_percent,
-    compare_methods,
-    group_mean_benefit,
-    summarize,
-)
-from repro.core.jitter import JitterBound, jitter_bounds, path_floor_us
-from repro.core.reporting import certification_report
-from repro.core.results import AnalysisResult, ComparisonStats, PathComparison
+from repro._lazy import lazy_exports
 
 __all__ = [
     "analyze_network",
@@ -40,3 +31,18 @@ __all__ = [
     "ComparisonStats",
     "PathComparison",
 ]
+
+_EXPORTS = {
+    "repro.core.combined": ("analyze_network", "build_comparison"),
+    "repro.core.comparison": (
+        "benefit_percent",
+        "compare_methods",
+        "group_mean_benefit",
+        "summarize",
+    ),
+    "repro.core.jitter": ("JitterBound", "jitter_bounds", "path_floor_us"),
+    "repro.core.reporting": ("certification_report",),
+    "repro.core.results": ("AnalysisResult", "ComparisonStats", "PathComparison"),
+}
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -10,29 +10,13 @@ Public API:
   LRU + disk cache shared by ``incremental=True`` analyzers;
 * :mod:`~repro.incremental.fingerprint` — the dependency digests.
 
-``delta`` imports the analyzers, which themselves lazily use this
-package's cache — so ``DeltaAnalyzer`` & friends are exported via
-PEP 562 lazy attributes to keep the import graph acyclic.
+Every name is exported lazily (PEP 562).  ``delta`` imports the
+analyzers, which themselves use this package's ``fingerprint`` and
+``cache`` modules; lazy exports keep that import graph acyclic and
+let an uncached analysis load ``fingerprint`` alone.
 """
 
-from repro.incremental.cache import BoundCache, default_cache
-from repro.incremental.edits import (
-    AddVL,
-    Edit,
-    EditImpact,
-    RemoveVL,
-    ResizeVL,
-    RetimeVL,
-    RerouteVL,
-    apply_edits,
-    load_edit_script,
-    parse_edit_script,
-)
-from repro.incremental.fingerprint import (
-    network_fingerprint,
-    stable_digest,
-    vl_fingerprint,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "AddVL",
@@ -57,18 +41,32 @@ __all__ = [
     "vl_fingerprint",
 ]
 
-_DELTA_NAMES = {
-    "DeltaAnalyzer",
-    "DeltaResult",
-    "BoundChange",
-    "dirty_closure",
-    "dirty_vls",
+_EXPORTS = {
+    "repro.incremental.cache": ("BoundCache", "default_cache"),
+    "repro.incremental.delta": (
+        "BoundChange",
+        "DeltaAnalyzer",
+        "DeltaResult",
+        "dirty_closure",
+        "dirty_vls",
+    ),
+    "repro.incremental.edits": (
+        "AddVL",
+        "Edit",
+        "EditImpact",
+        "RemoveVL",
+        "ResizeVL",
+        "RetimeVL",
+        "RerouteVL",
+        "apply_edits",
+        "load_edit_script",
+        "parse_edit_script",
+    ),
+    "repro.incremental.fingerprint": (
+        "network_fingerprint",
+        "stable_digest",
+        "vl_fingerprint",
+    ),
 }
 
-
-def __getattr__(name: str):
-    if name in _DELTA_NAMES:
-        from repro.incremental import delta
-
-        return getattr(delta, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__ = lazy_exports(__name__, _EXPORTS)

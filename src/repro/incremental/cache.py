@@ -34,14 +34,16 @@ processes — ``afdx whatif`` invocations, ``afdx batch-sweep`` workers,
 a warm CI run — share results.  Floats survive the JSON round trip
 exactly (``repr`` is shortest-round-trip in Python 3), which the disk
 tests assert.  Writes go through a temp-file + ``os.replace`` so
-concurrent writers can only ever publish complete entries.  A
-fingerprint covers a computation's inputs, not the code that computed
-it; :data:`CACHE_VERSION` covers the code, so once it is bumped the
+concurrent writers can only ever publish complete entries; a write
+that fails removes its temp file.  A fingerprint covers a
+computation's inputs, not the code that computed it;
+:data:`CACHE_VERSION` covers the code, so once it is bumped the
 entries older code wrote are misses.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
@@ -201,17 +203,26 @@ class BoundCache:
             return _decode(payload)
         except (KeyError, TypeError, ValueError):
             return None
+
     def _disk_put(self, namespace: str, fingerprint: str, value: object) -> None:
         path = self._entry_path(namespace, fingerprint)
         assert path is not None
+        # encoded before any file exists: a value the codec rejects
+        # leaves nothing behind.  json.dumps runs the C encoder;
+        # json.dump into a file runs the pure-Python one.
+        text = json.dumps(_encode(value))
+        tmp = None
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
             with os.fdopen(fd, "w") as handle:
-                json.dump(_encode(value), handle)
+                handle.write(text)
             os.replace(tmp, path)
         except OSError:
-            pass  # persistence is best-effort; memory layer already has it
+            # persistence is best-effort; memory layer already has it
+            if tmp is not None:
+                with contextlib.suppress(OSError):
+                    os.unlink(tmp)
 
 
 # ----------------------------------------------------------------------

@@ -14,10 +14,7 @@ Entry point: :class:`NetworkCalculusAnalyzer` (or the
 :func:`analyze_network_calculus` convenience wrapper).
 """
 
-from repro.netcalc.analyzer import NetworkCalculusAnalyzer, analyze_network_calculus
-from repro.netcalc.grouping import arrival_groups, group_arrival_curve
-from repro.netcalc.priority import StaticPriorityAnalyzer, analyze_static_priority
-from repro.netcalc.results import NetworkCalculusResult, PathBound, PortAnalysis
+from repro._lazy import lazy_exports
 
 __all__ = [
     "NetworkCalculusAnalyzer",
@@ -30,3 +27,15 @@ __all__ = [
     "arrival_groups",
     "group_arrival_curve",
 ]
+
+_EXPORTS = {
+    "repro.netcalc.analyzer": (
+        "NetworkCalculusAnalyzer",
+        "analyze_network_calculus",
+    ),
+    "repro.netcalc.grouping": ("arrival_groups", "group_arrival_curve"),
+    "repro.netcalc.priority": ("StaticPriorityAnalyzer", "analyze_static_priority"),
+    "repro.netcalc.results": ("NetworkCalculusResult", "PathBound", "PortAnalysis"),
+}
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

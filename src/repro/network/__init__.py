@@ -19,13 +19,7 @@ The model mirrors the entities of the paper's Section II-A:
   (:mod:`repro.network.serialization`).
 """
 
-from repro.network.node import EndSystem, Node, Switch
-from repro.network.port import OutputPort, PortId
-from repro.network.virtual_link import VirtualLink
-from repro.network.topology import Network
-from repro.network.builder import NetworkBuilder
-from repro.network.redundancy import RedundantBound, combine_redundant, duplicate_network
-from repro.network.serialization import network_from_dict, network_from_json, network_to_dict, network_to_json
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Node",
@@ -44,3 +38,24 @@ __all__ = [
     "network_to_json",
     "network_from_json",
 ]
+
+_EXPORTS = {
+    "repro.network.node": ("EndSystem", "Node", "Switch"),
+    "repro.network.port": ("OutputPort", "PortId"),
+    "repro.network.virtual_link": ("VirtualLink",),
+    "repro.network.topology": ("Network",),
+    "repro.network.builder": ("NetworkBuilder",),
+    "repro.network.redundancy": (
+        "RedundantBound",
+        "combine_redundant",
+        "duplicate_network",
+    ),
+    "repro.network.serialization": (
+        "network_from_dict",
+        "network_from_json",
+        "network_to_dict",
+        "network_to_json",
+    ),
+}
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

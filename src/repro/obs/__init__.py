@@ -29,65 +29,7 @@ simulator.  Everything is opt-in and zero-overhead when disabled:
   events folded into the upgraded ``--progress`` view.
 """
 
-from repro.obs.costmodel import (
-    COST_SCHEMA_VERSION,
-    CostLedger,
-    deterministic_section,
-    netcalc_cost_ledger,
-    port_label,
-    record_trajectory_sweep,
-    trajectory_result_work,
-    work_summary,
-)
-from repro.obs.hotspots import (
-    PROFILE_SCHEMA_VERSION,
-    build_profile_report,
-    render_profile_report,
-)
-from repro.obs.history import (
-    HISTORY_SCHEMA_VERSION,
-    RunHistory,
-    analysis_bounds_digest,
-    build_run_record,
-    cache_summary,
-    deterministic_view,
-    diff_runs,
-    drift_report,
-    git_revision,
-    resolve_history_dir,
-    validate_run_record,
-)
-from repro.obs.instrument import OFF, Instrumentation
-from repro.obs.logging import (
-    configure,
-    get_logger,
-    lane_prefix,
-    set_worker_lane,
-    worker_lane,
-)
-from repro.obs.manifest import (
-    MANIFEST_VERSION,
-    build_manifest,
-    network_identity,
-    validate_manifest,
-    write_manifest,
-)
-from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry, TimerStats
-from repro.obs.prometheus import (
-    registry_samples,
-    render_prometheus,
-    write_prometheus,
-)
-from repro.obs.telemetry import FleetView, TelemetryDrain, fleet_drain
-from repro.obs.trace import NULL_TRACER, ProgressHook, Span, Tracer
-from repro.obs.tracefile import (
-    build_chrome_trace,
-    load_chrome_trace,
-    merge_chrome_trace,
-    strip_wall_fields,
-    validate_chrome_trace,
-    write_chrome_trace,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "COST_SCHEMA_VERSION",
@@ -144,3 +86,67 @@ __all__ = [
     "TelemetryDrain",
     "fleet_drain",
 ]
+
+_EXPORTS = {
+    "repro.obs.costmodel": (
+        "COST_SCHEMA_VERSION",
+        "CostLedger",
+        "deterministic_section",
+        "netcalc_cost_ledger",
+        "port_label",
+        "record_trajectory_sweep",
+        "trajectory_result_work",
+        "work_summary",
+    ),
+    "repro.obs.hotspots": (
+        "PROFILE_SCHEMA_VERSION",
+        "build_profile_report",
+        "render_profile_report",
+    ),
+    "repro.obs.history": (
+        "HISTORY_SCHEMA_VERSION",
+        "RunHistory",
+        "analysis_bounds_digest",
+        "build_run_record",
+        "cache_summary",
+        "deterministic_view",
+        "diff_runs",
+        "drift_report",
+        "git_revision",
+        "resolve_history_dir",
+        "validate_run_record",
+    ),
+    "repro.obs.instrument": ("OFF", "Instrumentation"),
+    "repro.obs.logging": (
+        "configure",
+        "get_logger",
+        "lane_prefix",
+        "set_worker_lane",
+        "worker_lane",
+    ),
+    "repro.obs.manifest": (
+        "MANIFEST_VERSION",
+        "build_manifest",
+        "network_identity",
+        "validate_manifest",
+        "write_manifest",
+    ),
+    "repro.obs.metrics": ("NULL_REGISTRY", "MetricsRegistry", "TimerStats"),
+    "repro.obs.prometheus": (
+        "registry_samples",
+        "render_prometheus",
+        "write_prometheus",
+    ),
+    "repro.obs.telemetry": ("FleetView", "TelemetryDrain", "fleet_drain"),
+    "repro.obs.trace": ("NULL_TRACER", "ProgressHook", "Span", "Tracer"),
+    "repro.obs.tracefile": (
+        "build_chrome_trace",
+        "load_chrome_trace",
+        "merge_chrome_trace",
+        "strip_wall_fields",
+        "validate_chrome_trace",
+        "write_chrome_trace",
+    ),
+}
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

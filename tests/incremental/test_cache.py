@@ -1,6 +1,8 @@
 """BoundCache: LRU behaviour, disk persistence, codec round trips."""
 
+import io
 import json
+import os
 
 import pytest
 
@@ -113,6 +115,36 @@ class TestDiskLayer:
         cache.invalidate("nc.result", "gone")
         fresh = BoundCache(cache_dir=tmp_path)
         assert fresh.get("nc.result", "gone") is None
+
+    def test_entry_bytes_are_json_dump_output(self, tmp_path):
+        network = random_network(5, n_switches=3, n_end_systems=6, n_virtual_links=8)
+        cache = BoundCache(cache_dir=tmp_path)
+        nc = analyze_network_calculus(network, cache=cache)
+        analyze_trajectory(network, cache=cache, nc_result=nc)
+        namespaces = set()
+        for (namespace, fingerprint), value in cache._entries.items():
+            expected = io.StringIO()
+            json.dump(_encode(value), expected)
+            path = cache._entry_path(namespace, fingerprint)
+            assert path.read_text() == expected.getvalue()
+            namespaces.add(namespace)
+        assert namespaces == {"nc.result", "traj.result", "traj.cost"}
+
+    def test_failed_replace_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        cache = BoundCache(cache_dir=tmp_path)
+        cache.put("nc.result", "abcd", _result())
+        assert cache.get("nc.result", "abcd") == _result()  # memory kept it
+        assert list(tmp_path.rglob("*.tmp")) == []
+
+    def test_unencodable_value_leaves_no_temp_file(self, tmp_path):
+        cache = BoundCache(cache_dir=tmp_path)
+        with pytest.raises(TypeError):
+            cache.put("nc.result", "abcd", object())
+        assert list(tmp_path.rglob("*.tmp")) == []
 
 
 class TestResultCodec:

@@ -1,8 +1,10 @@
 """Packaging: every third-party module ``repro`` imports is declared.
 
-``import repro.cli`` pulls in the trajectory kernel, which imports
-numpy at module level; an undeclared runtime dependency only shows up
-as an ``ImportError`` on a clean install.  This test walks every import
+Every ``afdx`` command that analyzes a configuration loads the
+trajectory kernel, which imports numpy at module level; an undeclared
+runtime dependency only shows up as an ``ImportError`` on a clean
+install, and only once a command reaches that import (``import
+repro.cli`` alone loads no analyzer).  This test walks every import
 statement under ``src/repro`` (function-local ones included) and checks
 each non-stdlib top-level module against ``[project] dependencies`` in
 ``pyproject.toml``.

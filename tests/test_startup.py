@@ -1,0 +1,107 @@
+"""The ``afdx`` start-up budget, checked in a fresh interpreter.
+
+pytest runs every test in one process, and earlier tests import most
+of ``repro``, so an in-process test can see neither a module that
+should not have loaded nor a function-local import that is missing.
+Each case here starts a new interpreter, runs the code under test and
+reads ``sys.modules`` at the end.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+FIG2 = ROOT / "examples" / "configs" / "fig2.json"
+
+#: What ``afdx analyze CONFIG`` (``--jobs 1``, no cache, no stats
+#: flag) does not run, and so must not import.
+NOT_LOADED_BY_ANALYZE = (
+    "multiprocessing",
+    "repro.batch.corpus",
+    "repro.batch.sweep",
+    "repro.configs",
+    "repro.core.reporting",
+    "repro.experiments",
+    "repro.explain",
+    "repro.incremental.cache",
+    "repro.incremental.edits",
+    "repro.lint",
+    "repro.netcalc.priority",
+    "repro.network.builder",
+    "repro.network.preflight",
+    "repro.network.redundancy",
+    "repro.obs.hotspots",
+    "repro.obs.manifest",
+    "repro.obs.prometheus",
+    "repro.obs.provenance",
+    "repro.obs.telemetry",
+    "repro.obs.tracefile",
+    "repro.sim",
+)
+
+
+def _fresh(*args: str) -> subprocess.CompletedProcess:
+    """``python ARGS`` in a new interpreter that imports ``src/repro``."""
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        timeout=300,
+        check=False,
+    )
+
+
+def _loaded_after(code: str) -> set:
+    """The modules a new interpreter has loaded once ``code`` ran."""
+    report = "import json, sys; print(json.dumps(sorted(sys.modules)))"
+    proc = _fresh("-c", f"{code}\n{report}")
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_import_cli_loads_no_analyzer():
+    loaded = _loaded_after("import repro.cli")
+    assert not loaded & {"numpy", "repro.netcalc", "repro.trajectory"}
+
+
+def test_analyze_loads_only_what_it_runs():
+    loaded = _loaded_after(
+        "import contextlib, io\n"
+        "from repro.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['analyze', {str(FIG2)!r}]) == 0\n"
+    )
+    assert {"repro.netcalc.analyzer", "repro.trajectory.analyzer"} <= loaded
+    assert sorted(loaded.intersection(NOT_LOADED_BY_ANALYZE)) == []
+
+
+def test_experiment_choices_are_the_registry():
+    # the parser spells the ids out; the registry fills only as the
+    # drivers are imported, after the parser is built
+    proc = _fresh(
+        "-c",
+        "import argparse, json, sys\n"
+        "from repro.cli import build_parser\n"
+        "commands = next(a for a in build_parser()._actions\n"
+        "                if isinstance(a, argparse._SubParsersAction))\n"
+        "ids = next(a for a in commands.choices['experiment']._actions\n"
+        "           if a.dest == 'id')\n"
+        "loaded_by_parser = 'repro.experiments' in sys.modules\n"
+        "from repro.experiments import EXPERIMENTS\n"
+        "print(json.dumps([loaded_by_parser, list(ids.choices),\n"
+        "                  sorted(EXPERIMENTS)]))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded_by_parser, choices, registry = json.loads(proc.stdout.splitlines()[-1])
+    assert not loaded_by_parser
+    assert choices == registry
+
+
+def test_experiment_runs_from_a_fresh_interpreter():
+    proc = _fresh("-m", "repro.cli", "experiment", "fig3_4")
+    assert proc.returncode == 0, proc.stderr
+    assert "fig3_4" in proc.stdout
