@@ -5,7 +5,7 @@
 PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 export PYTHONPATH
 
-.PHONY: check test lint lint-dataflow lint-baseline bench bench-batch \
+.PHONY: check test lint lint-dataflow lint-baseline bench \
 	bench-scaling bench-incremental bench-explain bench-throughput \
 	bench-gate bench-baselines profile-smoke obs-smoke kernel-gate
 
@@ -40,11 +40,6 @@ lint-baseline:
 bench:
 	python -m pytest benchmarks/ --benchmark-only
 
-# Sequential vs parallel batch-engine timing; appends to
-# benchmarks/results/BENCH_batch.json (records cpu_count honestly).
-bench-batch:
-	python benchmarks/bench_batch.py
-
 # Analyzer wall time vs configuration size; appends to
 # benchmarks/results/BENCH_scaling.json.
 bench-scaling:
@@ -75,18 +70,18 @@ bench-baselines:
 	python scripts/bench_gate.py --update-baselines
 
 # Observatory smoke: `afdx profile` on fig1, valid Chrome traces, and
-# a byte-identical deterministic section across runs and --jobs.
+# a byte-identical deterministic section across runs and cache states.
 profile-smoke:
 	python scripts/profile_smoke.py
 
 # Run-history smoke: analyze into a temp history dir across simulated
-# git revs and --jobs; afdx obs list/show/diff exit 0, drift verdict
-# clean, injected bounds change detected.
+# git revs and cold/warm cache; afdx obs list/show/diff exit 0, drift
+# verdict clean, injected bounds change detected.
 obs-smoke:
 	python scripts/obs_smoke.py
 
 # Trajectory kernel equivalence: product kernel vs test oracle
 # (tests/trajectory/reference_kernel.py), bounds bit-identical on every
-# scenario, across --jobs and cold/warm incremental cache.
+# scenario, across cold/warm incremental cache.
 kernel-gate:
 	python scripts/kernel_gate.py

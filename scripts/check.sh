@@ -28,27 +28,19 @@ python -m repro.cli lint examples/configs/*.json --no-utilization-table
 echo "== pytest (tier-1) =="
 python -m pytest -x -q
 
-echo "== batch --jobs equivalence (jobs=1 sequential vs pooled) =="
-python -m pytest -x -q \
-    tests/batch/test_batch_analyzer.py::TestJobsOne \
-    tests/batch/test_batch_analyzer.py::TestBitIdenticalFig2
-
 echo "== CLI start-up budget (fresh interpreter) =="
 python -m pytest -x -q tests/test_startup.py
 
-echo "== incremental equivalence (30-edit replay vs cold, jobs=2 and jobs=1, warm cache dir) =="
+echo "== incremental equivalence (30-edit replay vs cold, warm cache dir) =="
 python scripts/incremental_gate.py
 
-echo "== kernel equivalence (product kernel vs test oracle, bit-identical across jobs + cache) =="
+echo "== kernel equivalence (product kernel vs test oracle, bit-identical across cold/warm cache) =="
 python scripts/kernel_gate.py
-
-echo "== fleet equivalence (product kernel vs test oracle, one warm pool across all scenarios at --jobs 4, no leaked workers) =="
-python scripts/kernel_gate.py --jobs 4 --warm-pool
 
 echo "== profile smoke (afdx profile on fig1; traces valid; ledger byte-identical) =="
 python scripts/profile_smoke.py
 
-echo "== obs smoke (run history across revs + --jobs; obs list/show/diff; clean drift) =="
+echo "== obs smoke (run history across revs + cold/warm cache; obs list/show/diff; clean drift) =="
 python scripts/obs_smoke.py
 
 echo "== bench-regression gate (advisory; ±30% wall, exact work counters) =="

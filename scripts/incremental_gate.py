@@ -6,12 +6,10 @@ the result of a cold full analysis of the same configuration:
 
 1. a chained :class:`~repro.incremental.delta.DeltaAnalyzer` with a
    disk-backed cache, compared against cold NC + trajectory per step;
-2. the final configuration through ``BatchAnalyzer(jobs=2)`` sharing
-   the (now warm) ``--cache-dir``, twice, then through
-   ``BatchAnalyzer(jobs=1)``: the second pooled pass and the sequential
-   pass must be served whole from the cache, with zero misses (the
-   sequential trajectory run takes its seed from the batch's NC result
-   and must still have stored and now probe its whole result);
+2. the final configuration through NC and a trajectory run seeded
+   from it, sharing the (now warm) ``--cache-dir``: both must be
+   served whole from the cache, with zero misses (the seeded
+   trajectory run must still probe its whole result);
 3. a fresh engine on the same directory replaying the whole scenario
    warm (the interactive "reopen the tool" path), again with zero
    misses: every configuration of the replay was analyzed before, so
@@ -27,9 +25,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.batch import BatchAnalyzer  # noqa: E402
 from repro.configs.random_topology import random_network  # noqa: E402
 from repro.incremental import DeltaAnalyzer  # noqa: E402
+from repro.incremental.cache import BoundCache  # noqa: E402
 from repro.incremental.edits import (  # noqa: E402
     AddVL,
     RemoveVL,
@@ -106,27 +104,24 @@ def _run(cache_dir):
     cold_nc = analyze_network_calculus(final)
     cold_tr = analyze_trajectory(final)
 
-    # the pooled path through the same warm cache directory, twice, then
-    # the sequential one: every pass after the first must be served
-    # whole (the coordinator probes before it fans out; the sequential
-    # trajectory run is seeded from the batch's NC result and still
-    # counts as self-seeded), so it records no miss and reports one
-    # result hit per analysis in its ledgers
-    for label, jobs, served_whole in (("batch jobs=2", 2, False),
-                                      ("second batch jobs=2", 2, True),
-                                      ("batch jobs=1", 1, True)):
-        batch = BatchAnalyzer(final, jobs=jobs, cache_dir=cache_dir, collect_stats=True)
-        nc, tr = batch.network_calculus(), batch.trajectory()
-        _expect(label, "NC paths", nc.paths, cold_nc.paths)
-        _expect(label, "trajectory paths", tr.paths, cold_tr.paths)
-        if served_whole:
-            _expect_no_misses(label, batch.cache)
-            for name, result in (("NC", nc), ("trajectory", tr)):
-                _expect(label, f"{name} ledger cache section",
-                        result.stats["cost"]["cache"],
-                        {"result": {"hits": 1, "misses": 0}})
-    print("  batch --jobs 2 and --jobs 1 over the warm cache dir bit-identical; "
-          "later passes served whole with no miss")
+    # the final configuration through the warm cache directory, as
+    # `afdx analyze --cache-dir` runs it: served whole (the trajectory
+    # run is seeded from the NC result and still counts as
+    # self-seeded), so it records no miss and reports one result hit
+    # per analysis in its ledgers
+    label = "analyze over the warm cache dir"
+    cache = BoundCache(cache_dir=cache_dir)
+    nc = analyze_network_calculus(final, collect_stats=True, cache=cache)
+    tr = analyze_trajectory(final, collect_stats=True, cache=cache, nc_result=nc)
+    _expect(label, "NC paths", nc.paths, cold_nc.paths)
+    _expect(label, "trajectory paths", tr.paths, cold_tr.paths)
+    _expect_no_misses(label, cache)
+    for name, result in (("NC", nc), ("trajectory", tr)):
+        _expect(label, f"{name} ledger cache section",
+                result.stats["cost"]["cache"],
+                {"result": {"hits": 1, "misses": 0}})
+    print("  final configuration over the warm cache dir bit-identical; "
+          "served whole with no miss")
 
     # a fresh engine replays the whole scenario from disk
     warm = DeltaAnalyzer(

@@ -8,29 +8,21 @@ docs/PERFORMANCE.md).  Its ground truth is the test oracle in
 the paper's per-candidate walk.  The contract is Zippo & Stea's:
 *faster, not looser*.  This gate enforces it bit for bit:
 
-1. On every scenario below, every product execution shape yields
-   per-path bounds equal to the oracle's **exactly** — every float
-   field and the competitor count; only ``n_candidates`` may be
-   *smaller* (the dominance prune skips candidates it proves cannot
-   win).
-2. The product is self-consistent across execution shapes:
-   ``--jobs 1`` vs ``--jobs N`` and cold vs warm incremental cache all
-   yield byte-identical deterministic :class:`CostLedger` sections.
+1. On every scenario below, every product execution shape (a plain
+   run, a cold-cache run and a warm-cache run) yields per-path bounds
+   equal to the oracle's **exactly** — every float field and the
+   competitor count; only ``n_candidates`` may be *smaller* (the
+   dominance prune skips candidates it proves cannot win).
+2. The product is self-consistent across execution shapes: the plain
+   run and the cold and warm incremental cache runs all yield
+   byte-identical deterministic :class:`CostLedger` sections.
 3. Product and oracle ledger sections agree after the
    candidate-evaluation counters (the only prune-dependent numbers)
    are dropped.
 
 Any violation prints the offending scenario and exits non-zero.
-
-``--jobs N`` sets the parallel execution shape (default 2); with
-``--warm-pool`` a single :class:`WorkerPool` is created once and
-reused across every scenario (payload epochs), proving the warm-pool
-fleet mode is as bit-exact as fresh pools.  Either way the gate ends
-by asserting no worker process outlived its pool.
 """
 
-import argparse
-import multiprocessing
 import sys
 import tempfile
 from pathlib import Path
@@ -39,15 +31,15 @@ _ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(_ROOT / "src"))
 sys.path.insert(0, str(_ROOT))
 
-from repro.batch import BatchAnalyzer  # noqa: E402
-from repro.batch.pool import WorkerPool  # noqa: E402
 from repro.configs import fig1_network, fig2_network  # noqa: E402
 from repro.configs.industrial import (  # noqa: E402
     IndustrialConfigSpec,
     industrial_network,
 )
 from repro.configs.random_topology import random_network  # noqa: E402
+from repro.incremental.cache import BoundCache  # noqa: E402
 from repro.obs.costmodel import deterministic_section  # noqa: E402
+from repro.trajectory.analyzer import analyze_trajectory  # noqa: E402
 from tests.trajectory.reference_kernel import (  # noqa: E402
     ReferenceTrajectoryAnalyzer,
 )
@@ -133,69 +125,31 @@ def _ledger_section(result):
     return deterministic_section(result.stats["cost"])
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description="trajectory kernel gate")
-    parser.add_argument(
-        "--jobs", type=int, default=2,
-        help="worker count for the parallel execution shape (default 2)",
-    )
-    parser.add_argument(
-        "--warm-pool", action="store_true",
-        help="reuse one WorkerPool across every scenario (payload epochs)",
-    )
-    args = parser.parse_args(argv)
-
-    pool = WorkerPool(args.jobs, None) if args.warm_pool else None
-    try:
-        _run_scenarios(args.jobs, pool)
-    finally:
-        if pool is not None:
-            pool.close()
-    leaked = multiprocessing.active_children()
-    if leaked:
-        print(f"kernel gate FAILED: worker processes outlived the pool {leaked}")
-        sys.exit(1)
-    shape = f"jobs={args.jobs}" + (" warm pool" if args.warm_pool else "")
-    print(f"kernel gate OK ({shape}, no worker processes leaked)")
-
-
-def _run_scenarios(jobs, pool):
+def main():
     for scenario, network, mode in _scenarios():
         reference = ReferenceTrajectoryAnalyzer(
             network, serialization=mode, collect_stats=True
         ).analyze()
 
-        product_j1 = BatchAnalyzer(
-            network, jobs=1, serialization=mode, collect_stats=True,
-        ).trajectory()
-        _check_paths(scenario, "jobs=1 vs oracle", reference, product_j1)
-
-        product_jn = BatchAnalyzer(
-            network, jobs=jobs, serialization=mode, collect_stats=True,
-            pool=pool,
-        ).trajectory()
-        _check_paths(scenario, f"jobs={jobs} vs oracle", reference, product_jn)
+        product = analyze_trajectory(network, serialization=mode, collect_stats=True)
+        _check_paths(scenario, "plain run vs oracle", reference, product)
 
         with tempfile.TemporaryDirectory(prefix="afdx-kernel-gate-") as cache:
-            cold = BatchAnalyzer(
-                network, jobs=1, serialization=mode, collect_stats=True,
-                incremental=True, cache_dir=cache,
-            ).trajectory()
+            cold = analyze_trajectory(
+                network, serialization=mode, collect_stats=True,
+                cache=BoundCache(cache_dir=cache),
+            )
             _check_paths(scenario, "cold cache vs oracle", reference, cold)
-            warm = BatchAnalyzer(
-                network, jobs=1, serialization=mode, collect_stats=True,
-                incremental=True, cache_dir=cache,
-            ).trajectory()
+            warm = analyze_trajectory(
+                network, serialization=mode, collect_stats=True,
+                cache=BoundCache(cache_dir=cache),
+            )
             _check_paths(scenario, "warm cache vs oracle", reference, warm)
 
         # deterministic ledger sections: byte-identical across every
         # product execution shape...
-        section = _ledger_section(product_j1)
-        for label, result in (
-            (f"jobs={jobs}", product_jn),
-            ("cold cache", cold),
-            ("warm cache", warm),
-        ):
+        section = _ledger_section(product)
+        for label, result in (("cold cache", cold), ("warm cache", warm)):
             if _ledger_section(result) != section:
                 _fail(scenario, f"ledger section drifted under {label}")
         # ...and equal to the oracle's once the prune-dependent
@@ -207,13 +161,14 @@ def _run_scenarios(jobs, pool):
                             "beyond candidate evaluations")
 
         pruned = sum(
-            reference.paths[key].n_candidates - product_j1.paths[key].n_candidates
+            reference.paths[key].n_candidates - product.paths[key].n_candidates
             for key in reference.paths
         )
         print(
             f"  {scenario}: {len(reference.paths)} paths bit-identical to "
-            f"the oracle (4 shapes), ledgers agree, {pruned} candidates pruned"
+            f"the oracle (3 shapes), ledgers agree, {pruned} candidates pruned"
         )
+    print("kernel gate OK")
 
 
 if __name__ == "__main__":

@@ -3,8 +3,8 @@
 
 Runs ``afdx analyze examples/configs/fig1.json`` into a temporary
 ``--history-dir`` several times — twice at different (simulated) git
-revisions via ``AFDX_GIT_REV``, once at ``--jobs 2`` — and asserts the
-observatory's core contracts:
+revisions via ``AFDX_GIT_REV``, once more served whole from a warm
+``--cache-dir`` — and asserts the observatory's core contracts:
 
 * every run appends exactly one schema-versioned record to the
   append-only history, and ``afdx obs list`` / ``show`` / ``diff``
@@ -12,7 +12,8 @@ observatory's core contracts:
 * ``afdx obs diff`` of the two revisions reports identical bounds
   digests and identical work counters;
 * ``afdx obs drift`` over the whole history gives a **clean** verdict
-  (same config digest, same bounds bytes, across revs and ``--jobs``);
+  (same config digest, same bounds bytes, across revs and cache
+  states);
 * the records' deterministic view (everything outside the volatile
   shell: run id, timestamps, git rev, wall times, cache hits,
   execution shape) is **byte-identical** across all runs — the history
@@ -33,6 +34,7 @@ import contextlib
 import io
 import json
 import os
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -76,13 +78,16 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="afdx-obs-smoke-") as tmp:
         hist = ["--history-dir", tmp]
+        cache_dir = Path(tmp) / "cache"
 
-        for tag, jobs in (("rev-a", 1), ("rev-b", 1), ("rev-b", 2)):
+        for tag, shape in (("rev-a", "cold"), ("rev-b", "cold"), ("rev-b", "warm")):
+            if shape == "cold":
+                shutil.rmtree(cache_dir, ignore_errors=True)
             code, _ = _afdx(
-                ["analyze", str(args.config), "--jobs", str(jobs)] + hist,
+                ["analyze", str(args.config), "--cache-dir", str(cache_dir)] + hist,
                 git_rev=tag,
             )
-            assert code == 0, f"afdx analyze exited {code} ({tag}, jobs={jobs})"
+            assert code == 0, f"afdx analyze exited {code} ({tag}, {shape} cache)"
 
         history = RunHistory(tmp)
         records = history.records()
@@ -95,7 +100,10 @@ def main(argv=None) -> int:
             json.dumps(deterministic_view(r), sort_keys=True) for r in records
         ]
         assert views[0] == views[1] == views[2], (
-            "deterministic view differs across revs / --jobs"
+            "deterministic view differs across revs / cache states"
+        )
+        assert records[2]["cache"] != records[1]["cache"], (
+            "the warm run was not served from the cache"
         )
 
         run_a, run_b = records[0]["run_id"], records[1]["run_id"]
@@ -136,7 +144,7 @@ def main(argv=None) -> int:
     print(
         f"obs-smoke OK: {args.config.name} -> 3 runs recorded; "
         f"list/show/diff clean; drift verdict clean across revs and "
-        f"--jobs; injected bounds change detected"
+        f"cold/warm cache; injected bounds change detected"
     )
     return 0
 

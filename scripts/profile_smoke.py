@@ -10,8 +10,8 @@ Runs ``afdx profile examples/configs/fig1.json`` twice (JSON report +
 * the report's ``deterministic`` section — work counters, hot ports,
   sweep cost curve — is **byte-identical** across the two runs (the
   bit-identity contract of the cost ledger);
-* a ``--jobs 2`` run reproduces the same deterministic section (the
-  ledger is jobs-invariant).
+* a run served whole from a warm ``--cache-dir`` reproduces the same
+  deterministic section (the ledger is cache-invariant).
 
 Exit 0 on success; raises (non-zero exit) on the first violation.
 
@@ -36,7 +36,7 @@ from repro.obs.tracefile import load_chrome_trace  # noqa: E402
 DEFAULT_CONFIG = REPO / "examples" / "configs" / "fig1.json"
 
 
-def _profile(config: Path, out_dir: Path, tag: str, jobs: int = 1) -> dict:
+def _profile(config: Path, out_dir: Path, tag: str, *extra: str) -> dict:
     """One ``afdx profile`` run; returns the parsed JSON report."""
     report_path = out_dir / f"report_{tag}.json"
     trace_path = out_dir / f"trace_{tag}.json"
@@ -48,10 +48,9 @@ def _profile(config: Path, out_dir: Path, tag: str, jobs: int = 1) -> dict:
             "json",
             "--output",
             str(report_path),
-            "--jobs",
-            str(jobs),
             "--trace",
             str(trace_path),
+            *extra,
         ]
     )
     assert code == 0, f"afdx profile exited {code} ({tag})"
@@ -71,21 +70,23 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="afdx-profile-smoke-") as tmp:
         out_dir = Path(tmp)
         first = _profile(args.config, out_dir, "run1")
-        second = _profile(args.config, out_dir, "run2")
-        pooled = _profile(args.config, out_dir, "jobs2", jobs=2)
+        cache = ("--cache-dir", str(out_dir / "cache"))
+        second = _profile(args.config, out_dir, "cold", *cache)
+        warm = _profile(args.config, out_dir, "warm", *cache)
 
-    assert first.get("profile_schema") == 1, "unexpected profile schema"
+    assert first.get("profile_schema") == 2, "unexpected profile schema"
     assert first["deterministic"]["hot_ports"], "no hot ports in the report"
 
     canon = [
         json.dumps(report["deterministic"], sort_keys=True)
-        for report in (first, second, pooled)
+        for report in (first, second, warm)
     ]
     assert canon[0] == canon[1], (
         "deterministic section differs between two identical runs"
     )
+    assert warm["cache"] != second["cache"], "the warm run missed the cache"
     assert canon[0] == canon[2], (
-        "deterministic section differs between --jobs 1 and --jobs 2"
+        "deterministic section differs between cold and warm cache"
     )
 
     n_ports = len(first["deterministic"]["hot_ports"])
@@ -93,7 +94,7 @@ def main(argv=None) -> int:
     print(
         f"profile-smoke OK: {args.config.name} -> {n_ports} hot port(s), "
         f"{n_sweeps} sweep(s); deterministic section byte-identical "
-        f"across run1/run2/jobs=2; traces valid"
+        f"across plain/cold-cache/warm-cache runs; traces valid"
     )
     return 0
 

@@ -1,19 +1,16 @@
-"""Parallel batch-analysis engine.
+"""Fleet engine: fan-out across configurations.
 
-Fans the repository's three analyses — Network Calculus, Trajectory and
-the combined approach — across a :mod:`multiprocessing` pool while
-guaranteeing results bit-identical to the sequential analyzers, and
-provides the ``batch_sweep`` soundness-fuzzing harness that analyzes
-and simulates many seeded random configurations hunting for
-``simulated > bound`` violations (the regression class behind the
-``random_network(589)`` bug).
+One configuration is analyzed in one process (the sequential
+analyzers); this package spreads *many* configurations across a
+:mod:`multiprocessing` pool, with results bit-identical to analyzing
+each configuration on its own.  It also provides the ``batch_sweep``
+soundness-fuzzing harness that analyzes and simulates many seeded
+random configurations hunting for ``simulated > bound`` violations
+(the regression class behind the ``random_network(589)`` bug).
 
 Entry points
 ------------
 
-:class:`BatchAnalyzer`
-    ``network_calculus()`` / ``trajectory()`` / ``combined()`` with a
-    ``jobs`` knob; ``jobs=1`` delegates to the sequential analyzers.
 :func:`batch_sweep`
     Whole-configuration fan-out over seeded ``random_network`` configs,
     each analyzed and simulated, returning a violation report.
@@ -21,6 +18,9 @@ Entry points
     Fleet throughput: every configuration of a seeded
     :class:`CorpusSpec` analyzed through a (reusable, warm) worker
     pool, with whole results cached when given a ``cache_dir``.
+:class:`WorkerPool`
+    The pool both use: payload epochs let one warm pool serve
+    configuration after configuration.
 
 See ``docs/BATCH.md`` for the design and the cache-sharing model.
 """
@@ -28,7 +28,6 @@ See ``docs/BATCH.md`` for the design and the cache-sharing model.
 from repro._lazy import lazy_exports
 
 __all__ = [
-    "BatchAnalyzer",
     "LANE_BASE",
     "WorkerPool",
     "chunked",
@@ -46,7 +45,6 @@ __all__ = [
 ]
 
 _EXPORTS = {
-    "repro.batch.analyzer": ("BatchAnalyzer",),
     "repro.batch.corpus": (
         "CorpusReport",
         "CorpusSpec",

@@ -1,4 +1,4 @@
-"""Worker-pool plumbing shared by the batch engine.
+"""Worker-pool plumbing of the fleet engine (fan-out across configurations).
 
 A thin, deterministic wrapper over :class:`multiprocessing.pool.Pool`:
 
@@ -8,16 +8,15 @@ A thin, deterministic wrapper over :class:`multiprocessing.pool.Pool`:
   the payload travels pickled through the ``spawn`` initializer
   instead.  Either way each worker loads the payload once per epoch,
   not once per task.
-* **persistent per-worker state** — the initializer parks the payload
-  in a module global; task functions lazily build whatever expensive
-  state they need from it (a prepared analyzer, cached port-flow sets)
-  and reuse it across every task the worker receives.
+* **per-worker payload** — the initializer parks the payload in a
+  module global, which task functions read with
+  :func:`worker_payload` on every task the worker receives.
 * **warm reuse across configs** — :meth:`WorkerPool.set_payload` swaps
   the payload without restarting the workers.  Each swap starts a new
   *epoch*: the payload is pickled once to bytes, every task carries the
   epoch tag and those bytes, and a worker seeing a newer tag unpickles
-  the payload and drops its epoch-scoped state while keeping the
-  *persistent* state (:func:`worker_persistent`): a corpus worker's
+  the payload while keeping the *persistent* state
+  (:func:`worker_persistent`): a corpus worker's
   :class:`~repro.incremental.cache.BoundCache` (one per cache
   directory, whole results only) survives config switches, so the
   worker serves every configuration it analyzed before from memory.
@@ -29,7 +28,7 @@ A thin, deterministic wrapper over :class:`multiprocessing.pool.Pool`:
   unchanged in the coordinator, where the CLI's existing handler maps
   it to exit codes 3/4/5.
 
-The pool deliberately exposes only what the batch engine needs; it is
+The pool deliberately exposes only what the fleet engine needs; it is
 not a general task framework.
 """
 
@@ -51,24 +50,18 @@ __all__ = [
     "worker_lane",
     "worker_payload",
     "worker_persistent",
-    "worker_state",
 ]
 
 T = TypeVar("T")
 
 _LOG = get_logger("batch")
 
-#: First worker-lane id.  Must match the Chrome-trace export's
-#: synthetic worker tid base (``repro.obs.tracefile._WORKER_TID_BASE``)
-#: so a ``[w101]`` log line, a lane-101 telemetry event and the tid-101
-#: trace lane all name the same worker slot.
+#: First worker-lane id, so a ``[w101]`` log line and a lane-101
+#: telemetry event name the same worker slot.
 LANE_BASE = 100
 
 #: Payload slot filled by :func:`_init_worker` in every pool process.
 _WORKER_PAYLOAD: Optional[Any] = None
-#: Lazily-built per-worker state, keyed by task family (see ``worker_state``).
-#: Cleared on every payload epoch — it derives from the payload.
-_WORKER_STATE: dict = {}
 #: Per-worker state that *survives* payload epochs (the corpus workers'
 #: BoundCache, one per cache directory); cleared only when the worker
 #: process dies.
@@ -87,13 +80,12 @@ def _init_worker(
     global _WORKER_PAYLOAD, _WORKER_EPOCH, _WORKER_LANE, _WORKER_TELEMETRY
     _WORKER_PAYLOAD = payload
     _WORKER_EPOCH = epoch
-    _WORKER_STATE.clear()
     _WORKER_PERSISTENT.clear()
     if lane_counter is not None:
         # first-come lane claim: each pool process takes the next slot
         # (LANE_BASE + index).  Lanes are identities of *slots*, not
         # pids; workers persist across payload epochs, so log prefixes
-        # and trace tids stay stable across them.
+        # and telemetry lanes stay stable across them.
         with lane_counter.get_lock():
             index = lane_counter.value
             lane_counter.value = index + 1
@@ -150,7 +142,6 @@ def _ensure_epoch(epoch: int, blob: Optional[bytes]) -> None:
     if blob is not None:
         _WORKER_PAYLOAD = pickle.loads(blob)
     _WORKER_EPOCH = epoch
-    _WORKER_STATE.clear()
 
 
 def _run_task(wrapped: Tuple[int, Optional[bytes], Callable[[Any], T], Any]) -> T:
@@ -162,20 +153,6 @@ def _run_task(wrapped: Tuple[int, Optional[bytes], Callable[[Any], T], Any]) -> 
 def worker_payload() -> Any:
     """The payload the coordinator shipped to this worker process."""
     return _WORKER_PAYLOAD
-
-
-def worker_state(key: str, build: Callable[[Any], T]) -> T:
-    """Per-worker memo: build once from the payload, reuse per task.
-
-    Scoped to the payload *epoch* — a :meth:`WorkerPool.set_payload`
-    swap clears it, since it derives from the payload.
-    """
-    try:
-        return _WORKER_STATE[key]
-    except KeyError:
-        state = build(_WORKER_PAYLOAD)
-        _WORKER_STATE[key] = state
-        return state
 
 
 def worker_persistent(key: str, build: Callable[[], T]) -> T:
@@ -233,7 +210,7 @@ class WorkerPool:
     payload:
         Arbitrary picklable object delivered once to each worker via
         the pool initializer; task functions read it back with
-        :func:`worker_payload` / :func:`worker_state`.
+        :func:`worker_payload`.
     telemetry:
         Open a telemetry queue from the workers back to the
         coordinator: task functions may then call :func:`worker_emit`

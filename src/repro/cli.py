@@ -42,12 +42,13 @@ Subcommands
     and a clean configuration's bounds are bit-identical with or
     without the flag.
 
-``analyze``, ``profile``, ``experiment``, ``batch-sweep`` and ``explain``
-accept ``--jobs N`` to fan the analysis across N worker processes
-(``repro.batch``); results are bit-identical to the sequential
-``--jobs 1`` default.  ``analyze``, ``batch-sweep``, ``whatif`` and
-``explain`` accept ``--cache-dir DIR`` to persist the
-content-addressed bound cache across invocations.
+A command that analyzes one configuration runs in one process.
+``batch-sweep`` accepts ``--jobs N`` to fan its many configurations
+across N worker processes (``repro.batch``); results are
+bit-identical to the sequential ``--jobs 1`` default.  ``analyze``,
+``profile``, ``batch-sweep``, ``whatif`` and ``explain`` accept
+``--cache-dir DIR`` to persist the content-addressed bound cache
+across invocations.
 
 Observability (every subcommand)
 --------------------------------
@@ -282,11 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also print the per-path jitter bound (bound - uncontended floor)",
     )
     analyze.add_argument(
-        "--jobs", type=_count, default=1, metavar="N",
-        help="worker processes (1 = sequential, 0 = all cores); "
-        "results are bit-identical for any N",
-    )
-    analyze.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="persist the content-addressed bound cache in DIR "
         "(bit-identical results, a repeat run reuses the cached results)",
@@ -330,11 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["paper", "windowed", "safe"],
         default="windowed",
         help="Trajectory serialization mode (default: windowed)",
-    )
-    profile_cmd.add_argument(
-        "--jobs", type=_count, default=1, metavar="N",
-        help="worker processes (1 = sequential, 0 = all cores); the "
-        "deterministic counter sections are identical for any N",
     )
     profile_cmd.add_argument(
         "--cache-dir", default=None, metavar="DIR",
@@ -391,11 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument(
         "--csv", default=None, metavar="FILE",
         help="also write the artefact as CSV",
-    )
-    experiment.add_argument(
-        "--jobs", type=_count, default=1, metavar="N",
-        help="worker processes for the industrial-config experiments "
-        "(table1, fig5, fig6); bit-identical for any N",
     )
 
     sweep = sub.add_parser(
@@ -498,11 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["paper", "windowed", "safe"],
         default="windowed",
         help="Trajectory serialization mode (default: windowed)",
-    )
-    explain.add_argument(
-        "--jobs", type=_count, default=1, metavar="N",
-        help="worker processes (1 = sequential, 0 = all cores); "
-        "output is byte-identical for any N",
     )
     explain.add_argument(
         "--cache-dir", default=None, metavar="DIR",
@@ -728,29 +709,39 @@ def _run_preflight(network, source: str, ctx: _RunContext) -> None:
 
 
 def _cmd_analyze(args: argparse.Namespace, ctx: _RunContext) -> int:
-    from repro.batch.analyzer import BatchAnalyzer
-    from repro.core.combined import analyze_network
+    from repro.core.combined import build_comparison
     from repro.core.comparison import summarize
     from repro.core.jitter import jitter_bounds
+    from repro.netcalc.analyzer import analyze_network_calculus
     from repro.network.serialization import network_from_json
+    from repro.trajectory.analyzer import analyze_trajectory
 
     network = network_from_json(args.config)
     ctx.set_config(network, source=args.config)
     if args.preflight:
         _run_preflight(network, args.config, ctx)
-    batch = BatchAnalyzer(
+    cache = None
+    if args.cache_dir is not None:
+        from repro.incremental.cache import BoundCache
+
+        cache = BoundCache(cache_dir=args.cache_dir)
+    nc = analyze_network_calculus(
         network,
-        jobs=args.jobs,
         grouping=not args.no_grouping,
+        collect_stats=ctx.collect,
+        progress=ctx.progress,
+        cache=cache,
+    )
+    trajectory = analyze_trajectory(
+        network,
         serialization=args.serialization,
         collect_stats=ctx.collect,
         progress=ctx.progress,
-        cache_dir=args.cache_dir,
+        cache=cache,
+        nc_result=nc,
     )
-    nc = batch.network_calculus()
-    trajectory = batch.trajectory()
     ctx.record_bounds(nc, trajectory)
-    result = analyze_network(network, nc_result=nc, trajectory_result=trajectory)
+    result = build_comparison(nc, trajectory)
     result.stats = summarize(result.paths.values())
     if ctx.collect:
         from repro.obs.manifest import bound_summary
@@ -789,32 +780,39 @@ def _cmd_profile(args: argparse.Namespace, ctx: _RunContext) -> int:
     import json
     from pathlib import Path
 
-    from repro.batch.analyzer import BatchAnalyzer
-    from repro.core.combined import analyze_network
+    from repro.core.combined import build_comparison
+    from repro.netcalc.analyzer import analyze_network_calculus
     from repro.network.serialization import network_from_json
     from repro.obs import build_profile_report, render_profile_report
     from repro.obs.manifest import bound_summary, network_identity
+    from repro.trajectory.analyzer import analyze_trajectory
 
     network = network_from_json(args.config)
     ctx.set_config(network, source=args.config)
-    batch = BatchAnalyzer(
+    cache = None
+    if args.cache_dir is not None:
+        from repro.incremental.cache import BoundCache
+
+        cache = BoundCache(cache_dir=args.cache_dir)
+    nc = analyze_network_calculus(
         network,
-        jobs=args.jobs,
         grouping=not args.no_grouping,
+        collect_stats=True,
+        progress=ctx.progress,
+        cache=cache,
+    )
+    trajectory = analyze_trajectory(
+        network,
         serialization=args.serialization,
         collect_stats=True,
         progress=ctx.progress,
-        cache_dir=args.cache_dir,
+        cache=cache,
+        nc_result=nc,
     )
-    nc = batch.network_calculus()
-    trajectory = batch.trajectory()
     ctx.record_bounds(nc, trajectory)
     ctx.analyzers = {"network_calculus": nc.stats, "trajectory": trajectory.stats}
     if ctx.collect:
-        result = analyze_network(
-            network, nc_result=nc, trajectory_result=trajectory
-        )
-        ctx.bounds = bound_summary(result)
+        ctx.bounds = bound_summary(build_comparison(nc, trajectory))
     report = build_profile_report(
         nc,
         trajectory,
@@ -931,8 +929,6 @@ def _cmd_experiment(args: argparse.Namespace, ctx: _RunContext) -> int:
     kwargs = {}
     if args.vls is not None and args.id in ("table1", "fig5", "fig6"):
         kwargs["spec"] = IndustrialConfigSpec(n_virtual_links=args.vls)
-    if args.jobs != 1 and args.id in ("table1", "fig5", "fig6"):
-        kwargs["jobs"] = args.jobs
     result = run_experiment(args.id, metrics=ctx.metrics, **kwargs)
     print(result.render())
     if args.csv:
@@ -1058,7 +1054,6 @@ def _cmd_explain(args: argparse.Namespace, ctx: _RunContext) -> int:
         network,
         grouping=not args.no_grouping,
         serialization=args.serialization,
-        jobs=args.jobs,
         cache_dir=args.cache_dir,
         collect_stats=ctx.collect,
         progress=ctx.progress,

@@ -20,13 +20,11 @@ __all__ = ["run_fig5"]
 
 
 @register("fig5")
-def run_fig5(
-    spec: Optional[IndustrialConfigSpec] = None, jobs: int = 1
-) -> ExperimentResult:
+def run_fig5(spec: Optional[IndustrialConfigSpec] = None) -> ExperimentResult:
     """Mean Trajectory-over-WCNC benefit for each BAG value."""
     spec = spec if spec is not None else IndustrialConfigSpec()
     network = industrial_config(spec)
-    comparison = industrial_comparison(spec, jobs=jobs)
+    comparison = industrial_comparison(spec)
 
     buckets = {}
     for path in comparison.paths.values():

@@ -25,12 +25,11 @@ _BIN_BYTES = 150
 def run_fig6(
     spec: Optional[IndustrialConfigSpec] = None,
     bin_bytes: int = _BIN_BYTES,
-    jobs: int = 1,
 ) -> ExperimentResult:
     """Percentage of paths per s_max bin where WCNC is at least as tight."""
     spec = spec if spec is not None else IndustrialConfigSpec()
     network = industrial_config(spec)
-    comparison = industrial_comparison(spec, jobs=jobs)
+    comparison = industrial_comparison(spec)
 
     wins = {}
     totals = {}

@@ -132,20 +132,20 @@ def industrial_config(spec: IndustrialConfigSpec = IndustrialConfigSpec()) -> Ne
 
 @lru_cache(maxsize=4)
 def industrial_comparison(
-    spec: IndustrialConfigSpec = IndustrialConfigSpec(), jobs: int = 1
+    spec: IndustrialConfigSpec = IndustrialConfigSpec(),
 ) -> AnalysisResult:
     """Both analyses on the industrial configuration (cached).
 
     Several experiments (Table I, Figs. 5 and 6) aggregate the same
     per-path bounds, so the expensive run happens once per spec.
-    ``jobs > 1`` fans the run across the batch engine's worker pool
-    (:mod:`repro.batch`); the bounds are bit-identical for any ``jobs``
-    value, so the cache key including ``jobs`` only ever duplicates
-    work, never changes results.
     """
-    from repro.batch import BatchAnalyzer  # deferred: avoid an import cycle
+    from repro.core.combined import build_comparison
+    from repro.netcalc.analyzer import analyze_network_calculus
+    from repro.trajectory.analyzer import analyze_trajectory
 
     network = industrial_config(spec)
-    return BatchAnalyzer(
-        network, jobs=jobs, grouping=True, serialization=True
-    ).combined()
+    nc_result = analyze_network_calculus(network, grouping=True)
+    trajectory_result = analyze_trajectory(
+        network, serialization=True, nc_result=nc_result
+    )
+    return build_comparison(nc_result, trajectory_result)

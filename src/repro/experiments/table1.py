@@ -28,12 +28,10 @@ __all__ = ["run_table1"]
 
 
 @register("table1")
-def run_table1(
-    spec: Optional[IndustrialConfigSpec] = None, jobs: int = 1
-) -> ExperimentResult:
+def run_table1(spec: Optional[IndustrialConfigSpec] = None) -> ExperimentResult:
     """Reproduce Table I on the synthetic industrial configuration."""
     spec = spec if spec is not None else IndustrialConfigSpec()
-    comparison = industrial_comparison(spec, jobs=jobs)
+    comparison = industrial_comparison(spec)
     stats = summarize(comparison.paths.values())
     result = ExperimentResult(
         experiment_id="table1",

@@ -60,7 +60,6 @@ def explain_network(
     grouping: bool = True,
     serialization: object = True,
     refine_smax: bool = True,
-    jobs: int = 1,
     cache_dir: Optional[str] = None,
     collect_stats: bool = False,
     progress=None,
@@ -69,26 +68,36 @@ def explain_network(
 
     Mirrors the combined CLI analysis (same analyzers, same seeding, so
     the bounds are bit-identical to an unexplained ``afdx analyze``
-    run) and is deterministic across ``jobs`` and across cold vs
-    ``cache_dir``-warmed incremental runs.
+    run) and is deterministic across cold vs ``cache_dir``-warmed
+    incremental runs.
     """
-    from repro.batch.analyzer import BatchAnalyzer
     from repro.core.combined import build_comparison
+    from repro.netcalc.analyzer import analyze_network_calculus
+    from repro.trajectory.analyzer import analyze_trajectory
 
-    batch = BatchAnalyzer(
+    cache = None
+    if cache_dir is not None:
+        from repro.incremental.cache import BoundCache
+
+        cache = BoundCache(cache_dir=cache_dir)
+    nc_result = analyze_network_calculus(
         network,
-        jobs=jobs,
         grouping=grouping,
+        collect_stats=collect_stats,
+        progress=progress,
+        cache=cache,
+        explain=True,
+    )
+    trajectory_result = analyze_trajectory(
+        network,
         serialization=serialization,
         refine_smax=refine_smax,
         collect_stats=collect_stats,
         progress=progress,
-        incremental=cache_dir is not None,
-        cache_dir=cache_dir,
+        cache=cache,
         explain=True,
+        nc_result=nc_result,
     )
-    nc_result = batch.network_calculus()
-    trajectory_result = batch.trajectory()
     comparison = build_comparison(nc_result, trajectory_result)
     assert nc_result.provenance is not None
     assert trajectory_result.provenance is not None

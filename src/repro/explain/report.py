@@ -2,8 +2,8 @@
 
 All three renderers are pure functions of the :class:`Explanation`
 (no timestamps, no machine identity, deterministic ordering and float
-formatting), so output is byte-identical across ``--jobs`` settings
-and across cold vs incremental runs — which the test suite enforces.
+formatting), so output is byte-identical across cold vs incremental
+runs — which the test suite enforces.
 """
 
 from __future__ import annotations

@@ -33,8 +33,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
+from repro import units
 from repro.errors import ConfigurationError, UnknownNodeError
 from repro.network.port import PortId
+from repro.network.serialization import _number, _routes, _typed, _virtual_link
 from repro.network.topology import Network
 from repro.network.virtual_link import VirtualLink
 
@@ -193,45 +195,46 @@ def _apply_one(network: Network, edit: Edit, changed: set) -> set:
 # ----------------------------------------------------------------------
 
 
-def parse_edit_script(data: Dict[str, object]) -> List[Edit]:
-    """Parse a decoded edit-script document into edit objects."""
-    raw = data.get("edits")
-    if not isinstance(raw, list):
-        raise ConfigurationError("edit script must contain an 'edits' array")
+def parse_edit_script(data: object) -> List[Edit]:
+    """Parse a decoded edit-script document into edit objects.
+
+    Fields get the checks of a configuration file
+    (:func:`repro.network.serialization.network_from_dict`): a value of
+    the wrong JSON type, a non-finite number or a boolean where a
+    number belongs raises :class:`ConfigurationError`.
+    """
+    raw = _typed(
+        _typed(data, dict, "edit script").get("edits"),
+        list,
+        "the edit script's 'edits' array",
+    )
     edits: List[Edit] = []
     for index, entry in enumerate(raw):
+        what = f"edit #{index + 1}"
         try:
-            edits.append(_parse_entry(entry))
+            edits.append(_parse_entry(_typed(entry, dict, what), what))
         except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(f"edit #{index + 1} is malformed: {exc}") from exc
+            raise ConfigurationError(f"{what} is malformed: {exc}") from exc
     return edits
 
 
-def _parse_entry(entry: Dict[str, object]) -> Edit:
+def _parse_entry(entry: Dict[str, object], what: str) -> Edit:
     op = entry["op"]
     if op == "add":
-        spec = entry["vl"]
-        return AddVL(
-            VirtualLink(
-                name=spec["name"],
-                source=spec["source"],
-                paths=tuple(tuple(p) for p in spec["paths"]),
-                bag_ms=spec["bag_ms"],
-                s_max_bytes=spec["s_max_bytes"],
-                s_min_bytes=spec.get("s_min_bytes", 64),
-                priority=spec.get("priority", 0),
-            )
-        )
+        return AddVL(_virtual_link(entry["vl"]))
+    name = _typed(entry["vl"], str, f"{what}: 'vl'")
     if op == "remove":
-        return RemoveVL(name=entry["vl"])
+        return RemoveVL(name=name)
     if op == "retime":
-        return RetimeVL(name=entry["vl"], bag_ms=float(entry["bag_ms"]))
+        bag_ms = _number(entry["bag_ms"], f"{what}: 'bag_ms'", units.US_PER_MS)
+        return RetimeVL(name=name, bag_ms=float(bag_ms))
     if op == "resize":
-        return ResizeVL(name=entry["vl"], s_max_bytes=float(entry["s_max_bytes"]))
-    if op == "reroute":
-        return RerouteVL(
-            name=entry["vl"], paths=tuple(tuple(p) for p in entry["paths"])
+        s_max = _number(
+            entry["s_max_bytes"], f"{what}: 's_max_bytes'", units.BITS_PER_BYTE
         )
+        return ResizeVL(name=name, s_max_bytes=float(s_max))
+    if op == "reroute":
+        return RerouteVL(name=name, paths=_routes(entry["paths"], what))
     raise ValueError(f"unknown op {op!r}")
 
 

@@ -136,7 +136,9 @@ class NetworkCalculusAnalyzer:
 
         A hit is a shallow copy (callers may attach stats without
         touching the cached object) carrying the stats and provenance a
-        computed run would attach.  Always None when not incremental.
+        computed run would attach.  An entry whose path keys differ
+        from the network's is stale and counts as a miss; the caller
+        recomputes and overwrites it.  Always None when not incremental.
         """
         cache = self._resolve_cache()
         if cache is None:
@@ -144,7 +146,7 @@ class NetworkCalculusAnalyzer:
         obs = self._obs
         with obs.tracer.span("netcalc.result_probe"):
             cached = cache.get("nc.result", self.result_fingerprint())
-        if cached is None:
+        if cached is None or cached.paths.keys() != self.network.path_keys():
             return None
         result = NetworkCalculusResult(
             grouping=cached.grouping,
@@ -211,10 +213,8 @@ class NetworkCalculusAnalyzer:
     ) -> PortAnalysis:
         """Bound one output port given its flows' entering buckets.
 
-        Pure with respect to analyzer state — only ``network``,
-        ``grouping`` and the passed buckets matter — which is what lets
-        the batch engine fan one propagation level's ports across
-        worker processes.
+        Pure with respect to analyzer state: only ``network``,
+        ``grouping`` and the passed buckets matter.
 
         Raises
         ------
@@ -270,11 +270,7 @@ class NetworkCalculusAnalyzer:
         result: NetworkCalculusResult,
         port_delay: Dict[PortId, float],
     ) -> None:
-        """Fill ``result.paths`` by summing per-port delays along each path.
-
-        Shared by :meth:`analyze` and the batch coordinator, which
-        produces ``port_delay`` from level-parallel workers.
-        """
+        """Fill ``result.paths`` by summing per-port delays along each path."""
         for vl_name, path_index, node_path in self.network.flow_paths():
             port_ids = tuple((a, b) for a, b in zip(node_path, node_path[1:]))
             delays = tuple(port_delay[pid] for pid in port_ids)

@@ -21,7 +21,7 @@ from repro.errors import CyclicRoutingError
 from repro.network.port import PortId
 from repro.network.topology import Network
 
-__all__ = ["port_successors", "topological_port_order", "port_levels"]
+__all__ = ["port_successors", "topological_port_order"]
 
 
 def port_successors(network: Network) -> Dict[PortId, Set[PortId]]:
@@ -75,31 +75,3 @@ def topological_port_order(network: Network) -> List[PortId]:
         )
     return order
 
-
-def port_levels(network: Network) -> List[List[PortId]]:
-    """Used ports grouped by longest-path depth in the port graph.
-
-    Level 0 holds the source ES ports; level ``k`` holds ports whose
-    deepest upstream chain has length ``k``.  Every port's predecessors
-    live in strictly earlier levels, so all ports of one level can be
-    analyzed concurrently once the earlier levels are done — the
-    wavefront the batch engine fans across worker processes.  Levels
-    and the ports inside them are sorted, hence deterministic.
-
-    Raises
-    ------
-    CyclicRoutingError
-        When the VL routing induces a cycle among output ports (via
-        :func:`topological_port_order`).
-    """
-    order = topological_port_order(network)
-    succ = port_successors(network)
-    depth: Dict[PortId, int] = {pid: 0 for pid in order}
-    for pid in order:
-        for q in succ[pid]:
-            if depth[pid] + 1 > depth[q]:
-                depth[q] = depth[pid] + 1
-    levels: Dict[int, List[PortId]] = {}
-    for pid in order:
-        levels.setdefault(depth[pid], []).append(pid)
-    return [sorted(levels[k]) for k in sorted(levels)]

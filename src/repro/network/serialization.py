@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, Union
+from typing import Any, Dict, Tuple, Union
 
 from repro import units
 from repro.errors import ConfigurationError
@@ -111,6 +111,40 @@ def _number(value: Any, what: str, scale: float = 1.0) -> Any:
     return value
 
 
+def _routes(value: Any, what: str) -> Tuple[Tuple[str, ...], ...]:
+    """A VL's ``paths``: a list of routes, each a list of node names."""
+    return tuple(
+        tuple(
+            _typed(hop, str, f"{what}: route hop")
+            for hop in _typed(path, list, f"{what}: path")
+        )
+        for path in _typed(value, list, f"{what}: 'paths'")
+    )
+
+
+def _virtual_link(entry: Any) -> VirtualLink:
+    """One ``virtual_links`` entry (also an ``add`` edit's ``vl``).
+
+    A missing field raises :class:`KeyError` and a value the model
+    rejects :class:`ValueError`; callers turn both into
+    :class:`ConfigurationError` with their own context.
+    """
+    _typed(entry, dict, "virtual link entry")
+    name = _typed(entry["name"], str, "VL name")
+    what = f"VL {name!r}"
+    paths = _routes(entry["paths"], what)
+    bits = units.BITS_PER_BYTE
+    return VirtualLink(
+        name=name,
+        source=_typed(entry["source"], str, f"{what}: 'source'"),
+        paths=paths,
+        bag_ms=_number(entry["bag_ms"], f"{what}: 'bag_ms'", units.US_PER_MS),
+        s_max_bytes=_number(entry["s_max_bytes"], f"{what}: 's_max_bytes'", bits),
+        s_min_bytes=_number(entry.get("s_min_bytes", 64), f"{what}: 's_min_bytes'", bits),
+        priority=_number(entry.get("priority", 0), f"{what}: 'priority'"),
+    )
+
+
 def network_from_dict(data: Dict[str, Any]) -> Network:
     """Rebuild a network from :func:`network_to_dict` output.
 
@@ -152,30 +186,7 @@ def network_from_dict(data: Dict[str, Any]) -> Network:
                 rate = units.mbps_to_bits_per_us(_number(rate, f"link {a}-{b} rate"))
             network.add_link(a, b, rate_bits_per_us=rate)
         for vl in _typed(data.get("virtual_links", []), list, "'virtual_links'"):
-            _typed(vl, dict, "virtual link entry")
-            name = _typed(vl["name"], str, "VL name")
-            what = f"VL {name!r}"
-            paths = _typed(vl["paths"], list, f"{what}: 'paths'")
-            bits = units.BITS_PER_BYTE
-            network.add_virtual_link(
-                VirtualLink(
-                    name=name,
-                    source=_typed(vl["source"], str, f"{what}: 'source'"),
-                    paths=tuple(
-                        tuple(
-                            _typed(hop, str, f"{what}: route hop")
-                            for hop in _typed(path, list, f"{what}: path")
-                        )
-                        for path in paths
-                    ),
-                    bag_ms=_number(vl["bag_ms"], f"{what}: 'bag_ms'", units.US_PER_MS),
-                    s_max_bytes=_number(vl["s_max_bytes"], f"{what}: 's_max_bytes'", bits),
-                    s_min_bytes=_number(
-                        vl.get("s_min_bytes", 64), f"{what}: 's_min_bytes'", bits
-                    ),
-                    priority=_number(vl.get("priority", 0), f"{what}: 'priority'"),
-                )
-            )
+            network.add_virtual_link(_virtual_link(vl))
         if not network.virtual_links:
             raise ConfigurationError("the configuration defines no virtual link")
     except KeyError as exc:

@@ -271,6 +271,15 @@ class Network:
                 out.append((name, idx, path))
         return out
 
+    def path_keys(self) -> Set[Tuple[str, int]]:
+        """The ``(vl_name, path_index)`` keys of :meth:`flow_paths`:
+        the keys every per-path result of this network carries."""
+        return {
+            (name, idx)
+            for name, vl in self._vls.items()
+            for idx in range(len(vl.paths))
+        }
+
     def vls_at_port(self, port_id: PortId) -> FrozenSet[str]:
         """Names of the VLs whose frames cross the given output port.
 

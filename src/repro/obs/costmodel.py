@@ -9,9 +9,9 @@ operations — *derived from the result structures themselves*
 ``n_candidates`` / ``n_competitors`` per tree port,
 :class:`~repro.netcalc.results.PortAnalysis` carries ``n_flows`` /
 ``n_groups``).  Because the bounds are bit-identical across
-``PYTHONHASHSEED``, ``--jobs N`` and cold/warm caches, so are the
-counters: "did the algorithm do less work" becomes an exact equality
-check (``scripts/bench_gate.py``), not a ±30% wall-time judgement.
+``PYTHONHASHSEED`` and cold/warm caches, so are the counters: "did the
+algorithm do less work" becomes an exact equality check
+(``scripts/bench_gate.py``), not a ±30% wall-time judgement.
 
 The ledger has four sections:
 
@@ -31,10 +31,12 @@ The ledger has four sections:
     differs between cold and warm runs, so
     :func:`deterministic_section` excludes it.
 ``runtime``
-    Execution-shape counters (warm-pool reuse, worker count) — facts
-    about *how* the run executed, not about the algorithm's work, so
-    they differ across ``--jobs`` and pool states and are excluded from
-    :func:`deterministic_section` alongside ``cache``.
+    Execution-shape counters: facts about *how* the run executed, not
+    about the algorithm's work, excluded from
+    :func:`deterministic_section` alongside ``cache``.  One
+    configuration is analyzed in one process, so no analyzer records
+    any; the section stays (empty) so the JSON shape, and the cache
+    entries that store it, keep ``cost_schema`` 1.
 
 Everything here is integers and dict bookkeeping: no clocks, no float
 accumulation, no hash-order iteration.
@@ -101,10 +103,6 @@ class CostLedger:
         slot = self.cache.setdefault(name, {"hits": 0, "misses": 0})
         slot["hits"] += int(hits)
         slot["misses"] += int(misses)
-
-    def record_runtime(self, name: str, amount: int = 1) -> None:
-        """Add to an execution-shape counter (non-deterministic section)."""
-        self.runtime[name] = self.runtime.get(name, 0) + int(amount)
 
     # -- reading -------------------------------------------------------
 
@@ -182,9 +180,7 @@ def record_trajectory_sweep(
     """Fold one trajectory sweep's prefix bounds into the ledger.
 
     ``bounds`` is the sweep's ``(vl_name, port) -> TrajectoryPathBound``
-    map (sequential ``_sweep()`` output, or the coordinator's merged
-    chunk bounds under ``--jobs N`` — identical content either way,
-    which is what makes the ledger jobs-invariant).
+    map (``_sweep()`` output).
     """
     candidates = 0
     competitors = 0
@@ -265,8 +261,7 @@ def deterministic_section(cost: Mapping[str, object]) -> Dict[str, object]:
     """A ledger dict minus its ``cache`` and ``runtime`` sections.
 
     What remains is the byte-identity contract: equal across
-    ``PYTHONHASHSEED`` values, ``--jobs``, pool states, and cold vs
-    warm caches.
+    ``PYTHONHASHSEED`` values and cold vs warm caches.
     """
     return {
         key: value

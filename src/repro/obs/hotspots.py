@@ -9,15 +9,11 @@ perf work needs to aim at:
 * **sweep convergence cost curve** — work per sweep, so "one fewer
   sweep" and "cheaper sweeps" show up as different shapes;
 * **hot paths** — paths whose busy-period bound exceeds a share
-  threshold of the total, the candidates for path-local memoization;
-* **worker lanes** — per-phase busy/idle fractions of each worker
-  process under ``--jobs N`` (from the same ``workers`` span attribute
-  the Chrome-trace export draws its lanes from), with stragglers
-  called out — the "why didn't it scale" report.
+  threshold of the total, the candidates for path-local memoization.
 
 The report separates ``deterministic`` (byte-identical across
-``PYTHONHASHSEED`` / ``--jobs`` / cache states — compared exactly by
-``scripts/profile_smoke.py``) from ``cache``, ``workers`` and ``wall``
+``PYTHONHASHSEED`` and cache states — compared exactly by
+``scripts/profile_smoke.py``) from ``cache`` and ``wall``
 (informational, legitimately run-dependent).
 """
 
@@ -32,10 +28,10 @@ __all__ = [
     "PROFILE_SCHEMA_VERSION",
     "build_profile_report",
     "render_profile_report",
-    "worker_lane_summary",
 ]
 
-PROFILE_SCHEMA_VERSION = 1
+#: Bumped whenever the report's JSON shape changes incompatibly.
+PROFILE_SCHEMA_VERSION = 2
 
 
 def _ledger_from_stats(stats: Optional[Mapping[str, object]]) -> CostLedger:
@@ -49,66 +45,6 @@ def _wall_ms(stats: Optional[Mapping[str, object]]) -> float:
     """Total root-span wall time of one analyzer's stats export."""
     spans = (stats or {}).get("spans", [])
     return round(math.fsum(float(span["duration_ms"]) for span in spans), 3)
-
-
-#: a lane whose busy time exceeds the lane mean by this factor is a
-#: straggler: it alone stretches the phase while its siblings idle
-_STRAGGLER_FACTOR = 1.25
-
-
-def worker_lane_summary(
-    stats: Optional[Mapping[str, object]]
-) -> List[Dict[str, object]]:
-    """Per-phase worker-lane utilization from one stats export.
-
-    Walks the span tree for ``workers`` attributes (per-worker busy
-    milliseconds, the same data the Chrome-trace export renders as
-    ``worker-N`` lanes) and derives, per parallel phase: each lane's
-    busy fraction of the phase wall time, the aggregate utilization,
-    and the straggler lanes (busy > ``_STRAGGLER_FACTOR`` x the lane
-    mean) that bound the phase's critical path.  Wall-clock derived,
-    so the section is informational — never part of the byte-identity
-    contract.
-    """
-    phases: List[Dict[str, object]] = []
-
-    def visit(span: Mapping[str, object]) -> None:
-        attrs = span.get("attrs") or {}
-        lanes = attrs.get("workers")
-        if isinstance(lanes, (list, tuple)) and lanes:
-            busy_ms = [float(value) for value in lanes]
-            wall_ms = float(span["duration_ms"])
-            capacity_ms = wall_ms * len(busy_ms)
-            mean_ms = math.fsum(busy_ms) / len(busy_ms)
-            entry: Dict[str, object] = {
-                "phase": str(span["name"]),
-                "lanes": len(busy_ms),
-                "wall_ms": round(wall_ms, 3),
-                "utilization": (
-                    round(min(1.0, math.fsum(busy_ms) / capacity_ms), 4)
-                    if capacity_ms > 0.0
-                    else 0.0
-                ),
-                "lane_busy_frac": [
-                    round(min(1.0, value / wall_ms), 4) if wall_ms > 0.0 else 0.0
-                    for value in busy_ms
-                ],
-                "stragglers": [
-                    index
-                    for index, value in enumerate(busy_ms)
-                    if len(busy_ms) > 1 and value > _STRAGGLER_FACTOR * mean_ms
-                ],
-            }
-            for extra in ("start_method", "pool_reused"):
-                if extra in attrs:
-                    entry[extra] = attrs[extra]
-            phases.append(entry)
-        for child in span.get("children", ()):
-            visit(child)
-
-    for span in (stats or {}).get("spans", []):
-        visit(span)
-    return phases
 
 
 def build_profile_report(
@@ -170,10 +106,6 @@ def build_profile_report(
             "network_calculus": deterministic_complement(nc_ledger),
             "trajectory": deterministic_complement(traj_ledger),
         },
-        "workers": (
-            worker_lane_summary(nc_result.stats)
-            + worker_lane_summary(trajectory_result.stats)
-        ),
         "wall": {
             "network_calculus_ms": _wall_ms(nc_result.stats),
             "trajectory_ms": _wall_ms(trajectory_result.stats),
@@ -252,22 +184,6 @@ def render_profile_report(report: Mapping[str, object]) -> str:
             lines.append(f"  {analyzer}: {rendered} (hits/lookups)")
         else:
             lines.append(f"  {analyzer}: (no caches active)")
-    workers = report.get("workers") or []
-    if workers:
-        lines.append("worker lanes (wall-clock, informational):")
-        for entry in workers:
-            fracs = " ".join(
-                f"w{index}={frac:.0%}"
-                for index, frac in enumerate(entry["lane_busy_frac"])
-            )
-            line = (
-                f"  {entry['phase']}: {entry['lanes']} lanes, "
-                f"utilization={entry['utilization']:.0%} [{fracs}]"
-            )
-            if entry["stragglers"]:
-                lagging = ", ".join(f"w{index}" for index in entry["stragglers"])
-                line += f" stragglers: {lagging}"
-            lines.append(line)
     wall = report["wall"]
     lines.append(
         "wall time (informational): "

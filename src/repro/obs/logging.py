@@ -86,9 +86,9 @@ def configure(
 
 
 #: Worker lane id of *this process* (None on the coordinator).  Set by
-#: the pool initializer; matches the synthetic Chrome-trace worker tids
-#: (``repro.obs.tracefile``, base 100), so a ``[w101]`` stderr line and
-#: the tid-101 trace lane are the same worker.
+#: the pool initializer; matches the fleet telemetry lanes
+#: (``repro.batch.pool.LANE_BASE``, 100), so a ``[w101]`` stderr line
+#: and a lane-101 telemetry event are the same worker.
 _WORKER_LANE: Optional[int] = None
 
 #: The record factory active before the first lane install, so a lane
@@ -111,9 +111,10 @@ def set_worker_lane(lane: Optional[int]) -> None:
 
     Called by the worker-pool initializer in each pool process: from
     then on every record logged under the ``repro`` hierarchy carries a
-    ``[w<lane>]`` message prefix, so interleaved stderr from ``--jobs
-    N`` runs is attributable to a worker — and joinable with the
-    Chrome-trace worker lanes, which use the same numbering.  Installed
+    ``[w<lane>]`` message prefix, so interleaved stderr from
+    ``batch-sweep --jobs N`` runs is attributable to a worker — and
+    joinable with the fleet telemetry lanes, which use the same
+    numbering.  Installed
     via :func:`logging.setLogRecordFactory` (record creation), so it
     works whether the worker inherited a configured handler (fork) or
     merely propagates records (spawn).  ``None`` uninstalls.

@@ -8,8 +8,8 @@ the pool's telemetry queue (:func:`repro.batch.pool.worker_emit`), a
 :class:`TelemetryDrain` thread on the coordinator consumes them *while
 the map call blocks*, and a :class:`FleetView` folds them into a live
 one-line view: configs/sec throughput, ETA, cache hit rate, and
-per-worker lane tallies (the same ``w100+`` lanes the Chrome-trace
-export and the log prefix use).
+per-worker lane tallies (the same ``w100+`` lanes the log prefix
+uses).
 
 Event grammar (deliberately loose — a dict with a ``kind``):
 

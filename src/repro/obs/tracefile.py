@@ -9,10 +9,6 @@ https://ui.perfetto.dev load directly:
 * each analyzer gets its own ``pid`` lane, named via ``"ph": "M"``
   (metadata) events, so Network Calculus and Trajectory stack as
   separate processes in the UI;
-* ``batch.*`` phase spans carry a ``workers`` attribute (per-worker
-  busy milliseconds, pid-agnostic); these unfold into synthetic
-  ``worker-N`` thread lanes anchored at the phase start — approximate
-  placement, exact totals;
 * merging appends a later run (e.g. the warm half of a cold/warm
   pair) under fresh ``pid`` lanes, so one file can hold the whole
   experiment.
@@ -43,8 +39,6 @@ __all__ = [
 
 #: tid of the coordinator lane in every process.
 _MAIN_TID = 1
-#: Synthetic worker lanes start here (coordinator keeps tid 1).
-_WORKER_TID_BASE = 100
 
 _VALID_PHASES = frozenset({"X", "M"})
 
@@ -52,7 +46,6 @@ _VALID_PHASES = frozenset({"X", "M"})
 def _span_events(span: Mapping[str, object], pid: int, tid: int) -> List[dict]:
     """One span dict (``Span.to_dict`` shape) to trace events, recursively."""
     attrs = dict(span.get("attrs", {}))
-    workers = attrs.pop("workers", None)
     start_us = round(float(span["start_ms"]) * 1000.0, 1)
     dur_us = round(float(span["duration_ms"]) * 1000.0, 1)
     name = str(span["name"])
@@ -68,20 +61,6 @@ def _span_events(span: Mapping[str, object], pid: int, tid: int) -> List[dict]:
     if attrs:
         event["args"] = {str(key): attrs[key] for key in sorted(attrs)}
     events = [event]
-    if isinstance(workers, (list, tuple)):
-        for index, busy_ms in enumerate(workers):
-            events.append(
-                {
-                    "name": f"{name}.worker",
-                    "cat": name.split(".", 1)[0],
-                    "ph": "X",
-                    "ts": start_us,
-                    "dur": round(float(busy_ms) * 1000.0, 1),
-                    "pid": pid,
-                    "tid": _WORKER_TID_BASE + index,
-                    "args": {"approximate": "busy time anchored at phase start"},
-                }
-            )
     for child in span.get("children", []):
         events.extend(_span_events(child, pid, tid))
     return events
@@ -233,8 +212,7 @@ def strip_wall_fields(doc: Mapping[str, object]) -> Dict[str, object]:
     """A copy of ``doc`` minus every wall-time-derived field.
 
     Drops ``ts`` / ``dur`` and any ``args`` entry whose key ends in
-    ``_ms`` (millisecond readings; ``workers`` lanes are already
-    rendered from those).  What survives — event names, categories,
+    ``_ms`` (millisecond readings).  What survives — event names, categories,
     lane structure, deterministic span attributes such as
     ``smax_updates`` — must be byte-identical across reruns of the
     same command, which is exactly what the determinism tests assert.

@@ -245,9 +245,7 @@ class TrajectoryAnalyzer:
     ):
         if max_refinements < 1:
             raise ValueError(f"max_refinements must be >= 1, got {max_refinements}")
-        if nc_result is not None and set(nc_result.paths) != {
-            (name, index) for name, index, _ in network.flow_paths()
-        }:
+        if nc_result is not None and nc_result.paths.keys() != network.path_keys():
             raise ValueError(
                 "nc_result covers different VL paths than the network; "
                 "pass the Network Calculus result of the same configuration"
@@ -280,15 +278,12 @@ class TrajectoryAnalyzer:
 
     # ------------------------------------------------------------------
 
-    def prepare(self, smax_seed: Optional[Dict[FlowPortKey, float]] = None) -> None:
+    def prepare(self) -> None:
         """Validate, seed ``Smax`` and precompute sweep-invariant state.
 
         The seed comes from the constructor's ``nc_result`` when it is
         the default seed, else from a Network Calculus run of its own.
-        ``smax_seed`` is for pool workers only: it ships the
-        coordinator's seed to every worker instead of re-running NC per
-        process, and :meth:`analyze` never caches a run seeded that
-        way.  Idempotent: the first call wins.
+        Idempotent: the first call wins.
         """
         if self._prepared:
             return
@@ -298,17 +293,16 @@ class TrajectoryAnalyzer:
             check_network(network)
             topological_port_order(network)  # raises CyclicRoutingError if cyclic
 
-        if smax_seed is None:
-            nc_seed = self._nc_seed
-            if nc_seed is None:
-                with obs.tracer.span("trajectory.nc_seed"):
-                    nc_seed = analyze_network_calculus(
-                        network,
-                        grouping=True,
-                        incremental=self.incremental,
-                        cache=self._cache,
-                    )
-            smax_seed = seed_smax_from_netcalc(network, nc_seed)
+        nc_seed = self._nc_seed
+        if nc_seed is None:
+            with obs.tracer.span("trajectory.nc_seed"):
+                nc_seed = analyze_network_calculus(
+                    network,
+                    grouping=True,
+                    incremental=self.incremental,
+                    cache=self._cache,
+                )
+        smax_seed = seed_smax_from_netcalc(network, nc_seed)
         with obs.tracer.span("trajectory.precompute"):
             self._smin = compute_smin(network)
             self._smax: Dict[FlowPortKey, float] = dict(smax_seed)
@@ -352,9 +346,11 @@ class TrajectoryAnalyzer:
         The fingerprint does not cover the ``Smax`` seed: a hit is the
         result of the default seeding (a grouped, overhead-free Network
         Calculus run, what :meth:`prepare` computes or takes from
-        ``nc_result`` without ``smax_seed``).  The hit is a shallow
-        copy carrying the stats a computed run would attach, with the
-        cold run's deterministic ledger sections.
+        ``nc_result``).  An entry whose path keys differ from the
+        network's is stale and counts as a miss; the caller recomputes
+        and overwrites it.  The hit is a shallow copy carrying the
+        stats a computed run would attach, with the cold run's
+        deterministic ledger sections.
         """
         cache = self._result_cache()
         if cache is None:
@@ -363,7 +359,7 @@ class TrajectoryAnalyzer:
         with obs.tracer.span("trajectory.result_probe"):
             fingerprint = self.result_fingerprint()
             cached = cache.get("traj.result", fingerprint)
-        if cached is None:
+        if cached is None or cached.paths.keys() != self.network.path_keys():
             return None
         result = TrajectoryResult(
             serialization=cached.serialization,
@@ -421,9 +417,9 @@ class TrajectoryAnalyzer:
         obs = self._obs
         collect = obs.enabled
 
-        # a custom prepare(smax_seed) is not covered by the fingerprint,
-        # so only a run that seeds itself (nc_result included: it is
-        # the default seed or ignored) touches the result cache
+        # an analyzer already prepared may have been stepped by hand
+        # (sweep_vls / tighten_smax), which the fingerprint does not
+        # cover, so only a fresh run touches the result cache
         cacheable = not self._prepared and self._result_cache() is not None
         if cacheable:
             cached = self.cached_result()
@@ -530,7 +526,7 @@ class TrajectoryAnalyzer:
 
         Lazy import: the explain layer costs nothing unless requested.
         Requires ``_explain_smax`` / ``_explain_bounds`` to be set
-        (done by :meth:`analyze`, or by the batch coordinator).
+        (done by :meth:`analyze`).
         """
         from repro.explain.trajectory import trajectory_provenance
 
@@ -539,11 +535,7 @@ class TrajectoryAnalyzer:
     def build_result(
         self, bounds: Dict[FlowPortKey, TrajectoryPathBound], sweeps: int
     ) -> TrajectoryResult:
-        """Per-path result from one converged sweep's prefix bounds.
-
-        Shared by :meth:`analyze` and the batch coordinator (which runs
-        the sweeps remotely and only merges prefix bounds locally).
-        """
+        """Per-path result from one converged sweep's prefix bounds."""
         result = TrajectoryResult(
             serialization=self.serialization_mode, refinement_iterations=sweeps
         )
@@ -759,20 +751,13 @@ class TrajectoryAnalyzer:
     # One fixed-point sweep
     # ------------------------------------------------------------------
 
-    def smax_snapshot(self) -> Dict[FlowPortKey, float]:
-        """A copy of the current ``Smax`` map (batch coordinator seed)."""
-        if not self._prepared:
-            raise RuntimeError("prepare() must run before smax_snapshot()")
-        return dict(self._smax)
-
     def tighten_smax(
         self, bounds: Dict[FlowPortKey, TrajectoryPathBound]
     ) -> Tuple[Dict[FlowPortKey, float], float]:
         """One descending update of Smax.
 
         Returns ``(tightened entries, largest tightening in us)`` —
-        ``({}, 0.0)`` means the fixed point is stable.  The entry map is
-        what the batch engine broadcasts to its workers between sweeps.
+        ``({}, 0.0)`` means the fixed point is stable.
 
         A frame of ``v`` arrives in the queue of port ``p_k`` at most
         ``R_v(prefix through p_{k-1}) + latency(p_k owner)`` after its
@@ -797,10 +782,6 @@ class TrajectoryAnalyzer:
                     max_delta = delta
         return updates, max_delta
 
-    def apply_smax_updates(self, updates: Dict[FlowPortKey, float]) -> None:
-        """Install coordinator-tightened ``Smax`` entries (batch workers)."""
-        self._smax.update(updates)
-
     def _sweep(self) -> Dict[FlowPortKey, TrajectoryPathBound]:
         return self.sweep_vls(list(self.network.virtual_links))
 
@@ -810,9 +791,7 @@ class TrajectoryAnalyzer:
         """Walk the given VLs' trees once with the current ``Smax`` map.
 
         The prefix bounds of different VLs are independent within one
-        sweep, which is what lets the batch engine fan a sweep's walks
-        across worker processes and merge the per-chunk dictionaries in
-        any order without changing a single bit of the result.
+        sweep, so any subset of VLs may be swept on its own.
         """
         if not self._prepared:
             raise RuntimeError("prepare() must run before sweep_vls()")

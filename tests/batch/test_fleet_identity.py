@@ -1,28 +1,26 @@
-"""Execution-shape identity: the fleet engine's central contract.
+"""Execution-shape identity: every shape of a run gives the same bytes.
 
-Every way of running an analysis — ``jobs`` in {1, 2, 4}, cold,
-through a warm reused :class:`WorkerPool`, or against a cold/warm
+Every way of running an analysis — cold, or against a cold/warm
 incremental cache — must produce per-path bounds *bit-identical* to
-the sequential run and to the reference walk kept as a test oracle
+the plain run and to the reference walk kept as a test oracle
 (``tests/trajectory/reference_kernel.py``), and a deterministic
-:class:`CostLedger` section byte-identical to the sequential run's.
-The committed-scenario sweep lives in ``scripts/kernel_gate.py``; here
-the same contract is exercised on the full shape cross product (fig1)
-and property-tested on randomized topologies under hypothesis, sharing
-one warm pool across every example so payload epochs get hammered too.
+:class:`CostLedger` section byte-identical to the plain run's.  The
+committed-scenario sweep lives in ``scripts/kernel_gate.py``; here the
+same contract is exercised on every shape (fig1) and property-tested
+on randomized topologies under hypothesis.  Fan-out across
+configurations has its own identity test in ``test_corpus.py``.
 """
 
 import json
-import multiprocessing
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.batch import BatchAnalyzer
-from repro.batch.pool import WorkerPool
 from repro.configs import fig1_network, random_network
+from repro.incremental.cache import BoundCache
 from repro.obs.costmodel import deterministic_section
+from repro.trajectory.analyzer import analyze_trajectory
 from tests.trajectory.reference_kernel import ReferenceTrajectoryAnalyzer
 
 FLOAT_FIELDS = (
@@ -53,12 +51,9 @@ def _ledger_bytes(result):
 
 
 def _trajectory(network, mode, **kwargs):
-    return BatchAnalyzer(
-        network,
-        serialization=mode,
-        collect_stats=True,
-        **kwargs,
-    ).trajectory()
+    return analyze_trajectory(
+        network, serialization=mode, collect_stats=True, **kwargs
+    )
 
 
 def _reference(network, mode):
@@ -70,70 +65,29 @@ def _reference(network, mode):
 class TestShapeCrossProduct:
     @pytest.mark.parametrize("baseline", ("fast", "reference"))
     def test_every_shape_bit_identical(self, baseline, tmp_path):
-        """Every shape against the sequential run, or against the oracle.
+        """Every shape against the plain run, or against the oracle.
 
-        ``fast``: bounds and ledger bytes equal the ``jobs=1`` product
-        run.  ``reference``: bounds equal the test oracle's (its ledger
+        ``fast``: bounds and ledger bytes equal the plain product run.
+        ``reference``: bounds equal the test oracle's (its ledger
         differs in the prune-dependent candidate counters, so only the
         bounds are compared).
         """
         network = fig1_network()
-        sequential = _trajectory(network, "safe", jobs=1)
+        sequential = _trajectory(network, "safe")
         reference = baseline == "reference"
         expected = _reference(network, "safe") if reference else sequential
         bounds, ledger = _bounds(expected), _ledger_bytes(sequential)
 
-        shaped = [("jobs=1", sequential)]
-        for jobs in (2, 4):
-            shaped.append((f"jobs={jobs}", _trajectory(network, "safe", jobs=jobs)))
-        with WorkerPool(2, None) as pool:
-            for round_ in (1, 2):
-                shaped.append(
-                    (
-                        f"warm pool round {round_}",
-                        _trajectory(network, "safe", jobs=2, pool=pool),
-                    )
-                )
+        shaped = [("plain", sequential)]
         for label in ("cold cache", "warm cache"):
-            shaped.append(
-                (
-                    label,
-                    _trajectory(
-                        network, "safe", jobs=1,
-                        incremental=True, cache_dir=str(tmp_path),
-                    ),
-                )
-            )
+            cache = BoundCache(cache_dir=str(tmp_path))
+            shaped.append((label, _trajectory(network, "safe", cache=cache)))
 
         for label, result in shaped:
             assert _bounds(result) == bounds, f"{baseline}: bounds drifted under {label}"
             assert _ledger_bytes(result) == ledger, (
                 f"ledger section not byte-identical under {label}"
             )
-        assert multiprocessing.active_children() == []
-
-
-#: One warm pool shared by every hypothesis example below — each
-#: example swaps a new payload in (an epoch), which is exactly the
-#: fleet usage pattern the engine must keep bit-exact.
-_SHARED_POOL = None
-
-
-def _shared_pool():
-    global _SHARED_POOL
-    if _SHARED_POOL is None:
-        _SHARED_POOL = WorkerPool(2, None)
-    return _SHARED_POOL
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _close_shared_pool():
-    yield
-    global _SHARED_POOL
-    if _SHARED_POOL is not None:
-        _SHARED_POOL.close()
-        _SHARED_POOL = None
-    assert multiprocessing.active_children() == []
 
 
 class TestRandomizedShapes:
@@ -152,12 +106,16 @@ class TestRandomizedShapes:
         network = random_network(
             seed, n_switches=3, n_end_systems=6, n_virtual_links=6
         )
-        sequential = _trajectory(network, mode, jobs=1)
-        pooled = _trajectory(network, mode, jobs=2, pool=_shared_pool())
+        sequential = _trajectory(network, mode)
+        cache = BoundCache()
+        cold = _trajectory(network, mode, cache=cache)
+        warm = _trajectory(network, mode, cache=cache)
         reference = _reference(network, mode)
 
-        assert _bounds(pooled) == _bounds(sequential)
-        assert _ledger_bytes(pooled) == _ledger_bytes(sequential)
+        assert warm.stats["cost"]["cache"]["result"] == {"hits": 1, "misses": 0}
+        for shaped in (cold, warm):
+            assert _bounds(shaped) == _bounds(sequential)
+            assert _ledger_bytes(shaped) == _ledger_bytes(sequential)
         # against the oracle: bounds exact (its ledger differs in the
         # prune-dependent candidate counters)
         assert _bounds(reference) == _bounds(sequential)

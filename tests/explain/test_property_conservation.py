@@ -2,8 +2,7 @@
 
 The conservation invariant (every ledger fsum's to its bound bit for
 bit) must survive every execution strategy the repo offers: the
-sequential analyzers, the process pool, and incremental replay after an
-edit script.  These tests sweep seeded random topologies and an
+analyzers run cold, and incremental replay after an edit script.  These tests sweep seeded random topologies and an
 industrial sample so regressions in any engine trip the same wire.
 """
 
@@ -35,15 +34,6 @@ def test_random_networks_conserve(seed):
     # safe serialization: the mode every topology is analyzable under
     explanation = explain_network(network, serialization="safe")
     assert_explanation_conserves(explanation)
-
-
-def test_fig2_conserves_under_jobs(fig2):
-    sequential = explain_network(fig2, jobs=1)
-    pooled = explain_network(fig2, jobs=2)
-    assert_explanation_conserves(pooled)
-    # the pool must produce the *same* ledgers, not merely conserving ones
-    assert pooled.netcalc.provenance == sequential.netcalc.provenance
-    assert pooled.trajectory.provenance == sequential.trajectory.provenance
 
 
 def test_industrial_sample_conserves(small_industrial):

@@ -6,10 +6,13 @@ import os
 
 import pytest
 
+from repro.cli import main
+from repro.configs import fig2_network
 from repro.configs.random_topology import random_network
-from repro.incremental.cache import BoundCache, _decode, _encode
+from repro.incremental.cache import CACHE_VERSION, BoundCache, _decode, _encode
 from repro.netcalc.analyzer import analyze_network_calculus
 from repro.netcalc.results import NetworkCalculusResult, PortAnalysis
+from repro.network import network_to_json
 from repro.trajectory.analyzer import analyze_trajectory
 
 
@@ -145,6 +148,28 @@ class TestDiskLayer:
         with pytest.raises(TypeError):
             cache.put("nc.result", "abcd", object())
         assert list(tmp_path.rglob("*.tmp")) == []
+
+
+class TestStaleResultEntry:
+    """A well-formed result entry whose path keys differ from the
+    network's (an edited or foreign file) is a miss, not a crash."""
+
+    @pytest.mark.parametrize("namespace", ["nc.result", "traj.result"])
+    def test_analyze_recomputes_and_overwrites(self, namespace, tmp_path, capsys):
+        config = tmp_path / "fig2.json"
+        network_to_json(fig2_network(), config)
+        cache_dir = tmp_path / "cache"
+        argv = ["analyze", str(config), "--cache-dir", str(cache_dir)]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        (entry,) = (cache_dir / f"v{CACHE_VERSION}" / namespace).rglob("*.json")
+        stale = json.loads(entry.read_text())
+        stale["paths"] = []
+        entry.write_text(json.dumps(stale))
+
+        assert main(argv) == 0
+        assert capsys.readouterr().out == cold
+        assert json.loads(entry.read_text())["paths"]  # overwritten
 
 
 class TestResultCodec:

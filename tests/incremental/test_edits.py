@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.cli import main
+from repro.configs import fig2_network
 from repro.configs.random_topology import random_network
 from repro.errors import ConfigurationError
 from repro.incremental.edits import (
@@ -13,6 +15,7 @@ from repro.incremental.edits import (
     apply_edits,
     parse_edit_script,
 )
+from repro.network import network_to_json
 
 
 @pytest.fixture()
@@ -112,6 +115,34 @@ class TestParseEditScript:
     def test_missing_edits_array(self):
         with pytest.raises(ConfigurationError, match="'edits' array"):
             parse_edit_script({})
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("null", "edit script must be an object, got None"),
+            ("[1, 2]", "edit script must be an object, got [1, 2]"),
+            (
+                '{"edits": [{"op": "retime", "vl": "v1", "bag_ms": NaN}]}',
+                "edit #1: 'bag_ms' must be a finite number",
+            ),
+            (
+                '{"edits": [{"op": "retime", "vl": "v1", "bag_ms": true}]}',
+                "edit #1: 'bag_ms' must be a finite number",
+            ),
+        ],
+        ids=["null", "list", "nan-bag", "bool-bag"],
+    )
+    def test_bad_document_is_a_config_error(self, text, message, tmp_path, capsys):
+        """The checks of a configuration file: ``afdx whatif`` exits 3
+        with one ``afdx: error:`` line, never a traceback."""
+        config, edits = tmp_path / "fig2.json", tmp_path / "edits.json"
+        network_to_json(fig2_network(), config)
+        edits.write_text(text)
+        assert main(["whatif", str(config), str(edits)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("afdx: error: ") and message in line
 
     def test_unknown_op_reports_position(self):
         with pytest.raises(ConfigurationError, match="edit #1"):

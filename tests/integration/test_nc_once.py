@@ -11,7 +11,6 @@ import json
 
 import pytest
 
-from repro.batch import BatchAnalyzer
 from repro.batch.corpus import CorpusSpec, analyze_one_config
 from repro.batch.sweep import SweepSpec, batch_sweep
 from repro.cli import main
@@ -25,7 +24,6 @@ from repro.incremental.edits import RetimeVL
 from repro.netcalc.analyzer import NetworkCalculusAnalyzer, analyze_network_calculus
 from repro.network import network_to_json
 from repro.trajectory.analyzer import TrajectoryAnalyzer, analyze_trajectory
-from repro.trajectory.timing import seed_smax_from_netcalc
 
 
 @pytest.fixture
@@ -57,9 +55,9 @@ class TestOnePropagationPerAnalysis:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["analyze", "{config}", "--jobs", "1"],
-            ["profile", "{config}", "--jobs", "1"],
-            ["explain", "{config}", "--jobs", "1"],
+            ["analyze", "{config}"],
+            ["profile", "{config}"],
+            ["explain", "{config}"],
             ["simulate", "{config}", "--duration-ms", "5"],
             ["report", "{config}"],
         ],
@@ -138,7 +136,7 @@ class TestSeedRule:
         network = random_network(3, 4, 10, 16)
         other = analyze_network_calculus(network, frame_overhead_bytes=20)
         analyzer = TrajectoryAnalyzer(network, refine_smax=False)
-        analyzer.prepare(smax_seed=seed_smax_from_netcalc(network, other))
+        analyzer._nc_seed = other  # past the rule, straight into prepare()
         own = analyze_trajectory(network, refine_smax=False)
         assert analyzer.analyze().paths != own.paths
 
@@ -151,20 +149,19 @@ class TestSeedRule:
     def test_frame_overhead_is_recorded_on_every_path(self, tmp_path):
         network = fig2_network()
         assert analyze_network_calculus(network).frame_overhead_bytes == 0
-        computed, cached, pooled = (
-            BatchAnalyzer(network, frame_overhead_bytes=20, cache_dir=tmp_path),
-            BatchAnalyzer(network, frame_overhead_bytes=20, cache_dir=tmp_path),
-            BatchAnalyzer(network, jobs=2, frame_overhead_bytes=20),
-        )
-        for batch in (computed, cached, pooled):
-            assert batch.network_calculus().frame_overhead_bytes == 20
-        assert cached.cache.stats()["hits"] == 1
+        computed, cached = BoundCache(cache_dir=tmp_path), BoundCache(cache_dir=tmp_path)
+        for cache in (computed, cached):
+            result = analyze_network_calculus(
+                network, frame_overhead_bytes=20, cache=cache
+            )
+            assert result.frame_overhead_bytes == 20
+        assert cached.stats()["hits"] == 1
 
 
 def test_seeded_run_keeps_the_result_cache(fig2_json, tmp_path, monkeypatch, capsys):
     """A trajectory run seeded from the caller's NC result still probes
-    and stores its whole result: a warm ``analyze --jobs 1`` is one
-    result hit per analysis and misses nothing."""
+    and stores its whole result: a warm ``analyze`` is one result hit
+    per analysis and misses nothing."""
     caches = []
     init = BoundCache.__init__
 
@@ -174,7 +171,7 @@ def test_seeded_run_keeps_the_result_cache(fig2_json, tmp_path, monkeypatch, cap
 
     monkeypatch.setattr(BoundCache, "__init__", recorded)
     cache_dir = tmp_path / "cache"
-    argv = ["analyze", fig2_json, "--jobs", "1", "--cache-dir", str(cache_dir)]
+    argv = ["analyze", fig2_json, "--cache-dir", str(cache_dir)]
 
     assert main(argv) == 0
     cold_out = capsys.readouterr().out

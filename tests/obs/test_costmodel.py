@@ -1,7 +1,7 @@
 """Deterministic cost attribution (repro.obs.costmodel).
 
 The contract under test: the ledger's non-cache sections are a pure
-function of the analysis result — byte-identical across job counts,
+function of the analysis result — byte-identical across
 ``PYTHONHASHSEED`` values and cold/warm caches — and cache hits appear
 as explicit ledger entries rather than silently missing work.
 """
@@ -14,7 +14,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.batch import BatchAnalyzer
 from repro.incremental.cache import BoundCache
 from repro.netcalc.analyzer import analyze_network_calculus
 from repro.obs.costmodel import (
@@ -155,15 +154,6 @@ class TestResultDerivedLedgers:
 
 
 class TestDeterminism:
-    def test_jobs_invariant(self, fig2):
-        seq_nc = analyze_network_calculus(fig2, collect_stats=True)
-        seq_tr = analyze_trajectory(fig2, collect_stats=True)
-        batch = BatchAnalyzer(fig2, jobs=2, collect_stats=True)
-        par_nc = batch.network_calculus()
-        par_tr = batch.trajectory()
-        assert _canon(seq_nc.stats["cost"]) == _canon(par_nc.stats["cost"])
-        assert _canon(seq_tr.stats["cost"]) == _canon(par_tr.stats["cost"])
-
     def test_cold_warm_identical_with_explicit_hit(self, fig2):
         cache = BoundCache()
         cold = analyze_trajectory(

@@ -73,12 +73,11 @@ def test_kv_formatting():
 
 
 class TestWorkerLanePrefix:
-    def test_prefix_format_matches_trace_lanes(self):
-        """``[w<lane>]`` with lanes numbered like the Chrome-trace tids."""
+    def test_prefix_format_matches_pool_lanes(self):
+        """``[w<lane>]`` with lanes numbered like the pool's worker slots."""
         from repro.batch.pool import LANE_BASE
-        from repro.obs.tracefile import _WORKER_TID_BASE
 
-        assert LANE_BASE == _WORKER_TID_BASE
+        assert LANE_BASE == 100
         assert lane_prefix(LANE_BASE + 2) == "[w102]"
 
     def test_repro_records_get_the_prefix(self):

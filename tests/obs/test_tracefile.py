@@ -152,48 +152,3 @@ class TestStripWallFields:
         ]
         assert canon[0] == canon[1]
 
-
-class TestWarmPoolMerge:
-    def test_worker_lanes_stable_across_payload_epochs(self, fig2):
-        """Two runs on one borrowed warm pool merge with stable lanes.
-
-        The pool's worker slots claim lanes 100..100+jobs-1 once; a
-        payload epoch (the second run's ``set_payload``) must not shift
-        them, so the merged trace shows the same worker tids in both
-        runs' pid groups — the joinability contract between trace
-        lanes, ``[w<lane>]`` log prefixes and fleet telemetry.
-        """
-        from repro.batch import BatchAnalyzer
-        from repro.batch.pool import LANE_BASE, WorkerPool
-        from repro.configs import fig1_network
-
-        docs = []
-        with WorkerPool(2, None) as pool:
-            for run, network in enumerate((fig1_network(), fig2), 1):
-                analyzer = BatchAnalyzer(
-                    network, collect_stats=True, pool=pool
-                )
-                stats = {
-                    "network_calculus": analyzer.network_calculus().stats,
-                    "trajectory": analyzer.trajectory().stats,
-                }
-                docs.append(build_chrome_trace(stats, label=f"run{run}"))
-
-        merged = merge_chrome_trace(docs[0], docs[1])
-        validate_chrome_trace(merged)
-        assert merged["otherData"]["runs"] == ["run1", "run2"]
-
-        # group the synthetic worker lanes by the run they belong to:
-        # run2's pids were shifted past run1's, tids stay untouched
-        max_pid_run1 = max(
-            int(ev["pid"]) for ev in docs[0]["traceEvents"]
-        )
-        lanes = {1: set(), 2: set()}
-        for event in merged["traceEvents"]:
-            if event.get("ph") == "X" and event["name"].endswith(".worker"):
-                run = 1 if int(event["pid"]) <= max_pid_run1 else 2
-                lanes[run].add(int(event["tid"]))
-        allowed = {LANE_BASE, LANE_BASE + 1}
-        assert lanes[1] and lanes[1] <= allowed
-        assert lanes[2] and lanes[2] <= allowed
-        assert lanes[1] == lanes[2]

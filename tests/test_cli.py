@@ -81,17 +81,7 @@ def test_unknown_experiment_rejected():
         main(["experiment", "fig99"])
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["analyze", "{config}"],
-        ["profile", "{config}"],
-        ["experiment", "fig3_4"],
-        ["batch-sweep"],
-        ["explain", "{config}"],
-    ],
-    ids=lambda argv: argv[0],
-)
+@pytest.mark.parametrize("argv", [["batch-sweep"]], ids=lambda argv: argv[0])
 def test_negative_jobs_is_a_usage_error(argv, fig2_json, capsys):
     argv = [arg.format(config=fig2_json) for arg in argv] + ["--jobs", "-1"]
     with pytest.raises(SystemExit) as excinfo:
@@ -160,6 +150,27 @@ def test_trajectory_kernel_option_is_gone(argv, fig2_json, capsys):
         main(argv + ["--trajectory-kernel", "fast"])
     assert excinfo.value.code == 2
     assert "--trajectory-kernel" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "{config}"],
+        ["profile", "{config}"],
+        ["explain", "{config}"],
+        ["experiment", "table1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_jobs_option_is_gone(argv, fig2_json, capsys):
+    """One configuration runs in one process: ``--jobs`` is a usage error."""
+    argv = [arg.format(config=fig2_json) for arg in argv]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + ["--jobs", "2"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: --jobs 2" in captured.err
+    assert captured.out == ""
 
 
 def test_validate_invalid_network_exits_with_config_code(tmp_path, capsys):
@@ -467,7 +478,8 @@ def test_profile_json_report_schema(fig2_json, tmp_path, capsys):
         main(["profile", fig2_json, "--format", "json", "-o", str(out_path)]) == 0
     )
     report = json.loads(out_path.read_text())
-    assert report["profile_schema"] == 1
+    assert report["profile_schema"] == 2
+    assert "workers" not in report
     det = report["deterministic"]
     assert det["work"]["network_calculus"]["ports_analyzed"] > 0
     assert det["work"]["trajectory"]["sweeps"] >= 1

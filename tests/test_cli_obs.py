@@ -42,8 +42,8 @@ class TestRecording:
         assert len(record["config_digest"]) == 64
         assert len(record["bounds_digest"]) == 64
         assert record["work"]  # cost-ledger signature present
-        assert record["execution"]["jobs"] == 1
-        assert "jobs" not in record["options"]  # execution, not identity
+        assert record["execution"] == {"cache_dir": None}
+        assert "cache_dir" not in record["options"]  # execution, not identity
         assert record["wall"]["total_ms"] > 0
         assert f"(run {record['run_id']} recorded" in capsys.readouterr().err
 
@@ -59,19 +59,20 @@ class TestRecording:
         assert main(["analyze", fig2_json]) == 0
         assert len(RunHistory(hist_dir).records()) == 1
 
-    def test_deterministic_view_stable_across_jobs(
-        self, fig2_json, hist_dir, monkeypatch
+    def test_deterministic_view_stable_across_cache_states(
+        self, fig2_json, hist_dir, tmp_path, monkeypatch
     ):
-        assert _analyze(fig2_json, hist_dir, "rev-a", monkeypatch) == 0
-        assert (
-            _analyze(fig2_json, hist_dir, "rev-b", monkeypatch, "--jobs", "2")
-            == 0
-        )
-        a, b = RunHistory(hist_dir).records()
-        assert a["execution"]["jobs"] == 1
-        assert b["execution"]["jobs"] == 2
-        assert json.dumps(deterministic_view(a), sort_keys=True) == json.dumps(
-            deterministic_view(b), sort_keys=True
+        cache = str(tmp_path / "cache")
+        for rev in ("rev-a", "rev-b"):  # cold, then warm
+            assert (
+                _analyze(fig2_json, hist_dir, rev, monkeypatch, "--cache-dir", cache)
+                == 0
+            )
+        cold, warm = RunHistory(hist_dir).records()
+        assert cold["execution"]["cache_dir"] == warm["execution"]["cache_dir"] == cache
+        assert cold["cache"] != warm["cache"]  # the warm run was served whole
+        assert json.dumps(deterministic_view(cold), sort_keys=True) == json.dumps(
+            deterministic_view(warm), sort_keys=True
         )
 
     def test_whatif_folds_edits_into_config_digest(

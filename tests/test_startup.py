@@ -16,12 +16,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 FIG2 = ROOT / "examples" / "configs" / "fig2.json"
 
-#: What ``afdx analyze CONFIG`` (``--jobs 1``, no cache, no stats
-#: flag) does not run, and so must not import.
+#: What ``afdx analyze CONFIG`` (no cache, no stats flag) does not
+#: run, and so must not import.
 NOT_LOADED_BY_ANALYZE = (
     "multiprocessing",
-    "repro.batch.corpus",
-    "repro.batch.sweep",
+    "repro.batch",
     "repro.configs",
     "repro.core.reporting",
     "repro.experiments",
