@@ -25,7 +25,7 @@ lint:
 # everything we ship plus the trajectory test oracle the kernel gate
 # trusts, gated on the committed baseline: pre-existing
 # benchmark/script findings are tolerated, new findings fail.
-LINT_DATAFLOW_PATHS := src/repro benchmarks scripts perfbench \
+LINT_DATAFLOW_PATHS := src/repro benchmarks scripts perfbench examples \
 	tests/trajectory/reference_kernel.py
 
 lint-dataflow:

@@ -19,7 +19,7 @@ def test_table1_dual_analysis(benchmark, industrial_spec, persist):
 
     def dual_analysis():
         nc = NetworkCalculusAnalyzer(network, grouping=True).analyze()
-        trajectory = TrajectoryAnalyzer(network, serialization=True).analyze()
+        trajectory = TrajectoryAnalyzer(network, serialization="windowed").analyze()
         comparison = build_comparison(nc, trajectory)
         return summarize(comparison.paths.values())
 

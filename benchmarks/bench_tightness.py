@@ -6,13 +6,13 @@ companion ECRTS 2006 work.
 """
 
 from repro.configs.fig1 import fig1_network
-from repro.core.comparison import compare_methods
+from repro.core.combined import analyze_network
 from repro.sim.search import evaluate_tightness
 
 
 def test_tightness_fig1(benchmark):
     network = fig1_network()
-    bounds = {k: p.best_us for k, p in compare_methods(network).paths.items()}
+    bounds = {k: p.best_us for k, p in analyze_network(network).paths.items()}
 
     report = benchmark.pedantic(
         lambda: evaluate_tightness(network, bounds, duration_ms=100, random_seeds=4),

@@ -14,6 +14,8 @@ This example reproduces that workflow on the Fig. 1 configuration:
 Run with:  python examples/buffer_dimensioning.py
 """
 
+import math
+
 from repro.configs import fig1_network
 from repro.netcalc import analyze_network_calculus
 from repro.sim import TrafficScenario, simulate
@@ -32,14 +34,14 @@ def main():
     )
     print(header)
     print("-" * len(header))
-    total_bound = 0.0
+    bound_sizes = []
     for port_id in sorted(nc.ports):
         analysis = nc.ports[port_id]
         if network.node(port_id[0]).is_end_system:
             continue  # ES buffers are host memory; size switch ports only
         peak = observed.peak_backlog_bits.get(port_id, 0.0)
         bound_bytes = analysis.backlog_bits / 8
-        total_bound += bound_bytes
+        bound_sizes.append(bound_bytes)
         ratio = peak / analysis.backlog_bits if analysis.backlog_bits else 0.0
         print(
             f"{port_id[0] + '->' + port_id[1]:<14}{analysis.n_flows:>6}"
@@ -47,7 +49,7 @@ def main():
         )
 
     print(
-        f"\ntotal switch buffer budget: {total_bound / 1024:.1f} KiB "
+        f"\ntotal switch buffer budget: {math.fsum(bound_sizes) / 1024:.1f} KiB "
         "(provisioning each FIFO at its bound guarantees zero frame loss)"
     )
     print(

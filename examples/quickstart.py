@@ -10,7 +10,7 @@ Run with:  python examples/quickstart.py
 """
 
 from repro import NetworkBuilder
-from repro.core import compare_methods
+from repro.core import analyze_network
 
 
 def build_network():
@@ -45,7 +45,7 @@ def main():
     network = build_network()
     print(f"analyzing {network!r}\n")
 
-    result = compare_methods(network)
+    result = analyze_network(network)
     header = f"{'VL path':<10}{'route':<24}{'WCNC':>10}{'Traj':>10}{'best':>10}"
     print(header)
     print("-" * len(header))

@@ -19,7 +19,7 @@ Run with:  python examples/redundant_network.py
 """
 
 from repro.configs import fig1_network
-from repro.core import compare_methods
+from repro.core import analyze_network
 from repro.netcalc import analyze_network_calculus, analyze_static_priority
 from repro.network import Switch, combine_redundant, duplicate_network
 
@@ -50,8 +50,8 @@ def main():
     print(f"network A: {network_a!r}")
     print(f"network B: {network_b!r} (degraded: 24 us switch latency)\n")
 
-    bounds_a = {k: p.best_us for k, p in compare_methods(network_a).paths.items()}
-    bounds_b = {k: p.best_us for k, p in compare_methods(network_b).paths.items()}
+    bounds_a = {k: p.best_us for k, p in analyze_network(network_a).paths.items()}
+    bounds_b = {k: p.best_us for k, p in analyze_network(network_b).paths.items()}
     merged = combine_redundant(network_a, network_b, bounds_a, bounds_b)
 
     header = (

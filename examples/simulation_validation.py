@@ -17,7 +17,7 @@ Run with:  python examples/simulation_validation.py
 """
 
 from repro.configs import fig1_network, fig2_network
-from repro.netcalc import analyze_network_calculus
+from repro.core import AnalysisOptions, run_analyses
 from repro.network import NetworkBuilder
 from repro.sim import TrafficScenario, simulate
 from repro.trajectory import analyze_trajectory
@@ -33,8 +33,7 @@ SCENARIOS = {
 
 def validate(network):
     print(f"--- {network!r} ---")
-    nc = analyze_network_calculus(network)
-    trajectory = analyze_trajectory(network, serialization="safe")
+    nc, trajectory = run_analyses(network, AnalysisOptions(serialization="safe"))
     for label, scenario in SCENARIOS.items():
         observed = simulate(network, scenario)
         violations = 0

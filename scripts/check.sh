@@ -18,9 +18,9 @@ python -m compileall -q src
 echo "== repro.lint (dataflow engine, zero unwaived findings in src/repro) =="
 python -m repro.lint --engine dataflow src/repro
 
-echo "== repro.lint dataflow baseline (src + benchmarks + scripts + perfbench + kernel test oracle; new findings fail) =="
+echo "== repro.lint dataflow baseline (src + benchmarks + scripts + perfbench + examples + kernel test oracle; new findings fail) =="
 python -m repro.lint --engine dataflow --baseline lint_baseline.json \
-    src/repro benchmarks scripts perfbench tests/trajectory/reference_kernel.py
+    src/repro benchmarks scripts perfbench examples tests/trajectory/reference_kernel.py
 
 echo "== afdx lint (config verifier over shipped examples) =="
 python -m repro.cli lint examples/configs/*.json --no-utilization-table

@@ -25,8 +25,9 @@ Quickstart::
     from repro.core import analyze_network
 
     result = analyze_network(fig2_network())
-    for path in result.paths:
+    for path in result.path_list():
         print(path.flow, path.network_calculus_us, path.trajectory_us, path.best_us)
+    print(result.stats.as_table())
 """
 
 from repro._lazy import lazy_exports
@@ -43,7 +44,6 @@ __all__ = [
     "network_from_json",
     "network_to_json",
     "analyze_network",
-    "compare_methods",
     "__version__",
 ]
 
@@ -58,7 +58,6 @@ _EXPORTS = {
     "repro.network.topology": ("Network",),
     "repro.network.virtual_link": ("VirtualLink",),
     "repro.core.combined": ("analyze_network",),
-    "repro.core.comparison": ("compare_methods",),
 }
 
 __getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -34,14 +34,13 @@ from repro.batch.pool import (
     worker_persistent,
 )
 from repro.configs.random_topology import random_network
+from repro.core.combined import AnalysisOptions, run_analyses
 from repro.incremental.edits import Edit, ResizeVL, RetimeVL, apply_edits
-from repro.netcalc.analyzer import analyze_network_calculus
 from repro.network.topology import Network
 from repro.network.virtual_link import STANDARD_BAGS_MS
 from repro.obs.instrument import Instrumentation
 from repro.obs.logging import get_logger, kv
 from repro.obs.telemetry import fleet_drain
-from repro.trajectory.analyzer import analyze_trajectory
 
 __all__ = [
     "CorpusSpec",
@@ -53,6 +52,9 @@ __all__ = [
 ]
 
 _LOG = get_logger("batch")
+
+#: The claimed-sound methods: Network Calculus and the ``safe`` trajectory.
+_SOUND = AnalysisOptions(serialization="safe")
 
 
 @dataclass(frozen=True)
@@ -146,11 +148,7 @@ def analyze_one_config(
     spec: CorpusSpec, index: int, cache=None
 ) -> CorpusRecord:
     """Analyze config ``index`` with both claimed-sound methods."""
-    network = corpus_network(spec, index)
-    nc = analyze_network_calculus(network, cache=cache)
-    trajectory = analyze_trajectory(
-        network, serialization="safe", cache=cache, nc_result=nc
-    )
+    nc, trajectory = run_analyses(corpus_network(spec, index), _SOUND, cache=cache)
     digest = hashlib.sha256()
     for key in sorted(nc.paths):
         digest.update(repr(key).encode())

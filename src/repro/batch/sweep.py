@@ -31,13 +31,12 @@ from repro.batch.pool import (
     worker_payload,
 )
 from repro.configs.random_topology import random_network
+from repro.core.combined import AnalysisOptions, run_analyses
 from repro.errors import AnalysisError, ConfigurationError, UnstableNetworkError
-from repro.netcalc.analyzer import analyze_network_calculus
 from repro.obs.instrument import Instrumentation
 from repro.obs.logging import get_logger, kv
 from repro.obs.telemetry import fleet_drain
 from repro.sim.scenarios import TrafficScenario, simulate
-from repro.trajectory.analyzer import analyze_trajectory
 
 __all__ = [
     "SweepSpec",
@@ -48,6 +47,9 @@ __all__ = [
 ]
 
 _LOG = get_logger("batch")
+
+#: The claimed-sound methods: Network Calculus and the ``safe`` trajectory.
+_SOUND = AnalysisOptions(serialization="safe")
 
 
 @dataclass(frozen=True)
@@ -196,10 +198,7 @@ def sweep_one_config(config_seed: int, spec: SweepSpec) -> SweepConfigRecord:
                 first = preflight.errors[0]
                 record.error = f"preflight {first.rule_id}: {first.message}"
                 return record
-        nc = analyze_network_calculus(network, cache=cache)
-        trajectory = analyze_trajectory(
-            network, serialization="safe", cache=cache, nc_result=nc
-        )
+        nc, trajectory = run_analyses(network, _SOUND, cache=cache)
     except (ConfigurationError, UnstableNetworkError, AnalysisError) as exc:
         record.error = f"{type(exc).__name__}: {exc}"
         return record

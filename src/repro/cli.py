@@ -152,6 +152,14 @@ _EXPERIMENT_IDS = (
     "fig3_4", "fig5", "fig6", "fig7", "fig8", "fig9", "optimism", "table1",
 )
 
+#: ``--serialization`` choices and default, equal to
+#: ``repro.trajectory.serialization.SERIALIZATION_MODES`` and
+#: ``DEFAULT_SERIALIZATION`` (``tests/test_startup.py`` pins them).
+#: Spelled out for the same reason: that module's package loads the
+#: analyzers.
+_SERIALIZATION_MODES = ("paper", "windowed", "safe")
+_DEFAULT_SERIALIZATION = "windowed"
+
 
 def _bounded(convert, minimum, strict=False, maximum=None):
     """An argparse type: a finite number ``>= minimum`` (``>`` when
@@ -250,6 +258,30 @@ def _obs_parent() -> argparse.ArgumentParser:
     return obs
 
 
+def _add_analysis_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags behind :class:`~repro.core.combined.AnalysisOptions`
+    (see :func:`_analysis_options`)."""
+    parser.add_argument(
+        "--no-grouping", action="store_true", help="disable NC grouping"
+    )
+    parser.add_argument(
+        "--serialization",
+        choices=_SERIALIZATION_MODES,
+        default=_DEFAULT_SERIALIZATION,
+        help=f"Trajectory serialization mode (default: {_DEFAULT_SERIALIZATION})",
+    )
+
+
+def _analysis_options(args: argparse.Namespace):
+    """The :class:`~repro.core.combined.AnalysisOptions` a command's
+    flags ask for (:func:`_add_analysis_flags`)."""
+    from repro.core.combined import AnalysisOptions
+
+    return AnalysisOptions(
+        grouping=not args.no_grouping, serialization=args.serialization
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The ``afdx`` argument parser (exposed for testing)."""
     obs = _obs_parent()
@@ -265,15 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
         "analyze", parents=[obs], help="compute delay bounds for a configuration"
     )
     analyze.add_argument("config", help="configuration JSON file")
-    analyze.add_argument(
-        "--no-grouping", action="store_true", help="disable NC grouping"
-    )
-    analyze.add_argument(
-        "--serialization",
-        choices=["paper", "windowed", "safe"],
-        default="windowed",
-        help="Trajectory serialization mode (default: windowed)",
-    )
+    _add_analysis_flags(analyze)
     analyze.add_argument(
         "--top", type=_count, default=0,
         help="print only the N largest combined bounds (0 = all)",
@@ -318,15 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--output", "-o", default=None, metavar="PATH",
         help="write the report to PATH instead of stdout",
     )
-    profile_cmd.add_argument(
-        "--no-grouping", action="store_true", help="disable NC grouping"
-    )
-    profile_cmd.add_argument(
-        "--serialization",
-        choices=["paper", "windowed", "safe"],
-        default="windowed",
-        help="Trajectory serialization mode (default: windowed)",
-    )
+    _add_analysis_flags(profile_cmd)
     profile_cmd.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="persist the content-addressed bound cache in DIR "
@@ -433,15 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
         "edits",
         help='edit-script JSON file ({"edits": [{"op": "retime", ...}, ...]})',
     )
-    whatif.add_argument(
-        "--no-grouping", action="store_true", help="disable NC grouping"
-    )
-    whatif.add_argument(
-        "--serialization",
-        choices=["paper", "windowed", "safe"],
-        default="windowed",
-        help="Trajectory serialization mode (default: windowed)",
-    )
+    _add_analysis_flags(whatif)
     whatif.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="persist the bound cache in DIR so repeated what-ifs on the "
@@ -476,15 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="detail only the N paths with the largest |gap| "
         "(the summary always covers every path)",
     )
-    explain.add_argument(
-        "--no-grouping", action="store_true", help="disable NC grouping"
-    )
-    explain.add_argument(
-        "--serialization",
-        choices=["paper", "windowed", "safe"],
-        default="windowed",
-        help="Trajectory serialization mode (default: windowed)",
-    )
+    _add_analysis_flags(explain)
     explain.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="persist the bound cache in DIR (provenance is always "
@@ -626,22 +626,25 @@ class _RunContext:
 
             self.config_digest = network_fingerprint(network)
 
-    def record_bounds(self, nc_result, trajectory_result) -> None:
-        """Capture the lossless per-path bounds digest for the history.
+    def record_analysis(self, netcalc, trajectory, comparison=None) -> None:
+        """Record one analysis for the manifest and the run history.
 
-        Best-effort: a result shape without the ``paths`` maps simply
-        leaves the record digest-less (it still carries work counters).
+        Keeps both analyzers' stats, the bounds summary of
+        ``comparison`` (an :class:`~repro.core.results.AnalysisResult`,
+        when the command built one) and the lossless per-path bounds
+        digest that ``afdx obs drift`` compares.
         """
-        if not self.record_history:
+        if not self.collect:
             return
-        from repro.obs.history import analysis_bounds_digest
+        self.analyzers = {"network_calculus": netcalc.stats, "trajectory": trajectory.stats}
+        if comparison is not None:
+            from repro.obs.manifest import bound_summary
 
-        try:
-            self.bounds_digest = analysis_bounds_digest(
-                nc_result, trajectory_result
-            )
-        except (AttributeError, KeyError, TypeError):
-            self.bounds_digest = None
+            self.bounds = bound_summary(comparison)
+        if self.record_history:
+            from repro.obs.history import analysis_bounds_digest
+
+            self.bounds_digest = analysis_bounds_digest(netcalc, trajectory)
 
 
 #: argparse attributes that are not analyzer/command options.
@@ -708,46 +711,32 @@ def _run_preflight(network, source: str, ctx: _RunContext) -> None:
         raise ConfigurationError(f"preflight {first.rule_id}: {first.message}")
 
 
+def _bound_cache(args: argparse.Namespace):
+    """The ``--cache-dir`` bound cache, or None without the flag."""
+    if args.cache_dir is None:
+        return None
+    from repro.incremental.cache import BoundCache
+
+    return BoundCache(cache_dir=args.cache_dir)
+
+
 def _cmd_analyze(args: argparse.Namespace, ctx: _RunContext) -> int:
-    from repro.core.combined import build_comparison
-    from repro.core.comparison import summarize
+    from repro.core.combined import analyze_network
     from repro.core.jitter import jitter_bounds
-    from repro.netcalc.analyzer import analyze_network_calculus
     from repro.network.serialization import network_from_json
-    from repro.trajectory.analyzer import analyze_trajectory
 
     network = network_from_json(args.config)
     ctx.set_config(network, source=args.config)
     if args.preflight:
         _run_preflight(network, args.config, ctx)
-    cache = None
-    if args.cache_dir is not None:
-        from repro.incremental.cache import BoundCache
-
-        cache = BoundCache(cache_dir=args.cache_dir)
-    nc = analyze_network_calculus(
+    result = analyze_network(
         network,
-        grouping=not args.no_grouping,
+        _analysis_options(args),
+        cache=_bound_cache(args),
         collect_stats=ctx.collect,
         progress=ctx.progress,
-        cache=cache,
     )
-    trajectory = analyze_trajectory(
-        network,
-        serialization=args.serialization,
-        collect_stats=ctx.collect,
-        progress=ctx.progress,
-        cache=cache,
-        nc_result=nc,
-    )
-    ctx.record_bounds(nc, trajectory)
-    result = build_comparison(nc, trajectory)
-    result.stats = summarize(result.paths.values())
-    if ctx.collect:
-        from repro.obs.manifest import bound_summary
-
-        ctx.analyzers = {"network_calculus": nc.stats, "trajectory": trajectory.stats}
-        ctx.bounds = bound_summary(result)
+    ctx.record_analysis(result.netcalc, result.trajectory, result)
     jitters = jitter_bounds(network, result) if args.jitter else None
     paths = result.path_list()
     paths.sort(key=lambda p: -p.best_us)
@@ -780,42 +769,24 @@ def _cmd_profile(args: argparse.Namespace, ctx: _RunContext) -> int:
     import json
     from pathlib import Path
 
-    from repro.core.combined import build_comparison
-    from repro.netcalc.analyzer import analyze_network_calculus
+    from repro.core.combined import analyze_network
     from repro.network.serialization import network_from_json
     from repro.obs import build_profile_report, render_profile_report
-    from repro.obs.manifest import bound_summary, network_identity
-    from repro.trajectory.analyzer import analyze_trajectory
+    from repro.obs.manifest import network_identity
 
     network = network_from_json(args.config)
     ctx.set_config(network, source=args.config)
-    cache = None
-    if args.cache_dir is not None:
-        from repro.incremental.cache import BoundCache
-
-        cache = BoundCache(cache_dir=args.cache_dir)
-    nc = analyze_network_calculus(
+    result = analyze_network(
         network,
-        grouping=not args.no_grouping,
+        _analysis_options(args),
+        cache=_bound_cache(args),
         collect_stats=True,
         progress=ctx.progress,
-        cache=cache,
     )
-    trajectory = analyze_trajectory(
-        network,
-        serialization=args.serialization,
-        collect_stats=True,
-        progress=ctx.progress,
-        cache=cache,
-        nc_result=nc,
-    )
-    ctx.record_bounds(nc, trajectory)
-    ctx.analyzers = {"network_calculus": nc.stats, "trajectory": trajectory.stats}
-    if ctx.collect:
-        ctx.bounds = bound_summary(build_comparison(nc, trajectory))
+    ctx.record_analysis(result.netcalc, result.trajectory, result)
     report = build_profile_report(
-        nc,
-        trajectory,
+        result.netcalc,
+        result.trajectory,
         top=args.top,
         busy_share_pct=args.busy_share,
         config=network_identity(network),
@@ -878,26 +849,20 @@ def _cmd_generate(args: argparse.Namespace, ctx: _RunContext) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace, ctx: _RunContext) -> int:
-    from repro.netcalc.analyzer import analyze_network_calculus
+    from repro.core.combined import AnalysisOptions, run_analyses
     from repro.network.serialization import network_from_json
     from repro.sim.scenarios import TrafficScenario, simulate
-    from repro.trajectory.analyzer import analyze_trajectory
 
     network = network_from_json(args.config)
     ctx.set_config(network, source=args.config)
-    nc = analyze_network_calculus(
-        network, collect_stats=ctx.collect, progress=ctx.progress
-    )
-    trajectory = analyze_trajectory(
+    # the simulator checks the claimed-sound bounds only
+    nc, trajectory = run_analyses(
         network,
-        serialization="safe",
+        AnalysisOptions(serialization="safe"),
         collect_stats=ctx.collect,
         progress=ctx.progress,
-        nc_result=nc,
     )
-    ctx.record_bounds(nc, trajectory)
-    if ctx.collect:
-        ctx.analyzers = {"network_calculus": nc.stats, "trajectory": trajectory.stats}
+    ctx.record_analysis(nc, trajectory)
     scenario = TrafficScenario(
         duration_ms=args.duration_ms,
         synchronized=not args.random_offsets,
@@ -999,15 +964,14 @@ def _cmd_whatif(args: argparse.Namespace, ctx: _RunContext) -> int:
         ctx.config_digest = digest.hexdigest()
     engine = DeltaAnalyzer(
         network,
+        _analysis_options(args),
         cache_dir=args.cache_dir,
-        grouping=not args.no_grouping,
-        serialization=args.serialization,
         collect_stats=ctx.collect,
         progress=ctx.progress,
     )
     engine.analyze_base()
     delta = engine.apply(edits)
-    ctx.record_bounds(delta.netcalc, delta.trajectory)
+    ctx.record_analysis(delta.netcalc, delta.trajectory)
     stats = delta.stats
     print(
         f"whatif: {len(edits)} edit(s), "
@@ -1029,10 +993,6 @@ def _cmd_whatif(args: argparse.Namespace, ctx: _RunContext) -> int:
             )
             print(f"{flow:<24}{change.kind:<9}{nc:>24}{tr:>24}")
     if ctx.collect:
-        ctx.analyzers = {
-            "network_calculus": delta.netcalc.stats,
-            "trajectory": delta.trajectory.stats,
-        }
         ctx.metrics.gauge("whatif.dirty_ports", stats["n_dirty_ports"])
         ctx.metrics.gauge("whatif.dirty_vls", stats["n_dirty_vls"])
         ctx.metrics.gauge("whatif.changed_paths", len(delta.changed))
@@ -1052,13 +1012,14 @@ def _cmd_explain(args: argparse.Namespace, ctx: _RunContext) -> int:
     ctx.set_config(network, source=args.config)
     explanation = explain_network(
         network,
-        grouping=not args.no_grouping,
-        serialization=args.serialization,
+        _analysis_options(args),
         cache_dir=args.cache_dir,
         collect_stats=ctx.collect,
         progress=ctx.progress,
     )
-    ctx.record_bounds(explanation.netcalc, explanation.trajectory)
+    ctx.record_analysis(
+        explanation.netcalc, explanation.trajectory, explanation.comparison
+    )
     text = render_explanation(
         explanation,
         fmt=args.format,
@@ -1073,13 +1034,6 @@ def _cmd_explain(args: argparse.Namespace, ctx: _RunContext) -> int:
         print(text, end="")
     summary = explanation.summary
     if ctx.collect:
-        from repro.obs.manifest import bound_summary
-
-        ctx.analyzers = {
-            "network_calculus": explanation.netcalc.stats,
-            "trajectory": explanation.trajectory.stats,
-        }
-        ctx.bounds = bound_summary(explanation.comparison)
         ctx.metrics.gauge("explain.paths", summary.n_paths)
         ctx.metrics.gauge("explain.nc_wins", summary.nc_wins)
         ctx.metrics.gauge("explain.trajectory_wins", summary.trajectory_wins)
@@ -1155,19 +1109,14 @@ def _cmd_report(args: argparse.Namespace, ctx: _RunContext) -> int:
     from pathlib import Path
 
     from repro.core.combined import analyze_network
-    from repro.core.comparison import summarize
     from repro.core.reporting import certification_report
-    from repro.netcalc.analyzer import analyze_network_calculus
     from repro.network.serialization import network_from_json
 
     network = network_from_json(args.config)
     ctx.set_config(network, source=args.config)
-    nc = analyze_network_calculus(
-        network, collect_stats=ctx.collect, progress=ctx.progress
-    )
-    result = analyze_network(network, nc_result=nc)
-    result.stats = summarize(result.paths.values())
-    text = certification_report(network, result, nc_result=nc, top_paths=args.top)
+    result = analyze_network(network, collect_stats=ctx.collect, progress=ctx.progress)
+    ctx.record_analysis(result.netcalc, result.trajectory, result)
+    text = certification_report(network, result, top_paths=args.top)
     if args.output:
         Path(args.output).write_text(text)
         print(f"report written to {args.output}")

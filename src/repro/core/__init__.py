@@ -10,16 +10,21 @@ per-parameter aggregations behind Figs. 5 and 6).
 Entry points:
 
 * :func:`analyze_network` — run both methods on a configuration and
-  return per-path NC / Trajectory / best bounds;
-* :func:`compare_methods` — the same plus aggregate benefit statistics.
+  return per-path NC / Trajectory / best bounds with the Table I
+  statistics;
+* :func:`run_analyses` — the same two analyzer runs, without the
+  per-path comparison;
+* :class:`AnalysisOptions` — what both compute (grouping,
+  serialization mode, provenance).
 """
 
 from repro._lazy import lazy_exports
 
 __all__ = [
+    "AnalysisOptions",
     "analyze_network",
     "build_comparison",
-    "compare_methods",
+    "run_analyses",
     "benefit_percent",
     "summarize",
     "group_mean_benefit",
@@ -33,13 +38,13 @@ __all__ = [
 ]
 
 _EXPORTS = {
-    "repro.core.combined": ("analyze_network", "build_comparison"),
-    "repro.core.comparison": (
-        "benefit_percent",
-        "compare_methods",
-        "group_mean_benefit",
-        "summarize",
+    "repro.core.combined": (
+        "AnalysisOptions",
+        "analyze_network",
+        "build_comparison",
+        "run_analyses",
     ),
+    "repro.core.comparison": ("benefit_percent", "group_mean_benefit", "summarize"),
     "repro.core.jitter": ("JitterBound", "jitter_bounds", "path_floor_us"),
     "repro.core.reporting": ("certification_report",),
     "repro.core.results": ("AnalysisResult", "ComparisonStats", "PathComparison"),

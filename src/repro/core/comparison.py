@@ -10,11 +10,9 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
-from repro.core.combined import analyze_network
 from repro.core.results import AnalysisResult, ComparisonStats, PathComparison
-from repro.network.topology import Network
 
-__all__ = ["benefit_percent", "summarize", "compare_methods", "group_mean_benefit"]
+__all__ = ["benefit_percent", "summarize", "group_mean_benefit"]
 
 
 def benefit_percent(reference_us: float, other_us: float) -> float:
@@ -42,31 +40,6 @@ def summarize(paths: Iterable[PathComparison]) -> ComparisonStats:
         min_benefit_best_pct=min(best),
         trajectory_wins_share=wins / len(entries),
     )
-
-
-def compare_methods(
-    network: Network,
-    grouping: bool = True,
-    serialization: bool = True,
-    refine_smax: bool = True,
-    collect_stats: bool = False,
-    progress=None,
-) -> AnalysisResult:
-    """Run both analyses and attach aggregate statistics.
-
-    This is the driver behind Table I: ``result.stats.as_table()``
-    renders the same three rows the paper prints.
-    """
-    result = analyze_network(
-        network,
-        grouping=grouping,
-        serialization=serialization,
-        refine_smax=refine_smax,
-        collect_stats=collect_stats,
-        progress=progress,
-    )
-    result.stats = summarize(result.paths.values())
-    return result
 
 
 def group_mean_benefit(

@@ -9,11 +9,10 @@ format suitable for diffing between configuration revisions.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.core.jitter import jitter_bounds
 from repro.core.results import AnalysisResult
-from repro.netcalc.results import NetworkCalculusResult
 from repro.network.topology import Network
 
 __all__ = ["certification_report"]
@@ -24,20 +23,17 @@ def _section(title: str) -> List[str]:
 
 
 def certification_report(
-    network: Network,
-    result: AnalysisResult,
-    nc_result: Optional[NetworkCalculusResult] = None,
-    top_paths: int = 10,
+    network: Network, result: AnalysisResult, top_paths: int = 10
 ) -> str:
     """Render a full analysis report for one configuration.
 
     Parameters
     ----------
     network / result:
-        The configuration and its combined analysis.
-    nc_result:
-        A Network Calculus result for the port-level section (delay and
-        backlog per output port); omitted when not supplied.
+        The configuration and its combined analysis
+        (:func:`~repro.core.combined.analyze_network`); the port-level
+        section (delay and backlog per output port) reads its
+        ``netcalc`` result.
     top_paths:
         How many critical paths to detail.
     """
@@ -78,24 +74,20 @@ def certification_report(
         lines += _section("Method comparison (paper Table I format)")
         lines.extend(result.stats.as_table().splitlines())
 
-    if nc_result is not None:
-        lines += _section("Output-port dimensioning (Network Calculus)")
-        header = (
-            f"{'port':<16}{'flows':>6}{'util':>8}{'delay (us)':>12}"
-            f"{'buffer (B)':>12}"
-        )
-        lines.append(header)
-        lines.append("-" * len(header))
-        for port_id in sorted(nc_result.ports):
-            port = nc_result.ports[port_id]
-            lines.append(
-                f"{port_id[0] + '->' + port_id[1]:<16}{port.n_flows:>6}"
-                f"{port.utilization:>8.3f}{port.delay_us:>12.1f}"
-                f"{port.backlog_bits / 8:>12.0f}"
-            )
+    netcalc = result.netcalc
+    lines += _section("Output-port dimensioning (Network Calculus)")
+    header = f"{'port':<16}{'flows':>6}{'util':>8}{'delay (us)':>12}{'buffer (B)':>12}"
+    lines.append(header)
+    lines.append("-" * len(header))
+    for port_id in sorted(netcalc.ports):
+        port = netcalc.ports[port_id]
         lines.append(
-            f"total switch buffer budget: "
-            f"{nc_result.total_buffer_bits() / 8 / 1024:.1f} KiB"
+            f"{port_id[0] + '->' + port_id[1]:<16}{port.n_flows:>6}"
+            f"{port.utilization:>8.3f}{port.delay_us:>12.1f}"
+            f"{port.backlog_bits / 8:>12.0f}"
         )
+    lines.append(
+        f"total switch buffer budget: {netcalc.total_buffer_bits() / 8 / 1024:.1f} KiB"
+    )
 
     return "\n".join(lines) + "\n"

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+
+if TYPE_CHECKING:
+    from repro.netcalc.results import NetworkCalculusResult
+    from repro.trajectory.results import TrajectoryResult
 
 __all__ = ["PathComparison", "ComparisonStats", "AnalysisResult"]
 
@@ -96,12 +100,16 @@ class AnalysisResult:
         One :class:`PathComparison` per VL path, keyed by
         ``(vl_name, path_index)``.
     stats:
-        Aggregate statistics (populated by :func:`compare_methods`; may
-        be None for a bare :func:`analyze_network` run on request).
+        Aggregate statistics (populated by :func:`analyze_network`; None
+        for a bare :func:`build_comparison`).
+    netcalc / trajectory:
+        The two per-method results the comparison was built from.
     """
 
     paths: Dict[FlowPathKey, PathComparison] = field(default_factory=dict)
     stats: Optional[ComparisonStats] = None
+    netcalc: Optional["NetworkCalculusResult"] = None
+    trajectory: Optional["TrajectoryResult"] = None
 
     def path_list(self) -> List[PathComparison]:
         """All per-path comparisons in deterministic order."""

@@ -115,9 +115,16 @@ def _concave_envelope(points: List[tuple], tail_slope: float) -> List[tuple]:
     slope *increase* lies below the chord of its neighbours, so popping
     it restores concavity while moving the curve by at most the noise
     amplitude.
+
+    Points closer than ``_EPS`` in x are merged first, the way
+    :class:`PiecewiseCurve` merges them (earlier x, later y): merging
+    them only after the hull could raise a knot and leave the slopes
+    increasing again.
     """
     hull: List[tuple] = []
     for x, y in points:
+        if hull and x - hull[-1][0] <= _EPS:
+            x = hull.pop()[0]
         while len(hull) >= 2:
             (x0, y0), (x1, y1) = hull[-2], hull[-1]
             if (y1 - y0) * (x - x1) < (y - y1) * (x1 - x0):  # slope increases at x1

@@ -25,8 +25,8 @@ __all__ = ["run_fig3_4"]
 def run_fig3_4() -> ExperimentResult:
     """Plain vs serialization-enhanced Trajectory bounds on Fig. 2."""
     network = fig2_network()
-    plain = analyze_trajectory(network, serialization=False)
-    enhanced = analyze_trajectory(network, serialization=True)
+    plain = analyze_trajectory(network, serialization="safe")
+    enhanced = analyze_trajectory(network, serialization="windowed")
 
     result = ExperimentResult(
         experiment_id="fig3_4",

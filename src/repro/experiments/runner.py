@@ -137,15 +137,12 @@ def industrial_comparison(
     """Both analyses on the industrial configuration (cached).
 
     Several experiments (Table I, Figs. 5 and 6) aggregate the same
-    per-path bounds, so the expensive run happens once per spec.
+    per-path bounds, so the expensive run happens once per spec.  The
+    trajectory runs the ``windowed`` credit, the reconstruction of the
+    published evaluation, whatever the library default.
     """
-    from repro.core.combined import build_comparison
-    from repro.netcalc.analyzer import analyze_network_calculus
-    from repro.trajectory.analyzer import analyze_trajectory
+    from repro.core.combined import AnalysisOptions, analyze_network
 
-    network = industrial_config(spec)
-    nc_result = analyze_network_calculus(network, grouping=True)
-    trajectory_result = analyze_trajectory(
-        network, serialization=True, nc_result=nc_result
+    return analyze_network(
+        industrial_config(spec), AnalysisOptions(serialization="windowed")
     )
-    return build_comparison(nc_result, trajectory_result)

@@ -10,8 +10,7 @@ from __future__ import annotations
 from typing import Tuple
 
 from repro.configs.fig2 import fig2_network
-from repro.netcalc.analyzer import analyze_network_calculus
-from repro.trajectory.analyzer import analyze_trajectory
+from repro.core.combined import AnalysisOptions, run_analyses
 
 __all__ = ["DEFAULT_S_MAX_SWEEP_BYTES", "DEFAULT_BAG_SWEEP_MS", "bounds_for_v1"]
 
@@ -28,11 +27,11 @@ def bounds_for_v1(
     """(WCNC, Trajectory) end-to-end bounds for v1 with modified contract.
 
     Rebuilds the Fig. 2 configuration, replaces v1's BAG / ``s_max``
-    and runs both analyses with their paper-default options.
+    and runs both analyses with the paper's options (grouping, the
+    ``windowed`` serialization credit).
     """
     network = fig2_network()
     v1 = network.vl("v1").with_bag_ms(bag_ms).with_s_max_bytes(s_max_bytes)
     network.replace_virtual_link(v1)
-    nc = analyze_network_calculus(network, grouping=True)
-    trajectory = analyze_trajectory(network, serialization=True, nc_result=nc)
+    nc, trajectory = run_analyses(network, AnalysisOptions(serialization="windowed"))
     return nc.bound_us("v1"), trajectory.bound_us("v1")

@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.configs.industrial import IndustrialConfigSpec
-from repro.core.comparison import summarize
 from repro.experiments.runner import ExperimentResult, industrial_comparison, register
 
 __all__ = ["run_table1"]
@@ -31,8 +30,7 @@ __all__ = ["run_table1"]
 def run_table1(spec: Optional[IndustrialConfigSpec] = None) -> ExperimentResult:
     """Reproduce Table I on the synthetic industrial configuration."""
     spec = spec if spec is not None else IndustrialConfigSpec()
-    comparison = industrial_comparison(spec)
-    stats = summarize(comparison.paths.values())
+    stats = industrial_comparison(spec).stats
     result = ExperimentResult(
         experiment_id="table1",
         title="end-to-end delay bound comparison on the industrial network",

@@ -14,8 +14,8 @@ Entry point: :func:`explain_network`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.core.results import AnalysisResult
 from repro.explain.attribution import (
@@ -28,6 +28,9 @@ from repro.explain.report import FORMATS, render_explanation
 from repro.netcalc.results import NetworkCalculusResult
 from repro.network.topology import Network
 from repro.trajectory.results import TrajectoryResult
+
+if TYPE_CHECKING:
+    from repro.core.combined import AnalysisOptions
 
 __all__ = [
     "Explanation",
@@ -57,48 +60,35 @@ class Explanation:
 
 def explain_network(
     network: Network,
-    grouping: bool = True,
-    serialization: object = True,
-    refine_smax: bool = True,
+    options: Optional["AnalysisOptions"] = None,
+    *,
     cache_dir: Optional[str] = None,
     collect_stats: bool = False,
     progress=None,
 ) -> Explanation:
     """Run both analyses with provenance recording and attribute gaps.
 
-    Mirrors the combined CLI analysis (same analyzers, same seeding, so
-    the bounds are bit-identical to an unexplained ``afdx analyze``
-    run) and is deterministic across cold vs ``cache_dir``-warmed
-    incremental runs.
+    The combined pipeline (:func:`~repro.core.combined.analyze_network`)
+    under ``options`` (default :class:`~repro.core.combined.AnalysisOptions`)
+    with ``explain`` forced on, so the bounds are bit-identical to an
+    unexplained ``afdx analyze`` run.  Deterministic across cold vs
+    ``cache_dir``-warmed incremental runs.
     """
-    from repro.core.combined import build_comparison
-    from repro.netcalc.analyzer import analyze_network_calculus
-    from repro.trajectory.analyzer import analyze_trajectory
+    from repro.core.combined import AnalysisOptions, analyze_network
 
     cache = None
     if cache_dir is not None:
         from repro.incremental.cache import BoundCache
 
         cache = BoundCache(cache_dir=cache_dir)
-    nc_result = analyze_network_calculus(
+    comparison = analyze_network(
         network,
-        grouping=grouping,
+        replace(options or AnalysisOptions(), explain=True),
+        cache=cache,
         collect_stats=collect_stats,
         progress=progress,
-        cache=cache,
-        explain=True,
     )
-    trajectory_result = analyze_trajectory(
-        network,
-        serialization=serialization,
-        refine_smax=refine_smax,
-        collect_stats=collect_stats,
-        progress=progress,
-        cache=cache,
-        explain=True,
-        nc_result=nc_result,
-    )
-    comparison = build_comparison(nc_result, trajectory_result)
+    nc_result, trajectory_result = comparison.netcalc, comparison.trajectory
     assert nc_result.provenance is not None
     assert trajectory_result.provenance is not None
     attributions = attribute_paths(

@@ -100,6 +100,8 @@ class BoundCache:
             "invalidations": 0,
             "stores": 0,
         }
+        #: the key :meth:`get` last served, and whether from disk
+        self._last_hit: Optional[Tuple[Tuple[str, str], bool]] = None
 
     # ------------------------------------------------------------------
 
@@ -113,15 +115,35 @@ class BoundCache:
         else:
             self._entries.move_to_end(key)
             self._counters["hits"] += 1
+            self._last_hit = (key, False)
             return value
         value = self._disk_get(namespace, fingerprint)
         if value is not None:
             self._counters["hits"] += 1
             self._counters["disk_hits"] += 1
             self._remember(key, value)
+            self._last_hit = (key, True)
             return value
         self._counters["misses"] += 1
         return None
+
+    def reject(self, namespace: str, fingerprint: str) -> None:
+        """Count the hit :meth:`get` just served for this entry as a miss.
+
+        For a caller that finds the value stale (its path keys differ
+        from the network's) and recomputes and overwrites it.  The
+        entry leaves the memory layer; a later :meth:`put` replaces the
+        disk file.
+        """
+        key = (namespace, fingerprint)
+        if self._last_hit is None or self._last_hit[0] != key:
+            return
+        if self._last_hit[1]:
+            self._counters["disk_hits"] -= 1
+        self._last_hit = None
+        self._entries.pop(key, None)
+        self._counters["hits"] -= 1
+        self._counters["misses"] += 1
 
     def put(self, namespace: str, fingerprint: str, value: object) -> None:
         """Store a freshly computed value (memory, then disk if configured)."""

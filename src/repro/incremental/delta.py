@@ -16,8 +16,8 @@ crossing a dirty port (:func:`dirty_vls`).  Both sizes are reported
 (``n_dirty_ports`` / ``n_dirty_vls`` in the round stats and the
 ``afdx whatif`` report).
 
-**Whole-result reuse.**  Each round runs the ordinary Network Calculus
-and trajectory analyzers with a shared
+**Whole-result reuse.**  Each round runs the combined pipeline
+(:func:`~repro.core.combined.run_analyses`) with a shared
 :class:`~repro.incremental.cache.BoundCache`, which stores whole
 results keyed by a fingerprint of the whole configuration plus the
 analyzer parameters (:mod:`repro.incremental.fingerprint`).  A
@@ -36,15 +36,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
 
+from repro.core.combined import AnalysisOptions, run_analyses
 from repro.incremental.cache import BoundCache
 from repro.incremental.edits import Edit, EditImpact, apply_edits
-from repro.netcalc.analyzer import NetworkCalculusAnalyzer
 from repro.netcalc.results import NetworkCalculusResult
 from repro.network.port import PortId
 from repro.network.port_graph import port_successors
 from repro.network.topology import FlowPath, Network
 from repro.obs.logging import get_logger, kv
-from repro.trajectory.analyzer import TrajectoryAnalyzer
 from repro.trajectory.results import TrajectoryResult
 
 __all__ = [
@@ -128,9 +127,12 @@ class DeltaResult:
 class DeltaAnalyzer:
     """Re-analyzes a configuration across a stream of edits.
 
-    Parameters mirror the sequential analyzers (bit-identical results
-    are part of the contract); ``cache`` / ``cache_dir`` configure the
-    shared :class:`BoundCache` (a fresh in-memory cache by default).
+    Each round is one combined-pipeline run
+    (:func:`~repro.core.combined.run_analyses`) under ``options``
+    (default :class:`~repro.core.combined.AnalysisOptions`), so its
+    bounds are bit-identical to a cold analysis with the same options;
+    ``cache`` / ``cache_dir`` configure the shared :class:`BoundCache`
+    (a fresh in-memory cache by default).
 
     Usage::
 
@@ -146,28 +148,19 @@ class DeltaAnalyzer:
     def __init__(
         self,
         network: Network,
+        options: AnalysisOptions = AnalysisOptions(),
+        *,
         cache: Optional[BoundCache] = None,
         cache_dir=None,
-        grouping: bool = True,
-        frame_overhead_bytes: float = 0.0,
-        serialization=True,
-        refine_smax: bool = True,
-        max_refinements: int = 8,
         collect_stats: bool = False,
         progress=None,
-        explain: bool = False,
     ) -> None:
         if cache is None:
             cache = BoundCache(cache_dir=cache_dir)
         elif cache_dir is not None:
             raise ValueError("pass either cache or cache_dir, not both")
         self.cache = cache
-        self.grouping = grouping
-        self.frame_overhead_bytes = frame_overhead_bytes
-        self.serialization = serialization
-        self.refine_smax = refine_smax
-        self.max_refinements = max_refinements
-        self.explain = explain
+        self.options = options
         self.collect_stats = collect_stats
         self.progress = progress
         self._network = network
@@ -238,29 +231,13 @@ class DeltaAnalyzer:
     # ------------------------------------------------------------------
 
     def _run(self, network: Network) -> Tuple[NetworkCalculusResult, TrajectoryResult]:
-        netcalc = NetworkCalculusAnalyzer(
+        return run_analyses(
             network,
-            grouping=self.grouping,
-            frame_overhead_bytes=self.frame_overhead_bytes,
+            self.options,
+            cache=self.cache,
             collect_stats=self.collect_stats,
             progress=self.progress,
-            incremental=True,
-            cache=self.cache,
-            explain=self.explain,
-        ).analyze()
-        trajectory = TrajectoryAnalyzer(
-            network,
-            serialization=self.serialization,
-            refine_smax=self.refine_smax,
-            max_refinements=self.max_refinements,
-            collect_stats=self.collect_stats,
-            progress=self.progress,
-            incremental=True,
-            cache=self.cache,
-            explain=self.explain,
-            nc_result=netcalc,
-        ).analyze()
-        return netcalc, trajectory
+        )
 
     @staticmethod
     def _diff(

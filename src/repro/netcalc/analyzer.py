@@ -146,7 +146,10 @@ class NetworkCalculusAnalyzer:
         obs = self._obs
         with obs.tracer.span("netcalc.result_probe"):
             cached = cache.get("nc.result", self.result_fingerprint())
-        if cached is None or cached.paths.keys() != self.network.path_keys():
+        if cached is None:
+            return None
+        if cached.paths.keys() != self.network.path_keys():
+            cache.reject("nc.result", self.result_fingerprint())
             return None
         result = NetworkCalculusResult(
             grouping=cached.grouping,

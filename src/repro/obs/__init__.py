@@ -25,8 +25,8 @@ simulator.  Everything is opt-in and zero-overhead when disabled:
 * :mod:`repro.obs.history` — the persistent append-only run-history
   store (``--history-dir`` / ``AFDX_HISTORY_DIR``) and the
   ``afdx obs`` diff/drift queries over it;
-* :mod:`repro.obs.telemetry` — live fleet telemetry: worker heartbeat
-  events folded into the upgraded ``--progress`` view.
+* :mod:`repro.obs.telemetry` — live fleet telemetry: per-configuration
+  worker events folded into the upgraded ``--progress`` view.
 """
 
 from repro._lazy import lazy_exports

@@ -1,4 +1,4 @@
-"""Live fleet telemetry: worker heartbeats rendered as one status line.
+"""Live fleet telemetry: worker events rendered as one status line.
 
 The batch engine's ``--progress`` view used to be coordinator-only: a
 ``pool.map`` call blocks until a whole chunk wave completes, so a
@@ -16,9 +16,6 @@ Event grammar (deliberately loose — a dict with a ``kind``):
 ``{"kind": "config", "lane": 101, "n": 1, "cache_hits": 3, ...}``
     One or more configurations finished on a lane; optional cache
     tallies fold into the aggregate hit rate.
-``{"kind": "heartbeat", "lane": 101, "at": "SW1.out3"}``
-    A worker announcing what it is chewing on — surfaces stragglers
-    (the lane's marker goes stale while other lanes advance).
 
 Everything here is *volatile shell* in the run-history sense: the
 :meth:`FleetView.snapshot` lands in ``report.stats["fleet"]`` and the
@@ -76,8 +73,6 @@ class FleetView:
         self.cache_misses = 0
         #: configurations completed per worker lane (lane id -> count)
         self.lanes: Dict[int, int] = {}
-        #: last heartbeat marker per lane (what the worker is chewing on)
-        self.current: Dict[int, str] = {}
         self.renders = 0
 
     # -- event folding -------------------------------------------------
@@ -95,13 +90,8 @@ class FleetView:
             self.done += n
             if lane is not None:
                 self.lanes[lane] = self.lanes.get(lane, 0) + n
-                self.current.pop(lane, None)
             self.cache_hits += int(event.get("cache_hits", 0))
             self.cache_misses += int(event.get("cache_misses", 0))
-        elif kind == "heartbeat" and lane is not None:
-            at = event.get("at")
-            if at is not None:
-                self.current[lane] = str(at)
         self.render()
 
     # -- derived rates -------------------------------------------------
@@ -146,13 +136,6 @@ class FleetView:
                 f"w{lane}:{self.lanes[lane]}" for lane in sorted(self.lanes)
             )
             parts.append(lanes)
-        stragglers = sorted(set(self.current) - set(self.lanes))
-        if stragglers:
-            parts.append(
-                "at " + " ".join(
-                    f"w{lane}={self.current[lane]}" for lane in stragglers
-                )
-            )
         return " | ".join(parts)
 
     def render(self, force: bool = False) -> None:

@@ -71,7 +71,7 @@ from repro.obs.instrument import Instrumentation
 from repro.obs.logging import get_logger, kv
 from repro.trajectory.busy_period import busy_period_bound, interference_count
 from repro.trajectory.results import TrajectoryPathBound, TrajectoryResult
-from repro.trajectory.serialization import normalize_mode
+from repro.trajectory.serialization import DEFAULT_SERIALIZATION, normalize_mode
 from repro.trajectory.timing import (
     FlowPortKey,
     compute_smin,
@@ -180,12 +180,14 @@ class TrajectoryAnalyzer:
         The configuration to analyze (not mutated).
     serialization:
         Input-link serialization credit (the "enhanced trajectory
-        approach" of the paper's Fig. 4).  ``True`` / ``"windowed"``
+        approach" of the paper's Fig. 4), by name.  ``"windowed"`` (the
+        default, :data:`~repro.trajectory.serialization.DEFAULT_SERIALIZATION`)
         applies one credit per port (the reconstruction matching the
         published evaluation); ``"paper"`` applies the literal
         per-group credit (known to be optimistic in corner cases — see
-        :mod:`repro.trajectory.serialization`); ``False`` / ``"safe"``
-        runs the provably sound plain analysis.
+        :mod:`repro.trajectory.serialization`); ``"safe"`` runs the
+        provably sound plain analysis.  Any other value, a bool
+        included, raises :class:`ValueError`.
     refine_smax:
         Tighten the ``Smax`` arrival-jitter terms with trajectory
         prefix bounds (default True).  When False the Network Calculus
@@ -221,10 +223,11 @@ class TrajectoryAnalyzer:
         recomputed, never served stale.
     nc_result:
         The caller's Network Calculus result for the same network, so
-        that the combined approach runs NC once.  It becomes the
-        ``Smax`` seed only when it is the default seed (grouping on,
-        frame overhead 0); otherwise the analyzer seeds itself, as it
-        does without one.  Either way the run counts as self-seeded:
+        that the combined approach runs NC once
+        (:func:`repro.core.combined.run_analyses` passes it).  It
+        becomes the ``Smax`` seed only when it is the default seed
+        (grouping on, frame overhead 0); otherwise the analyzer seeds
+        itself, as it does without one.  Either way the run counts as self-seeded:
         bounds and result-cache entries are those of a run without
         ``nc_result``.  A result whose path keys differ from the
         network's raises :class:`ValueError`.
@@ -233,7 +236,7 @@ class TrajectoryAnalyzer:
     def __init__(
         self,
         network: Network,
-        serialization=True,
+        serialization: str = DEFAULT_SERIALIZATION,
         refine_smax: bool = True,
         max_refinements: int = 8,
         collect_stats: bool = False,
@@ -359,7 +362,10 @@ class TrajectoryAnalyzer:
         with obs.tracer.span("trajectory.result_probe"):
             fingerprint = self.result_fingerprint()
             cached = cache.get("traj.result", fingerprint)
-        if cached is None or cached.paths.keys() != self.network.path_keys():
+        if cached is None:
+            return None
+        if cached.paths.keys() != self.network.path_keys():
+            cache.reject("traj.result", fingerprint)
             return None
         result = TrajectoryResult(
             serialization=cached.serialization,
@@ -1339,7 +1345,7 @@ class TrajectoryAnalyzer:
 
 def analyze_trajectory(
     network: Network,
-    serialization=True,
+    serialization: str = DEFAULT_SERIALIZATION,
     refine_smax: bool = True,
     max_refinements: int = 8,
     collect_stats: bool = False,

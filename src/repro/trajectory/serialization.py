@@ -61,29 +61,34 @@ from typing import Dict, List, Mapping, Tuple
 from repro.network.port import PortId
 from repro.network.topology import Network
 
-__all__ = ["SERIALIZATION_MODES", "normalize_mode", "serialization_gain"]
+__all__ = [
+    "DEFAULT_SERIALIZATION",
+    "SERIALIZATION_MODES",
+    "normalize_mode",
+    "serialization_gain",
+]
 
 SERIALIZATION_MODES = ("paper", "windowed", "safe")
 
+#: The mode every analysis runs unless told otherwise: the trajectory
+#: analyzer, :class:`repro.core.combined.AnalysisOptions` and (as a
+#: pinned literal) the ``afdx --serialization`` flag.  ``"windowed"``
+#: best matches the published evaluation at industrial scale and
+#: reproduces the paper's Fig. 4 example exactly (on a single group per
+#: port, ``"windowed"`` and ``"paper"`` coincide).
+DEFAULT_SERIALIZATION = "windowed"
+
 
 def normalize_mode(serialization) -> str:
-    """Map the public ``serialization`` argument to a mode string.
+    """Check a public ``serialization`` argument and return its mode.
 
-    ``True`` means the ``"windowed"`` credit — the reconstruction that
-    best matches the published evaluation at industrial scale while
-    reproducing the paper's Fig. 4 example exactly (on a single group
-    per port, ``"windowed"`` and ``"paper"`` coincide).  ``False`` is
-    the sound plain analysis; the strings ``"paper"`` / ``"windowed"``
-    / ``"safe"`` are accepted verbatim.
+    Only the names in :data:`SERIALIZATION_MODES` are accepted; anything
+    else, ``True`` and ``False`` included, raises :class:`ValueError`.
     """
-    if serialization is True:
-        return "windowed"
-    if serialization is False:
-        return "safe"
-    if serialization in SERIALIZATION_MODES:
-        return str(serialization)
+    if isinstance(serialization, str) and serialization in SERIALIZATION_MODES:
+        return serialization
     raise ValueError(
-        "serialization must be True, False, 'paper', 'windowed' or 'safe', "
+        f"serialization must be one of {', '.join(map(repr, SERIALIZATION_MODES))}, "
         f"got {serialization!r}"
     )
 

@@ -30,14 +30,6 @@ def test_benefit_signs(fig1):
             assert path.benefit_trajectory_pct > 0
 
 
-def test_reuses_precomputed_results(fig2):
-    nc = analyze_network_calculus(fig2)
-    trajectory = analyze_trajectory(fig2)
-    result = analyze_network(fig2, nc_result=nc, trajectory_result=trajectory)
-    assert result.paths[("v1", 0)].network_calculus_us == nc.bound_us("v1")
-    assert result.paths[("v1", 0)].trajectory_us == trajectory.bound_us("v1")
-
-
 def test_mismatched_results_rejected(fig1, fig2):
     nc = analyze_network_calculus(fig2)
     trajectory = analyze_trajectory(fig1)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import benefit_percent, compare_methods, group_mean_benefit, summarize
+from repro.core import analyze_network, benefit_percent, group_mean_benefit, summarize
 from repro.core.results import PathComparison
 
 
@@ -77,11 +77,13 @@ class TestGroupMeanBenefit:
 
 
 class TestCompareMethods:
+    """The method comparison :func:`analyze_network` attaches."""
+
     def test_stats_attached(self, fig2):
-        result = compare_methods(fig2)
+        result = analyze_network(fig2)
         assert result.stats is not None
         assert result.stats.n_paths == 5
 
     def test_min_best_benefit_never_negative(self, fig1):
-        result = compare_methods(fig1)
+        result = analyze_network(fig1)
         assert result.stats.min_benefit_best_pct >= 0.0

@@ -2,15 +2,12 @@
 
 import pytest
 
-from repro.core import certification_report, compare_methods
-from repro.netcalc import analyze_network_calculus
+from repro.core import analyze_network, certification_report
 
 
 @pytest.fixture
 def report(fig2):
-    nc = analyze_network_calculus(fig2)
-    result = compare_methods(fig2)
-    return certification_report(fig2, result, nc_result=nc, top_paths=3)
+    return certification_report(fig2, analyze_network(fig2), top_paths=3)
 
 
 def test_header_identifies_configuration(report):
@@ -44,16 +41,6 @@ def test_buffer_budget_line(report):
     assert "total switch buffer budget" in report
 
 
-def test_without_nc_result_omits_port_section(fig2):
-    result = compare_methods(fig2)
-    text = certification_report(fig2, result)
-    assert "Output-port dimensioning" not in text
-    assert "End-to-end delay bounds" in text
-
-
 def test_deterministic(fig2):
-    nc = analyze_network_calculus(fig2)
-    result = compare_methods(fig2)
-    a = certification_report(fig2, result, nc_result=nc)
-    b = certification_report(fig2, result, nc_result=nc)
-    assert a == b
+    result = analyze_network(fig2)
+    assert certification_report(fig2, result) == certification_report(fig2, result)

@@ -183,6 +183,25 @@ class TestConcaveEnvelope:
         for t in (0.0, 50.0, 99.9999, 100.0, 150.0):
             assert low(t) == pytest.approx(min(f(t), g(t)), abs=1e-6)
 
+    def test_crossing_within_knot_tolerance_stays_concave(self):
+        from repro.curves import PiecewiseCurve
+
+        # hypothesis-found: f crosses g ~1e-9 after x = 0, closer than
+        # the tolerance at which PiecewiseCurve merges two knots
+        f = PiecewiseCurve([(0.0, 5.960464477539063e-08)], 1.0)
+        g = PiecewiseCurve([(0.0, 0.0), (1 / 60, 1 / 60 + 1.0)], 1.0)
+        low = min_curves(f, g)
+        assert low.is_concave()
+        for t in (0.0, 1e-9, 0.01, 1 / 60, 1.0):
+            assert low(t) == pytest.approx(min(f(t), g(t)), abs=1e-6)
+            assert low(t) >= min(f(t), g(t)) - 1e-12
+
+    def test_envelope_merges_points_within_tolerance(self):
+        from repro.curves.operations import _concave_envelope
+
+        close = [(0.0, 0.0), (5e-10, 6e-8), (1.0, 1.0 + 5e-8)]
+        assert _concave_envelope(close, 1.0) == [(0.0, 6e-8)]
+
     def test_envelope_drops_noise_point(self):
         from repro.curves.operations import _concave_envelope
 

@@ -55,7 +55,7 @@ def test_workload_children_sum_to_the_workload_term(fig2):
 
 
 def test_serialization_gain_terms_are_gains(fig2):
-    result = analyze_trajectory(fig2, serialization=True, explain=True)
+    result = analyze_trajectory(fig2, serialization="windowed", explain=True)
     total_gain = 0.0
     for decomposition in result.provenance.values():
         gain = decomposition.total("serialization-gain")

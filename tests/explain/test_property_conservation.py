@@ -10,6 +10,7 @@ import pytest
 
 from repro.configs import fig2_network
 from repro.configs.random_topology import random_network
+from repro.core.combined import AnalysisOptions
 from repro.explain import explain_network
 from repro.incremental import ResizeVL, RetimeVL
 from repro.incremental.delta import DeltaAnalyzer
@@ -32,7 +33,7 @@ def assert_explanation_conserves(explanation):
 def test_random_networks_conserve(seed):
     network = random_network(seed, n_virtual_links=8)
     # safe serialization: the mode every topology is analyzable under
-    explanation = explain_network(network, serialization="safe")
+    explanation = explain_network(network, AnalysisOptions(serialization="safe"))
     assert_explanation_conserves(explanation)
 
 
@@ -57,7 +58,7 @@ def test_incremental_explain_matches_cold_after_edit_script(fig2):
     ]
     assert sum(len(batch) for batch in script) == 10
 
-    engine = DeltaAnalyzer(fig2, explain=True)
+    engine = DeltaAnalyzer(fig2, AnalysisOptions(explain=True))
     engine.analyze_base()
     for batch in script:
         delta = engine.apply(batch)

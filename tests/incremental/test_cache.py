@@ -63,6 +63,15 @@ class TestMemoryLayer:
         assert cache.get("nc.result", "a") is None
         assert cache.stats()["invalidations"] == 1
 
+    def test_reject_recounts_the_hit_just_served(self):
+        cache = BoundCache()
+        cache.put("nc.result", "f1", _result())
+        cache.get("nc.result", "f1")
+        cache.reject("nc.result", "f1")
+        cache.reject("nc.result", "f1")  # no second hit to recount
+        counters = cache.stats()
+        assert (counters["hits"], counters["misses"], len(cache)) == (0, 1, 0)
+
     def test_namespaces_do_not_collide(self):
         cache = BoundCache()
         cache.put("nc.result", "same-fp", _result())
@@ -170,6 +179,26 @@ class TestStaleResultEntry:
         assert main(argv) == 0
         assert capsys.readouterr().out == cold
         assert json.loads(entry.read_text())["paths"]  # overwritten
+
+    @pytest.mark.parametrize("namespace", ["nc.result", "traj.result"])
+    def test_rejected_entry_counts_as_a_miss(self, namespace, tmp_path):
+        network = fig2_network()
+
+        def analyze(cache):
+            nc = analyze_network_calculus(network, cache=cache)
+            analyze_trajectory(network, cache=cache, nc_result=nc)
+
+        analyze(BoundCache(cache_dir=tmp_path))
+        (entry,) = (tmp_path / f"v{CACHE_VERSION}" / namespace).rglob("*.json")
+        stale = json.loads(entry.read_text())
+        stale["paths"] = []
+        entry.write_text(json.dumps(stale))
+
+        warm = BoundCache(cache_dir=tmp_path)
+        analyze(warm)
+        # the rejected entry is the miss; the other namespace's entry is the hit
+        counters = warm.stats()
+        assert (counters["hits"], counters["disk_hits"], counters["misses"]) == (1, 1, 1)
 
 
 class TestResultCodec:

@@ -16,7 +16,6 @@ from repro.batch.sweep import SweepSpec, batch_sweep
 from repro.cli import main
 from repro.configs import IndustrialConfigSpec, fig1_network, fig2_network, random_network
 from repro.core.combined import analyze_network
-from repro.core.comparison import compare_methods
 from repro.experiments.runner import industrial_comparison
 from repro.incremental import DeltaAnalyzer
 from repro.incremental.cache import CACHE_VERSION, BoundCache
@@ -69,10 +68,6 @@ class TestOnePropagationPerAnalysis:
 
     def test_analyze_network(self, nc_runs):
         analyze_network(fig2_network())
-        assert nc_runs == ["fig2"]
-
-    def test_compare_methods(self, nc_runs):
-        compare_methods(fig2_network())
         assert nc_runs == ["fig2"]
 
     def test_corpus_config(self, nc_runs):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.configs import random_network
-from repro.core import compare_methods
+from repro.core import analyze_network
 from repro.network import network_from_dict, network_to_dict
 
 
@@ -32,8 +32,8 @@ def test_round_trip_preserves_analysis_results(seed):
     """The acid test: identical bounds before and after serialization."""
     network = random_network(seed, n_virtual_links=5)
     loaded = network_from_dict(network_to_dict(network))
-    original = compare_methods(network)
-    reloaded = compare_methods(loaded)
+    original = analyze_network(network)
+    reloaded = analyze_network(loaded)
     for key in original.paths:
         assert reloaded.paths[key].network_calculus_us == pytest.approx(
             original.paths[key].network_calculus_us

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import compare_methods
+from repro.core import analyze_network
 from repro.network import combine_redundant, duplicate_network
 from repro.network.validation import validate_network
 
@@ -43,8 +43,8 @@ class TestCombine:
     @pytest.fixture
     def merged(self, fig2):
         twin = duplicate_network(fig2)
-        bounds_a = {k: p.best_us for k, p in compare_methods(fig2).paths.items()}
-        bounds_b = {k: p.best_us for k, p in compare_methods(twin).paths.items()}
+        bounds_a = {k: p.best_us for k, p in analyze_network(fig2).paths.items()}
+        bounds_b = {k: p.best_us for k, p in analyze_network(twin).paths.items()}
         return combine_redundant(fig2, twin, bounds_a, bounds_b)
 
     def test_identical_networks_symmetric(self, merged):
@@ -73,7 +73,7 @@ class TestCombine:
     def test_asymmetric_networks(self, fig2):
         """A slower B-network shifts the combined figures correctly."""
         twin = duplicate_network(fig2)
-        bounds_a = {k: p.best_us for k, p in compare_methods(fig2).paths.items()}
+        bounds_a = {k: p.best_us for k, p in analyze_network(fig2).paths.items()}
         bounds_b = {k: v + 100.0 for k, v in bounds_a.items()}  # degraded B
         merged = combine_redundant(fig2, twin, bounds_a, bounds_b)
         for key, bound in merged.items():

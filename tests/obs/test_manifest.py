@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.configs import fig2_network
-from repro.core.comparison import compare_methods
+from repro.core.combined import analyze_network
 from repro.obs.manifest import (
     MANIFEST_VERSION,
     bound_summary,
@@ -31,7 +31,7 @@ def test_network_identity_fields(fig2):
 
 
 def test_bound_summary_aggregates(fig2):
-    result = compare_methods(fig2)
+    result = analyze_network(fig2)
     summary = bound_summary(result)
     assert summary["n_paths"] == len(result.paths)
     for method in ("network_calculus", "trajectory", "combined"):

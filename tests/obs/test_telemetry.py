@@ -52,13 +52,6 @@ class TestFleetView:
         assert view.cache_hit_rate is None
         assert "cache" not in view.render_line()
 
-    def test_heartbeats_mark_stragglers_until_first_config(self):
-        view, _clock = _view()
-        view.handle({"kind": "heartbeat", "lane": 101, "at": "SW1.p3"})
-        assert "at w101=SW1.p3" in view.render_line()
-        view.handle({"kind": "config", "lane": 101, "n": 1})
-        assert "at w101" not in view.render_line()
-
     def test_unknown_kinds_only_bump_the_event_counter(self):
         view, _clock = _view()
         view.handle({"kind": "mystery", "lane": 100})

@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.core import compare_methods
+from repro.core import analyze_network
 from repro.sim import evaluate_tightness
 from repro.trajectory import analyze_trajectory
 
 
 @pytest.fixture
 def report(fig2):
-    bounds = {k: p.best_us for k, p in compare_methods(fig2).paths.items()}
+    bounds = {k: p.best_us for k, p in analyze_network(fig2).paths.items()}
     return evaluate_tightness(fig2, bounds, duration_ms=50, random_seeds=2)
 
 

@@ -93,6 +93,21 @@ class TestRecording:
         assert whatif["config_digest"] != analyzed["config_digest"]
         assert whatif["bounds_digest"] != analyzed["bounds_digest"]
 
+    def test_report_records_its_analysis(
+        self, fig2_json, hist_dir, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("AFDX_GIT_REV", "rev-a")
+        base = ["--history-dir", hist_dir]
+        manifest = tmp_path / "report.json"
+        assert main(["analyze", fig2_json] + base) == 0
+        assert main(["report", fig2_json, "--metrics-json", str(manifest)] + base) == 0
+        analyzed, reported = RunHistory(hist_dir).records()
+        assert reported["command"] == "report"
+        assert reported["bounds_digest"] == analyzed["bounds_digest"]
+        document = json.loads(manifest.read_text())
+        assert set(document["analyzers"]) == {"network_calculus", "trajectory"}
+        assert document["bounds"]["n_paths"] == 5
+
 
 class TestObsQueries:
     @pytest.fixture

@@ -100,6 +100,31 @@ def test_experiment_choices_are_the_registry():
     assert choices == registry
 
 
+def test_serialization_flag_is_the_library_default():
+    # the parser spells the modes out; building it must not load the
+    # trajectory package that defines them
+    proc = _fresh(
+        "-c",
+        "import argparse, json, sys\n"
+        "from repro.cli import build_parser\n"
+        "commands = next(a for a in build_parser()._actions\n"
+        "                if isinstance(a, argparse._SubParsersAction))\n"
+        "flags = {name: next(a for a in commands.choices[name]._actions\n"
+        "                    if a.dest == 'serialization')\n"
+        "         for name in ('analyze', 'profile', 'whatif', 'explain')}\n"
+        "loaded_by_parser = 'repro.trajectory' in sys.modules\n"
+        "from repro.trajectory.serialization import (\n"
+        "    DEFAULT_SERIALIZATION, SERIALIZATION_MODES)\n"
+        "print(json.dumps([loaded_by_parser,\n"
+        "    {name: [a.default, list(a.choices)] for name, a in flags.items()},\n"
+        "    [DEFAULT_SERIALIZATION, list(SERIALIZATION_MODES)]]))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded_by_parser, flags, library = json.loads(proc.stdout.splitlines()[-1])
+    assert not loaded_by_parser
+    assert flags == {name: library for name in ("analyze", "profile", "whatif", "explain")}
+
+
 def test_experiment_runs_from_a_fresh_interpreter():
     proc = _fresh("-m", "repro.cli", "experiment", "fig3_4")
     assert proc.returncode == 0, proc.stderr

@@ -32,6 +32,7 @@ from repro.network.port import PortId
 from repro.trajectory.analyzer import _EPS, TrajectoryAnalyzer, _flow_events
 from repro.trajectory.busy_period import busy_period_bound, interference_count
 from repro.trajectory.results import TrajectoryPathBound
+from repro.trajectory.serialization import DEFAULT_SERIALIZATION
 from repro.trajectory.timing import FlowPortKey
 
 __all__ = ["ReferenceTrajectoryAnalyzer"]
@@ -43,7 +44,7 @@ class ReferenceTrajectoryAnalyzer(TrajectoryAnalyzer):
     def __init__(
         self,
         network,
-        serialization=True,
+        serialization=DEFAULT_SERIALIZATION,
         refine_smax: bool = True,
         max_refinements: int = 8,
         collect_stats: bool = False,

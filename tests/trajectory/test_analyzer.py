@@ -46,7 +46,7 @@ class TestLoneFlow:
 class TestFig2:
     def test_paper_worked_example(self, fig2):
         enhanced = analyze_trajectory(fig2)
-        plain = analyze_trajectory(fig2, serialization=False)
+        plain = analyze_trajectory(fig2, serialization="safe")
         # the numbers this library reproduces for the Sec. II-B scenario
         assert plain.bound_us("v1") == pytest.approx(272.0)
         assert enhanced.bound_us("v1") == pytest.approx(232.0)

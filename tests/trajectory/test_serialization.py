@@ -15,11 +15,14 @@ from repro.trajectory.serialization import normalize_mode
 
 
 class TestModeNormalization:
-    def test_true_is_windowed(self):
-        assert normalize_mode(True) == "windowed"
+    # True once meant "windowed" and False "safe"; modes go by name
+    def test_true_rejected(self):
+        with pytest.raises(ValueError):
+            normalize_mode(True)
 
-    def test_false_is_safe(self):
-        assert normalize_mode(False) == "safe"
+    def test_false_rejected(self):
+        with pytest.raises(ValueError):
+            normalize_mode(False)
 
     def test_strings_pass_through(self):
         for mode in ("paper", "windowed", "safe"):
