@@ -6,22 +6,19 @@ configuration is reused), analyze every VL path with Network Calculus
 paper prints in Table I.
 """
 
-from repro.core.combined import build_comparison
-from repro.core.comparison import summarize
+from repro.core.combined import AnalysisOptions, analyze_network
 from repro.experiments.runner import industrial_config
 from repro.experiments.table1 import run_table1
-from repro.netcalc.analyzer import NetworkCalculusAnalyzer
-from repro.trajectory.analyzer import TrajectoryAnalyzer
 
 
 def test_table1_dual_analysis(benchmark, industrial_spec, persist):
     network = industrial_config(industrial_spec)
 
     def dual_analysis():
-        nc = NetworkCalculusAnalyzer(network, grouping=True).analyze()
-        trajectory = TrajectoryAnalyzer(network, serialization="windowed").analyze()
-        comparison = build_comparison(nc, trajectory)
-        return summarize(comparison.paths.values())
+        # as `afdx experiment table1` runs it: one NC run, which also
+        # seeds the trajectory analysis
+        options = AnalysisOptions(serialization="windowed")
+        return analyze_network(network, options).stats
 
     stats = benchmark.pedantic(dual_analysis, rounds=1, iterations=1)
 

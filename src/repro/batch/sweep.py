@@ -71,7 +71,6 @@ class SweepSpec:
     scenarios_per_config: int = 2
     duration_ms: float = 5.0
     cache_dir: Optional[str] = None  # share bound-cache entries across runs
-    preflight: bool = False  # verify each config (repro.network.preflight) first
 
 
 @dataclass(frozen=True)
@@ -188,16 +187,6 @@ def sweep_one_config(config_seed: int, spec: SweepSpec) -> SweepConfigRecord:
             n_end_systems=spec.n_end_systems,
             n_virtual_links=spec.n_virtual_links,
         )
-        if spec.preflight:
-            from repro.network.preflight import ConfigVerifier
-
-            preflight = ConfigVerifier(utilization_table=False).verify_network(
-                network, source=f"seed={config_seed}"
-            )
-            if not preflight.ok:
-                first = preflight.errors[0]
-                record.error = f"preflight {first.rule_id}: {first.message}"
-                return record
         nc, trajectory = run_analyses(network, _SOUND, cache=cache)
     except (ConfigurationError, UnstableNetworkError, AnalysisError) as exc:
         record.error = f"{type(exc).__name__}: {exc}"

@@ -6,8 +6,6 @@ Subcommands
 ``afdx analyze CONFIG.json``
     Compute WCNC / Trajectory / combined bounds for every VL path of a
     configuration file and print them with aggregate statistics.
-``afdx validate CONFIG.json``
-    Run the ARINC-664 configuration checks and print the report.
 ``afdx generate {fig1,fig2,industrial,random} -o CONFIG.json``
     Write one of the bundled configurations to disk.
 ``afdx simulate CONFIG.json``
@@ -30,17 +28,17 @@ Subcommands
     attribute the per-path gap between the methods to its dominant
     mechanism (see ``docs/OBSERVABILITY.md``).
 ``afdx lint CONFIG.json [CONFIG.json ...]``
-    Static preflight verification: check each configuration against
-    the theory preconditions (feed-forward routing, port stability)
-    and the ARINC-664 admission rules (BAG, frame sizes, routes,
-    multicast trees, ES wiring) without running any analysis.  Every
-    finding carries a stable ``CFG1xx`` rule id (see ``docs/LINT.md``);
-    errors exit 3.  ``analyze``, ``batch-sweep`` and ``whatif`` accept
-    ``--preflight`` to run the same checks before analyzing — a bad
-    configuration then fails with a one-line diagnostic (exit 3, or 4
-    when only stability is violated) instead of a deep analyzer error,
-    and a clean configuration's bounds are bit-identical with or
-    without the flag.
+    Report every finding of the configuration verifier
+    (:mod:`repro.network.preflight`) without running any analysis: the
+    theory preconditions (feed-forward routing, port stability) and the
+    ARINC-664 admission rules (BAG, frame sizes, routes, multicast
+    trees, ES wiring).  Every finding carries a stable ``CFG1xx`` rule
+    id (see ``docs/LINT.md``); errors exit 3.
+
+Every command that reads a configuration file verifies it with the
+same rules on load (:func:`_load_config`): warnings go to stderr, and
+an error fails with a one-line diagnostic naming its rule (exit 3, or
+4 when stability is the only violated rule) before any analysis runs.
 
 A command that analyzes one configuration runs in one process.
 ``batch-sweep`` accepts ``--jobs N`` to fan its many configurations
@@ -83,10 +81,11 @@ and prints hot-spot reports from the cost ledger
 Exit codes
 ----------
 
-0 success · 1 command-level failure (invalid config report, bound
-violations) · 2 usage error (argparse) · 3 configuration error
-(including cyclic routing and ``lint`` findings of severity error) ·
-4 unstable network (no finite bound) · 5 other analysis error.
+0 success · 1 command-level failure (bound violations, ``lint
+--strict`` warnings) · 2 usage error (argparse) · 3 configuration error
+(any verifier error but stability, including cyclic routing) ·
+4 unstable network (stability is the only violated rule: no finite
+bound) · 5 other analysis error.
 """
 
 from __future__ import annotations
@@ -105,6 +104,7 @@ from repro.errors import (
 from repro.obs import configure as configure_logging
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import ProgressHook
+from repro.trajectory.serialization import DEFAULT_SERIALIZATION, SERIALIZATION_MODES
 
 __all__ = [
     "main",
@@ -151,14 +151,6 @@ _EXECUTION_ARGS = frozenset(("jobs", "cache_dir"))
 _EXPERIMENT_IDS = (
     "fig3_4", "fig5", "fig6", "fig7", "fig8", "fig9", "optimism", "table1",
 )
-
-#: ``--serialization`` choices and default, equal to
-#: ``repro.trajectory.serialization.SERIALIZATION_MODES`` and
-#: ``DEFAULT_SERIALIZATION`` (``tests/test_startup.py`` pins them).
-#: Spelled out for the same reason: that module's package loads the
-#: analyzers.
-_SERIALIZATION_MODES = ("paper", "windowed", "safe")
-_DEFAULT_SERIALIZATION = "windowed"
 
 
 def _bounded(convert, minimum, strict=False, maximum=None):
@@ -266,9 +258,9 @@ def _add_analysis_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--serialization",
-        choices=_SERIALIZATION_MODES,
-        default=_DEFAULT_SERIALIZATION,
-        help=f"Trajectory serialization mode (default: {_DEFAULT_SERIALIZATION})",
+        choices=SERIALIZATION_MODES,
+        default=DEFAULT_SERIALIZATION,
+        help=f"Trajectory serialization mode (default: {DEFAULT_SERIALIZATION})",
     )
 
 
@@ -311,12 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="persist the content-addressed bound cache in DIR "
         "(bit-identical results, a repeat run reuses the cached results)",
     )
-    analyze.add_argument(
-        "--preflight", action="store_true",
-        help="verify the configuration (afdx lint rules) before analyzing; "
-        "errors fail with a one-line diagnostic instead of a deep analyzer "
-        "error, a clean config's bounds are unchanged",
-    )
 
     profile_cmd = sub.add_parser(
         "profile",
@@ -348,9 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="persist the content-addressed bound cache in DIR "
         "(cache hits appear as explicit ledger entries)",
     )
-
-    validate = sub.add_parser("validate", parents=[obs], help="check a configuration")
-    validate.add_argument("config", help="configuration JSON file")
 
     generate = sub.add_parser(
         "generate", parents=[obs], help="write a bundled configuration"
@@ -434,11 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="share the content-addressed bound cache across sweeps "
         "(and with the other incremental commands)",
     )
-    sweep.add_argument(
-        "--preflight", action="store_true",
-        help="verify each generated configuration (afdx lint rules) before "
-        "analyzing it; rejected configs are recorded as skipped",
-    )
 
     whatif = sub.add_parser(
         "whatif", parents=[obs],
@@ -454,11 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir", default=None, metavar="DIR",
         help="persist the bound cache in DIR so repeated what-ifs on the "
         "same base configuration skip the cold run's recomputation",
-    )
-    whatif.add_argument(
-        "--preflight", action="store_true",
-        help="verify the base configuration (afdx lint rules) before "
-        "the incremental analysis",
     )
 
     explain = sub.add_parser(
@@ -496,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint", parents=[obs],
-        help="statically verify configurations against the theory "
+        help="report every finding of the configuration verifier: theory "
         "preconditions and ARINC-664 admission rules (no analysis run)",
     )
     lint.add_argument(
@@ -684,31 +657,39 @@ def _history_execution(args: argparse.Namespace) -> Dict[str, object]:
     }
 
 
-def _run_preflight(network, source: str, ctx: _RunContext) -> None:
-    """Verify ``network`` before analysis (the ``--preflight`` flag).
+def _verify_config(path: str, verifier=None):
+    """The :class:`~repro.network.preflight.ConfigReport` of
+    configuration file ``path``: the JSON is parsed once, and the
+    network is built once, by the verifier's stage 2.
 
-    Warnings go to stderr; errors abort with the first finding as a
-    one-line diagnostic — :func:`main` maps it to exit 4 when only
-    stability (CFG102) is violated, exit 3 for anything structural.
-    A clean configuration passes through untouched: the verifier never
-    mutates the network, so computed bounds are bit-identical with or
-    without the preflight (``tests/lint/test_preflight.py``).
+    Raises :class:`ConfigurationError` when the file cannot be read or
+    is not JSON.
     """
     from repro.network.preflight import ConfigVerifier
+    from repro.network.serialization import read_config
 
-    report = ConfigVerifier(utilization_table=False).verify_network(
-        network, source=source
-    )
-    if ctx.collect:
-        ctx.metrics.gauge("preflight.errors", len(report.errors))
-        ctx.metrics.gauge("preflight.warnings", len(report.warnings))
+    if verifier is None:
+        verifier = ConfigVerifier(utilization_table=False)
+    return verifier.verify_dict(read_config(path), source=path)
+
+
+def _load_config(args: argparse.Namespace, ctx: _RunContext):
+    """The network of ``args.config``, judged by every verifier rule.
+
+    The one loader of every command that analyzes a configuration file.
+    Warnings go to stderr.  An error raises naming its rule, which
+    :func:`main` turns into exit 4 when stability (CFG102) is the only
+    violated rule and exit 3 otherwise.
+    """
+    report = _verify_config(args.config)
+    if report.network is not None:
+        # a rejected but constructible config keeps its identity in the
+        # manifest and the run history
+        ctx.set_config(report.network, source=args.config)
     for finding in report.warnings:
-        print(f"afdx: preflight: {finding.render()}", file=sys.stderr)
-    if not report.ok:
-        first = report.errors[0]
-        if report.stability_only:
-            raise UnstableNetworkError(f"preflight {first.rule_id}: {first.message}")
-        raise ConfigurationError(f"preflight {first.rule_id}: {first.message}")
+        print(f"afdx: warning: {finding.rule_id}: {finding.message}", file=sys.stderr)
+    report.raise_on_error()
+    return report.network
 
 
 def _bound_cache(args: argparse.Namespace):
@@ -723,12 +704,8 @@ def _bound_cache(args: argparse.Namespace):
 def _cmd_analyze(args: argparse.Namespace, ctx: _RunContext) -> int:
     from repro.core.combined import analyze_network
     from repro.core.jitter import jitter_bounds
-    from repro.network.serialization import network_from_json
 
-    network = network_from_json(args.config)
-    ctx.set_config(network, source=args.config)
-    if args.preflight:
-        _run_preflight(network, args.config, ctx)
+    network = _load_config(args, ctx)
     result = analyze_network(
         network,
         _analysis_options(args),
@@ -770,12 +747,10 @@ def _cmd_profile(args: argparse.Namespace, ctx: _RunContext) -> int:
     from pathlib import Path
 
     from repro.core.combined import analyze_network
-    from repro.network.serialization import network_from_json
     from repro.obs import build_profile_report, render_profile_report
     from repro.obs.manifest import network_identity
 
-    network = network_from_json(args.config)
-    ctx.set_config(network, source=args.config)
+    network = _load_config(args, ctx)
     result = analyze_network(
         network,
         _analysis_options(args),
@@ -801,25 +776,6 @@ def _cmd_profile(args: argparse.Namespace, ctx: _RunContext) -> int:
     else:
         print(text)
     return EXIT_OK
-
-
-def _cmd_validate(args: argparse.Namespace, ctx: _RunContext) -> int:
-    from repro.network.serialization import network_from_json
-    from repro.network.validation import validate_network
-
-    network = network_from_json(args.config)
-    ctx.set_config(network, source=args.config)
-    report = validate_network(network)
-    for error in report.errors:
-        print(f"ERROR: {error}")
-    for warning in report.warnings:
-        print(f"warning: {warning}")
-    worst = max(report.port_utilization.values(), default=0.0)
-    print(
-        f"{network!r}: {'OK' if report.ok else 'INVALID'} "
-        f"(max port utilization {worst:.3f})"
-    )
-    return EXIT_OK if report.ok else EXIT_FAILURE
 
 
 def _cmd_generate(args: argparse.Namespace, ctx: _RunContext) -> int:
@@ -850,11 +806,9 @@ def _cmd_generate(args: argparse.Namespace, ctx: _RunContext) -> int:
 
 def _cmd_simulate(args: argparse.Namespace, ctx: _RunContext) -> int:
     from repro.core.combined import AnalysisOptions, run_analyses
-    from repro.network.serialization import network_from_json
     from repro.sim.scenarios import TrafficScenario, simulate
 
-    network = network_from_json(args.config)
-    ctx.set_config(network, source=args.config)
+    network = _load_config(args, ctx)
     # the simulator checks the claimed-sound bounds only
     nc, trajectory = run_analyses(
         network,
@@ -916,7 +870,6 @@ def _cmd_batch_sweep(args: argparse.Namespace, ctx: _RunContext) -> int:
         scenarios_per_config=args.scenarios,
         duration_ms=args.duration_ms,
         cache_dir=args.cache_dir,
-        preflight=args.preflight,
     )
     if ctx.record_history:
         # the sweep's identity is its seeded spec; cache_dir is
@@ -945,12 +898,8 @@ def _fmt_bound(value: Optional[float]) -> str:
 def _cmd_whatif(args: argparse.Namespace, ctx: _RunContext) -> int:
     from repro.incremental import DeltaAnalyzer
     from repro.incremental.edits import load_edit_script
-    from repro.network.serialization import network_from_json
 
-    network = network_from_json(args.config)
-    ctx.set_config(network, source=args.config)
-    if args.preflight:
-        _run_preflight(network, args.config, ctx)
+    network = _load_config(args, ctx)
     edits = load_edit_script(args.edits)
     if ctx.config_digest is not None:
         # a whatif run's identity is (base config, edit script): fold
@@ -1006,10 +955,8 @@ def _cmd_explain(args: argparse.Namespace, ctx: _RunContext) -> int:
     from pathlib import Path
 
     from repro.explain import explain_network, render_explanation
-    from repro.network.serialization import network_from_json
 
-    network = network_from_json(args.config)
-    ctx.set_config(network, source=args.config)
+    network = _load_config(args, ctx)
     explanation = explain_network(
         network,
         _analysis_options(args),
@@ -1049,7 +996,6 @@ def _cmd_explain(args: argparse.Namespace, ctx: _RunContext) -> int:
 
 def _cmd_lint(args: argparse.Namespace, ctx: _RunContext) -> int:
     import json
-    from pathlib import Path
 
     from repro.network.preflight import ConfigVerifier
 
@@ -1061,11 +1007,9 @@ def _cmd_lint(args: argparse.Namespace, ctx: _RunContext) -> int:
     unreadable: List[str] = []
     for config in args.configs:
         try:
-            document = json.loads(Path(config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            unreadable.append(f"{config}: {exc}")
-            continue
-        reports.append(verifier.verify_dict(document, source=config))
+            reports.append(_verify_config(config, verifier))
+        except ConfigurationError as exc:
+            unreadable.append(str(exc))
 
     n_errors = sum(len(r.errors) for r in reports) + len(unreadable)
     n_warnings = sum(len(r.warnings) for r in reports)
@@ -1110,10 +1054,8 @@ def _cmd_report(args: argparse.Namespace, ctx: _RunContext) -> int:
 
     from repro.core.combined import analyze_network
     from repro.core.reporting import certification_report
-    from repro.network.serialization import network_from_json
 
-    network = network_from_json(args.config)
-    ctx.set_config(network, source=args.config)
+    network = _load_config(args, ctx)
     result = analyze_network(network, collect_stats=ctx.collect, progress=ctx.progress)
     ctx.record_analysis(result.netcalc, result.trajectory, result)
     text = certification_report(network, result, top_paths=args.top)
@@ -1243,7 +1185,6 @@ def _cmd_obs(args: argparse.Namespace, ctx: _RunContext) -> int:
 _COMMANDS = {
     "analyze": _cmd_analyze,
     "profile": _cmd_profile,
-    "validate": _cmd_validate,
     "generate": _cmd_generate,
     "simulate": _cmd_simulate,
     "report": _cmd_report,

@@ -45,8 +45,8 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from repro.network.builder import NetworkBuilder
+from repro.network.preflight import check_network
 from repro.network.topology import Network
-from repro.network.validation import check_network
 from repro.network.virtual_link import VirtualLink
 
 __all__ = ["IndustrialConfigSpec", "industrial_network"]

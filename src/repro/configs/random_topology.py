@@ -14,9 +14,9 @@ import random
 from typing import List
 
 from repro.network.builder import NetworkBuilder
+from repro.network.preflight import check_network
 from repro.network.routing import route_virtual_link
 from repro.network.topology import Network
-from repro.network.validation import check_network
 from repro.network.virtual_link import STANDARD_BAGS_MS, VirtualLink
 
 __all__ = ["random_network"]

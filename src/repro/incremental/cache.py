@@ -61,7 +61,7 @@ __all__ = ["CACHE_VERSION", "BoundCache", "default_cache"]
 #: with any change that alters the value a fingerprint should map to
 #: (a soundness fix, a new serialization rule): entries written under
 #: another version live in another directory and are never read.
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 #: Default in-memory entry capacity.  Each entry is one whole result
 #: (or its cost ledger), so this caps the count of analyzed

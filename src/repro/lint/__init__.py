@@ -39,21 +39,14 @@ A finding is silenced only by an inline waiver **with a reason**::
 
 The full rule catalogue, waiver syntax and the mapping from each rule
 to the determinism contract it protects live in ``docs/LINT.md``.
+
+Every name is exported lazily (PEP 562, :func:`repro._lazy.lazy_exports`):
+the configuration verifier (:mod:`repro.network.preflight`), which runs
+on every ``afdx`` configuration load, imports :class:`Finding` without
+loading the code linter's engine, rules and dataflow analyses.
 """
 
-from __future__ import annotations
-
-from repro.lint.baseline import apply_baseline, load_baseline, write_baseline
-from repro.lint.engine import (
-    ENGINES,
-    LintResult,
-    lint_paths,
-    lint_source,
-    lint_sources,
-)
-from repro.lint.findings import Finding, Severity
-from repro.lint.report import render_json, render_text
-from repro.lint.rules import RULES, Rule
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Finding",
@@ -71,3 +64,19 @@ __all__ = [
     "load_baseline",
     "write_baseline",
 ]
+
+_EXPORTS = {
+    "repro.lint.baseline": ("apply_baseline", "load_baseline", "write_baseline"),
+    "repro.lint.engine": (
+        "ENGINES",
+        "LintResult",
+        "lint_paths",
+        "lint_source",
+        "lint_sources",
+    ),
+    "repro.lint.findings": ("Finding", "Severity"),
+    "repro.lint.report": ("render_json", "render_text"),
+    "repro.lint.rules": ("RULES", "Rule"),
+}
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

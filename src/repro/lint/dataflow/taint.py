@@ -92,7 +92,7 @@ _HASHER_CTORS = frozenset(
 )
 
 #: CostLedger deterministic-section recorders (REPRO504 sinks); the
-#: cache/runtime channels are explicitly non-deterministic and exempt.
+#: cache channel is explicitly non-deterministic and exempt.
 _LEDGER_SINKS = frozenset({"add_work", "add_port_work", "add_sweep"})
 
 _MAX_PASSES = 40

@@ -178,8 +178,8 @@ RULES: List[Rule] = [
         "nondeterministic value reaches a CostLedger deterministic counter",
         "CostLedger.add_work/add_port_work/add_sweep feed the "
         "deterministic section of ledger snapshots, which must be "
-        "bit-identical across --jobs and cache states; the runtime/"
-        "cache channels are the sanctioned home for nondeterministic "
+        "bit-identical across --jobs and cache states; the cache "
+        "channel is the sanctioned home for nondeterministic "
         "telemetry.",
     ),
     Rule(

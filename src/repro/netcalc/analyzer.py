@@ -31,8 +31,8 @@ from repro.netcalc.grouping import port_aggregate_curve
 from repro.netcalc.results import NetworkCalculusResult, PathBound, PortAnalysis
 from repro.network.port import PortId
 from repro.network.port_graph import topological_port_order
+from repro.network.preflight import check_network
 from repro.network.topology import Network
-from repro.network.validation import check_network
 from repro.obs.costmodel import netcalc_cost_ledger
 from repro.obs.instrument import OFF, Instrumentation
 from repro.obs.logging import get_logger, kv

@@ -46,8 +46,8 @@ from repro.netcalc.grouping import arrival_groups, group_arrival_curve
 from repro.netcalc.results import NetworkCalculusResult, PathBound, PortAnalysis
 from repro.network.port import PortId
 from repro.network.port_graph import topological_port_order
+from repro.network.preflight import check_network
 from repro.network.topology import Network
-from repro.network.validation import check_network
 
 __all__ = ["StaticPriorityAnalyzer", "analyze_static_priority", "leftover_service"]
 

@@ -14,7 +14,7 @@ The model mirrors the entities of the paper's Section II-A:
   routed, mono-transmitter, possibly multicast flow with a Bandwidth
   Allocation Gap (BAG) and bounded frame sizes;
 * :class:`Network` — the container tying everything together, with
-  validation (:mod:`repro.network.validation`), static shortest-path
+  the configuration gate (:mod:`repro.network.preflight`), static shortest-path
   routing helpers (:mod:`repro.network.routing`) and JSON persistence
   (:mod:`repro.network.serialization`).
 """

@@ -22,9 +22,9 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence, Tuple
 
 from repro import units
+from repro.network.preflight import check_network
 from repro.network.routing import route_virtual_link
 from repro.network.topology import Network
-from repro.network.validation import check_network
 from repro.network.virtual_link import VirtualLink
 
 __all__ = ["NetworkBuilder"]

@@ -1,12 +1,12 @@
-"""``ConfigVerifier``: static preflight checks for network configurations.
+"""``ConfigVerifier``: the one gate every network configuration passes.
 
 The paper's bounds (both Network Calculus and Trajectory) are only
 meaningful on a *well-formed* input: a feed-forward VL routing whose
-every output port is stable.  This module verifies those preconditions
-— plus the ARINC 664 admission rules — **before** any analysis runs,
-turning what would surface as a deep exception (a non-converging
-sweep, a ``ZeroDivisionError`` in a service curve) into a one-line
-diagnostic with a stable rule id:
+every output port is stable.  This module is the only code that judges
+a configuration against those preconditions — plus the ARINC 664
+admission rules — and it turns what would surface as a deep exception
+(a non-converging sweep, a ``ZeroDivisionError`` in a service curve)
+into a one-line diagnostic with a stable rule id:
 
 ========  ========  ============================================================
 id        severity  checked precondition
@@ -24,31 +24,43 @@ CFG110    info      per-port utilization table
 CFG111    error     duplicate VL names / duplicate paths within a VL
 ========  ========  ============================================================
 
-Used by ``afdx lint CONFIG.json`` and, opt-in via ``--preflight``, by
-``analyze`` / ``batch-sweep`` / ``whatif``.  The verifier never
-mutates the network and never changes computed bounds — enabling the
-preflight on a clean configuration is bit-identical to not enabling
-it (``tests/lint/test_preflight.py``).
+The rules run in two places:
 
-It operates in two stages so malformed documents still get structured
-diagnostics: stage 1 checks the raw JSON document (frame sizes, BAGs,
-route hops) without constructing model objects — a config the
-:class:`~repro.network.virtual_link.VirtualLink` constructor would
-reject still yields its rule id here; stage 2 builds the
-:class:`~repro.network.topology.Network` and runs the graph-level
-checks (cycle, stability, multicast trees).
+* :meth:`ConfigVerifier.verify_dict` runs all of them on a
+  configuration document.  Every ``afdx`` command that reads a
+  configuration file runs it once per load: ``afdx lint`` renders the
+  report, the other commands exit 3 naming the first error's rule, or
+  4 when stability (CFG102) is the only error.
+* :func:`check_network` is the library gate.  The analyzers, the
+  :class:`~repro.network.builder.NetworkBuilder` and the configuration
+  generators run it on every network they are handed, and it raises on
+  what a bound depends on: stability (CFG102), multicast trees (CFG108)
+  and one link per end system (CFG109).  Cycles are left to the port
+  toposort every analyzer runs.  The ARINC admission rules (CFG104,
+  CFG105) bind configuration files only, so networks built in code
+  (parameter sweeps, what-if edits, generators) may use any positive
+  BAG and frame size.
+
+The verifier never mutates the network and never changes computed
+bounds.  A document is checked in two stages so malformed input still
+gets structured diagnostics: stage 1 checks the raw JSON document
+(frame sizes, BAGs, route hops) without constructing model objects — a
+config the :class:`~repro.network.virtual_link.VirtualLink`
+constructor would reject still yields its rule id here; stage 2 builds
+the :class:`~repro.network.topology.Network` once and runs the
+graph-level checks (cycle, stability, multicast trees) on it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, UnstableNetworkError
 from repro.lint.findings import Finding, Severity
 from repro.network.port import PortId
 from repro.network.port_graph import port_successors
+from repro.network.serialization import network_from_dict
 from repro.network.topology import Network
 from repro.network.virtual_link import (
     ETHERNET_MAX_FRAME_BYTES,
@@ -60,9 +72,8 @@ __all__ = [
     "CONFIG_RULES",
     "ConfigReport",
     "ConfigVerifier",
+    "check_network",
     "find_port_cycle",
-    "verify_network",
-    "verify_config_dict",
 ]
 
 
@@ -90,7 +101,9 @@ CONFIG_RULES: List[ConfigRule] = [
         "every output port must be stable: sum(s_max/BAG) < C",
         "With aggregate long-term rate >= link rate the busy period "
         "and backlog are unbounded — no finite worst-case delay "
-        "exists (stability precondition of both methods).",
+        "exists (stability precondition of both methods; the "
+        "trajectory busy-period bound refuses utilization >= 1 for "
+        "the same reason).",
     ),
     ConfigRule(
         "CFG103", Severity.WARNING,
@@ -158,12 +171,19 @@ DEFAULT_WARN_UTILIZATION = 0.75
 
 @dataclass
 class ConfigReport:
-    """Outcome of a preflight verification of one configuration."""
+    """Outcome of verifying one configuration."""
 
     source: str
     findings: List[Finding] = field(default_factory=list)
     port_utilization: Dict[PortId, float] = field(default_factory=dict)
-    built: bool = False  # stage 2 ran (the document was constructible)
+    #: the network stage 2 ran on (None when the document could not be
+    #: built); the CLI analyzes this very object instead of a rebuild
+    network: Optional[Network] = None
+
+    @property
+    def built(self) -> bool:
+        """True when stage 2 ran (the document was constructible)."""
+        return self.network is not None
 
     @property
     def errors(self) -> List[Finding]:
@@ -187,6 +207,27 @@ class ConfigReport:
         errors = self.errors
         return bool(errors) and all(f.rule_id == "CFG102" for f in errors)
 
+    def raise_on_error(self) -> None:
+        """Raise for the first error, naming its rule; no-op when ok.
+
+        Raises
+        ------
+        UnstableNetworkError
+            When stability (CFG102) is the only violated rule.
+        ConfigurationError
+            For any other error.
+        """
+        errors = self.errors
+        if not errors:
+            return
+        first = errors[0]
+        message = f"{first.rule_id}: {first.message}"
+        if len(errors) > 1:
+            message += f" (and {len(errors) - 1} more error(s), see afdx lint)"
+        if self.stability_only:
+            raise UnstableNetworkError(message)
+        raise ConfigurationError(message)
+
     def to_dict(self) -> Dict[str, object]:
         return {
             "source": self.source,
@@ -204,6 +245,25 @@ class ConfigReport:
                 ),
             },
         }
+
+
+def _multicast_paths_form_tree(paths: Tuple[Tuple[str, ...], ...]) -> bool:
+    """Check that the paths of one VL only fork (never re-join).
+
+    Equivalent tree condition: for every node appearing in several
+    paths, the path *prefix* up to that node is identical in all of
+    them — a frame reaches any given node along a single route.
+    """
+    prefix_by_node: Dict[str, Tuple[str, ...]] = {}
+    for path in paths:
+        for idx, node in enumerate(path):
+            prefix = path[: idx + 1]
+            if node in prefix_by_node:
+                if prefix_by_node[node] != prefix:
+                    return False
+            else:
+                prefix_by_node[node] = prefix
+    return True
 
 
 def find_port_cycle(network: Network) -> Optional[List[PortId]]:
@@ -263,7 +323,7 @@ class ConfigVerifier:
         CFG103 fires above this (default 0.75).
     utilization_table:
         Emit the CFG110 info entries (default True for ``afdx lint``;
-        the preflight path disables them).
+        the configuration loader of the other commands disables them).
     """
 
     def __init__(
@@ -283,12 +343,11 @@ class ConfigVerifier:
     # -- public entry points -------------------------------------------
 
     def verify_network(self, network: Network, source: str = "<network>") -> ConfigReport:
-        """Stage-2 checks on an already-built :class:`Network`."""
-        report = ConfigReport(source=source, built=True)
-        self._check_wiring(network, report)
-        self._check_vl_contracts(network, report)
+        """Every stage-2 rule on an already-built :class:`Network`."""
+        report = ConfigReport(source=source, network=network)
+        self._check_admission(network, report)
         self._check_feed_forward(network, report)
-        self._check_stability(network, report)
+        self._check_bound_preconditions(network, report)
         report.findings.sort(key=lambda f: f.sort_key)
         return report
 
@@ -297,13 +356,12 @@ class ConfigVerifier:
 
         Never raises on malformed content: structural problems become
         findings, and whatever the loader rejects is a CFG106 error.
+        The network stage 2 built is the report's ``network``.
         """
         report = ConfigReport(source=source)
         if isinstance(document, dict):
             self._raw_checks(document, report)
         if not report.errors:
-            from repro.network.serialization import network_from_dict
-
             try:
                 network = network_from_dict(document)
             except ConfigurationError as exc:
@@ -311,10 +369,7 @@ class ConfigVerifier:
                     self._finding("CFG106", source, f"configuration rejected: {exc}")
                 )
             else:
-                built = self.verify_network(network, source=source)
-                report.built = True
-                report.findings.extend(built.findings)
-                report.port_utilization = built.port_utilization
+                return self.verify_network(network, source=source)
         report.findings.sort(key=lambda f: f.sort_key)
         return report
 
@@ -473,22 +528,8 @@ class ConfigVerifier:
 
     # -- stage 2: built network ----------------------------------------
 
-    def _check_wiring(self, network: Network, report: ConfigReport) -> None:
-        for es in network.end_systems():
-            degree = len(network.neighbors(es.name))
-            if degree != 1:
-                report.findings.append(
-                    self._finding(
-                        "CFG109",
-                        report.source,
-                        f"end system {es.name!r} has {degree} links; "
-                        "ARINC 664 requires exactly one",
-                    )
-                )
-
-    def _check_vl_contracts(self, network: Network, report: ConfigReport) -> None:
-        from repro.network.validation import _multicast_paths_form_tree
-
+    def _check_admission(self, network: Network, report: ConfigReport) -> None:
+        """ARINC 664 BAG (CFG104) and frame-size (CFG105) contracts."""
         for name in sorted(network.virtual_links):
             vl = network.virtual_links[name]
             if float(vl.bag_ms) not in [float(b) for b in STANDARD_BAGS_MS]:
@@ -518,15 +559,6 @@ class ConfigVerifier:
                         f"Ethernet maximum {ETHERNET_MAX_FRAME_BYTES} B",
                     )
                 )
-            if not _multicast_paths_form_tree(vl.paths):
-                report.findings.append(
-                    self._finding(
-                        "CFG108",
-                        report.source,
-                        f"VL {name!r}: multicast paths re-join after forking; "
-                        "they must form a tree rooted at the source",
-                    )
-                )
 
     def _check_feed_forward(self, network: Network, report: ConfigReport) -> None:
         cycle = find_port_cycle(network)
@@ -540,7 +572,29 @@ class ConfigVerifier:
                 )
             )
 
-    def _check_stability(self, network: Network, report: ConfigReport) -> None:
+    def _check_bound_preconditions(self, network: Network, report: ConfigReport) -> None:
+        """What a finite bound depends on: the :func:`check_network` rules."""
+        for es in network.end_systems():
+            degree = len(network.neighbors(es.name))
+            if degree != 1:
+                report.findings.append(
+                    self._finding(
+                        "CFG109",
+                        report.source,
+                        f"end system {es.name!r} has {degree} links; "
+                        "ARINC 664 requires exactly one",
+                    )
+                )
+        for name in sorted(network.virtual_links):
+            if not _multicast_paths_form_tree(network.virtual_links[name].paths):
+                report.findings.append(
+                    self._finding(
+                        "CFG108",
+                        report.source,
+                        f"VL {name!r}: multicast paths re-join after forking; "
+                        "they must form a tree rooted at the source",
+                    )
+                )
         for port_id in network.used_ports():
             util = network.port_utilization(port_id)
             report.port_utilization[port_id] = util
@@ -575,11 +629,27 @@ class ConfigVerifier:
                 )
 
 
-def verify_network(network: Network, source: str = "<network>", **kwargs) -> ConfigReport:
-    """Convenience wrapper: verify an already-built network."""
-    return ConfigVerifier(**kwargs).verify_network(network, source=source)
+#: the verifier behind :func:`check_network`: the theoretical stability
+#: limit, no utilization table
+_GATE = ConfigVerifier(utilization_table=False)
 
 
-def verify_config_dict(document: Dict[str, Any], source: str = "<dict>", **kwargs) -> ConfigReport:
-    """Convenience wrapper: verify a raw configuration dictionary."""
-    return ConfigVerifier(**kwargs).verify_dict(document, source=source)
+def check_network(network: Network) -> None:
+    """The library gate: raise unless a finite bound can exist.
+
+    Runs the verifier's rules for stability (CFG102), multicast trees
+    (CFG108) and one link per end system (CFG109) — not the admission
+    rules CFG104/CFG105, which bind configuration files only, and not
+    the cycle search, which the analyzers' port toposort performs.
+
+    Raises
+    ------
+    UnstableNetworkError
+        When stability is the only violated rule.
+    ConfigurationError
+        For any other violation.
+    """
+    report = ConfigReport(source=network.name, network=network)
+    _GATE._check_bound_preconditions(network, report)
+    report.findings.sort(key=lambda f: f.sort_key)
+    report.raise_on_error()

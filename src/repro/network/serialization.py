@@ -38,6 +38,7 @@ __all__ = [
     "network_from_dict",
     "network_to_json",
     "network_from_json",
+    "read_config",
 ]
 
 
@@ -201,8 +202,8 @@ def network_to_json(network: Network, path: Union[str, Path]) -> None:
     Path(path).write_text(json.dumps(network_to_dict(network), indent=2) + "\n")
 
 
-def network_from_json(path: Union[str, Path]) -> Network:
-    """Load a network configuration from a JSON file.
+def read_config(path: Union[str, Path]) -> Any:
+    """The parsed JSON document of configuration file ``path``.
 
     Raises :class:`ConfigurationError` for an unreadable file or
     malformed JSON, so the CLI maps both to its configuration exit
@@ -213,7 +214,15 @@ def network_from_json(path: Union[str, Path]) -> Network:
     except OSError as exc:
         raise ConfigurationError(f"cannot read configuration {path}: {exc}") from exc
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"malformed JSON in {path}: {exc}") from exc
-    return network_from_dict(data)
+
+
+def network_from_json(path: Union[str, Path]) -> Network:
+    """Load a network configuration from a JSON file.
+
+    Raises :class:`ConfigurationError` for any file
+    :func:`read_config` or :func:`network_from_dict` rejects.
+    """
+    return network_from_dict(read_config(path))

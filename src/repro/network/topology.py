@@ -87,8 +87,9 @@ class Network:
         ARINC-664 wiring rules enforced here:
 
         * no self links, no parallel links;
-        * an end system has exactly one link (checked fully in
-          :meth:`validate`; here we reject a *second* link eagerly);
+        * an end system has exactly one link (checked fully by rule
+          CFG109 of :mod:`repro.network.preflight`; here we reject a
+          *second* link eagerly);
         * two end systems cannot be wired to each other.
         """
         for name in (a, b):

@@ -19,7 +19,7 @@ used by the Network Calculus analysis, and the sporadic task
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence, Tuple
 
 from repro import units
@@ -69,10 +69,10 @@ class VirtualLink:
         (all VLs at one level), which remains the default.  The
         static-priority extension (:mod:`repro.netcalc.priority`)
         follows the line of work the same group published on SPQ AFDX.
-    strict_bag:
-        When True (default) the BAG must be one of
-        :data:`STANDARD_BAGS_MS`; parameter sweeps (paper Figs. 7-9)
-        disable this to explore arbitrary values.
+
+    Any positive BAG is accepted, so parameter sweeps (paper Figs. 7-9)
+    can explore arbitrary values; the ARINC 664 BAG range binds
+    configuration files (rule CFG104 of :mod:`repro.network.preflight`).
     """
 
     name: str
@@ -82,7 +82,6 @@ class VirtualLink:
     s_max_bytes: float
     s_min_bytes: float = ETHERNET_MIN_FRAME_BYTES
     priority: int = 0
-    strict_bag: bool = field(default=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -91,11 +90,6 @@ class VirtualLink:
             raise InvalidVirtualLinkError(f"VL {self.name}: source must be set")
         if self.bag_ms <= 0:
             raise InvalidVirtualLinkError(f"VL {self.name}: BAG must be positive, got {self.bag_ms}")
-        if self.strict_bag and self.bag_ms not in STANDARD_BAGS_MS:
-            raise InvalidVirtualLinkError(
-                f"VL {self.name}: BAG {self.bag_ms} ms is not an ARINC-664 value "
-                f"{STANDARD_BAGS_MS}"
-            )
         if self.s_max_bytes <= 0:
             raise InvalidVirtualLinkError(
                 f"VL {self.name}: s_max must be positive, got {self.s_max_bytes}"
@@ -178,7 +172,7 @@ class VirtualLink:
 
     def with_bag_ms(self, bag_ms: float) -> "VirtualLink":
         """Copy of this VL with a different BAG (sweeps of Figs. 8-9)."""
-        return replace(self, bag_ms=bag_ms, strict_bag=False)
+        return replace(self, bag_ms=bag_ms)
 
     def with_s_max_bytes(self, s_max_bytes: float) -> "VirtualLink":
         """Copy with a different ``s_max`` (sweeps of Figs. 7 and 9)."""

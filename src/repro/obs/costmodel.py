@@ -30,13 +30,6 @@ The ledger has four sections:
     are visible, never silently absent.  This section legitimately
     differs between cold and warm runs, so
     :func:`deterministic_section` excludes it.
-``runtime``
-    Execution-shape counters: facts about *how* the run executed, not
-    about the algorithm's work, excluded from
-    :func:`deterministic_section` alongside ``cache``.  One
-    configuration is analyzed in one process, so no analyzer records
-    any; the section stays (empty) so the JSON shape, and the cache
-    entries that store it, keep ``cost_schema`` 1.
 
 Everything here is integers and dict bookkeeping: no clocks, no float
 accumulation, no hash-order iteration.
@@ -59,7 +52,7 @@ __all__ = [
 ]
 
 #: Bumped whenever the ledger's JSON shape changes incompatibly.
-COST_SCHEMA_VERSION = 1
+COST_SCHEMA_VERSION = 2
 
 
 def port_label(port_id: Sequence[str]) -> str:
@@ -70,7 +63,7 @@ def port_label(port_id: Sequence[str]) -> str:
 class CostLedger:
     """Per-analyzer deterministic work counters (see module docstring)."""
 
-    __slots__ = ("analyzer", "work", "ports", "sweeps", "cache", "runtime")
+    __slots__ = ("analyzer", "work", "ports", "sweeps", "cache")
 
     def __init__(self, analyzer: str) -> None:
         self.analyzer = analyzer
@@ -78,7 +71,6 @@ class CostLedger:
         self.ports: Dict[str, Dict[str, int]] = {}
         self.sweeps: List[Dict[str, int]] = []
         self.cache: Dict[str, Dict[str, int]] = {}
-        self.runtime: Dict[str, int] = {}
 
     # -- recording -----------------------------------------------------
 
@@ -130,19 +122,16 @@ class CostLedger:
             "cache": {
                 name: dict(self.cache[name]) for name in sorted(self.cache)
             },
-            "runtime": {
-                name: self.runtime[name] for name in sorted(self.runtime)
-            },
         }
 
     def snapshot(self) -> "CostLedger":
-        """An independent copy with *empty* cache and runtime sections.
+        """An independent copy with an *empty* cache section.
 
         The bound cache's memory layer stores objects by reference, so
         the ledger persisted alongside a result must not alias the live
         one (later ``record_cache`` calls would leak into the cached
-        copy) and must not bake in the recording run's cache tallies or
-        execution shape (a warm run records its own).
+        copy) and must not bake in the recording run's cache tallies (a
+        warm run records its own).
         """
         copy = CostLedger(self.analyzer)
         copy.work = dict(self.work)
@@ -167,8 +156,6 @@ class CostLedger:
                 "hits": int(dict(tally).get("hits", 0)),
                 "misses": int(dict(tally).get("misses", 0)),
             }
-        for name, value in dict(payload.get("runtime", {})).items():
-            ledger.runtime[str(name)] = int(value)
         return ledger
 
 
@@ -254,11 +241,11 @@ def trajectory_result_work(result) -> Dict[str, int]:
 
 
 #: ledger sections that legitimately differ across runs of one input
-NONDETERMINISTIC_SECTIONS = ("cache", "runtime")
+NONDETERMINISTIC_SECTIONS = ("cache",)
 
 
 def deterministic_section(cost: Mapping[str, object]) -> Dict[str, object]:
-    """A ledger dict minus its ``cache`` and ``runtime`` sections.
+    """A ledger dict minus its ``cache`` section.
 
     What remains is the byte-identity contract: equal across
     ``PYTHONHASHSEED`` values and cold vs warm caches.

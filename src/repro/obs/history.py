@@ -68,6 +68,7 @@ __all__ = [
     "SEGMENT_RECORDS",
     "ENV_HISTORY_DIR",
     "ENV_GIT_REV",
+    "BOUND_OPTIONS",
     "RunHistory",
     "analysis_bounds_digest",
     "build_run_record",
@@ -622,15 +623,31 @@ def diff_runs(
     }
 
 
+#: The recorded options that can change a bound.  Runs that differ in
+#: one of them analyze differently, so drift never compares them; any
+#: other option (``top``, ``jitter``, the config path) only changes
+#: what is printed.
+BOUND_OPTIONS = ("no_grouping", "serialization")
+
+
+def _bound_options(record: Mapping[str, object]) -> Dict[str, object]:
+    options = record.get("options")
+    if not isinstance(options, Mapping):
+        return {}
+    return {name: options[name] for name in BOUND_OPTIONS if name in options}
+
+
 def drift_report(
     records: Iterable[Mapping[str, object]],
     config_digest: Optional[str] = None,
 ) -> Dict[str, object]:
     """Scan history for soundness drift and work-counter regressions.
 
-    Groups records by ``(config_digest, command)`` — the bounds of one
-    configuration under one command must be bit-identical regardless of
-    git revision, worker count or cache state.  Two findings classes:
+    Groups records by config digest, command and the options that can
+    change a bound (:data:`BOUND_OPTIONS`) — the bounds of one
+    configuration under one command and one analysis must be
+    bit-identical regardless of git revision, worker count or cache
+    state.  Two findings classes:
 
     * **bounds drift** (fatal): more than one distinct ``bounds_digest``
       inside a group — the continuous-telemetry generalization of
@@ -641,7 +658,7 @@ def drift_report(
       (``less-work`` is an intentional optimization and stays silent,
       matching the bench gate's asymmetry).
     """
-    groups: Dict[Tuple[str, str], List[Mapping[str, object]]] = {}
+    groups: Dict[Tuple[str, str, str], List[Mapping[str, object]]] = {}
     scanned = 0
     for record in records:
         scanned += 1
@@ -650,13 +667,14 @@ def drift_report(
             continue
         if config_digest is not None and digest != config_digest:
             continue
-        key = (digest, str(record.get("command", "")))
+        options = json.dumps(_bound_options(record), sort_keys=True)
+        key = (digest, str(record.get("command", "")), options)
         groups.setdefault(key, []).append(record)
 
     drifts: List[Dict[str, object]] = []
     trends: List[Dict[str, object]] = []
     compared = 0
-    for (digest, command), group in sorted(groups.items()):
+    for (digest, command, options), group in sorted(groups.items()):
         with_bounds = [
             r for r in group if isinstance(r.get("bounds_digest"), str)
         ]
@@ -677,6 +695,7 @@ def drift_report(
                     {
                         "config_digest": digest,
                         "command": command,
+                        "options": json.loads(options),
                         "n_runs": len(with_bounds),
                         "variants": [seen[k] for k in sorted(seen)],
                     }
@@ -694,6 +713,7 @@ def drift_report(
                             {
                                 "config_digest": digest,
                                 "command": command,
+                                "options": json.loads(options),
                                 "counter": counter,
                                 "from_rev": previous.get("git_rev"),
                                 "to_rev": record.get("git_rev"),
@@ -772,13 +792,14 @@ def render_drift_report(report: Mapping[str, object]) -> str:
     """Human-readable ``afdx obs drift`` body."""
     lines = [
         f"drift: scanned {report.get('scanned', 0)} records, "
-        f"{report.get('groups', 0)} (config, command) groups, "
+        f"{report.get('groups', 0)} (config, command, options) groups, "
         f"{report.get('groups_compared', 0)} with comparable bounds"
     ]
     for drift in report.get("drifts", []):
         lines.append(
             f"DRIFT config={_short(drift.get('config_digest'))} "
-            f"command={drift.get('command')}: "
+            f"command={drift.get('command')} "
+            f"options={json.dumps(drift.get('options', {}), sort_keys=True)}: "
             f"{len(drift.get('variants', []))} distinct bounds digests "
             f"over {drift.get('n_runs')} runs"
         )

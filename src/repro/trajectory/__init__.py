@@ -21,11 +21,12 @@ Highlights of the implementation (details in DESIGN.md, Sec. 3.2):
   the Trajectory approach), enabled by default.
 
 Entry point: :class:`TrajectoryAnalyzer` (or
-:func:`analyze_trajectory`).
+:func:`analyze_trajectory`).  Every name is exported lazily (PEP 562),
+so ``repro.trajectory.serialization`` — the mode names the ``afdx``
+parser offers — imports without numpy or the analyzer.
 """
 
-from repro.trajectory.analyzer import TrajectoryAnalyzer, analyze_trajectory
-from repro.trajectory.results import TrajectoryPathBound, TrajectoryResult
+from repro._lazy import lazy_exports
 
 __all__ = [
     "TrajectoryAnalyzer",
@@ -33,3 +34,10 @@ __all__ = [
     "TrajectoryResult",
     "TrajectoryPathBound",
 ]
+
+_EXPORTS = {
+    "repro.trajectory.analyzer": ("TrajectoryAnalyzer", "analyze_trajectory"),
+    "repro.trajectory.results": ("TrajectoryPathBound", "TrajectoryResult"),
+}
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -64,8 +64,8 @@ from repro.netcalc.analyzer import analyze_network_calculus
 from repro.netcalc.results import NetworkCalculusResult
 from repro.network.port import PortId
 from repro.network.port_graph import topological_port_order
+from repro.network.preflight import check_network
 from repro.network.topology import Network
-from repro.network.validation import check_network
 from repro.obs.costmodel import CostLedger, record_trajectory_sweep
 from repro.obs.instrument import Instrumentation
 from repro.obs.logging import get_logger, kv

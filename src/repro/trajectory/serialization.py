@@ -39,7 +39,10 @@ optimistic in corner cases.  The library therefore exposes two modes:
   accounting), provably sound; this is what the simulation-backed
   property tests run against.
 
-**Re-meetings (audit note).**  This module only credits *first*
+This module names the modes; the trajectory kernel computes the
+credits (:class:`~repro.trajectory.analyzer.TrajectoryAnalyzer`).
+
+**Re-meetings (audit note).**  The credit covers only *first*
 meetings, which is where the whole serialization argument lives: a
 group is serialized on the link it arrives through when it *joins* the
 studied path.  On meshed routings a competitor can additionally leave
@@ -55,24 +58,17 @@ TestMeshReMeeting`` for the concrete divergence/rejoin topology.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Mapping, Tuple
-
-from repro.network.port import PortId
-from repro.network.topology import Network
-
 __all__ = [
     "DEFAULT_SERIALIZATION",
     "SERIALIZATION_MODES",
     "normalize_mode",
-    "serialization_gain",
 ]
 
 SERIALIZATION_MODES = ("paper", "windowed", "safe")
 
 #: The mode every analysis runs unless told otherwise: the trajectory
-#: analyzer, :class:`repro.core.combined.AnalysisOptions` and (as a
-#: pinned literal) the ``afdx --serialization`` flag.  ``"windowed"``
+#: analyzer, :class:`repro.core.combined.AnalysisOptions` and the
+#: ``afdx --serialization`` flag.  ``"windowed"``
 #: best matches the published evaluation at industrial scale and
 #: reproduces the paper's Fig. 4 example exactly (on a single group per
 #: port, ``"windowed"`` and ``"paper"`` coincide).
@@ -91,60 +87,3 @@ def normalize_mode(serialization) -> str:
         f"serialization must be one of {', '.join(map(repr, SERIALIZATION_MODES))}, "
         f"got {serialization!r}"
     )
-
-
-def serialization_gain(
-    network: Network,
-    prefix_ports: Tuple[PortId, ...],
-    first_meeting: Mapping[str, PortId],
-    transmission_time: Mapping[str, float],
-    mode: str = "paper",
-) -> float:
-    """Workload credit from serialized same-link arrivals.
-
-    Parameters
-    ----------
-    prefix_ports:
-        The studied flow's (prefix) trajectory.
-    first_meeting:
-        For every competing VL, the first port of ``prefix_ports`` it
-        shares with the studied flow.
-    transmission_time:
-        Worst-case transmission time ``C_j`` of every competing VL.
-    mode:
-        ``"paper"`` for the historical per-group credit, ``"windowed"``
-        for the per-port max-group credit, ``"safe"`` for none (see
-        module docstring).
-
-    Only groups *not* sharing the studied flow's own trajectory qualify:
-    frames arriving through the studied flow's own input link already
-    had their interference accounted at the previous port.
-    """
-    if mode not in SERIALIZATION_MODES:
-        raise ValueError(f"unknown serialization mode {mode!r}")
-    if mode == "safe":
-        return 0.0
-
-    groups: Dict[Tuple[PortId, PortId], List[float]] = {}
-    for vl_name, meet_port in first_meeting.items():
-        upstream = network.upstream_port(vl_name, meet_port)
-        if upstream is None:
-            continue  # sourced at the port's owner: no shared link upstream
-        if upstream in prefix_ports:
-            continue  # shares the studied flow's own input link
-        groups.setdefault((meet_port, upstream), []).append(transmission_time[vl_name])
-
-    if mode == "paper":
-        return math.fsum(
-            math.fsum(members) - max(members)
-            for members in groups.values()
-            if len(members) >= 2
-        )
-
-    # "windowed": one credit per port — the largest group's span
-    per_port: Dict[PortId, float] = {}
-    for (meet_port, _upstream), members in groups.items():
-        if len(members) >= 2:
-            span = math.fsum(members) - max(members)
-            per_port[meet_port] = max(per_port.get(meet_port, 0.0), span)
-    return math.fsum(per_port.values())

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.configs import FIG2_BAG_MS, FIG2_S_MAX_BYTES, fig1_network, fig2_network
-from repro.network.validation import validate_network
+from repro.network.preflight import ConfigVerifier
 
 
 class TestFig2:
@@ -28,7 +28,7 @@ class TestFig2:
         assert fig2.node("S1").technological_latency_us == 16.0
 
     def test_validates(self, fig2):
-        assert validate_network(fig2).ok
+        assert ConfigVerifier().verify_network(fig2).ok
 
     def test_parameterized_rebuild(self):
         net = fig2_network(bag_ms=8, s_max_bytes=1000)
@@ -54,7 +54,7 @@ class TestFig1:
         assert not fig1.vl("vx").is_multicast
 
     def test_validates(self, fig1):
-        assert validate_network(fig1).ok
+        assert ConfigVerifier().verify_network(fig1).ok
 
     def test_path_count(self, fig1):
         assert len(fig1.flow_paths()) == 12  # 8 unicast + 2x2 multicast

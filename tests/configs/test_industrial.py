@@ -4,7 +4,7 @@ import pytest
 
 from repro.configs import IndustrialConfigSpec, industrial_network
 from repro.network.port_graph import topological_port_order
-from repro.network.validation import validate_network
+from repro.network.preflight import ConfigVerifier
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +37,7 @@ class TestStructure:
         topological_port_order(small)  # must not raise
 
     def test_validates(self, small):
-        assert validate_network(small).ok
+        assert ConfigVerifier().verify_network(small).ok
 
     def test_utilization_within_target(self, small):
         assert small.max_utilization() <= 0.15 + 1e-9
@@ -102,8 +102,8 @@ class TestContracts:
 
     def test_multicast_trees(self, small):
         # paths of one VL never re-join after forking (validated network)
-        report = validate_network(small)
-        assert not any("re-join" in e for e in report.errors)
+        report = ConfigVerifier().verify_network(small)
+        assert "CFG108" not in {f.rule_id for f in report.errors}
 
 
 class TestFullScale:

@@ -4,13 +4,13 @@ import pytest
 
 from repro.configs import random_network
 from repro.network.port_graph import topological_port_order
-from repro.network.validation import validate_network
+from repro.network.preflight import ConfigVerifier
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_generated_networks_are_valid(seed):
     net = random_network(seed)
-    assert validate_network(net).ok
+    assert ConfigVerifier().verify_network(net).ok
     topological_port_order(net)  # feed-forward by construction
 
 

@@ -1,8 +1,9 @@
-"""CLI contracts of ``afdx lint``, ``--preflight`` and the exit-code
-remap for cyclic routing.
+"""CLI contracts of ``afdx lint``, of the verifier every configuration
+load runs, and of the exit codes it maps to.
 
 Exit codes under test: 0 clean · 1 warnings with ``--strict`` ·
-3 configuration errors (including cyclic routing) · 4 unstable network.
+3 configuration errors (including cyclic routing) · 4 unstable network
+(stability is the only violated rule).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ EXPECTED = {
     "bad_sizes.json": "CFG105",
     "disconnected.json": "CFG106",
     "multicast_not_tree.json": "CFG108",
+    "saturated_switch_port.json": "CFG102",
 }
 
 
@@ -107,7 +109,7 @@ class TestAnalyzeErrorSurfacing:
         assert "cycle" in err
 
     def test_cyclic_config_with_preflight_names_rule(self, capsys):
-        code = main(["analyze", str(FIXTURES / "cyclic.json"), "--preflight"])
+        code = main(["analyze", str(FIXTURES / "cyclic.json")])
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG_ERROR
         assert "CFG101" in err
@@ -118,31 +120,95 @@ class TestAnalyzeErrorSurfacing:
         assert code == EXIT_UNSTABLE
 
     def test_unstable_config_with_preflight_exits_4(self, capsys):
-        code = main(
-            ["analyze", str(FIXTURES / "overloaded.json"), "--preflight"]
-        )
+        code = main(["analyze", str(FIXTURES / "overloaded.json")])
         err = capsys.readouterr().err
         assert code == EXIT_UNSTABLE
         assert "CFG102" in err
 
-    def test_preflight_output_bit_identical_on_clean_config(
-        self, capsys, fig2_json
-    ):
-        assert main(["analyze", fig2_json]) == EXIT_OK
-        plain = capsys.readouterr().out
-        assert main(["analyze", fig2_json, "--preflight"]) == EXIT_OK
-        checked = capsys.readouterr().out
-        assert plain == checked
-
     def test_whatif_preflight_rejects_cyclic(self, tmp_path, capsys):
         edits = tmp_path / "edits.json"
         edits.write_text('{"edits": []}')
-        code = main(
-            ["whatif", str(FIXTURES / "cyclic.json"), str(edits), "--preflight"]
-        )
+        code = main(["whatif", str(FIXTURES / "cyclic.json"), str(edits)])
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG_ERROR
         assert "CFG101" in err
+
+    def test_warnings_go_to_stderr_and_bounds_stay(self, tmp_path, capsys):
+        # 8 x 1518 B / 1 ms on one port: utilization 0.97, a CFG103
+        # warning but no error; stdout is the analysis alone
+        document = json.loads((FIXTURES / "overloaded.json").read_text())
+        document["virtual_links"] = document["virtual_links"][:8]
+        config = tmp_path / "warm.json"
+        config.write_text(json.dumps(document))
+        assert main(["analyze", str(config), "--top", "1"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err.startswith("afdx: warning: CFG103: ")
+        assert "afdx: error" not in captured.err
+        assert "CFG" not in captured.out
+
+    @pytest.mark.parametrize("command", ["analyze", "whatif", "batch-sweep"])
+    def test_preflight_option_is_gone(self, command, tmp_path, capsys):
+        edits = tmp_path / "edits.json"
+        edits.write_text('{"edits": []}')
+        operands = {
+            "analyze": [str(FIXTURES / "cyclic.json")],
+            "whatif": [str(FIXTURES / "cyclic.json"), str(edits)],
+            "batch-sweep": [],
+        }[command]
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, *operands, "--preflight"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --preflight" in capsys.readouterr().err
+
+    def test_validate_command_is_gone(self, fig2_json, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["validate", fig2_json])
+        assert excinfo.value.code == 2
+        capsys.readouterr()
+
+
+def _first_lint_error(config: Path, capsys) -> tuple:
+    code = main(["lint", str(config), "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    (report,) = payload["configs"]
+    errors = [f["rule"] for f in report["findings"] if f["severity"] == "error"]
+    return code, errors
+
+
+class TestOneVerdict:
+    """``lint``, ``analyze`` and ``whatif`` judge a configuration alike:
+    the same first rule id, and exit 4 exactly when CFG102 is the only
+    error (``lint`` exits 3 on any error)."""
+
+    @pytest.mark.parametrize(
+        "name", sorted(p.name for p in FIXTURES.glob("*.json"))
+    )
+    def test_same_first_rule_everywhere(self, name, tmp_path, capsys):
+        config = FIXTURES / name
+        lint_code, errors = _first_lint_error(config, capsys)
+        assert errors, f"{name} lints clean"
+        assert lint_code == EXIT_CONFIG_ERROR
+        first = errors[0]
+        expected = EXIT_UNSTABLE if set(errors) == {"CFG102"} else EXIT_CONFIG_ERROR
+
+        edits = tmp_path / "edits.json"
+        edits.write_text('{"edits": []}')
+        for argv in (
+            ["analyze", str(config)],
+            ["whatif", str(config), str(edits)],
+        ):
+            code = main(argv)
+            captured = capsys.readouterr()
+            error_lines = [
+                line for line in captured.err.splitlines()
+                if line.startswith("afdx: error:")
+            ]
+            assert code == expected, (argv, captured.err)
+            assert len(error_lines) == 1, captured.err
+            assert error_lines[0].startswith(f"afdx: error: {first}: "), (
+                argv, error_lines,
+            )
+            assert captured.out == ""
 
 
 class TestLintManifest:
@@ -159,15 +225,3 @@ class TestLintManifest:
         assert gauges["lint.configs"] == 1
         assert gauges["lint.errors"] == 1
         assert gauges["lint.warnings"] == 0
-
-    def test_preflight_gauges_in_manifest(self, tmp_path, capsys, fig2_json):
-        manifest_path = tmp_path / "manifest.json"
-        code = main(
-            ["analyze", fig2_json, "--preflight",
-             "--metrics-json", str(manifest_path)]
-        )
-        capsys.readouterr()
-        assert code == EXIT_OK
-        gauges = json.loads(manifest_path.read_text())["metrics"]["gauges"]
-        assert gauges["preflight.errors"] == 0
-        assert gauges["preflight.warnings"] == 0

@@ -3,8 +3,8 @@
 The bad-configuration fixtures under ``tests/lint/fixtures/`` each
 violate exactly one documented precondition; the verifier must name
 the documented CFG rule.  The shipped sample configurations and the
-paper's configurations must lint clean.  Enabling the preflight on a
-clean network must not change a single computed bound bit.
+paper's configurations must lint clean.  Verifying a clean network
+must not change a single computed bound bit.
 """
 
 from __future__ import annotations
@@ -17,15 +17,17 @@ import pytest
 from repro.configs import fig1_network, fig2_network, industrial_network
 from repro.configs.industrial import IndustrialConfigSpec
 from repro.lint.findings import Severity
+from repro.network import NetworkBuilder
 from repro.network.preflight import (
     CONFIG_RULES,
     CONFIG_RULES_BY_ID,
     ConfigVerifier,
     find_port_cycle,
-    verify_config_dict,
-    verify_network,
 )
+from repro.network.virtual_link import STANDARD_BAGS_MS
+
 FIXTURES = Path(__file__).parent / "fixtures"
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples" / "configs"
 
 #: fixture -> the error rule id it must trigger
 EXPECTED = {
@@ -35,6 +37,7 @@ EXPECTED = {
     "bad_sizes.json": "CFG105",
     "disconnected.json": "CFG106",
     "multicast_not_tree.json": "CFG108",
+    "saturated_switch_port.json": "CFG102",
 }
 
 
@@ -69,6 +72,7 @@ class TestBadFixtures:
         # the raw stage must still produce a structured CFG105 finding
         report = _verify_fixture("bad_sizes.json")
         assert not report.built
+        assert report.network is None
         assert "CFG105" in {f.rule_id for f in report.errors}
 
 
@@ -77,29 +81,28 @@ class TestCleanConfigurations:
         "build", [fig1_network, fig2_network], ids=["fig1", "fig2"]
     )
     def test_paper_configurations_lint_clean(self, build):
-        report = verify_network(build(), utilization_table=False)
+        report = ConfigVerifier(utilization_table=False).verify_network(build())
         assert report.ok
         assert report.warnings == []
 
     def test_industrial_sample_lints_clean(self):
         network = industrial_network(IndustrialConfigSpec(n_virtual_links=64))
-        report = verify_network(network, utilization_table=False)
+        report = ConfigVerifier(utilization_table=False).verify_network(network)
         assert report.ok
 
     def test_example_configs_lint_clean(self):
-        examples = Path(__file__).resolve().parents[2] / "examples" / "configs"
-        configs = sorted(examples.glob("*.json"))
+        configs = sorted(EXAMPLES.glob("*.json"))
         assert configs, "examples/configs/*.json missing"
         for config in configs:
             document = json.loads(config.read_text())
-            report = verify_config_dict(document, source=config.name)
+            report = ConfigVerifier().verify_dict(document, source=config.name)
             assert report.ok, [f.render() for f in report.errors]
 
     def test_no_cycle_in_fig2(self):
         assert find_port_cycle(fig2_network()) is None
 
     def test_utilization_table_entries(self):
-        report = verify_network(fig2_network())
+        report = ConfigVerifier().verify_network(fig2_network())
         infos = [f for f in report.findings if f.rule_id == "CFG110"]
         assert len(infos) == len(report.port_utilization)
         assert all(f.severity is Severity.INFO for f in infos)
@@ -131,30 +134,43 @@ class TestVerifierContract:
 
 class TestPreflightBitIdentity:
     def test_bounds_unchanged_by_preflight(self):
-        """The verifier reads the network; bounds stay bit-identical."""
+        """The verifier only reads the network it builds: analyzing it,
+        as every ``afdx`` command does, gives the bounds of a plain load
+        bit for bit."""
         from repro.core.combined import analyze_network
+        from repro.network.serialization import network_from_dict
 
-        network = fig2_network()
-        before = analyze_network(network)
-        report = verify_network(network, utilization_table=True)
+        document = json.loads((EXAMPLES / "fig2.json").read_text())
+        report = ConfigVerifier().verify_dict(document)
         assert report.ok
-        after = analyze_network(fig2_network())
-        for key in before.paths:
-            assert (
-                before.paths[key].network_calculus_us
-                == after.paths[key].network_calculus_us
-            )
-            assert before.paths[key].trajectory_us == after.paths[key].trajectory_us
+        checked = analyze_network(report.network)
+        plain = analyze_network(network_from_dict(document))
+        assert checked.paths.keys() == plain.paths.keys()
+        for key, path in plain.paths.items():
+            assert checked.paths[key].network_calculus_us == path.network_calculus_us
+            assert checked.paths[key].trajectory_us == path.trajectory_us
 
-    def test_sweep_preflight_changes_no_outcome(self):
-        from repro.batch import SweepSpec, batch_sweep
 
-        plain = batch_sweep(SweepSpec(configs=3, scenarios_per_config=1))
-        checked = batch_sweep(
-            SweepSpec(configs=3, scenarios_per_config=1, preflight=True)
+class TestAdmissionRules:
+    """CFG104: the ARINC 664 BAG range, checked on built networks too."""
+
+    @staticmethod
+    def _network(bag_ms):
+        return (
+            NetworkBuilder("bags").switches("S1").end_systems("e1", "e2")
+            .link("e1", "S1").link("S1", "e2")
+            .virtual_link("v1", source="e1", destinations=["e2"],
+                          bag_ms=bag_ms, s_max_bytes=500)
+            .build()
         )
-        assert len(plain.records) == len(checked.records)
-        for a, b in zip(plain.records, checked.records):
-            assert a.config_seed == b.config_seed
-            assert a.min_margin_us == b.min_margin_us
-            assert a.error == b.error
+
+    def test_standard_bags_pass(self):
+        verifier = ConfigVerifier(utilization_table=False)
+        for bag in STANDARD_BAGS_MS:
+            assert verifier.verify_network(self._network(bag)).findings == []
+
+    def test_nonstandard_bag_is_cfg104(self):
+        report = ConfigVerifier().verify_network(self._network(3.0))
+        (finding,) = report.errors
+        assert finding.rule_id == "CFG104"
+        assert "ARINC 664" in finding.message

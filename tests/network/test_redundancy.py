@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import analyze_network
 from repro.network import combine_redundant, duplicate_network
-from repro.network.validation import validate_network
+from repro.network.preflight import ConfigVerifier
 
 
 class TestDuplicate:
@@ -27,7 +27,7 @@ class TestDuplicate:
             assert other.priority == vl.priority
 
     def test_twin_validates(self, fig1):
-        assert validate_network(duplicate_network(fig1)).ok
+        assert ConfigVerifier().verify_network(duplicate_network(fig1)).ok
 
     def test_custom_suffix(self, fig2):
         twin = duplicate_network(fig2, suffix="_X")

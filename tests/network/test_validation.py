@@ -1,10 +1,14 @@
-"""Whole-configuration validation."""
+"""Whole-configuration validation: the verifier's rules on built networks.
+
+:func:`check_network` is the library gate every analyzer runs; the
+:class:`ConfigVerifier` report carries the same rules' findings.
+"""
 
 import pytest
 
 from repro.errors import ConfigurationError, UnstableNetworkError
 from repro.network import Network, NetworkBuilder, VirtualLink
-from repro.network.validation import check_network, validate_network
+from repro.network.preflight import ConfigVerifier, check_network
 
 
 def overload_network(bag_ms=1, s_max_bytes=1518, n=10):
@@ -23,38 +27,55 @@ def overload_network(bag_ms=1, s_max_bytes=1518, n=10):
     return builder.build(validate=False)
 
 
+def _rules(report, severity="errors"):
+    return {f.rule_id for f in getattr(report, severity)}
+
+
 def test_valid_network_passes(fig2):
-    report = validate_network(fig2)
+    report = ConfigVerifier().verify_network(fig2)
     assert report.ok
     assert not report.errors
+    check_network(fig2)
 
 
 def test_overloaded_port_detected():
     # 10 x 1518 B / 1 ms = ~121 bits/us > 100 bits/us
-    report = validate_network(overload_network())
+    report = ConfigVerifier().verify_network(overload_network())
     assert not report.ok
-    assert any("overloaded" in e for e in report.errors)
+    assert _rules(report) == {"CFG102"}
+    assert report.stability_only
 
 
 def test_check_network_raises_unstable():
-    with pytest.raises(UnstableNetworkError):
+    with pytest.raises(UnstableNetworkError, match="CFG102"):
         check_network(overload_network())
+
+
+def test_saturated_port_is_unstable():
+    # 10 x 1250 B / 1 ms = exactly 100 bits/us: utilization 1.0 has no
+    # finite busy period, whatever port it is on
+    network = overload_network(s_max_bytes=1250)
+    assert network.port_utilization(("SW", "d")) == 1.0
+    with pytest.raises(UnstableNetworkError, match="CFG102"):
+        check_network(network)
 
 
 def test_utilization_warning_margin():
     # 8 x 1330 B / 1 ms = ~85 bits/us: feasible but above the 0.75 margin
     net = overload_network(bag_ms=1, s_max_bytes=1330, n=8)
-    report = validate_network(net)
+    report = ConfigVerifier().verify_network(net)
     assert report.ok
-    assert any("margin" in w for w in report.warnings)
+    assert _rules(report, "warnings") == {"CFG103"}
+    check_network(net)  # a warning never raises
 
 
-def test_unwired_end_system_warns():
+def test_unwired_end_system_is_an_error():
     net = Network()
     net.add_end_system("lonely")
-    report = validate_network(net)
-    assert report.ok
-    assert any("not wired" in w for w in report.warnings)
+    report = ConfigVerifier().verify_network(net)
+    assert _rules(report) == {"CFG109"}
+    with pytest.raises(ConfigurationError, match="CFG109"):
+        check_network(net)
 
 
 def test_multicast_rejoin_detected():
@@ -70,8 +91,8 @@ def test_multicast_rejoin_detected():
     net.add_end_system("e3")
     net.add_link("S2", "S3")
     net.add_link("S3", "e3")
-    # both paths reach S3... path2 goes S1->S3 direct, path1 via S2:
-    # they fork at S1 and re-join at S3 -> not a tree
+    # path 1 reaches S3 via S2, path 2 goes S1->S3 directly: they fork
+    # at S1 and re-join at S3 -> not a tree
     rejoining = VirtualLink(
         name="vx",
         source="e1",
@@ -79,10 +100,9 @@ def test_multicast_rejoin_detected():
         bag_ms=4,
         s_max_bytes=500,
     )
-    with pytest.raises(Exception):
-        # duplicate destination paths are rejected at VL level or by
-        # the tree check at network level — either way it cannot pass
-        net.add_virtual_link(rejoining)
+    net.add_virtual_link(rejoining)
+    assert _rules(ConfigVerifier().verify_network(net)) == {"CFG108"}
+    with pytest.raises(ConfigurationError, match="CFG108"):
         check_network(net)
 
 
@@ -92,10 +112,6 @@ def test_check_network_raises_configuration_error():
     net.add_switch("S2")
     net.add_end_system("e1")
     net.add_link("e1", "S1")
-    report = validate_network(net)
-    assert report.ok  # warnings only
-    # force an error: wire e1 twice by touching internals is not possible
-    # through the API, so exercise the error branch via a rejoining VL
     net.add_link("S1", "S2")
     net.add_end_system("e2")
     net.add_end_system("e3")
@@ -110,8 +126,34 @@ def test_check_network_raises_configuration_error():
     )
     net.add_virtual_link(vl)
     check_network(net)  # a proper tree passes
+    # a structural error next to an overload is a configuration error,
+    # not an unstable network, and the message names the first rule
+    net.add_end_system("e4")
+    for index in range(10):
+        net.add_virtual_link(
+            VirtualLink(
+                name=f"w{index}", source="e2", paths=(("e2", "S2", "e3"),),
+                bag_ms=1, s_max_bytes=1518,
+            )
+        )
+    with pytest.raises(ConfigurationError, match=r"^CFG102: .*\(and 2 more error") as info:
+        check_network(net)
+    assert not isinstance(info.value, UnstableNetworkError)
+
+
+def test_admission_rules_bind_files_only():
+    # a BAG of 3 ms and a 2000 B frame break ARINC 664 (CFG104, CFG105)
+    # but leave every bound finite: networks built in code may use them
+    net = (
+        NetworkBuilder("sweep").switches("S1").end_systems("e1", "e2")
+        .link("e1", "S1").link("S1", "e2")
+        .virtual_link("v1", source="e1", destinations=["e2"], bag_ms=3,
+                      s_max_bytes=2000)
+        .build()
+    )
+    assert _rules(ConfigVerifier().verify_network(net)) == {"CFG104", "CFG105"}
 
 
 def test_port_utilization_reported(fig2):
-    report = validate_network(fig2)
+    report = ConfigVerifier().verify_network(fig2)
     assert report.port_utilization[("S3", "e6")] == pytest.approx(0.04)

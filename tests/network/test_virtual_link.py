@@ -4,11 +4,7 @@ import pytest
 
 from repro.errors import InvalidVirtualLinkError
 from repro.network import VirtualLink
-from repro.network.virtual_link import (
-    ETHERNET_MAX_FRAME_BYTES,
-    ETHERNET_MIN_FRAME_BYTES,
-    STANDARD_BAGS_MS,
-)
+from repro.network.virtual_link import ETHERNET_MAX_FRAME_BYTES, ETHERNET_MIN_FRAME_BYTES
 
 
 def make_vl(**overrides):
@@ -54,14 +50,6 @@ class TestValidation:
     def test_bag_must_be_positive(self):
         with pytest.raises(InvalidVirtualLinkError):
             make_vl(bag_ms=0)
-
-    def test_strict_bag_accepts_standard_values(self):
-        for bag in STANDARD_BAGS_MS:
-            make_vl(bag_ms=bag, strict_bag=True)
-
-    def test_strict_bag_rejects_nonstandard(self):
-        with pytest.raises(InvalidVirtualLinkError, match="ARINC"):
-            make_vl(bag_ms=3.0, strict_bag=True)
 
     def test_nonstrict_accepts_any_positive_bag(self):
         make_vl(bag_ms=3.7)
@@ -110,7 +98,7 @@ class TestFunctionalUpdates:
         assert vl.name == "v1"
 
     def test_with_bag_allows_nonstandard(self):
-        assert make_vl(strict_bag=True).with_bag_ms(5.0).bag_ms == 5.0
+        assert make_vl().with_bag_ms(5.0).bag_ms == 5.0
 
     def test_with_s_max(self):
         vl = make_vl().with_s_max_bytes(1000)

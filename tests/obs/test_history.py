@@ -262,6 +262,36 @@ class TestDrift:
         assert len(drift["variants"]) == 2
         assert "DRIFT" in render_drift_report(report)
 
+    def test_bound_options_split_groups(self):
+        records = [
+            _record(options={"serialization": "windowed", "no_grouping": False}),
+            _record(
+                options={"serialization": "safe", "no_grouping": False},
+                bounds_digest="0" * 64,
+            ),
+            _record(
+                options={"serialization": "windowed", "no_grouping": True},
+                bounds_digest="1" * 64,
+            ),
+        ]
+        report = drift_report(records)
+        assert report["verdict"] == "clean"
+        assert report["groups"] == 3
+
+    def test_display_options_share_a_group(self):
+        records = [
+            _record(options={"serialization": "safe", "top": 0}),
+            _record(
+                options={"serialization": "safe", "top": 1, "jitter": True},
+                bounds_digest="0" * 64,
+            ),
+        ]
+        report = drift_report(records)
+        assert report["verdict"] == "drift"
+        (drift,) = report["drifts"]
+        assert drift["options"] == {"serialization": "safe"}
+        assert 'options={"serialization": "safe"}' in render_drift_report(report)
+
     def test_different_configs_never_compared(self):
         records = [
             _record(),

@@ -26,7 +26,7 @@ def test_generate_and_validate(tmp_path, capsys):
     assert main(["generate", "fig2", "-o", out]) == 0
     data = json.loads((tmp_path / "net.json").read_text())
     assert data["name"] == "fig2"
-    assert main(["validate", out]) == 0
+    assert main(["lint", out]) == 0
     stdout = capsys.readouterr().out
     assert "OK" in stdout
 
@@ -183,13 +183,13 @@ def test_validate_invalid_network_exits_with_config_code(tmp_path, capsys):
     data["links"].append({"a": "e1", "b": "S2", "rate_mbps": 100.0})
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
-    # the loader itself refuses the second ES link: one-line diagnostic,
-    # distinct exit code, no traceback
+    # the loader itself refuses the second ES link: one-line diagnostic
+    # naming the rule, distinct exit code, no traceback
     from repro.cli import EXIT_CONFIG_ERROR
 
-    assert main(["validate", str(path)]) == EXIT_CONFIG_ERROR
+    assert main(["analyze", str(path)]) == EXIT_CONFIG_ERROR
     err = capsys.readouterr().err
-    assert err.startswith("afdx: error:")
+    assert err.startswith("afdx: error: CFG106: ")
     assert len(err.strip().splitlines()) == 1
 
 

@@ -246,6 +246,24 @@ class TestObsQueries:
         )
         assert "more-work" in capsys.readouterr().out
 
+    def test_analysis_options_never_share_a_drift_group(
+        self, fig2_json, hist_dir, tmp_path, monkeypatch, capsys
+    ):
+        # three analyses of one config at one rev: each option set has
+        # its own bounds, so none of them is drift
+        for options in ([], ["--serialization", "safe"], ["--no-grouping"]):
+            assert _analyze(fig2_json, hist_dir, "rev-a", monkeypatch, *options) == 0
+        # options that only change what is printed join the default group
+        copy = tmp_path / "elsewhere.json"
+        copy.write_text((tmp_path / "fig2.json").read_text())
+        assert _analyze(str(copy), hist_dir, "rev-b", monkeypatch, "--top", "1", "--jitter") == 0
+        capsys.readouterr()
+        assert main(["obs", "drift", "--history-dir", hist_dir, "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == "clean"
+        assert report["groups"] == 3
+        assert report["groups_compared"] == 1
+
     def test_drift_json_format(self, recorded, hist_dir, capsys):
         assert (
             main(

@@ -15,9 +15,11 @@ LAZY_PACKAGES = (
     "repro.batch",
     "repro.core",
     "repro.incremental",
+    "repro.lint",
     "repro.netcalc",
     "repro.network",
     "repro.obs",
+    "repro.trajectory",
 )
 
 #: Names a package defines itself rather than re-exports.

@@ -17,7 +17,9 @@ ROOT = Path(__file__).resolve().parents[1]
 FIG2 = ROOT / "examples" / "configs" / "fig2.json"
 
 #: What ``afdx analyze CONFIG`` (no cache, no stats flag) does not
-#: run, and so must not import.
+#: run, and so must not import.  The configuration verifier runs on
+#: every load and uses the linter's ``Finding`` class
+#: (``repro.lint.findings``), but the code linter itself stays out.
 NOT_LOADED_BY_ANALYZE = (
     "multiprocessing",
     "repro.batch",
@@ -27,10 +29,12 @@ NOT_LOADED_BY_ANALYZE = (
     "repro.explain",
     "repro.incremental.cache",
     "repro.incremental.edits",
-    "repro.lint",
+    "repro.lint.baseline",
+    "repro.lint.dataflow",
+    "repro.lint.engine",
+    "repro.lint.rules",
     "repro.netcalc.priority",
     "repro.network.builder",
-    "repro.network.preflight",
     "repro.network.redundancy",
     "repro.obs.hotspots",
     "repro.obs.manifest",
@@ -64,7 +68,7 @@ def _loaded_after(code: str) -> set:
 
 def test_import_cli_loads_no_analyzer():
     loaded = _loaded_after("import repro.cli")
-    assert not loaded & {"numpy", "repro.netcalc", "repro.trajectory"}
+    assert not loaded & {"numpy", "repro.netcalc.analyzer", "repro.trajectory.analyzer"}
 
 
 def test_analyze_loads_only_what_it_runs():
@@ -74,7 +78,12 @@ def test_analyze_loads_only_what_it_runs():
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert main(['analyze', {str(FIG2)!r}]) == 0\n"
     )
-    assert {"repro.netcalc.analyzer", "repro.trajectory.analyzer"} <= loaded
+    assert {
+        "repro.lint.findings",
+        "repro.netcalc.analyzer",
+        "repro.network.preflight",
+        "repro.trajectory.analyzer",
+    } <= loaded
     assert sorted(loaded.intersection(NOT_LOADED_BY_ANALYZE)) == []
 
 
@@ -101,8 +110,8 @@ def test_experiment_choices_are_the_registry():
 
 
 def test_serialization_flag_is_the_library_default():
-    # the parser spells the modes out; building it must not load the
-    # trajectory package that defines them
+    # the parser offers the library's mode names; building it must not
+    # load the trajectory analyzer
     proc = _fresh(
         "-c",
         "import argparse, json, sys\n"
@@ -112,7 +121,7 @@ def test_serialization_flag_is_the_library_default():
         "flags = {name: next(a for a in commands.choices[name]._actions\n"
         "                    if a.dest == 'serialization')\n"
         "         for name in ('analyze', 'profile', 'whatif', 'explain')}\n"
-        "loaded_by_parser = 'repro.trajectory' in sys.modules\n"
+        "loaded_by_parser = 'repro.trajectory.analyzer' in sys.modules\n"
         "from repro.trajectory.serialization import (\n"
         "    DEFAULT_SERIALIZATION, SERIALIZATION_MODES)\n"
         "print(json.dumps([loaded_by_parser,\n"
