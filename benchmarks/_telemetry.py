@@ -101,16 +101,16 @@ def record_history(
     """Mirror a bench record into the persistent run history.
 
     No-op unless ``AFDX_HISTORY_DIR`` (or an explicit history root via
-    :func:`repro.obs.history.resolve_history_dir`) is set — bench runs
+    :func:`repro.obs.resolve_history_dir`) is set — bench runs
     then land in the same store ``afdx obs drift`` scans, so a bench
     regression and a CLI-run drift show up in one query.  Best-effort:
     a failed append never fails the benchmark.
     """
+    from repro.obs import resolve_history_dir
     from repro.obs.history import (
         RunHistory,
         build_run_record,
         git_revision,
-        resolve_history_dir,
     )
 
     root = resolve_history_dir(None)

@@ -77,6 +77,19 @@ def _scenarios():
         industrial_network(IndustrialConfigSpec(n_virtual_links=120)),
         "windowed",
     )
+    # wide safe-mode batches, cold and warm: the `max(offset, alt)`
+    # branch of the batch fold runs on both, and only on the 120-VL
+    # config does `alt` ever win
+    yield (
+        "industrial-64-seed7/safe",
+        industrial_network(IndustrialConfigSpec(seed=7, n_virtual_links=64)),
+        "safe",
+    )
+    yield (
+        "industrial-120/safe",
+        industrial_network(IndustrialConfigSpec(n_virtual_links=120)),
+        "safe",
+    )
 
 
 def _fail(scenario, message):

@@ -102,6 +102,7 @@ from repro.errors import (
     UnstableNetworkError,
 )
 from repro.obs import configure as configure_logging
+from repro.obs import resolve_history_dir
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import ProgressHook
 from repro.trajectory.serialization import DEFAULT_SERIALIZATION, SERIALIZATION_MODES
@@ -553,8 +554,6 @@ class _RunContext:
     """
 
     def __init__(self, args: argparse.Namespace) -> None:
-        from repro.obs.history import resolve_history_dir
-
         self.metrics_path: Optional[str] = getattr(args, "metrics_json", None)
         self.prom_path: Optional[str] = getattr(args, "metrics_prom", None)
         self.trace_path: Optional[str] = getattr(args, "trace", None)
@@ -703,7 +702,6 @@ def _bound_cache(args: argparse.Namespace):
 
 def _cmd_analyze(args: argparse.Namespace, ctx: _RunContext) -> int:
     from repro.core.combined import analyze_network
-    from repro.core.jitter import jitter_bounds
 
     network = _load_config(args, ctx)
     result = analyze_network(
@@ -714,7 +712,11 @@ def _cmd_analyze(args: argparse.Namespace, ctx: _RunContext) -> int:
         progress=ctx.progress,
     )
     ctx.record_analysis(result.netcalc, result.trajectory, result)
-    jitters = jitter_bounds(network, result) if args.jitter else None
+    jitters = None
+    if args.jitter:
+        from repro.core.jitter import jitter_bounds
+
+        jitters = jitter_bounds(network, result)
     paths = result.path_list()
     paths.sort(key=lambda p: -p.best_us)
     if args.top:

@@ -42,8 +42,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-import numpy as np
-
 from repro.errors import ProvenanceError
 from repro.network.port import PortId
 from repro.obs.provenance import (
@@ -77,7 +75,7 @@ def _path_walk_state(analyzer, vl_name: str, ports: List[PortId]):
     entries: List[Tuple[str, PortId, Tuple[float, float, float], str]] = [
         (vl_name, root, (own_c, vl.bag_us, 0.0), "studied")
     ]
-    met = np.zeros(analyzer._n_vls, dtype=np.uint8)
+    met = bytearray(analyzer._n_vls)
     met[analyzer._vl_index[vl_name]] = 1
     for other in analyzer._port_vls[root]:
         if other == vl_name:
@@ -89,7 +87,7 @@ def _path_walk_state(analyzer, vl_name: str, ports: List[PortId]):
     safe = analyzer.serialization_mode == "safe"
     gains: List[Tuple[PortId, float]] = []
     for parent, port in zip(ports, ports[1:]):
-        _n, added, readded, port_gain, _vec = analyzer._discover_meetings(
+        _n, added, readded, port_gain, _vec, _joined = analyzer._discover_meetings(
             port, parent, met
         )
         members = analyzer._port_vls[port]

@@ -44,9 +44,9 @@ sink``); taints a callee generates surface at its callers through
 from __future__ import annotations
 
 import ast
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.lint.dataflow.cfg import CFG, CFGNode, build_cfg
+from repro.lint.dataflow.cfg import CFGNode, build_cfg
 from repro.lint.dataflow.domain import (
     EMPTY,
     ORDER_KINDS,

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.lint.findings import Finding, Severity
-from repro.lint.project import ProjectContext, collect_project_context
+from repro.lint.project import collect_project_context
 from repro.lint.rules import RULES_BY_ID, SUPERSEDED_BY_DATAFLOW, run_rules
 from repro.lint.waivers import Waiver, parse_waivers
 

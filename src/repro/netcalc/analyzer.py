@@ -34,7 +34,7 @@ from repro.network.port_graph import topological_port_order
 from repro.network.preflight import check_network
 from repro.network.topology import Network
 from repro.obs.costmodel import netcalc_cost_ledger
-from repro.obs.instrument import OFF, Instrumentation
+from repro.obs.instrument import Instrumentation
 from repro.obs.logging import get_logger, kv
 
 __all__ = ["NetworkCalculusAnalyzer", "analyze_network_calculus"]

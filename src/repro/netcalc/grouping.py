@@ -27,7 +27,7 @@ test_multicast_fan_out_counted_once_per_output_port``.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Tuple
 
 from repro.curves import LeakyBucket, PiecewiseCurve, min_curves, sum_curves
 from repro.network.port import PortId

@@ -9,7 +9,7 @@ instances, per-port flow sets, and per-flow output-port sequences.
 from __future__ import annotations
 
 import math
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro import units
 from repro.errors import (

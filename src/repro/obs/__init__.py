@@ -23,11 +23,16 @@ simulator.  Everything is opt-in and zero-overhead when disabled:
   recorded spans (the CLI's ``--trace``);
 * :mod:`repro.obs.hotspots` — the ``afdx profile`` hot-spot reports;
 * :mod:`repro.obs.history` — the persistent append-only run-history
-  store (``--history-dir`` / ``AFDX_HISTORY_DIR``) and the
-  ``afdx obs`` diff/drift queries over it;
+  store and the ``afdx obs`` diff/drift queries over it; where it lives
+  (``--history-dir`` / ``AFDX_HISTORY_DIR``) is resolved here, by
+  :func:`resolve_history_dir`, so that a command which records nothing
+  never loads it;
 * :mod:`repro.obs.telemetry` — live fleet telemetry: per-configuration
   worker events folded into the upgraded ``--progress`` view.
 """
+
+import os
+from typing import Optional
 
 from repro._lazy import lazy_exports
 
@@ -113,7 +118,6 @@ _EXPORTS = {
         "diff_runs",
         "drift_report",
         "git_revision",
-        "resolve_history_dir",
         "validate_run_record",
     ),
     "repro.obs.instrument": ("OFF", "Instrumentation"),
@@ -150,3 +154,14 @@ _EXPORTS = {
 }
 
 __getattr__ = lazy_exports(__name__, _EXPORTS)
+
+#: Environment fallback for the CLI's ``--history-dir`` flag.
+ENV_HISTORY_DIR = "AFDX_HISTORY_DIR"
+
+
+def resolve_history_dir(flag: Optional[str] = None) -> Optional[str]:
+    """The history directory: explicit flag > AFDX_HISTORY_DIR > None."""
+    if flag:
+        return str(flag)
+    env = os.environ.get(ENV_HISTORY_DIR, "").strip()
+    return env or None

@@ -37,7 +37,7 @@ accumulation, no hash-order iteration.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "COST_SCHEMA_VERSION",

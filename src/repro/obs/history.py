@@ -66,7 +66,6 @@ import hashlib
 __all__ = [
     "HISTORY_SCHEMA_VERSION",
     "SEGMENT_RECORDS",
-    "ENV_HISTORY_DIR",
     "ENV_GIT_REV",
     "BOUND_OPTIONS",
     "RunHistory",
@@ -80,7 +79,6 @@ __all__ = [
     "render_drift_report",
     "render_run",
     "render_run_diff",
-    "resolve_history_dir",
     "validate_run_record",
 ]
 
@@ -89,9 +87,6 @@ HISTORY_SCHEMA_VERSION = 1
 
 #: Records per segment before the store rotates to a fresh file.
 SEGMENT_RECORDS = 512
-
-#: Environment fallback for the CLI's ``--history-dir`` flag.
-ENV_HISTORY_DIR = "AFDX_HISTORY_DIR"
 
 #: Overrides the recorded git revision (tests and CI shards use it to
 #: pin provenance without creating commits).
@@ -117,14 +112,6 @@ _RUN_COUNTER = 0
 # ----------------------------------------------------------------------
 # Provenance helpers
 # ----------------------------------------------------------------------
-
-
-def resolve_history_dir(flag: Optional[str] = None) -> Optional[str]:
-    """The history directory: explicit flag > AFDX_HISTORY_DIR > None."""
-    if flag:
-        return str(flag)
-    env = os.environ.get(ENV_HISTORY_DIR, "").strip()
-    return env or None
 
 
 def git_revision(repo: Optional[Union[str, Path]] = None) -> Optional[str]:

@@ -26,7 +26,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Optional, Union
 
 __all__ = [
     "build_chrome_trace",

@@ -12,7 +12,7 @@ ARINC-664 option analysed by :mod:`repro.netcalc.priority`.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, Optional, Tuple
+from typing import Callable, Deque, Dict, Optional
 
 from repro.sim.engine import Simulator
 from repro.sim.frames import Frame

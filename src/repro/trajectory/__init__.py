@@ -23,7 +23,7 @@ Highlights of the implementation (details in DESIGN.md, Sec. 3.2):
 Entry point: :class:`TrajectoryAnalyzer` (or
 :func:`analyze_trajectory`).  Every name is exported lazily (PEP 562),
 so ``repro.trajectory.serialization`` — the mode names the ``afdx``
-parser offers — imports without numpy or the analyzer.
+parser offers — imports without the analyzer.
 """
 
 from repro._lazy import lazy_exports

@@ -56,15 +56,13 @@ the dominance proof).
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+import operator
+from itertools import compress
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.netcalc.analyzer import analyze_network_calculus
 from repro.netcalc.results import NetworkCalculusResult
 from repro.network.port import PortId
-from repro.network.port_graph import topological_port_order
-from repro.network.preflight import check_network
 from repro.network.topology import Network
 from repro.obs.costmodel import CostLedger, record_trajectory_sweep
 from repro.obs.instrument import Instrumentation
@@ -85,10 +83,10 @@ _LOG = get_logger("trajectory")
 
 _EPS = 1e-6
 
-#: smallest per-port competitor batch worth the numpy
-#: dispatch overhead; smaller batches run the scalar fold loop (both
-#: paths compute the same floats, so the threshold is purely a tuning
-#: knob, not a semantics switch)
+#: smallest per-port competitor batch folded by `_batch_fold` and kept
+#: in the walk node's fold cache; smaller batches run the per-flow fold
+#: loop with the event memo (both paths compute the same floats, so the
+#: threshold is purely a tuning knob, not a semantics switch)
 _VEC_MIN = 16
 
 #: boundary tolerance of the `interference_count` fast path (one part
@@ -97,51 +95,67 @@ _BOUNDARY_TOL = 2.0 ** -50
 
 
 def _batch_fold(
-    c: "np.ndarray", period: "np.ndarray", offset: "np.ndarray", horizon: float
-) -> Tuple["np.ndarray", "np.ndarray"]:
-    """Vector twin of the scalar per-competitor fold.
+    c: Sequence[float],
+    period: Sequence[float],
+    offset: Sequence[float],
+    horizon: float,
+) -> Tuple[Tuple[float, ...], List[int]]:
+    """Base workloads and event screen of one batch of competitors.
 
     ``bases[i]`` is bit-identical to
-    ``interference_count(0.0, offset[i], period[i]) * c[i]``: every
-    operation is the same IEEE-754 double operation the scalar code
-    performs, executed elementwise (numpy ufuncs round each element
-    independently — there is no re-association to drift on).  Elements
-    near a period boundary fall back to the exact scalar counter, just
-    like the scalar fast path does.
+    ``interference_count(0.0, offset[i], period[i]) * c[i]``: the loop
+    inlines that function's fast path (the same IEEE-754 operations),
+    and an element near a period boundary falls back to the exact
+    counter itself.
 
     ``maybe`` lists the positions whose first counter jump
     ``fl((offset // period + 1) * period - offset)`` — the exact float
-    the scalar event loop tests first — lands inside the busy period.
-    Only those flows can contribute candidate events; callers fold them
+    `_flow_events` tests first — lands inside the busy period.  Only
+    those flows can contribute candidate events; callers fold them
     through the exact `_flow_events` path.  On avionics-shaped
     configurations (BAG orders of magnitude above the busy period) the
-    list is almost always empty, which is what makes the batch fold
-    worth it: the common case is pure elementwise arithmetic.
+    list is almost always empty.
     """
-    quotient = offset / period
-    k = np.floor(quotient)
-    fraction = quotient - k
-    tolerance = (quotient + 1.0) * _BOUNDARY_TOL
-    counts = k + 1.0
-    exact = (tolerance < fraction) & (fraction < 1.0 - tolerance)
-    negative = offset < 0.0
-    counts[negative] = 0.0
-    for i in (~(exact | negative)).nonzero()[0].tolist():
-        counts[i] = interference_count(0.0, float(offset[i]), float(period[i]))
-    bases = counts * c
-    first_jump = (np.floor_divide(offset, period) + 1.0) * period - offset
-    maybe = (first_jump < horizon).nonzero()[0]
-    return bases, maybe
+    bases: List[float] = []
+    maybe: List[int] = []
+    append = bases.append
+    floor = math.floor
+    for index, (ci, ti, ai) in enumerate(zip(c, period, offset)):
+        if ai >= 0.0:
+            quotient = ai / ti
+            k = floor(quotient)
+            fraction = quotient - k
+            tolerance = (quotient + 1.0) * _BOUNDARY_TOL
+            if tolerance < fraction < 1.0 - tolerance:
+                # the floor is exact here, so `ai // ti == k` and the
+                # screen below reduces to `(k + 1) * ti - ai`
+                k += 1
+                append(k * ci)
+                if k * ti - ai < horizon:
+                    maybe.append(index)
+                continue
+            append(interference_count(0.0, ai, ti) * ci)
+        else:
+            append(0.0 * ci)
+        if (ai // ti + 1.0) * ti - ai < horizon:
+            maybe.append(index)
+    return tuple(bases), maybe
+
+
+def _flag_reader(indices: Tuple[int, ...]) -> Callable[[bytearray], Tuple[int, ...]]:
+    """``bitmap -> tuple of bitmap[i] for i in indices``, in one C call."""
+    if len(indices) == 1:
+        only = indices[0]
+        return lambda bitmap: (bitmap[only],)
+    return operator.itemgetter(*indices)
 
 
 def _replay_add(value: float, terms) -> float:
     """``(((value + t0) + t1) + ...)`` — the exact sequential chain.
 
     This *is* the reference walk's accumulation: a ``+=`` chain over
-    the per-flow bases in add order.  The batch fold hands the bases
-    over as a tuple of Python floats so replaying a cached fold costs a
-    plain scalar loop (cheaper than any numpy round-trip at the 16-64
-    element sizes involved).  Pass the negated terms for the rollback
+    the per-flow bases in add order, which replays a cached batch fold
+    without recomputing it.  Pass the negated terms for the rollback
     chain: IEEE-754 guarantees ``a - b == a + (-b)`` exactly.
     """
     for term in terms:
@@ -282,20 +296,20 @@ class TrajectoryAnalyzer:
     # ------------------------------------------------------------------
 
     def prepare(self) -> None:
-        """Validate, seed ``Smax`` and precompute sweep-invariant state.
+        """Seed ``Smax`` and precompute sweep-invariant state.
 
         The seed comes from the constructor's ``nc_result`` when it is
         the default seed, else from a Network Calculus run of its own.
+        That NC run is the configuration gate: it runs
+        :func:`~repro.network.preflight.check_network` and the port
+        toposort, so an unstable, cyclic or non-tree network raises
+        here (or, for ``nc_result``, already did in the caller).
         Idempotent: the first call wins.
         """
         if self._prepared:
             return
         network = self.network
         obs = self._obs
-        with obs.tracer.span("trajectory.validate"):
-            check_network(network)
-            topological_port_order(network)  # raises CyclicRoutingError if cyclic
-
         nc_seed = self._nc_seed
         if nc_seed is None:
             with obs.tracer.span("trajectory.nc_seed"):
@@ -572,7 +586,7 @@ class TrajectoryAnalyzer:
     def _precompute_structure(self) -> None:
         """Sweep-invariant per-port tables, per-VL trees and memo tiers.
 
-        Each used port gets one tuple of parallel arrays, indexed by the
+        Each used port gets one tuple of parallel tuples, indexed by the
         position of each member in the port's sorted member tuple:
 
         ``(members, C, T, vl_index, upstream, Smin, position)``
@@ -632,12 +646,10 @@ class TrajectoryAnalyzer:
         self._upstream: Dict[FlowPortKey, Optional[PortId]] = {
             key: network.upstream_port(key[0], key[1]) for key in self._prefixes
         }
-        # per-port tuples plus their numpy mirrors for the batched fold
-        # (`_batch_fold`) on wide ports; the fifth numpy column maps
-        # each member's upstream port to a small per-port integer id
-        # (-1 for source members) for the serialization-gain grouping.
+        # per-port tuples, plus a reader that gathers the members' met
+        # flags from the walk's bitmap in one call (`_discover_meetings`)
         self._port_tab: Dict[PortId, Tuple] = {}
-        self._port_np: Dict[PortId, Tuple] = {}
+        self._port_flags: Dict[PortId, Callable[[bytearray], Tuple[int, ...]]] = {}
         for pid, members in self._port_vls.items():
             rate = self._port_rate[pid]
             tab = (
@@ -650,20 +662,7 @@ class TrajectoryAnalyzer:
                 {m: index for index, m in enumerate(members)},
             )
             self._port_tab[pid] = tab
-            upstream_ids: Dict[PortId, int] = {}
-            mup_id = []
-            for up in tab[4]:
-                if up is None:
-                    mup_id.append(-1)
-                else:
-                    mup_id.append(upstream_ids.setdefault(up, len(upstream_ids)))
-            self._port_np[pid] = (
-                np.array(tab[1], dtype=np.float64),
-                np.array(tab[2], dtype=np.float64),
-                np.array(tab[3], dtype=np.intp),
-                np.array(tab[5], dtype=np.float64),
-                np.array(mup_id, dtype=np.intp),
-            )
+            self._port_flags[pid] = _flag_reader(tab[3])
 
         # ---- memo tiers ----------------------------------------------
         # the source busy period only involves flows sourced at the root
@@ -677,9 +676,9 @@ class TrajectoryAnalyzer:
         self._event_cache: Dict[
             Tuple[float, float, float, float], Tuple[float, Tuple[Tuple[float, float], ...]]
         ] = {}
-        # (port, parent) -> bool column: does each member cross parent?
-        # (the re-meeting test of `_discover_meetings`, vectorized)
-        self._crosses_cache: Dict[Tuple[PortId, PortId], "np.ndarray"] = {}
+        # (port, parent) -> positions of the members that do not cross
+        # parent (the re-meeting candidates of `_discover_meetings`)
+        self._crosses_cache: Dict[Tuple[PortId, PortId], Tuple[int, ...]] = {}
         # shared-path meeting tree: the met bitmap at any walk node is
         # the union of the path ports' member sets — independent of
         # *which* member is the studied VL — so discovery results are
@@ -693,7 +692,6 @@ class TrajectoryAnalyzer:
         # (`_port_pack`, `_smax_slice`) — cleared every sweep
         self._port_packs: Dict[PortId, bytes] = {}
         self._port_smax: Dict[PortId, List[float]] = {}
-        self._port_smax_np: Dict[PortId, "np.ndarray"] = {}
         # cross-sweep walk memo: vl -> (packed Smax slices, bounds);
         # a walk whose entire Smax input is unchanged since the last
         # sweep is replayed from here without touching the tree
@@ -712,14 +710,6 @@ class TrajectoryAnalyzer:
             smax = self._smax
             arr = [smax[(m, port)] for m in self._port_vls[port]]
             self._port_smax[port] = arr
-        return arr
-
-    def _smax_np(self, port: PortId) -> "np.ndarray":
-        """:meth:`_smax_slice` as a numpy column (same floats)."""
-        arr = self._port_smax_np.get(port)
-        if arr is None:
-            arr = np.array(self._smax_slice(port), dtype=np.float64)
-            self._port_smax_np[port] = arr
         return arr
 
     def _tree_ports(self, vl_name: str) -> List[PortId]:
@@ -814,7 +804,6 @@ class TrajectoryAnalyzer:
         # alias two different walk inputs onto one memo key
         self._port_packs.clear()
         self._port_smax.clear()
-        self._port_smax_np.clear()
         for index, vl_name in enumerate(vl_names):
             if progress:
                 progress.update("trajectory.sweep", index, len(vl_names))
@@ -886,7 +875,7 @@ class TrajectoryAnalyzer:
         return horizon
 
     def _discover_meetings(
-        self, port: PortId, parent: Optional[PortId], metview: "np.ndarray"
+        self, port: PortId, parent: Optional[PortId], met: bytearray
     ) -> Tuple:
         """Which flows join the studied path at ``port``, and their credit.
 
@@ -905,15 +894,16 @@ class TrajectoryAnalyzer:
         meetings only, to match the historical credit exactly (it is
         zero in safe mode anyway).
 
-        ``metview`` is the walk's membership bitmap over global VL
-        indices: the studied flow and every flow met so far.  Re-met
-        flows are already marked, so the bitmap needs no re-meeting
-        marks.  Every unmet member joins here, so the added set is one
-        vectorized bitmap gather; only already-met members need the
-        per-member rejoin test.  The serialization-gain floats replay
-        the reference walk's expression operation for operation: group
-        insertion follows the added order, members fold with
-        ``math.fsum``.
+        ``met`` is the walk's membership bitmap over global VL indices:
+        the studied flow and every flow met so far.  Re-met flows are
+        already marked, so the bitmap needs no re-meeting marks.  Every
+        unmet member joins here, so the added set is one scan of the
+        members' flags; only already-met members need the rejoin test.
+        The serialization-gain floats replay the reference walk's
+        expression operation for operation: members fold with
+        ``math.fsum`` per upstream port, and ``math.fsum`` and ``max``
+        are order-free, so the grouping order cannot drift from the
+        reference's insertion-ordered dict walk.
 
         The result depends only on the port path walked from ``parent``
         back to the root (the bitmap at a node is the union of the path
@@ -921,69 +911,62 @@ class TrajectoryAnalyzer:
         walk keys it in the shared :attr:`_meet_tree` rather than per
         VL.
 
-        Returns ``(n_added, added, readded, gain, vec)`` with
-        ``added``/``readded`` as positions into the port's member tuple;
-        for batches wide enough for :func:`_batch_fold`, ``vec``
-        carries the pre-sliced numpy columns ``(positions, vl indices,
-        C, T, Smin)``.
+        Returns ``(n_added, added, readded, gain, vec, joined)`` with
+        ``added``/``readded`` as positions into the port's member tuple
+        and ``joined`` the added members' global VL indices (the bitmap
+        marks the walk sets); for batches wide enough for
+        :func:`_batch_fold`, ``vec`` is ``(pick, C, T, Smin)``: the
+        getter of the added positions and their columns.
         """
-        members, _mc, _mt, _mg, _mup, _msmin, _mpos = self._port_tab[port]
-        mc_np, mt_np, mg_np, msmin_np, mup_id = self._port_np[port]
-        prefixes = self._prefixes
-        mask = metview[mg_np] != 0
-        added_np = (~mask).nonzero()[0]
-        n_added = int(added_np.size)
+        members, mc, mt, mg, mup, msmin, _mpos = self._port_tab[port]
+        flags = self._port_flags[port](met)
+        added = tuple(compress(range(len(flags)), map(operator.not_, flags)))
+        n_added = len(added)
 
         # re-meetings: an already-met member that does not cross the
         # port we arrived from left the path and rejoins here.  The
         # studied flow itself crosses the parent by construction, so it
-        # drops out of the candidate set with the bitmap test.
+        # never is a candidate.
         readded: Tuple[int, ...] = ()
         if parent is not None and n_added < len(members) - 1:
-            crosses = self._crosses_cache.get((port, parent))
-            if crosses is None:
-                crosses = np.array(
-                    [(m, parent) in prefixes for m in members], dtype=bool
+            leavers = self._crosses_cache.get((port, parent))
+            if leavers is None:
+                prefixes = self._prefixes
+                leavers = tuple(
+                    index
+                    for index, m in enumerate(members)
+                    if (m, parent) not in prefixes
                 )
-                self._crosses_cache[(port, parent)] = crosses
-            re_np = (mask & ~crosses).nonzero()[0]
-            if re_np.size:
-                readded = tuple(re_np.tolist())
+                self._crosses_cache[(port, parent)] = leavers
+            readded = tuple(index for index in leavers if flags[index])
 
         mode = self.serialization_mode
         port_gain = 0.0
-        if mode != "safe" and n_added:
+        if mode != "safe" and n_added >= 2:
             # serialization credit over first meetings, grouped by the
-            # competitors' upstream port.  `math.fsum` is the exact
-            # (correctly rounded) sum and `max` is order-free, so the
-            # segment order here cannot drift from the reference's
-            # insertion-ordered dict walk.
-            uid = mup_id[added_np]
-            valid = (uid >= 0).nonzero()[0]
-            if valid.size >= 2:
-                order = valid[np.argsort(uid[valid], kind="stable")]
-                u_sorted = uid[order]
-                c_sorted = mc_np[added_np[order]]
-                cuts = np.flatnonzero(np.diff(u_sorted)) + 1
-                starts = [0, *cuts.tolist()]
-                ends = [*cuts.tolist(), int(u_sorted.size)]
-                spans = []
-                for s, e in zip(starts, ends):
-                    if e - s >= 2:
-                        group = c_sorted[s:e].tolist()
-                        spans.append(math.fsum(group) - max(group))
-                if spans:
-                    port_gain = math.fsum(spans) if mode == "paper" else max(spans)
+            # competitors' upstream port
+            groups: Dict[PortId, List[float]] = {}
+            for index in added:
+                upstream = mup[index]
+                if upstream is not None:
+                    group = groups.get(upstream)
+                    if group is None:
+                        groups[upstream] = [mc[index]]
+                    else:
+                        group.append(mc[index])
+            spans = [
+                math.fsum(group) - max(group)
+                for group in groups.values()
+                if len(group) >= 2
+            ]
+            if spans:
+                port_gain = math.fsum(spans) if mode == "paper" else max(spans)
         vec = None
         if n_added >= _VEC_MIN:
-            vec = (
-                added_np,
-                mg_np[added_np],
-                mc_np[added_np],
-                mt_np[added_np],
-                msmin_np[added_np],
-            )
-        return n_added, tuple(added_np.tolist()), readded, port_gain, vec
+            pick = operator.itemgetter(*added)
+            vec = (pick, pick(mc), pick(mt), pick(msmin))
+        joined = tuple(mg[index] for index in added)
+        return n_added, added, readded, port_gain, vec, joined
 
     def _walk_tree(
         self, vl_name: str, bounds: Dict[FlowPortKey, TrajectoryPathBound]
@@ -1004,7 +987,7 @@ class TrajectoryAnalyzer:
         shrinks on backtrack by ``-=`` of the *same stored floats* in
         the same order (never by restoring a saved value — float
         addition does not cancel exactly).  Competitor contracts come
-        from the parallel per-port arrays, and the meeting structure is
+        from the parallel per-port tuples, and the meeting structure is
         replayed from the shared per-path index tuples of
         :attr:`_meet_tree` after the first walk of each distinct port
         path.
@@ -1026,15 +1009,11 @@ class TrajectoryAnalyzer:
         maximize = self._maximize
         discover = self._discover_meetings
         smax_slice = self._smax_slice
-        smax_np = self._smax_np
         port_pack = self._port_pack
 
         horizon = self._root_horizon(root)
         met = bytearray(self._n_vls)
         met[self_g] = 1
-        # zero-copy numpy view over the bitmap: scalar paths poke the
-        # bytearray, batch paths gather/scatter through the view
-        metview = np.frombuffer(met, dtype=np.uint8)
 
         base_workload = 0.0
         events: List[Tuple[float, float]] = []
@@ -1119,7 +1098,7 @@ class TrajectoryAnalyzer:
 
             n_added = 0
             added_idx: Tuple[int, ...] = ()
-            mg_port: Tuple[int, ...] = ()
+            joined: Tuple[int, ...] = ()
             vec = None
             folded_negs = None
             removed: List[float] = []
@@ -1128,45 +1107,47 @@ class TrajectoryAnalyzer:
                 meetings = node[0]
                 if meetings is None:
                     meeting_counters[1] += 1
-                    meetings = discover(port, parent, metview)
+                    meetings = discover(port, parent, met)
                     node[0] = meetings
                 else:
                     meeting_counters[0] += 1
-                n_added, added_idx, readded_idx, port_gain, vec = meetings
+                n_added, added_idx, readded_idx, port_gain, vec, joined = meetings
                 if n_added or (safe and readded_idx):
                     _m, mc, mt, _mg, _mu, msmin, mpos = port_tab[port]
-                    mg_port = _mg
                     smax_arr = smax_slice(port)
                     smin_self = smin[(vl_name, port)]
                     smax_self = smax_arr[mpos[vl_name]] if safe else 0.0
                     if vec is not None:
-                        # wide batch: bases elementwise, events (rare)
-                        # through the exact scalar path.  The node fold
-                        # cache replays both across sweeps while the
-                        # inputs (Smin_i, Smax_i, the port's packed
-                        # Smax slice) are unchanged.
-                        pos_a, gidx_a, c_a, t_a, ms_a = vec
+                        # wide batch: one fold over the batch, events
+                        # (rare) through the exact per-flow path.  The
+                        # node fold cache replays both across sweeps
+                        # while the inputs (Smin_i, Smax_i, the port's
+                        # packed Smax slice) are unchanged.
+                        pick, c_a, t_a, ms_a = vec
                         fkey = (smin_self, smax_self, port_pack(port))
                         cached_fold = node[2].get(fkey)
                         if cached_fold is None:
-                            offs = smax_np(port)[pos_a] - smin_self
                             if safe:
-                                alt = smax_self - ms_a
-                                offs = np.where(offs >= alt, offs, alt)
-                            batch_bases, maybe = _batch_fold(
-                                c_a, t_a, offs, horizon
-                            )
-                            folded = tuple(batch_bases.tolist())
-                            folded_negs = tuple((-batch_bases).tolist())
+                                offs = []
+                                for smax_j, smin_j in zip(pick(smax_arr), ms_a):
+                                    first = smax_j - smin_self
+                                    second = smax_self - smin_j
+                                    offs.append(
+                                        first if first >= second else second
+                                    )
+                            else:
+                                offs = [
+                                    smax_j - smin_self for smax_j in pick(smax_arr)
+                                ]
+                            folded, maybe = _batch_fold(c_a, t_a, offs, horizon)
+                            folded_negs = tuple(map(operator.neg, folded))
                             base_workload = _replay_add(
                                 base_workload, folded
                             )
                             event_start = len(events)
-                            for pos in maybe.tolist():
+                            for pos in maybe:
                                 added_events += fold_events(
-                                    float(c_a[pos]),
-                                    float(t_a[pos]),
-                                    float(offs[pos]),
+                                    c_a[pos], t_a[pos], offs[pos]
                                 )
                             node[2][fkey] = (
                                 folded,
@@ -1180,7 +1161,6 @@ class TrajectoryAnalyzer:
                             )
                             events.extend(batch_events)
                             added_events = len(batch_events)
-                        metview[gidx_a] = 1
                     elif safe:
                         for index in added_idx:
                             first = smax_arr[index] - smin_self
@@ -1192,7 +1172,6 @@ class TrajectoryAnalyzer:
                             )
                             removed.append(base)
                             added_events += n_events
-                            met[mg_port[index]] = 1
                     else:
                         for index in added_idx:
                             base, n_events = fold(
@@ -1200,7 +1179,8 @@ class TrajectoryAnalyzer:
                             )
                             removed.append(base)
                             added_events += n_events
-                            met[mg_port[index]] = 1
+                    for g in joined:
+                        met[g] = 1
                     if safe:
                         # re-met competitors charge again (see
                         # `_discover_meetings`); they are already marked
@@ -1258,11 +1238,8 @@ class TrajectoryAnalyzer:
                 base_workload -= base
             if added_events:
                 del events[-added_events:]
-            if vec is not None:
-                metview[vec[1]] = 0
-            else:
-                for index in added_idx:
-                    met[mg_port[index]] = 0
+            for g in joined:
+                met[g] = 0
 
         root_node = meet_tree.get(root)
         if root_node is None:

@@ -17,7 +17,7 @@ sound — and let the analyzer tighten it with trajectory prefix bounds
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.netcalc.results import NetworkCalculusResult
 from repro.network.port import PortId

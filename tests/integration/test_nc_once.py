@@ -4,10 +4,12 @@ The trajectory analyzer seeds ``Smax`` from NC per-port bounds.  Every
 path that runs both methods hands its NC result to the trajectory
 analyzer instead of letting it propagate NC a second time.  The seed
 rule lives in the trajectory layer: only a grouped, overhead-free
-result is the seed; any other result is ignored.
+result is the seed; any other result is ignored.  That NC run is also
+the analysis' only library config gate (``check_network``).
 """
 
 import json
+import sys
 
 import pytest
 
@@ -15,14 +17,15 @@ from repro.batch.corpus import CorpusSpec, analyze_one_config
 from repro.batch.sweep import SweepSpec, batch_sweep
 from repro.cli import main
 from repro.configs import IndustrialConfigSpec, fig1_network, fig2_network, random_network
-from repro.core.combined import analyze_network
+from repro.core.combined import AnalysisOptions, analyze_network, run_analyses
 from repro.experiments.runner import industrial_comparison
 from repro.incremental import DeltaAnalyzer
 from repro.incremental.cache import CACHE_VERSION, BoundCache
 from repro.incremental.edits import RetimeVL
 from repro.netcalc.analyzer import NetworkCalculusAnalyzer, analyze_network_calculus
-from repro.network import network_to_json
+from repro.network import network_to_json, preflight
 from repro.trajectory.analyzer import TrajectoryAnalyzer, analyze_trajectory
+from repro.trajectory.serialization import SERIALIZATION_MODES
 
 
 @pytest.fixture
@@ -37,6 +40,23 @@ def nc_runs(monkeypatch):
 
     monkeypatch.setattr(NetworkCalculusAnalyzer, "_propagate", counted)
     return runs
+
+
+@pytest.fixture
+def gate_calls(monkeypatch):
+    """Names of the networks ``check_network`` judged, wherever it was
+    imported from."""
+    calls = []
+    check = preflight.check_network
+
+    def counted(network):
+        calls.append(network.name)
+        return check(network)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "check_network", None) is check:
+            monkeypatch.setattr(module, "check_network", counted)
+    return calls
 
 
 @pytest.fixture
@@ -91,6 +111,14 @@ class TestOnePropagationPerAnalysis:
         del nc_runs[:]
         engine.apply([RetimeVL(name="v1", bag_ms=8)])
         assert nc_runs == ["fig2"]
+
+
+@pytest.mark.parametrize("mode", SERIALIZATION_MODES)
+def test_run_analyses_gates_once(mode, gate_calls):
+    network = fig2_network()
+    del gate_calls[:]  # the builder judged it too
+    run_analyses(network, AnalysisOptions(serialization=mode))
+    assert gate_calls == ["fig2"]
 
 
 class TestSeedRule:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.obs import resolve_history_dir
 from repro.obs.history import (
     HISTORY_SCHEMA_VERSION,
     RunHistory,
@@ -16,7 +17,6 @@ from repro.obs.history import (
     render_drift_report,
     render_run_diff,
     render_run_line,
-    resolve_history_dir,
     validate_run_record,
 )
 

@@ -1,23 +1,19 @@
-"""Packaging: every third-party module ``repro`` imports is declared.
+"""Packaging: ``repro`` runs on the Python standard library alone.
 
-Every ``afdx`` command that analyzes a configuration loads the
-trajectory kernel, which imports numpy at module level; an undeclared
-runtime dependency only shows up as an ``ImportError`` on a clean
-install, and only once a command reaches that import (``import
-repro.cli`` alone loads no analyzer).  This test walks every import
-statement under ``src/repro`` (function-local ones included) and checks
-each non-stdlib top-level module against ``[project] dependencies`` in
-``pyproject.toml``.
+A third-party import only shows up as an ``ImportError`` on a clean
+install, and only once a command reaches it (``import repro.cli``
+alone loads no analyzer).  This test walks every import statement
+under ``src/repro`` (function-local ones included) and requires each
+top-level module to be ``repro`` itself or part of the standard
+library; ``pyproject.toml`` accordingly declares no runtime
+dependency.
 """
 
 import ast
-import re
 import sys
 from pathlib import Path
 
 import pytest
-
-tomllib = pytest.importorskip("tomllib")
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "repro"
@@ -41,17 +37,11 @@ def _third_party_imports():
     return found
 
 
-def test_third_party_imports_are_declared_dependencies():
+def test_package_imports_only_the_standard_library():
+    assert _third_party_imports() == {}
+
+
+def test_pyproject_declares_no_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
-    declared = {
-        re.split(r"[\s<>=!~;\[]", requirement, maxsplit=1)[0].lower()
-        for requirement in project["dependencies"]
-    }
-    imported = _third_party_imports()
-    assert "numpy" in imported  # the walk sees the trajectory kernel's import
-    undeclared = {
-        module: where
-        for module, where in imported.items()
-        if module.lower() not in declared
-    }
-    assert not undeclared, f"imported but not in pyproject dependencies: {undeclared}"
+    assert project["dependencies"] == []

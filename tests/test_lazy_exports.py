@@ -23,13 +23,21 @@ LAZY_PACKAGES = (
 )
 
 #: Names a package defines itself rather than re-exports.
-EAGER = {"repro": {"__version__"}}
+#: ``afdx`` resolves the run-history directory on every command, and
+#: must not load the history store to do so.
+EAGER = {"repro": {"__version__"}, "repro.obs": {"resolve_history_dir"}}
 
 PUBLIC_NAMES = [
     pytest.param(package, name, id=f"{package}.{name}")
     for package in LAZY_PACKAGES
     for name in import_module(package).__all__
     if name not in EAGER.get(package, ())
+]
+
+EAGER_NAMES = [
+    pytest.param(package, name, id=f"{package}.{name}")
+    for package, names in sorted(EAGER.items())
+    for name in sorted(names)
 ]
 
 
@@ -44,6 +52,16 @@ def test_name_resolves_to_its_defining_submodule(package, name):
     assert value is getattr(import_module(module), name)
     if inspect.isclass(value) or inspect.isfunction(value):
         assert value.__module__ == module
+
+
+@pytest.mark.parametrize("package, name", EAGER_NAMES)
+def test_eager_name_is_defined_by_the_package(package, name):
+    pkg = import_module(package)
+    assert name in vars(pkg)
+    assert all(name not in names for names in pkg._EXPORTS.values())
+    value = getattr(pkg, name)
+    if inspect.isfunction(value):
+        assert value.__module__ == package
 
 
 @pytest.mark.parametrize("package", LAZY_PACKAGES)

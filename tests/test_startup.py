@@ -16,14 +16,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 FIG2 = ROOT / "examples" / "configs" / "fig2.json"
 
-#: What ``afdx analyze CONFIG`` (no cache, no stats flag) does not
-#: run, and so must not import.  The configuration verifier runs on
-#: every load and uses the linter's ``Finding`` class
-#: (``repro.lint.findings``), but the code linter itself stays out.
+#: What ``afdx analyze CONFIG`` (no cache, no stats flag, no run
+#: history, no ``--jitter``) does not run, and so must not import.  The
+#: configuration verifier runs on every load and uses the linter's
+#: ``Finding`` class (``repro.lint.findings``), but the code linter
+#: itself stays out.  The package imports no third-party module
+#: (``tests/test_dependencies.py``), numpy included.
 NOT_LOADED_BY_ANALYZE = (
     "multiprocessing",
+    "numpy",
     "repro.batch",
     "repro.configs",
+    "repro.core.jitter",
     "repro.core.reporting",
     "repro.experiments",
     "repro.explain",
@@ -36,6 +40,7 @@ NOT_LOADED_BY_ANALYZE = (
     "repro.netcalc.priority",
     "repro.network.builder",
     "repro.network.redundancy",
+    "repro.obs.history",
     "repro.obs.hotspots",
     "repro.obs.manifest",
     "repro.obs.prometheus",
@@ -43,16 +48,23 @@ NOT_LOADED_BY_ANALYZE = (
     "repro.obs.telemetry",
     "repro.obs.tracefile",
     "repro.sim",
+    "subprocess",
 )
 
 
 def _fresh(*args: str) -> subprocess.CompletedProcess:
-    """``python ARGS`` in a new interpreter that imports ``src/repro``."""
+    """``python ARGS`` in a new interpreter that imports ``src/repro``.
+
+    The run-history variable is cleared: with it set, every command
+    records its run, and loads the history store to do so.
+    """
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("AFDX_HISTORY_DIR", None)
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        env=env,
         timeout=300,
         check=False,
     )
@@ -85,6 +97,21 @@ def test_analyze_loads_only_what_it_runs():
         "repro.trajectory.analyzer",
     } <= loaded
     assert sorted(loaded.intersection(NOT_LOADED_BY_ANALYZE)) == []
+
+
+def test_whatif_and_corpus_load_no_numpy(tmp_path):
+    edits = tmp_path / "edits.json"
+    edits.write_text('{"edits": []}')
+    loaded = _loaded_after(
+        "import contextlib, io\n"
+        "from repro.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['whatif', {str(FIG2)!r}, {str(edits)!r}]) == 0\n"
+        "from repro.batch.corpus import CorpusSpec, analyze_corpus\n"
+        "assert analyze_corpus(CorpusSpec(configs=3), jobs=1).paths_bound\n"
+    )
+    assert {"repro.batch.corpus", "repro.trajectory.analyzer"} <= loaded
+    assert "numpy" not in loaded
 
 
 def test_experiment_choices_are_the_registry():

@@ -1,9 +1,9 @@
 """Test oracle: the plain dict-based trajectory walk.
 
 The product analyzer (:class:`repro.trajectory.analyzer.TrajectoryAnalyzer`)
-walks flat per-port competitor tables with batched numpy folds, a shared
-meeting tree, cross-sweep memos and a candidate-dominance prune
-(docs/PERFORMANCE.md).  This module keeps the straight transcription of
+walks flat per-port competitor tables with batched folds and per-node
+fold caches, a shared meeting tree, cross-sweep memos and a
+candidate-dominance prune (docs/PERFORMANCE.md).  This module keeps the straight transcription of
 the Martin & Minet busy-period walk those optimizations replaced:
 competitor sets are dicts keyed by VL name, every meeting is discovered
 afresh by name, every flow's events are recomputed, and the candidate

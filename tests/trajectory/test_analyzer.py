@@ -1,10 +1,9 @@
 """Trajectory analyzer end-to-end behaviour."""
 
-import numpy as np
 import pytest
 
-from repro.errors import UnstableNetworkError
-from repro.network import NetworkBuilder
+from repro.errors import ConfigurationError, CyclicRoutingError, UnstableNetworkError
+from repro.network import Network, NetworkBuilder, VirtualLink
 from repro.trajectory import TrajectoryAnalyzer, analyze_trajectory
 
 
@@ -113,6 +112,70 @@ class TestStability:
             analyze_trajectory(builder.build(validate=False))
 
 
+class TestConfigGate:
+    """Without ``nc_result`` the analyzer's own NC seed run is the gate.
+
+    Together with ``TestStability::test_unstable_raises`` and
+    ``tests/integration/test_tandem_oracle.py::
+    test_chain_without_spare_rate_is_unstable`` (unstable networks),
+    these pin the errors ``analyze_trajectory`` raises on a network it
+    cannot bound.
+    """
+
+    def test_cyclic_routing_raises(self):
+        # three switches in a triangle with rotating flows: the port
+        # graph cycles (S1,S2)->(S2,S3)->(S3,S1)->(S1,S2)
+        builder = (
+            NetworkBuilder("cyc")
+            .switches("S1", "S2", "S3")
+            .end_systems("a", "b", "c", "x", "y", "z")
+            .link("S1", "S2")
+            .link("S2", "S3")
+            .link("S3", "S1")
+            .link("a", "S1")
+            .link("b", "S2")
+            .link("c", "S3")
+            .link("x", "S2")
+            .link("y", "S3")
+            .link("z", "S1")
+        )
+        for name, source, dest, path in (
+            ("v1", "a", "y", ["a", "S1", "S2", "S3", "y"]),
+            ("v2", "b", "z", ["b", "S2", "S3", "S1", "z"]),
+            ("v3", "c", "x", ["c", "S3", "S1", "S2", "x"]),
+        ):
+            builder.virtual_link(
+                name, source=source, destinations=[dest], bag_ms=4,
+                s_max_bytes=100, paths=[path],
+            )
+        with pytest.raises(CyclicRoutingError, match="cycle"):
+            analyze_trajectory(builder.build(validate=False))
+
+    def test_non_tree_multicast_raises(self):
+        # the two paths fork at S1 and re-join at S3: not a tree
+        net = Network()
+        for name in ("S1", "S2", "S3"):
+            net.add_switch(name)
+        for name in ("e1", "e2", "e3"):
+            net.add_end_system(name)
+        for a, b in (
+            ("e1", "S1"), ("S1", "S2"), ("S1", "S3"), ("S2", "e2"),
+            ("S2", "S3"), ("S3", "e3"),
+        ):
+            net.add_link(a, b)
+        net.add_virtual_link(
+            VirtualLink(
+                name="vx",
+                source="e1",
+                paths=(("e1", "S1", "S2", "S3", "e3"), ("e1", "S1", "S3", "e3")),
+                bag_ms=4,
+                s_max_bytes=500,
+            )
+        )
+        with pytest.raises(ConfigurationError, match="CFG108"):
+            analyze_trajectory(net)
+
+
 class TestMulticast:
     def test_each_path_bounded(self, fig1):
         result = analyze_trajectory(fig1)
@@ -142,9 +205,9 @@ class TestMeshReMeeting:
         analyzer = TrajectoryAnalyzer(mesh, serialization="safe")
         analyzer.prepare()
         # walking v1 down to (S2, S3): v2 was met at (S1, S2)
-        met = np.zeros(analyzer._n_vls, dtype=np.uint8)
-        met[[analyzer._vl_index["v1"], analyzer._vl_index["v2"]]] = 1
-        n_added, added, readded, _gain, _vec = analyzer._discover_meetings(
+        met = bytearray(analyzer._n_vls)
+        met[analyzer._vl_index["v1"]] = met[analyzer._vl_index["v2"]] = 1
+        n_added, added, readded, _gain, _vec, _joined = analyzer._discover_meetings(
             ("S3", "d"), ("S2", "S3"), met
         )
         members = analyzer._port_vls[("S3", "d")]

@@ -5,18 +5,26 @@ shared-subpath memoization, dominance pruning — docs/PERFORMANCE.md)
 promises *exactly* the floats of the plain reference walk kept as a
 test oracle in ``tests/trajectory/reference_kernel.py``, not merely
 close ones.  These tests enforce that promise on the paper
-configurations and on randomized topologies under hypothesis, and
-smoke-test a seeded 1000-VL industrial configuration; the
-committed-scenario sweep (including the incremental-cache shapes)
-lives in ``scripts/kernel_gate.py``.
+configurations, on randomized topologies under hypothesis and on
+industrial configurations whose ports fold wide competitor batches
+(64 VLs in every mode, 120 VLs in safe mode), check the batch fold
+against the scalar counter under hypothesis, and smoke-test a seeded
+1000-VL industrial configuration; the committed-scenario sweep
+(including the incremental-cache shapes) lives in
+``scripts/kernel_gate.py``.
 """
+
+import math
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.configs import fig1_network, fig2_network, random_network
+from repro.configs.industrial import IndustrialConfigSpec, industrial_network
 from repro.trajectory import analyze_trajectory
+from repro.trajectory import analyzer as kernel
+from repro.trajectory.busy_period import interference_count
 from tests.trajectory.reference_kernel import ReferenceTrajectoryAnalyzer
 
 FLOAT_FIELDS = (
@@ -62,6 +70,82 @@ class TestPaperConfigs:
 def test_mesh_with_re_meeting(mesh, mode):
     """Re-met competitors (charged again in safe mode) match the oracle."""
     assert_kernels_identical(mesh, mode)
+
+
+#: configs where 16 or more competitors join at once on some ports: the
+#: 64-VL one in every mode, and the 120-VL one in safe mode, the only
+#: one of them where a batched competitor's catch-up offset
+#: ``Smax_i - Smin_j`` exceeds its historical one
+WIDE_BATCHES = [
+    pytest.param(64, 7, mode, id=f"64-seed7-{mode}") for mode in MODES
+] + [pytest.param(120, 2010, "safe", id="120-safe")]
+
+
+@pytest.mark.parametrize("n_vls, seed, mode", WIDE_BATCHES)
+def test_wide_batches_match_the_oracle(n_vls, seed, mode, monkeypatch):
+    network = industrial_network(IndustrialConfigSpec(seed=seed, n_virtual_links=n_vls))
+    widths = []
+    batch_fold = kernel._batch_fold
+
+    def counted(c, period, offset, horizon):
+        widths.append(len(c))
+        return batch_fold(c, period, offset, horizon)
+
+    monkeypatch.setattr(kernel, "_batch_fold", counted)
+    assert_kernels_identical(network, mode)
+    assert widths and min(widths) >= kernel._VEC_MIN
+
+
+#: BAGs of 1-128 ms in us, as AFDX configurations use them
+_BAG_US = st.sampled_from([1000.0 * 2 ** k for k in range(8)])
+
+
+@st.composite
+def _competitor(draw):
+    """``(C, T, A)`` with ``A`` often on, or one ulp off, a multiple of ``T``."""
+    c = draw(st.floats(min_value=0.01, max_value=200.0))
+    period = draw(st.one_of(_BAG_US, st.floats(min_value=100.0, max_value=2e5)))
+    multiple = draw(st.integers(min_value=0, max_value=200)) * period
+    offset = draw(
+        st.one_of(
+            st.just(multiple),
+            st.just(math.nextafter(multiple, math.inf)),
+            st.just(math.nextafter(multiple, -math.inf)),
+            st.just(-multiple),
+            st.floats(min_value=-1e6, max_value=1e7),
+        )
+    )
+    return c, period, offset
+
+
+class TestBatchFold:
+    @given(
+        batch=st.lists(_competitor(), min_size=1, max_size=40),
+        horizon=st.floats(min_value=0.0, max_value=2e4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_scalar_counter_and_screen(self, batch, horizon):
+        c, period, offset = (tuple(column) for column in zip(*batch))
+        bases, maybe = kernel._batch_fold(c, period, offset, horizon)
+        assert len(bases) == len(batch)
+        for index, (ci, ti, ai) in enumerate(batch):
+            expected = interference_count(0.0, ai, ti) * ci
+            assert bases[index].hex() == expected.hex(), (ci, ti, ai)
+            if kernel._flow_events(ci, ti, ai, horizon)[1]:
+                assert index in maybe, (ci, ti, ai, horizon)
+            # exactly the first jump `_flow_events` tests, so the event
+            # memo sees the same lookups as the per-flow path would
+            first_jump = (ai // ti + 1.0) * ti - ai
+            assert (index in maybe) == (first_jump < horizon), (ti, ai, horizon)
+
+    def test_boundary_offsets(self):
+        period = 3000.0
+        at = 4 * period
+        offsets = (at, math.nextafter(at, math.inf), math.nextafter(at, -math.inf), -1.0)
+        bases, _maybe = kernel._batch_fold(
+            (2.0,) * 4, (period,) * 4, offsets, 100.0
+        )
+        assert bases == (10.0, 10.0, 8.0, 0.0)
 
 
 class TestRandomConfigs:
