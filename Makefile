@@ -22,11 +22,11 @@ lint:
 	python -m repro.cli lint examples/configs/*.json --no-utilization-table
 
 # Interprocedural dataflow lint (taint + ownership + fork-safety) over
-# everything we ship plus the trajectory test oracle the kernel gate
-# trusts, gated on the committed baseline: pre-existing
+# everything we ship plus the NC and trajectory test oracles the kernel
+# gate trusts, gated on the committed baseline: pre-existing
 # benchmark/script findings are tolerated, new findings fail.
 LINT_DATAFLOW_PATHS := src/repro benchmarks scripts perfbench examples \
-	tests/trajectory/reference_kernel.py
+	tests/trajectory/reference_kernel.py tests/netcalc/reference_analyzer.py
 
 lint-dataflow:
 	python -m repro.lint --engine dataflow --baseline lint_baseline.json \
@@ -80,8 +80,9 @@ profile-smoke:
 obs-smoke:
 	python scripts/obs_smoke.py
 
-# Trajectory kernel equivalence: product kernel vs test oracle
-# (tests/trajectory/reference_kernel.py), bounds bit-identical on every
-# scenario, across cold/warm incremental cache.
+# Kernel equivalence: the NC propagation vs its per-flow test oracle
+# (tests/netcalc/reference_analyzer.py) and the trajectory kernel vs its
+# test oracle (tests/trajectory/reference_kernel.py), bounds
+# bit-identical on every scenario, trajectory across cold/warm cache.
 kernel-gate:
 	python scripts/kernel_gate.py

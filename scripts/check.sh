@@ -18,9 +18,10 @@ python -m compileall -q src
 echo "== repro.lint (dataflow engine, zero unwaived findings in src/repro) =="
 python -m repro.lint --engine dataflow src/repro
 
-echo "== repro.lint dataflow baseline (src + benchmarks + scripts + perfbench + examples + kernel test oracle; new findings fail) =="
+echo "== repro.lint dataflow baseline (src + benchmarks + scripts + perfbench + examples + NC and trajectory test oracles; new findings fail) =="
 python -m repro.lint --engine dataflow --baseline lint_baseline.json \
-    src/repro benchmarks scripts perfbench examples tests/trajectory/reference_kernel.py
+    src/repro benchmarks scripts perfbench examples \
+    tests/trajectory/reference_kernel.py tests/netcalc/reference_analyzer.py
 
 echo "== afdx lint (config verifier over shipped examples) =="
 python -m repro.cli lint examples/configs/*.json --no-utilization-table
@@ -34,7 +35,7 @@ python -m pytest -x -q tests/test_startup.py
 echo "== incremental equivalence (30-edit replay vs cold, warm cache dir) =="
 python scripts/incremental_gate.py
 
-echo "== kernel equivalence (product kernel vs test oracle, bit-identical across cold/warm cache) =="
+echo "== kernel equivalence (NC and trajectory kernels vs their test oracles, bit-identical; trajectory across cold/warm cache) =="
 python scripts/kernel_gate.py
 
 echo "== profile smoke (afdx profile on fig1; traces valid; ledger byte-identical) =="

@@ -1,6 +1,18 @@
 """Kernel-equivalence gate (run by ``scripts/check.sh``).
 
-The trajectory analyzer ships one sweep kernel (flat per-port
+Two product kernels, two test oracles.  Part one is Network Calculus:
+the product propagation reads the network's routing table and folds
+each input-link group into one affine curve (docs/PERFORMANCE.md,
+"Network Calculus"); its ground truth is the per-flow propagation in
+``tests/netcalc/reference_analyzer.py``.  On every scenario below plus
+the 64-VL industrial configurations of seeds 1-8, with grouping on and
+off and at 0 and 20 bytes of frame overhead, every port's
+``delay_us``, ``backlog_bits``, ``utilization``, ``n_flows`` and
+``n_groups`` and every path's ``total_us`` must equal the oracle's
+**exactly**.  The trajectory oracle below takes its ``Smax`` seed
+from the product NC, so only this part sees an NC float move.
+
+Part two is the trajectory analyzer, which ships one sweep kernel (flat per-port
 competitor tables, batched busy-period folds, shared-subpath
 memoization and a proven candidate-dominance prune — see
 docs/PERFORMANCE.md).  Its ground truth is the test oracle in
@@ -38,8 +50,12 @@ from repro.configs.industrial import (  # noqa: E402
 )
 from repro.configs.random_topology import random_network  # noqa: E402
 from repro.incremental.cache import BoundCache  # noqa: E402
+from repro.netcalc.analyzer import analyze_network_calculus  # noqa: E402
 from repro.obs.costmodel import deterministic_section  # noqa: E402
 from repro.trajectory.analyzer import analyze_trajectory  # noqa: E402
+from tests.netcalc.reference_analyzer import (  # noqa: E402
+    ReferenceNetworkCalculusAnalyzer,
+)
 from tests.trajectory.reference_kernel import (  # noqa: E402
     ReferenceTrajectoryAnalyzer,
 )
@@ -92,6 +108,63 @@ def _scenarios():
     )
 
 
+_NC_PORT_FIELDS = ("delay_us", "backlog_bits", "utilization", "n_flows", "n_groups")
+
+
+def _nc_networks():
+    """Every scenario's network once, plus the 64-VL configs of seeds 1-8."""
+    seen = set()
+    for scenario, network, _mode in _scenarios():
+        name = scenario.split("/")[0]
+        if name not in seen:
+            seen.add(name)
+            yield name, network
+    for seed in range(1, 9):
+        name = f"industrial-64-seed{seed}"
+        if name not in seen:
+            seen.add(name)
+            yield name, industrial_network(
+                IndustrialConfigSpec(seed=seed, n_virtual_links=64)
+            )
+
+
+def _check_netcalc():
+    for name, network in _nc_networks():
+        for grouping in (True, False):
+            for overhead in (0.0, 20.0):
+                scenario = f"{name}/nc-grouping-{'on' if grouping else 'off'}-{overhead:g}B"
+                reference = ReferenceNetworkCalculusAnalyzer(
+                    network, grouping=grouping, frame_overhead_bytes=overhead
+                ).analyze()
+                product = analyze_network_calculus(
+                    network, grouping=grouping, frame_overhead_bytes=overhead
+                )
+                if set(reference.ports) != set(product.ports):
+                    _fail(scenario, "port sets differ")
+                for port_id, ref in reference.ports.items():
+                    got = product.ports[port_id]
+                    for field in _NC_PORT_FIELDS:
+                        if getattr(ref, field) != getattr(got, field):
+                            _fail(
+                                scenario,
+                                f"port {port_id} {field} "
+                                f"{getattr(ref, field)!r} != {getattr(got, field)!r}",
+                            )
+                if set(reference.paths) != set(product.paths):
+                    _fail(scenario, "path key sets differ")
+                for key, ref in reference.paths.items():
+                    if ref.total_us != product.paths[key].total_us:
+                        _fail(
+                            scenario,
+                            f"{key} total_us {ref.total_us!r} != "
+                            f"{product.paths[key].total_us!r}",
+                        )
+        print(
+            f"  {name}: NC ports and paths bit-identical to the oracle "
+            "(grouping on/off, 0/20 B overhead)"
+        )
+
+
 def _fail(scenario, message):
     print(f"kernel gate FAILED on {scenario}: {message}")
     sys.exit(1)
@@ -139,6 +212,7 @@ def _ledger_section(result):
 
 
 def main():
+    _check_netcalc()
     for scenario, network, mode in _scenarios():
         reference = ReferenceTrajectoryAnalyzer(
             network, serialization=mode, collect_stats=True

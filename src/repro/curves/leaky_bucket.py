@@ -10,7 +10,7 @@ contract; bursts grow as the flow crosses ports (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.curves.piecewise import PiecewiseCurve
 
@@ -68,4 +68,4 @@ class LeakyBucket:
         """
         if delay < 0:
             raise ValueError(f"delay must be >= 0, got {delay}")
-        return replace(self, burst=self.burst + self.rate * delay)
+        return LeakyBucket(rate=self.rate, burst=self.burst + self.rate * delay)

@@ -229,15 +229,15 @@ class NetworkCalculusAnalyzer:
             network, port_id, buckets, self.grouping
         )
         port = network.output_port(*port_id)
-        beta = RateLatency(rate=port.rate_bits_per_us, latency=port.latency_us)
-        delay = horizontal_deviation(aggregate, beta.curve())
+        beta = RateLatency(rate=port.rate_bits_per_us, latency=port.latency_us).curve()
+        delay = horizontal_deviation(aggregate, beta)
         if math.isinf(delay):
             raise UnstableNetworkError(
                 f"no finite delay bound at port {port}: aggregate long-term rate "
                 f"{aggregate.final_slope:.3f} bits/us exceeds the link rate "
                 f"{port.rate_bits_per_us:.3f}"
             )
-        backlog = vertical_deviation(aggregate, beta.curve())
+        backlog = vertical_deviation(aggregate, beta)
         return PortAnalysis(
             port_id=port_id,
             delay_us=delay,
@@ -255,17 +255,19 @@ class NetworkCalculusAnalyzer:
     ) -> int:
         """Burst-inflate every flow of ``port_id`` into its next queues.
 
-        Returns the number of flows propagated (for metrics).
+        The next queues of each flow come from the network's
+        :class:`~repro.network.topology.RoutingTable`.  Returns the
+        number of flows propagated (for metrics).
         """
-        network = self.network
-        flows = network.vls_at_port(port_id)
-        for name in sorted(flows):
-            out_bucket = entering[(name, port_id)].delayed(delay)
-            for path in network.vl(name).paths:
-                ports = list(zip(path, path[1:]))
-                for pos, pid in enumerate(ports):
-                    if pid == port_id and pos + 1 < len(ports):
-                        entering[(name, ports[pos + 1])] = out_bucket
+        table = self.network.routing_table()
+        next_ports = table.next_ports
+        flows = table.members.get(port_id, ())
+        for name in flows:
+            targets = next_ports[(name, port_id)]
+            if targets:
+                out_bucket = entering[(name, port_id)].delayed(delay)
+                for pid in targets:
+                    entering[(name, pid)] = out_bucket
         return len(flows)
 
     def finalize_paths(
@@ -315,14 +317,12 @@ class NetworkCalculusAnalyzer:
             "netcalc.propagate", n_ports=len(order), grouping=self.grouping
         )
         flows_propagated = 0
+        members = network.routing_table().members
         with propagation_span:
             for index, port_id in enumerate(order):
                 if progress:
                     progress.update("netcalc.propagate", index, len(order))
-                buckets = {
-                    name: entering[(name, port_id)]
-                    for name in sorted(network.vls_at_port(port_id))
-                }
+                buckets = {name: entering[(name, port_id)] for name in members[port_id]}
                 analysis = self.analyze_port(port_id, buckets)
                 port_delay[port_id] = analysis.delay_us
                 result.ports[port_id] = analysis

@@ -48,11 +48,12 @@ def arrival_groups(network: Network, port_id: PortId) -> Dict[GroupKey, FrozenSe
     Flows whose source end system owns the port get singleton groups
     (nothing upstream constrains them jointly).
     """
-    groups: Dict[GroupKey, set] = {}
-    for vl_name in sorted(network.vls_at_port(port_id)):
-        upstream = network.upstream_port(vl_name, port_id)
+    table = network.routing_table()
+    groups: Dict[GroupKey, List[str]] = {}
+    for vl_name in table.members.get(port_id, ()):
+        upstream = table.upstream((vl_name, port_id))
         key: GroupKey = upstream if upstream is not None else ("source", vl_name)
-        groups.setdefault(key, set()).add(vl_name)
+        groups.setdefault(key, []).append(vl_name)
     return {key: frozenset(members) for key, members in groups.items()}
 
 
@@ -78,9 +79,25 @@ def group_arrival_curve(
         When False, or when the group is locally sourced, the curve is
         the plain sum of the members; otherwise it is capped by the
         upstream link's shaping curve.
+
+    The members' buckets fold into one affine curve: bursts and rates
+    summed one after the other in sorted-name order.  That is bit for
+    bit the curve ``sum_curves`` builds from the per-member affine
+    curves, because :func:`~repro.curves.add_curves` evaluates affine
+    curves only at ``x = 0``, where ``burst + rate * 0.0 == burst``, and
+    the curve's ``max(0.0, slope)`` clamp leaves a non-negative rate sum
+    unchanged (``tests/netcalc/test_grouping.py`` checks the identity).
     """
     member_list = sorted(members)
-    summed = sum_curves(buckets[name].curve() for name in member_list)
+    burst = 0.0
+    rate = 0.0
+    for name in member_list:
+        bucket = buckets[name]
+        # repro-lint: allow[REPRO102] the sequential sum add_curves folds per member, kept bit for bit
+        burst += bucket.burst
+        # repro-lint: allow[REPRO102] the sequential sum add_curves folds per member, kept bit for bit
+        rate += bucket.rate
+    summed = PiecewiseCurve.affine(rate, burst)
     if not grouping or key[0] == "source":
         return summed
     link_rate = network.link_rate(*key)

@@ -121,6 +121,7 @@ class StaticPriorityAnalyzer:
         network = self.network
         check_network(network)
         order = topological_port_order(network)
+        next_ports = network.routing_table().next_ports
 
         entering: Dict[Tuple[str, PortId], LeakyBucket] = {}
         for name, vl in network.virtual_links.items():
@@ -159,13 +160,12 @@ class StaticPriorityAnalyzer:
             )
 
             for name in sorted(flows):
-                level = network.vl(name).priority
-                out_bucket = buckets[name].delayed(delays[level])
-                for path in network.vl(name).paths:
-                    ports = list(zip(path, path[1:]))
-                    for pos, pid in enumerate(ports):
-                        if pid == port_id and pos + 1 < len(ports):
-                            entering[(name, ports[pos + 1])] = out_bucket
+                targets = next_ports[(name, port_id)]
+                if targets:
+                    level = network.vl(name).priority
+                    out_bucket = buckets[name].delayed(delays[level])
+                    for pid in targets:
+                        entering[(name, pid)] = out_bucket
 
         for vl_name, path_index, node_path in network.flow_paths():
             level = network.vl(vl_name).priority
@@ -194,9 +194,9 @@ class StaticPriorityAnalyzer:
         n_groups = 0
         for key, members in sorted(groups.items()):
             for level in (self.HIGH, self.LOW):
-                subset = frozenset(
-                    m for m in members if network.vl(m).priority == level
-                )
+                subset = [
+                    m for m in sorted(members) if network.vl(m).priority == level
+                ]
                 if not subset:
                     continue
                 n_groups += 1

@@ -15,7 +15,7 @@ ARINC-664 configurations are engineered feed-forward; a cycle raises
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, FrozenSet, List
 
 from repro.errors import CyclicRoutingError
 from repro.network.port import PortId
@@ -24,18 +24,15 @@ from repro.network.topology import Network
 __all__ = ["port_successors", "topological_port_order"]
 
 
-def port_successors(network: Network) -> Dict[PortId, Set[PortId]]:
+def port_successors(network: Network) -> Dict[PortId, FrozenSet[PortId]]:
     """Adjacency of the port graph: ``p -> set of immediate successors``.
 
-    Every used port appears as a key, including sink ports with no
-    successors.
+    Every used port appears as a key, in sorted order, including sink
+    ports with no successors.  Read from the network's
+    :class:`~repro.network.topology.RoutingTable` (shared; do not
+    mutate).
     """
-    succ: Dict[PortId, Set[PortId]] = {pid: set() for pid in network.used_ports()}
-    for _vl, _idx, path in network.flow_paths():
-        ports = [(a, b) for a, b in zip(path, path[1:])]
-        for p, q in zip(ports, ports[1:]):
-            succ[p].add(q)
-    return succ
+    return network.routing_table().successors
 
 
 def topological_port_order(network: Network) -> List[PortId]:

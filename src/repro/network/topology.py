@@ -3,7 +3,8 @@
 A :class:`Network` holds the physical topology (nodes and full-duplex
 links) and the static flow configuration (Virtual Links).  It derives
 the objects the analyses operate on: :class:`~repro.network.port.OutputPort`
-instances, per-port flow sets, and per-flow output-port sequences.
+instances, per-port flow sets, per-flow output-port sequences, and the
+:class:`RoutingTable` every path query reads.
 """
 
 from __future__ import annotations
@@ -22,10 +23,131 @@ from repro.network.node import EndSystem, Node, Switch
 from repro.network.port import OutputPort, PortId
 from repro.network.virtual_link import VirtualLink
 
-__all__ = ["Network", "FlowPath"]
+__all__ = ["Network", "FlowPath", "RoutingTable"]
 
 #: A concrete unicast trajectory: ``(vl_name, path_index)``.
 FlowPath = Tuple[str, int]
+
+
+#: the successors of every sink port: one shared empty set
+_NO_PORTS: FrozenSet[PortId] = frozenset()
+
+
+def _interned_ports(path: Tuple[str, ...], canon: Dict[PortId, PortId]) -> Tuple[PortId, ...]:
+    """The output ports of one path, one shared object per port id.
+
+    ``canon`` maps each port id seen so far to its first object.  A
+    table keeps the port ids it stores, so sharing them keeps its
+    memory at one tuple per port instead of one per path hop.
+    """
+    return tuple([canon.setdefault(pid, pid) for pid in zip(path, path[1:])])
+
+
+class RoutingTable:
+    """The routing facts of one network, each section built on first use.
+
+    ``successors``
+        the port graph: every used port, in sorted order, mapped to the
+        ports some VL path visits right after it.  One pass over the
+        paths.
+
+    The tree facts, built together in one pass over the paths in the
+    order of :meth:`Network.flow_paths` (sorted VL names, then path
+    order, then hop order):
+
+    ``prefixes``
+        for every output port of every VL tree, keyed ``(vl_name,
+        port_id)``: the ports a frame of the VL crosses from its source
+        up to *and including* the port.  Unique because multicast paths
+        form a tree (for a non-tree VL, which the configuration gate
+        rejects, the first path's prefix).  Its second-to-last entry is
+        the upstream port (:meth:`upstream`);
+    ``next_ports``
+        for the same keys: the port's children in the VL's tree, in
+        first-seen path order;
+    ``members``
+        for every used port: the sorted names of the VLs crossing it.
+
+    ``utilization`` maps ports to their utilization, filled by
+    :meth:`Network.port_utilization`.
+
+    A section costs nothing until it is read, so a caller that needs
+    only the port graph (``dirty_closure`` on a cache-served what-if
+    edit) or only utilization (a generator's repair loop) builds no
+    tree facts.  The table describes the VLs it was created with; the
+    network drops it on every mutation.  The mappings are shared, so
+    callers must not mutate them.
+    """
+
+    __slots__ = ("_vls", "_successors", "_tree", "utilization")
+
+    def __init__(self, vls: Dict[str, VirtualLink]) -> None:
+        self._vls = dict(vls)
+        self._successors: Optional[Dict[PortId, FrozenSet[PortId]]] = None
+        self._tree: Optional[Tuple[Dict, Dict, Dict]] = None
+        self.utilization: Dict[PortId, float] = {}
+
+    @property
+    def successors(self) -> Dict[PortId, FrozenSet[PortId]]:
+        if self._successors is None:
+            canon: Dict[PortId, PortId] = {}
+            succ: Dict[PortId, Set[PortId]] = {}
+            for vl in self._vls.values():
+                for path in vl.paths:
+                    ports = _interned_ports(path, canon)
+                    for pid in ports:
+                        succ.setdefault(pid, set())
+                    for p, q in zip(ports, ports[1:]):
+                        succ[p].add(q)
+            self._successors = {
+                pid: frozenset(succ[pid]) if succ[pid] else _NO_PORTS for pid in sorted(succ)
+            }
+        return self._successors
+
+    @property
+    def prefixes(self) -> Dict[Tuple[str, PortId], Tuple[PortId, ...]]:
+        return self._tree_facts()[0]
+
+    @property
+    def next_ports(self) -> Dict[Tuple[str, PortId], Tuple[PortId, ...]]:
+        return self._tree_facts()[1]
+
+    @property
+    def members(self) -> Dict[PortId, Tuple[str, ...]]:
+        return self._tree_facts()[2]
+
+    def upstream(self, key: Tuple[str, PortId]) -> Optional[PortId]:
+        """The port before ``key``'s port on its VL tree (None at the root)."""
+        prefix = self._tree_facts()[0][key]
+        return prefix[-2] if len(prefix) > 1 else None
+
+    def _tree_facts(self) -> Tuple[Dict, Dict, Dict]:
+        if self._tree is None:
+            prefixes: Dict[Tuple[str, PortId], Tuple[PortId, ...]] = {}
+            children: Dict[Tuple[str, PortId], List[PortId]] = {}
+            members: Dict[PortId, List[str]] = {}
+            canon: Dict[PortId, PortId] = {}
+            vls = self._vls
+            for name in sorted(vls):
+                for path in vls[name].paths:
+                    ports = _interned_ports(path, canon)
+                    for pos, pid in enumerate(ports):
+                        key = (name, pid)
+                        if key not in prefixes:
+                            prefixes[key] = ports[: pos + 1]
+                            children[key] = []
+                            # VL names arrive sorted: each member list is too
+                            members.setdefault(pid, []).append(name)
+                        if pos:
+                            siblings = children[(name, ports[pos - 1])]
+                            if pid not in siblings:
+                                siblings.append(pid)
+            self._tree = (
+                prefixes,
+                {key: tuple(nexts) for key, nexts in children.items()},
+                {pid: tuple(names) for pid, names in members.items()},
+            )
+        return self._tree
 
 
 class Network:
@@ -52,6 +174,7 @@ class Network:
         self._adjacency: Dict[str, Set[str]] = {}
         self._vls: Dict[str, VirtualLink] = {}
         self._port_flows_cache: Optional[Dict[PortId, FrozenSet[str]]] = None
+        self._routing_cache: Optional[RoutingTable] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -170,6 +293,7 @@ class Network:
 
     def _invalidate(self) -> None:
         self._port_flows_cache = None
+        self._routing_cache = None
 
     # ------------------------------------------------------------------
     # Topology queries
@@ -304,24 +428,31 @@ class Network:
             self._port_flows_cache = {pid: frozenset(s) for pid, s in acc.items()}
         return self._port_flows_cache
 
+    def routing_table(self) -> RoutingTable:
+        """This network's :class:`RoutingTable`, built on first use.
+
+        Every mutation drops it, so it always describes the current
+        VLs; :meth:`copy` starts without one.
+        """
+        if self._routing_cache is None:
+            self._routing_cache = RoutingTable(self._vls)
+        return self._routing_cache
+
     def upstream_port(self, vl_name: str, port_id: PortId) -> Optional[PortId]:
         """The port a VL's frames traverse immediately before ``port_id``.
 
-        Returns ``None`` when ``port_id`` is the VL's source (ES output)
-        port.  This identifies the *input link* through which the VL
-        enters the node owning ``port_id`` — the grouping key of the
+        Returns ``None`` when ``port_id`` is owned by the VL's source
+        end system.  This identifies the *input link* through which the
+        VL enters the node owning ``port_id`` — the grouping key of the
         serialization technique in both analyses.  Well-defined because
         multicast paths form a tree (unique prefix per node).
         """
-        vl = self.vl(vl_name)
-        owner = port_id[0]
-        if owner == vl.source:
+        table = self.routing_table()
+        key = (vl_name, port_id)
+        if key in table.prefixes:
+            return table.upstream(key)
+        if port_id[0] == self.vl(vl_name).source:
             return None
-        for path in vl.paths:
-            for a, b in zip(path, path[1:]):
-                if (a, b) == port_id:
-                    idx = path.index(owner)
-                    return (path[idx - 1], owner)
         raise InvalidVirtualLinkError(
             f"VL {vl_name} does not cross port {port_id[0]}->{port_id[1]}"
         )
@@ -332,13 +463,19 @@ class Network:
         Summed in sorted-name order: float addition is not associative,
         and set iteration order varies with insertion history and hash
         seed — canonical order keeps the value bit-identical for
-        set-equal networks (the incremental cache's contract).
+        set-equal networks (the incremental cache's contract).  Kept in
+        the routing table, so the configuration gate and the analyses
+        sum each port once.
         """
+        known = self.routing_table().utilization
+        if port_id in known:
+            return known[port_id]
         rate = self.link_rate(*port_id)
         demand = math.fsum(
             self._vls[v].rate_bits_per_us for v in sorted(self.vls_at_port(port_id))
         )
-        return demand / rate
+        known[port_id] = demand / rate
+        return known[port_id]
 
     def max_utilization(self) -> float:
         """Highest port utilization over the network (0.0 when no VLs)."""

@@ -596,8 +596,11 @@ class TrajectoryAnalyzer:
         read from these tables is bit-identical to the dict walk.
         ``Smax`` is the only sweep-varying input; its per-port slices
         are rebuilt lazily each sweep (:meth:`_smax_slice`).
+        Membership, trees and upstream ports come from the network's
+        :class:`~repro.network.topology.RoutingTable`.
         """
         network = self.network
+        table = network.routing_table()
         vl_order = sorted(network.virtual_links)
         self._vl_index: Dict[str, int] = {
             name: index for index, name in enumerate(vl_order)
@@ -606,8 +609,7 @@ class TrajectoryAnalyzer:
         # sorted flow tuple per port: a deterministic iteration order
         # regardless of process hash seed (frozenset order is not)
         self._port_vls: Dict[PortId, Tuple[str, ...]] = {
-            pid: tuple(sorted(network.vls_at_port(pid)))
-            for pid in network.used_ports()
+            pid: table.members[pid] for pid in network.used_ports()
         }
         # largest frame transmission time crossing each port (Delta term)
         self._port_max_c: Dict[PortId, float] = {}
@@ -623,20 +625,15 @@ class TrajectoryAnalyzer:
             pid: network.node(pid[0]).technological_latency_us
             for pid in self._port_vls
         }
-        # per-VL multicast tree: root port and children adjacency
-        self._trees: Dict[str, Tuple[PortId, Dict[PortId, List[PortId]]]] = {}
-        for vl_name in network.virtual_links:
-            children: Dict[PortId, List[PortId]] = {}
-            root: Optional[PortId] = None
-            for path in network.vl(vl_name).paths:
-                ports = [(a, b) for a, b in zip(path, path[1:])]
-                root = ports[0]
-                for parent, child in zip(ports, ports[1:]):
-                    siblings = children.setdefault(parent, [])
-                    if child not in siblings:
-                        siblings.append(child)
-            assert root is not None
-            self._trees[vl_name] = (root, children)
+        # per-VL multicast tree: root port (each VL's first table key)
+        # and children adjacency
+        self._trees: Dict[str, Tuple[PortId, Dict[PortId, Tuple[PortId, ...]]]] = {}
+        for (vl_name, pid), targets in table.next_ports.items():
+            tree = self._trees.get(vl_name)
+            if tree is None:
+                tree = self._trees[vl_name] = (pid, {})
+            if targets:
+                tree[1][pid] = targets
         # each VL's tree ports in walk order: the per-VL key of the
         # sweep memo
         self._walk_tree_ports: Dict[str, Tuple[PortId, ...]] = {
@@ -644,7 +641,7 @@ class TrajectoryAnalyzer:
         }
         # upstream port of each VL at each of its tree ports
         self._upstream: Dict[FlowPortKey, Optional[PortId]] = {
-            key: network.upstream_port(key[0], key[1]) for key in self._prefixes
+            key: table.upstream(key) for key in self._prefixes
         }
         # per-port tuples, plus a reader that gathers the members' met
         # flags from the walk's bitmap in one call (`_discover_meetings`)

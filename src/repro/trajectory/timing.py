@@ -34,14 +34,11 @@ def tree_prefixes(network: Network) -> Dict[FlowPortKey, Tuple[PortId, ...]]:
     The prefix of port ``p`` on VL ``v`` is the sequence of ports a
     frame of ``v`` traverses from the source up to *and including*
     ``p``.  Because multicast paths form a tree, the prefix is unique
-    even when several paths share ``p``.
+    even when several paths share ``p``.  Read from the network's
+    :class:`~repro.network.topology.RoutingTable` (shared; do not
+    mutate).
     """
-    prefixes: Dict[FlowPortKey, Tuple[PortId, ...]] = {}
-    for vl_name, _idx, path in network.flow_paths():
-        ports = [(a, b) for a, b in zip(path, path[1:])]
-        for pos, pid in enumerate(ports):
-            prefixes[(vl_name, pid)] = tuple(ports[: pos + 1])
-    return prefixes
+    return network.routing_table().prefixes
 
 
 def compute_smin(network: Network) -> Dict[FlowPortKey, float]:

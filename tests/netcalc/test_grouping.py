@@ -1,9 +1,12 @@
 """Input-link grouping for Network Calculus."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.curves import LeakyBucket, PiecewiseCurve
+from repro.curves import LeakyBucket, PiecewiseCurve, min_curves, sum_curves
 from repro.netcalc.grouping import arrival_groups, group_arrival_curve, port_aggregate_curve
+from repro.network import Network, VirtualLink
 
 
 def buckets_for(network, port_id):
@@ -107,3 +110,76 @@ def test_multicast_fan_out_counted_once_per_output_port():
         # capped at one maximal frame of the shared link (1000 B = 8000 b),
         # not the 12000-bit plain sum
         assert curve(0) == pytest.approx(8000.0)
+
+
+# finite non-negative magnitudes up to far beyond any link budget, with
+# exact zeros (a flow with no rate, an empty burst) drawn explicitly
+_MAGNITUDES = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(min_value=0.0, max_value=1e9, allow_nan=False, allow_infinity=False),
+)
+
+
+def _fan_in_network(link_rate, frame_bytes):
+    """VLs v0..vN from ES ``a`` through ``S0 -> S1`` to ES ``d``."""
+    net = Network(rate_bits_per_us=link_rate, name="fold")
+    net.add_end_system("a")
+    net.add_end_system("d")
+    net.add_switch("S0")
+    net.add_switch("S1")
+    net.add_link("a", "S0")
+    net.add_link("S0", "S1")
+    net.add_link("S1", "d")
+    for index, s_max in enumerate(frame_bytes):
+        net.add_virtual_link(
+            VirtualLink(
+                name=f"v{index}", source="a", paths=(("a", "S0", "S1", "d"),),
+                bag_ms=128, s_max_bytes=s_max, s_min_bytes=64,
+            )
+        )
+    return net
+
+
+def _bits(curve):
+    return [(x.hex(), y.hex()) for x, y in curve.breakpoints], curve.final_slope.hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    members=st.lists(st.tuples(_MAGNITUDES, _MAGNITUDES), min_size=1, max_size=12),
+    frame_bytes=st.lists(st.integers(min_value=64, max_value=1518), min_size=12, max_size=12),
+    link_rate=st.sampled_from([10.0, 100.0, 1000.0]),
+    grouping=st.booleans(),
+    source_key=st.booleans(),
+)
+def test_group_fold_equals_the_per_flow_fold(
+    members, frame_bytes, link_rate, grouping, source_key
+):
+    """One affine curve per group is exactly the per-flow curve sum.
+
+    The per-flow fold builds one affine curve per member and adds them
+    with ``sum_curves``, then caps the sum with the link's shaping curve;
+    the product folds the buckets' bursts and rates first.  Every
+    breakpoint and the final slope must be equal as doubles.
+    """
+    net = _fan_in_network(link_rate, frame_bytes)
+    names = [f"v{index}" for index in range(len(members))]
+    buckets = {
+        name: LeakyBucket(rate=rate, burst=burst)
+        for name, (rate, burst) in zip(names, members)
+    }
+    key = ("source", names[0]) if source_key else ("S0", "S1")
+    if source_key:
+        names, buckets = names[:1], {names[0]: buckets[names[0]]}
+
+    got = group_arrival_curve(net, key, frozenset(names), buckets, grouping)
+
+    expected = sum_curves(buckets[name].curve() for name in sorted(names))
+    if grouping and not source_key:
+        shaping = PiecewiseCurve.affine(
+            link_rate, max(net.vl(name).s_max_bits for name in names)
+        )
+        expected = min_curves(expected, shaping)
+    assert got.breakpoints == expected.breakpoints
+    assert got.final_slope == expected.final_slope
+    assert _bits(got) == _bits(expected)

@@ -8,7 +8,10 @@ from repro.errors import (
     InvalidVirtualLinkError,
     UnknownNodeError,
 )
+from repro.incremental.edits import RemoveVL, RerouteVL, apply_edits
 from repro.network import Network, VirtualLink
+from repro.network.port_graph import port_successors
+from repro.trajectory.timing import tree_prefixes
 
 
 @pytest.fixture
@@ -196,3 +199,125 @@ class TestMisc:
             net.vl("zz")
         with pytest.raises(UnknownNodeError):
             net.link_rate("e1", "e2")
+
+
+def rebuilt(network):
+    """The same configuration built from scratch, VLs added in reverse."""
+    fresh = Network(rate_bits_per_us=network.default_rate, name=network.name)
+    for node in network.nodes.values():
+        fresh.add_node(node)
+    for a, b, rate in network.links():
+        fresh.add_link(a, b, rate)
+    for name in sorted(network.virtual_links, reverse=True):
+        fresh.add_virtual_link(network.vl(name))
+    return fresh
+
+
+def routing_view(network):
+    """Every value the routing table serves, in the order it serves them."""
+    ports = network.used_ports()
+    return {
+        "prefixes": list(tree_prefixes(network).items()),
+        "upstream": {
+            (name, pid): network.upstream_port(name, pid)
+            for pid in ports
+            for name in sorted(network.vls_at_port(pid))
+        },
+        "successors": list(port_successors(network).items()),
+        "utilization": {pid: network.port_utilization(pid) for pid in ports},
+    }
+
+
+class TestRoutingTable:
+    """The table is dropped on every mutation and never shared."""
+
+    @pytest.fixture
+    def mesh(self, net):
+        net.add_end_system("e3")
+        net.add_switch("S3")
+        net.add_link("S1", "S3")
+        net.add_link("S3", "e3")
+        net.add_link("S2", "S3")
+        net.add_virtual_link(
+            vl(paths=(("e1", "S1", "S2", "e2"), ("e1", "S1", "S3", "e3")))
+        )
+        net.add_virtual_link(
+            vl(name="v2", paths=(("e1", "S1", "S2", "S3", "e3"),), bag_ms=2)
+        )
+        routing_view(net)  # build the table before every mutation below
+        return net
+
+    def test_view_of_a_multicast_tree(self, mesh):
+        view = routing_view(mesh)
+        assert dict(view["prefixes"])[("v1", ("S3", "e3"))] == (
+            ("e1", "S1"), ("S1", "S3"), ("S3", "e3")
+        )
+        assert view["upstream"][("v2", ("S3", "e3"))] == ("S2", "S3")
+        assert dict(view["successors"])[("S1", "S2")] == {("S2", "e2"), ("S2", "S3")}
+
+    def test_add_virtual_link(self, mesh):
+        mesh.add_virtual_link(vl(name="v3", paths=(("e1", "S1", "S3", "e3"),)))
+        assert routing_view(mesh) == routing_view(rebuilt(mesh))
+        assert mesh.upstream_port("v3", ("S3", "e3")) == ("S1", "S3")
+
+    def test_replace_virtual_link(self, mesh):
+        before = mesh.port_utilization(("S1", "S2"))
+        mesh.replace_virtual_link(mesh.vl("v2").with_paths((("e1", "S1", "S3", "e3"),)))
+        assert routing_view(mesh) == routing_view(rebuilt(mesh))
+        assert mesh.port_utilization(("S1", "S2")) < before
+        with pytest.raises(InvalidVirtualLinkError):
+            mesh.upstream_port("v2", ("S2", "S3"))
+
+    def test_retime_updates_utilization(self, mesh):
+        before = mesh.port_utilization(("S1", "S2"))
+        mesh.replace_virtual_link(mesh.vl("v2").with_bag_ms(4))
+        assert mesh.port_utilization(("S1", "S2")) < before
+        assert routing_view(mesh) == routing_view(rebuilt(mesh))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            RemoveVL(name="v1"),
+            RerouteVL(name="v2", paths=(("e1", "S1", "S3", "e3"),)),
+        ],
+        ids=["remove", "reroute"],
+    )
+    def test_apply_edits(self, mesh, edit):
+        source_view = routing_view(mesh)
+        edited, _impact = apply_edits(mesh, [edit])
+        assert routing_view(edited) == routing_view(rebuilt(edited))
+        assert routing_view(mesh) == source_view
+
+    def test_remove_drops_the_table(self, mesh):
+        # what RemoveVL does to the network it edits
+        del mesh.virtual_links["v1"]
+        mesh._invalidate()
+        assert routing_view(mesh) == routing_view(rebuilt(mesh))
+        with pytest.raises(UnknownNodeError):
+            mesh.upstream_port("v1", ("S1", "S2"))
+
+    def test_copy_shares_no_table(self, mesh):
+        dup = mesh.copy()
+        assert dup.routing_table() is not mesh.routing_table()
+        dup.add_virtual_link(vl(name="v3", paths=(("e1", "S1", "S3", "e3"),)))
+        assert routing_view(mesh) == routing_view(rebuilt(mesh))
+        assert routing_view(dup) == routing_view(rebuilt(dup))
+        assert ("v3", ("S3", "e3")) not in tree_prefixes(mesh)
+
+    def test_port_graph_and_utilization_build_no_tree_facts(self, net):
+        # a cache-served what-if edit reads only the port graph, and a
+        # generator's repair loop only utilization: neither pays for the
+        # per-(VL, port) tree facts
+        net.add_virtual_link(vl())
+        port_successors(net)
+        net.port_utilization(("S1", "S2"))
+        assert net.routing_table()._tree is None
+        tree_prefixes(net)
+        assert net.routing_table()._tree is not None
+
+    def test_upstream_port_edges(self, mesh):
+        assert mesh.upstream_port("v1", ("e1", "S1")) is None
+        with pytest.raises(InvalidVirtualLinkError):
+            mesh.upstream_port("v1", ("S2", "S3"))
+        with pytest.raises(InvalidVirtualLinkError):
+            mesh.upstream_port("v2", ("S1", "S3"))
