@@ -6,6 +6,9 @@ the result of a cold full analysis of the same configuration:
 
 1. a chained :class:`~repro.incremental.delta.DeltaAnalyzer` with a
    disk-backed cache, compared against cold NC + trajectory per step;
+   the garbage collector must be enabled after every ``apply`` (the
+   analyses pause it only for their own run), and the session, engine
+   dropped, must leave the collector no cyclic garbage to free;
 2. the final configuration through NC and a trajectory run seeded
    from it, sharing the (now warm) ``--cache-dir``: both must be
    served whole from the cache, with zero misses (the seeded
@@ -18,6 +21,7 @@ the result of a cold full analysis of the same configuration:
 Any mismatch prints the offending step and exits non-zero.
 """
 
+import gc
 import random
 import sys
 import tempfile
@@ -79,7 +83,9 @@ def _expect_no_misses(label, cache):
         sys.exit(1)
 
 
-def _run(cache_dir):
+def _chained_session(cache_dir):
+    """The chained session, each step diffed against cold runs; returns
+    the final network and the edits."""
     network = random_network(SEED, n_switches=3, n_end_systems=6, n_virtual_links=10)
     rng = random.Random(SEED)
     engine = DeltaAnalyzer(network, cache_dir=cache_dir)
@@ -90,6 +96,10 @@ def _run(cache_dir):
         edit = _random_edit(rng, engine.network, removed)
         edits.append(edit)
         delta = engine.apply([edit])
+        if not gc.isenabled():
+            print(f"incremental gate FAILED at edit #{step}: "
+                  "apply left the garbage collector disabled")
+            sys.exit(1)
         cold_nc = analyze_network_calculus(engine.network)
         cold_tr = analyze_trajectory(engine.network)
         _expect(f"edit #{step} ({type(edit).__name__})", "NC ports",
@@ -98,9 +108,37 @@ def _run(cache_dir):
                 delta.netcalc.paths, cold_nc.paths)
         _expect(f"edit #{step} ({type(edit).__name__})", "trajectory paths",
                 delta.trajectory.paths, cold_tr.paths)
-    print(f"  {N_EDITS} incremental steps bit-identical to cold analysis")
+    return engine.network, edits
 
-    final = engine.network
+
+def _cyclic_garbage(call):
+    """``call()``'s result, and the objects the cyclic collector found
+    unreachable while it ran and in a full collection after it."""
+    freed = [0]
+
+    def count(phase, info):
+        if phase == "stop":
+            freed[0] += info["collected"]
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        result = call()
+        gc.collect()
+    finally:
+        gc.callbacks.remove(count)
+    return result, freed[0]
+
+
+def _run(cache_dir):
+    (final, edits), garbage = _cyclic_garbage(lambda: _chained_session(cache_dir))
+    if garbage:
+        print(f"incremental gate FAILED: the chained session left {garbage} "
+              "objects of cyclic garbage")
+        sys.exit(1)
+    print(f"  {N_EDITS} incremental steps bit-identical to cold analysis; "
+          "collector enabled after every apply, no cyclic garbage")
+
     cold_nc = analyze_network_calculus(final)
     cold_tr = analyze_trajectory(final)
 

@@ -39,6 +39,7 @@ configurations.
 
 from __future__ import annotations
 
+import math
 import random
 import zlib
 from dataclasses import dataclass
@@ -215,27 +216,40 @@ def _draw_virtual_links(
     return vls
 
 
-def _repair_overload(network: Network, spec: IndustrialConfigSpec) -> int:
-    """Double BAGs / shrink frames until every port meets the target.
+def repair_overload(
+    network: Network, utilization_target: float, shrink_above_bytes: float
+) -> int:
+    """Slow VLs down until every port meets ``utilization_target``.
 
     Returns the number of repair operations applied.  Deterministic:
-    always fixes the currently worst port, always slows its
-    highest-rate VL first.
+    always fixes the currently worst port (the first in sorted order
+    on a tie), always slows its highest-rate VL first: its BAG doubles
+    while below 128 ms, then its frames halve (to no less than 64
+    bytes) while larger than ``shrink_above_bytes``.  A VL slowed to
+    that floor that still tops an overloaded port raises
+    :class:`AssertionError`.
+
+    A repair changes one VL's rate and no route, so only that VL's
+    ports are summed again, by the expression of
+    :meth:`Network.port_utilization`: every float, and so every choice,
+    is the one a full recomputation makes.
     """
+    members = {pid: sorted(network.vls_at_port(pid)) for pid in network.used_ports()}
+    utilization = {pid: network.port_utilization(pid) for pid in members}
     repairs = 0
-    while True:
-        ports = network.used_ports()
-        worst = max(ports, key=lambda pid: network.port_utilization(pid))
-        if network.port_utilization(worst) <= spec.utilization_target:
-            return repairs
-        members = sorted(
-            network.vls_at_port(worst),
-            key=lambda name: (-network.vl(name).rate_bits_per_us, name),
+    while members:
+        worst = max(members, key=utilization.__getitem__)
+        if utilization[worst] <= utilization_target:
+            break
+        victim = network.vl(
+            min(
+                members[worst],
+                key=lambda name: (-network.vl(name).rate_bits_per_us, name),
+            )
         )
-        victim = network.vl(members[0])
         if victim.bag_ms < 128:
             network.replace_virtual_link(victim.with_bag_ms(victim.bag_ms * 2))
-        elif victim.s_max_bytes > 128:
+        elif victim.s_max_bytes > shrink_above_bytes:
             network.replace_virtual_link(
                 victim.with_s_max_bytes(max(64.0, victim.s_max_bytes / 2))
             )
@@ -245,6 +259,12 @@ def _repair_overload(network: Network, spec: IndustrialConfigSpec) -> int:
                 "(spec asks for more traffic than the topology can carry)"
             )
         repairs += 1
+        for path in victim.paths:
+            for pid in zip(path, path[1:]):
+                utilization[pid] = math.fsum(
+                    network.vl(name).rate_bits_per_us for name in members[pid]
+                ) / network.link_rate(*pid)
+    return repairs
 
 
 def industrial_network(spec: IndustrialConfigSpec = IndustrialConfigSpec()) -> Network:
@@ -256,6 +276,6 @@ def industrial_network(spec: IndustrialConfigSpec = IndustrialConfigSpec()) -> N
         attachment[es] = int(switch[1:]) - 1
     for vl in _draw_virtual_links(end_systems, attachment, spec):
         network.add_virtual_link(vl)
-    _repair_overload(network, spec)
+    repair_overload(network, spec.utilization_target, shrink_above_bytes=128.0)
     check_network(network)
     return network

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from typing import List
 
+from repro.configs.industrial import repair_overload
 from repro.network.builder import NetworkBuilder
 from repro.network.preflight import check_network
 from repro.network.routing import route_virtual_link
@@ -75,22 +76,7 @@ def random_network(
     for vl in vls:
         network.add_virtual_link(vl)
 
-    # admission-control repair, as in the industrial generator
-    while network.used_ports():
-        worst = max(network.used_ports(), key=network.port_utilization)
-        if network.port_utilization(worst) <= utilization_target:
-            break
-        members = sorted(
-            network.vls_at_port(worst),
-            key=lambda name: (-network.vl(name).rate_bits_per_us, name),
-        )
-        victim = network.vl(members[0])
-        if victim.bag_ms < 128:
-            network.replace_virtual_link(victim.with_bag_ms(victim.bag_ms * 2))
-        else:
-            network.replace_virtual_link(
-                victim.with_s_max_bytes(max(64.0, victim.s_max_bytes / 2))
-            )
+    repair_overload(network, utilization_target, shrink_above_bytes=64.0)
 
     check_network(network)
     return network

@@ -14,6 +14,7 @@ and driver that combines the methods calls one of the two.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -65,24 +66,36 @@ def run_analyses(
     ``cache`` is a :class:`~repro.incremental.cache.BoundCache` serving
     whole results; ``collect_stats`` / ``progress`` are the
     observability hooks of both analyzers (see :mod:`repro.obs`).
+
+    The cyclic garbage collector is paused for the call and resumed,
+    if it was enabled, on return or raise.  An analysis creates no
+    reference cycle, so reference counting alone frees what it drops;
+    without the pause, the analyzers' long-lived memo tables trigger
+    collector passes over the caller's whole heap.
     """
-    nc_result = analyze_network_calculus(
-        network,
-        grouping=options.grouping,
-        collect_stats=collect_stats,
-        progress=progress,
-        cache=cache,
-        explain=options.explain,
-    )
-    trajectory_result = analyze_trajectory(
-        network,
-        serialization=options.serialization,
-        collect_stats=collect_stats,
-        progress=progress,
-        cache=cache,
-        explain=options.explain,
-        nc_result=nc_result,
-    )
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        nc_result = analyze_network_calculus(
+            network,
+            grouping=options.grouping,
+            collect_stats=collect_stats,
+            progress=progress,
+            cache=cache,
+            explain=options.explain,
+        )
+        trajectory_result = analyze_trajectory(
+            network,
+            serialization=options.serialization,
+            collect_stats=collect_stats,
+            progress=progress,
+            cache=cache,
+            explain=options.explain,
+            nc_result=nc_result,
+        )
+    finally:
+        if enabled:
+            gc.enable()
     return nc_result, trajectory_result
 
 

@@ -20,14 +20,11 @@ Digests are stable across processes and ``PYTHONHASHSEED`` values
 from __future__ import annotations
 
 import hashlib
-import struct
-from typing import Sequence
 
 from repro.network.topology import Network
 
 __all__ = [
     "stable_digest",
-    "pack_floats",
     "vl_fingerprint",
     "network_fingerprint",
 ]
@@ -62,16 +59,6 @@ def _fold(hasher, value: object) -> None:
     hasher.update(b"|")
 
 
-def pack_floats(values: Sequence[float]) -> bytes:
-    """Lossless binary encoding of a float sequence (one C call).
-
-    Used for the per-sweep ``Smax`` slices that key the trajectory
-    analyzer's in-process sweep and fold memos, where packing must stay
-    far cheaper than the walk itself.
-    """
-    return struct.pack(f"<{len(values)}d", *values)
-
-
 def vl_fingerprint(vl) -> str:
     """Digest of one Virtual Link's complete traffic contract + routing."""
     return stable_digest(
@@ -91,13 +78,21 @@ def network_fingerprint(network: Network) -> str:
 
     Two networks with equal fingerprints produce bit-identical results
     under every analyzer in this package — the identity used by run
-    manifests and the determinism tests.
+    manifests and the determinism tests.  Kept on the network until
+    its next mutation (``Network._invalidate``), so the analyses of one
+    configuration hash it once.
     """
-    nodes = tuple(
-        (name, network.nodes[name].is_end_system,
-         float(network.nodes[name].technological_latency_us))
-        for name in sorted(network.nodes)
-    )
-    links = tuple((a, b, float(rate)) for a, b, rate in network.links())
-    vls = tuple(vl_fingerprint(network.vl(name)) for name in sorted(network.virtual_links))
-    return stable_digest("network", float(network.default_rate), nodes, links, vls)
+    digest = network._fingerprint
+    if digest is None:
+        nodes = tuple(
+            (name, network.nodes[name].is_end_system,
+             float(network.nodes[name].technological_latency_us))
+            for name in sorted(network.nodes)
+        )
+        links = tuple((a, b, float(rate)) for a, b, rate in network.links())
+        vls = tuple(
+            vl_fingerprint(network.vl(name)) for name in sorted(network.virtual_links)
+        )
+        digest = stable_digest("network", float(network.default_rate), nodes, links, vls)
+        network._fingerprint = digest
+    return digest

@@ -175,6 +175,8 @@ class Network:
         self._vls: Dict[str, VirtualLink] = {}
         self._port_flows_cache: Optional[Dict[PortId, FrozenSet[str]]] = None
         self._routing_cache: Optional[RoutingTable] = None
+        # set by `repro.incremental.fingerprint.network_fingerprint`
+        self._fingerprint: Optional[str] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -294,6 +296,7 @@ class Network:
     def _invalidate(self) -> None:
         self._port_flows_cache = None
         self._routing_cache = None
+        self._fingerprint = None
 
     # ------------------------------------------------------------------
     # Topology queries

@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import math
 import operator
+import struct
 from itertools import compress
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -148,6 +149,15 @@ def _flag_reader(indices: Tuple[int, ...]) -> Callable[[bytearray], Tuple[int, .
         only = indices[0]
         return lambda bitmap: (bitmap[only],)
     return operator.itemgetter(*indices)
+
+
+def pack_floats(values: Sequence[float]) -> bytes:
+    """Lossless binary encoding of a float sequence (one C call).
+
+    Used for the per-sweep ``Smax`` slices that key the sweep and fold
+    memos, where packing must stay far cheaper than the walk itself.
+    """
+    return struct.pack(f"<{len(values)}d", *values)
 
 
 def _replay_add(value: float, terms) -> float:
@@ -724,8 +734,6 @@ class TrajectoryAnalyzer:
         """This sweep's packed ``Smax`` slice of one port's members."""
         pack = self._port_packs.get(port)
         if pack is None:
-            from repro.incremental.fingerprint import pack_floats
-
             smax = self._smax
             pack = pack_floats([smax[(m, port)] for m in self._port_vls[port]])
             self._port_packs[port] = pack
@@ -1242,7 +1250,13 @@ class TrajectoryAnalyzer:
         if root_node is None:
             root_node = [None, {}, {}]
             meet_tree[root] = root_node
-        visit(root, root_node, None, 0, 0.0, 0.0, 0.0, n_root)
+        try:
+            visit(root, root_node, None, 0, 0.0, 0.0, 0.0, n_root)
+        finally:
+            # `visit` reaches itself through its own closure cell, and
+            # through `discover` the analyzer: clearing the cell leaves
+            # no reference cycle, so a run makes no cyclic garbage
+            del visit
 
     @staticmethod
     def _maximize(

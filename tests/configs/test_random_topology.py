@@ -3,6 +3,7 @@
 import pytest
 
 from repro.configs import random_network
+from repro.configs.industrial import repair_overload
 from repro.network.port_graph import topological_port_order
 from repro.network.preflight import ConfigVerifier
 
@@ -40,3 +41,39 @@ def test_argument_validation():
         random_network(0, n_switches=0)
     with pytest.raises(ValueError):
         random_network(0, n_end_systems=1)
+
+
+def full_recompute_repair(network, utilization_target, shrink_above_bytes):
+    """The repair loop summing every port again after each repair (oracle)."""
+    repairs = 0
+    while True:
+        worst = max(network.used_ports(), key=network.port_utilization)
+        if network.port_utilization(worst) <= utilization_target:
+            return repairs
+        members = sorted(
+            network.vls_at_port(worst),
+            key=lambda name: (-network.vl(name).rate_bits_per_us, name),
+        )
+        victim = network.vl(members[0])
+        if victim.bag_ms < 128:
+            network.replace_virtual_link(victim.with_bag_ms(victim.bag_ms * 2))
+        else:
+            assert victim.s_max_bytes > shrink_above_bytes
+            network.replace_virtual_link(
+                victim.with_s_max_bytes(max(64.0, victim.s_max_bytes / 2))
+            )
+        repairs += 1
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_repair_matches_a_full_recomputation(seed):
+    # a repair re-sums only the slowed VL's ports: every choice, and so
+    # the repaired network, must be the one a full recomputation makes
+    network = random_network(
+        seed, n_switches=2, n_end_systems=5, n_virtual_links=60, utilization_target=0.99
+    )
+    repaired, reference = network.copy(), network.copy()
+    repairs = repair_overload(repaired, 0.2, shrink_above_bytes=64.0)
+    assert repairs > 10
+    assert repairs == full_recompute_repair(reference, 0.2, 64.0)
+    assert repaired.virtual_links == reference.virtual_links

@@ -9,10 +9,10 @@ from repro.incremental.edits import RetimeVL, apply_edits
 from repro.netcalc.analyzer import analyze_network_calculus
 from repro.incremental.fingerprint import (
     network_fingerprint,
-    pack_floats,
     stable_digest,
     vl_fingerprint,
 )
+from repro.trajectory.analyzer import pack_floats
 
 
 class TestStableDigest:

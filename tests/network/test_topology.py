@@ -9,6 +9,7 @@ from repro.errors import (
     UnknownNodeError,
 )
 from repro.incremental.edits import RemoveVL, RerouteVL, apply_edits
+from repro.incremental.fingerprint import network_fingerprint
 from repro.network import Network, VirtualLink
 from repro.network.port_graph import port_successors
 from repro.trajectory.timing import tree_prefixes
@@ -228,24 +229,27 @@ def routing_view(network):
     }
 
 
+@pytest.fixture
+def mesh(net):
+    net.add_end_system("e3")
+    net.add_switch("S3")
+    net.add_link("S1", "S3")
+    net.add_link("S3", "e3")
+    net.add_link("S2", "S3")
+    net.add_virtual_link(
+        vl(paths=(("e1", "S1", "S2", "e2"), ("e1", "S1", "S3", "e3")))
+    )
+    net.add_virtual_link(
+        vl(name="v2", paths=(("e1", "S1", "S2", "S3", "e3"),), bag_ms=2)
+    )
+    # build the table and the digest before every mutation below
+    routing_view(net)
+    network_fingerprint(net)
+    return net
+
+
 class TestRoutingTable:
     """The table is dropped on every mutation and never shared."""
-
-    @pytest.fixture
-    def mesh(self, net):
-        net.add_end_system("e3")
-        net.add_switch("S3")
-        net.add_link("S1", "S3")
-        net.add_link("S3", "e3")
-        net.add_link("S2", "S3")
-        net.add_virtual_link(
-            vl(paths=(("e1", "S1", "S2", "e2"), ("e1", "S1", "S3", "e3")))
-        )
-        net.add_virtual_link(
-            vl(name="v2", paths=(("e1", "S1", "S2", "S3", "e3"),), bag_ms=2)
-        )
-        routing_view(net)  # build the table before every mutation below
-        return net
 
     def test_view_of_a_multicast_tree(self, mesh):
         view = routing_view(mesh)
@@ -321,3 +325,54 @@ class TestRoutingTable:
             mesh.upstream_port("v1", ("S2", "S3"))
         with pytest.raises(InvalidVirtualLinkError):
             mesh.upstream_port("v2", ("S1", "S3"))
+
+
+def assert_fresh_fingerprint(network):
+    assert network_fingerprint(network) == network_fingerprint(rebuilt(network))
+
+
+class TestFingerprint:
+    """The stored digest is dropped on every mutation and never shared:
+    a stale one would let the bound cache serve another network's bounds."""
+
+    def test_add_node_and_link(self, mesh):
+        mesh.add_switch("S4")
+        assert_fresh_fingerprint(mesh)
+        mesh.add_link("S3", "S4", 1000.0)
+        assert_fresh_fingerprint(mesh)
+
+    def test_add_virtual_link(self, mesh):
+        mesh.add_virtual_link(vl(name="v3", paths=(("e1", "S1", "S3", "e3"),)))
+        assert_fresh_fingerprint(mesh)
+
+    def test_replace_virtual_link(self, mesh):
+        mesh.replace_virtual_link(mesh.vl("v2").with_bag_ms(4))
+        assert_fresh_fingerprint(mesh)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            RemoveVL(name="v1"),
+            RerouteVL(name="v2", paths=(("e1", "S1", "S3", "e3"),)),
+        ],
+        ids=["remove", "reroute"],
+    )
+    def test_apply_edits(self, mesh, edit):
+        source = network_fingerprint(mesh)
+        edited, _impact = apply_edits(mesh, [edit])
+        assert_fresh_fingerprint(edited)
+        assert network_fingerprint(edited) != source
+        assert network_fingerprint(mesh) == source
+        assert_fresh_fingerprint(mesh)
+
+    def test_remove_drops_the_digest(self, mesh):
+        # what RemoveVL does to the network it edits
+        del mesh.virtual_links["v1"]
+        mesh._invalidate()
+        assert_fresh_fingerprint(mesh)
+
+    def test_copy_shares_no_digest(self, mesh):
+        dup = mesh.copy()
+        dup.add_virtual_link(vl(name="v3", paths=(("e1", "S1", "S3", "e3"),)))
+        assert_fresh_fingerprint(dup)
+        assert_fresh_fingerprint(mesh)

@@ -31,8 +31,7 @@ NOT_LOADED_BY_ANALYZE = (
     "repro.core.reporting",
     "repro.experiments",
     "repro.explain",
-    "repro.incremental.cache",
-    "repro.incremental.edits",
+    "repro.incremental",
     "repro.lint.baseline",
     "repro.lint.dataflow",
     "repro.lint.engine",
