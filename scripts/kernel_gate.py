@@ -1,12 +1,15 @@
 """Kernel-equivalence gate (run by ``scripts/check.sh``).
 
 Two product kernels, two test oracles.  Part one is Network Calculus:
-the product propagation reads the network's routing table and folds
-each input-link group into one affine curve (docs/PERFORMANCE.md,
-"Network Calculus"); its ground truth is the per-flow propagation in
-``tests/netcalc/reference_analyzer.py``.  On every scenario below plus
-the 64-VL industrial configurations of seeds 1-8, with grouping on and
-off and at 0 and 20 bytes of frame overhead, every port's
+the product propagation reads the network's routing table, folds each
+input-link group into one ``(rate, burst)`` pair and bounds every port
+with the flat-float port kernel (docs/PERFORMANCE.md, "Network
+Calculus"); its ground truth is the per-flow curve-object propagation
+in ``tests/netcalc/reference_analyzer.py``.  On every scenario below
+plus the 64-VL industrial configurations of seeds 1-8, the 300-VL
+configuration and nine configurations of ``CorpusSpec(base_seed=701)``,
+with grouping on and off and at 0 and 20 bytes of frame overhead,
+every port's
 ``delay_us``, ``backlog_bits``, ``utilization``, ``n_flows`` and
 ``n_groups`` and every path's ``total_us`` must equal the oracle's
 **exactly**.  The trajectory oracle below takes its ``Smax`` seed
@@ -43,6 +46,7 @@ _ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(_ROOT / "src"))
 sys.path.insert(0, str(_ROOT))
 
+from repro.batch.corpus import CorpusSpec, corpus_network  # noqa: E402
 from repro.configs import fig1_network, fig2_network  # noqa: E402
 from repro.configs.industrial import (  # noqa: E402
     IndustrialConfigSpec,
@@ -111,8 +115,14 @@ def _scenarios():
 _NC_PORT_FIELDS = ("delay_us", "backlog_bits", "utilization", "n_flows", "n_groups")
 
 
+#: configs of ``CorpusSpec(base_seed=701)`` the NC part diffs: the base,
+#: then edited configs spread over the corpus
+_NC_CORPUS_SAMPLE = (0, 1, 2, 10, 11, 57, 99, 150, 199)
+
+
 def _nc_networks():
-    """Every scenario's network once, plus the 64-VL configs of seeds 1-8."""
+    """Every scenario's network once, the 64-VL configs of seeds 1-8,
+    the 300-VL config and a sample of one seeded corpus."""
     seen = set()
     for scenario, network, _mode in _scenarios():
         name = scenario.split("/")[0]
@@ -126,6 +136,10 @@ def _nc_networks():
             yield name, industrial_network(
                 IndustrialConfigSpec(seed=seed, n_virtual_links=64)
             )
+    yield "industrial-300", industrial_network(IndustrialConfigSpec(n_virtual_links=300))
+    spec = CorpusSpec(base_seed=701)
+    for index in _NC_CORPUS_SAMPLE:
+        yield f"corpus-701-{index}", corpus_network(spec, index)
 
 
 def _check_netcalc():

@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Tuple
 
-from repro.curves import RateLatency, horizontal_deviation
+from repro.curves import LeakyBucket, RateLatency, horizontal_deviation
 from repro.errors import ProvenanceError
 from repro.netcalc.grouping import port_aggregate_curve
 from repro.network.port import PortId
@@ -57,8 +57,25 @@ __all__ = ["netcalc_provenance"]
 _HopSplit = Tuple[float, float, float, "float | None", float]
 
 
+def _ingress_buckets(analyzer) -> Dict[Tuple[str, PortId], LeakyBucket]:
+    """Every flow's leaky bucket at its source ES output port."""
+    overhead = analyzer.frame_overhead_bits
+    entering: Dict[Tuple[str, PortId], LeakyBucket] = {}
+    for name, vl in analyzer.network.virtual_links.items():
+        entering[(name, (vl.source, vl.paths[0][1]))] = LeakyBucket(
+            rate=(vl.s_max_bits + overhead) / vl.bag_us,
+            burst=vl.s_max_bits + overhead,
+        )
+    return entering
+
+
 def _replay_ports(analyzer, result) -> Dict[PortId, _HopSplit]:
     """Replay the propagation, splitting each port's recorded delay.
+
+    The replay builds every aggregate from curve objects
+    (:func:`~repro.netcalc.grouping.port_aggregate_curve`) and leaky
+    buckets, so it shares no code with the analyzer's flat port kernel
+    (:mod:`repro.netcalc.kernel`) and cross-checks it on every run.
 
     Raises :class:`ProvenanceError` if any replayed horizontal
     deviation disagrees with the recorded per-port delay — the replay
@@ -66,7 +83,8 @@ def _replay_ports(analyzer, result) -> Dict[PortId, _HopSplit]:
     """
     network = analyzer.network
     order = topological_port_order(network)
-    entering = analyzer.ingress_buckets()
+    next_ports = network.routing_table().next_ports
+    entering = _ingress_buckets(analyzer)
     splits: Dict[PortId, _HopSplit] = {}
     for port_id in order:
         buckets = {
@@ -100,7 +118,12 @@ def _replay_ports(analyzer, result) -> Dict[PortId, _HopSplit]:
             latency, queueing, queue_residual, credit, credit_residual
         )
         # buckets downstream inflate by the recorded (== replayed) delay
-        analyzer.propagate_port(entering, port_id, recorded)
+        for name, bucket in buckets.items():
+            targets = next_ports[(name, port_id)]
+            if targets:
+                out_bucket = bucket.delayed(recorded)
+                for pid in targets:
+                    entering[(name, pid)] = out_bucket
     return splits
 
 

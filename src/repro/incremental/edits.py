@@ -167,9 +167,7 @@ def _apply_one(network: Network, edit: Edit, changed: set) -> set:
         changed.add(edit.vl.name)
         return set(_path_ports(edit.vl.paths))
     if isinstance(edit, RemoveVL):
-        vl = network.vl(edit.name)
-        del network.virtual_links[edit.name]
-        network._invalidate()
+        vl = network.remove_virtual_link(edit.name)
         changed.add(edit.name)
         return set(_path_ports(vl.paths))
     if isinstance(edit, RetimeVL):

@@ -7,9 +7,13 @@ paper (Grieu; Frances, Fraboul & Grieu; Charara et al.):
    topologically (static AFDX routing is feed-forward);
 2. give every VL its ingress leaky bucket
    ``(burst = s_max, rate = s_max / BAG)`` at its source ES port;
-3. at each port, build the aggregate arrival curve — grouped by input
-   link when grouping is enabled — and bound the FIFO delay by the
-   horizontal deviation against the port's rate-latency service curve;
+3. at each port, fold the flows of every input-link group into one
+   ``(rate, burst)`` pair, capped by the link's shaping curve when
+   grouping is enabled, and bound the FIFO delay and backlog by the
+   horizontal and vertical deviations of the groups' sum against the
+   port's rate-latency service curve (the flat-float port kernel,
+   :mod:`repro.netcalc.kernel`, bit for bit the curve algebra's
+   result);
 4. propagate each flow downstream with its burst inflated by the local
    delay bound (``b <- b + r * D``);
 5. the end-to-end bound of a VL path is the sum of its per-port delay
@@ -23,11 +27,11 @@ degrade for small BAGs (Fig. 8) while the Trajectory approach does not.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.curves import LeakyBucket, RateLatency, horizontal_deviation, vertical_deviation
 from repro.errors import UnstableNetworkError
-from repro.netcalc.grouping import port_aggregate_curve
+from repro.netcalc.grouping import member_groups
+from repro.netcalc.kernel import Group, port_bounds
 from repro.netcalc.results import NetworkCalculusResult, PathBound, PortAnalysis
 from repro.network.port import PortId
 from repro.network.port_graph import topological_port_order
@@ -195,81 +199,6 @@ class NetworkCalculusAnalyzer:
 
     # ------------------------------------------------------------------
 
-    def ingress_buckets(self) -> Dict[Tuple[str, PortId], LeakyBucket]:
-        """Every flow's leaky bucket at its source ES output port.
-
-        The initial state of the propagation map ``(flow, port) ->
-        bucket when entering that port's queue``; :meth:`propagate_port`
-        extends it one analyzed port at a time.
-        """
-        entering: Dict[Tuple[str, PortId], LeakyBucket] = {}
-        for name, vl in self.network.virtual_links.items():
-            first_port = (vl.source, vl.paths[0][1])
-            entering[(name, first_port)] = LeakyBucket(
-                rate=(vl.s_max_bits + self.frame_overhead_bits) / vl.bag_us,
-                burst=vl.s_max_bits + self.frame_overhead_bits,
-            )
-        return entering
-
-    def analyze_port(
-        self, port_id: PortId, buckets: Dict[str, LeakyBucket]
-    ) -> PortAnalysis:
-        """Bound one output port given its flows' entering buckets.
-
-        Pure with respect to analyzer state: only ``network``,
-        ``grouping`` and the passed buckets matter.
-
-        Raises
-        ------
-        UnstableNetworkError
-            When the aggregate long-term rate exceeds the link rate.
-        """
-        network = self.network
-        aggregate, n_groups = port_aggregate_curve(
-            network, port_id, buckets, self.grouping
-        )
-        port = network.output_port(*port_id)
-        beta = RateLatency(rate=port.rate_bits_per_us, latency=port.latency_us).curve()
-        delay = horizontal_deviation(aggregate, beta)
-        if math.isinf(delay):
-            raise UnstableNetworkError(
-                f"no finite delay bound at port {port}: aggregate long-term rate "
-                f"{aggregate.final_slope:.3f} bits/us exceeds the link rate "
-                f"{port.rate_bits_per_us:.3f}"
-            )
-        backlog = vertical_deviation(aggregate, beta)
-        return PortAnalysis(
-            port_id=port_id,
-            delay_us=delay,
-            backlog_bits=backlog,
-            utilization=network.port_utilization(port_id),
-            n_flows=len(buckets),
-            n_groups=n_groups,
-        )
-
-    def propagate_port(
-        self,
-        entering: Dict[Tuple[str, PortId], LeakyBucket],
-        port_id: PortId,
-        delay: float,
-    ) -> int:
-        """Burst-inflate every flow of ``port_id`` into its next queues.
-
-        The next queues of each flow come from the network's
-        :class:`~repro.network.topology.RoutingTable`.  Returns the
-        number of flows propagated (for metrics).
-        """
-        table = self.network.routing_table()
-        next_ports = table.next_ports
-        flows = table.members.get(port_id, ())
-        for name in flows:
-            targets = next_ports[(name, port_id)]
-            if targets:
-                out_bucket = entering[(name, port_id)].delayed(delay)
-                for pid in targets:
-                    entering[(name, pid)] = out_bucket
-        return len(flows)
-
     def finalize_paths(
         self,
         result: NetworkCalculusResult,
@@ -295,6 +224,62 @@ class NetworkCalculusAnalyzer:
             self._result = result if result is not None else self._propagate()
         return self._result
 
+    def _ingress(
+        self,
+    ) -> Tuple[Dict[str, float], Dict[str, float], Dict[Tuple[str, PortId], float]]:
+        """Every flow's frame size, rate, and burst at its source ES port.
+
+        Each VL enters as the leaky bucket ``(burst = s_max, rate =
+        s_max / BAG)``, frame overhead included.  The rate never
+        changes downstream; the burst map ``(flow, port) -> burst when
+        entering that port's queue`` grows one analyzed port at a time.
+        The frame sizes (``s_max``, no overhead) size the grouping's
+        shaping curves.
+        """
+        overhead = self.frame_overhead_bits
+        frames: Dict[str, float] = {}
+        rates: Dict[str, float] = {}
+        bursts: Dict[Tuple[str, PortId], float] = {}
+        for name, vl in self.network.virtual_links.items():
+            frames[name] = vl.s_max_bits
+            burst = vl.s_max_bits + overhead
+            rates[name] = burst / vl.bag_us
+            bursts[(name, (vl.source, vl.paths[0][1]))] = burst
+        return frames, rates, bursts
+
+    def _port_groups(
+        self,
+        port_id: PortId,
+        frames: Dict[str, float],
+        rates: Dict[str, float],
+        bursts: Dict[Tuple[str, PortId], float],
+    ) -> List[Group]:
+        """The port's input-link groups as :func:`port_bounds` takes them.
+
+        In sorted key order, each group's bursts and rates summed one
+        after the other in sorted-name order, with its shaping curve,
+        as :func:`~repro.netcalc.grouping.group_arrival_curve` builds
+        them.
+        """
+        network = self.network
+        by_key = member_groups(network, port_id)
+        groups: List[Group] = []
+        for key in sorted(by_key):
+            members = by_key[key]
+            burst = 0.0
+            rate = 0.0
+            for name in members:
+                # repro-lint: allow[REPRO102] the sequential sum add_curves folds per member, kept bit for bit
+                burst += bursts[(name, port_id)]
+                # repro-lint: allow[REPRO102] the sequential sum add_curves folds per member, kept bit for bit
+                rate += rates[name]
+            shaping = None
+            if self.grouping and key[0] != "source":
+                biggest_frame = max(map(frames.__getitem__, members))
+                shaping = (network.link_rate(*key), float(biggest_frame))
+            groups.append((rate, burst, shaping))
+        return groups
+
     def _propagate(self) -> NetworkCalculusResult:
         network = self.network
         obs = self._obs
@@ -304,8 +289,7 @@ class NetworkCalculusAnalyzer:
             order = topological_port_order(network)
         obs.metrics.gauge("netcalc.ports", len(order))
 
-        # bucket of each flow when entering each port of its tree
-        entering = self.ingress_buckets()
+        frames, rates, bursts = self._ingress()
         result = NetworkCalculusResult(
             grouping=self.grouping, frame_overhead_bytes=self.frame_overhead_bytes
         )
@@ -317,19 +301,43 @@ class NetworkCalculusAnalyzer:
             "netcalc.propagate", n_ports=len(order), grouping=self.grouping
         )
         flows_propagated = 0
-        members = network.routing_table().members
+        table = network.routing_table()
+        members = table.members
+        next_ports = table.next_ports
         with propagation_span:
             for index, port_id in enumerate(order):
                 if progress:
                     progress.update("netcalc.propagate", index, len(order))
-                buckets = {name: entering[(name, port_id)] for name in members[port_id]}
-                analysis = self.analyze_port(port_id, buckets)
-                port_delay[port_id] = analysis.delay_us
-                result.ports[port_id] = analysis
-                # propagate every flow to its next port(s)
-                n_flows = self.propagate_port(entering, port_id, analysis.delay_us)
+                names = members[port_id]
+                groups = self._port_groups(port_id, frames, rates, bursts)
+                port = network.output_port(*port_id)
+                delay, backlog, arrival_rate = port_bounds(
+                    groups, port.rate_bits_per_us, port.latency_us
+                )
+                if math.isinf(delay):
+                    raise UnstableNetworkError(
+                        f"no finite delay bound at port {port}: aggregate long-term rate "
+                        f"{arrival_rate:.3f} bits/us exceeds the link rate "
+                        f"{port.rate_bits_per_us:.3f}"
+                    )
+                port_delay[port_id] = delay
+                result.ports[port_id] = PortAnalysis(
+                    port_id=port_id,
+                    delay_us=delay,
+                    backlog_bits=backlog,
+                    utilization=network.port_utilization(port_id),
+                    n_flows=len(names),
+                    n_groups=len(groups),
+                )
+                # propagate every flow to its next port(s): b <- b + r * D
+                for name in names:
+                    targets = next_ports[(name, port_id)]
+                    if targets:
+                        inflated = bursts[(name, port_id)] + rates[name] * delay
+                        for pid in targets:
+                            bursts[(name, pid)] = inflated
                 if collect:
-                    flows_propagated += n_flows
+                    flows_propagated += len(names)
             if progress:
                 progress.update("netcalc.propagate", len(order), len(order))
 

@@ -33,12 +33,31 @@ from repro.curves import LeakyBucket, PiecewiseCurve, min_curves, sum_curves
 from repro.network.port import PortId
 from repro.network.topology import Network
 
-__all__ = ["GroupKey", "arrival_groups", "group_arrival_curve", "port_aggregate_curve"]
+__all__ = [
+    "GroupKey",
+    "arrival_groups",
+    "group_arrival_curve",
+    "member_groups",
+    "port_aggregate_curve",
+]
 
 #: Flows are grouped by the upstream port they arrive through;
 #: locally-sourced flows (at their ES output port) are ungrouped and use
 #: a per-flow key ``("source", vl_name)``.
 GroupKey = Tuple[str, str]
+
+
+def member_groups(network: Network, port_id: PortId) -> Dict[GroupKey, List[str]]:
+    """:func:`arrival_groups` with each group's names as a sorted list."""
+    table = network.routing_table()
+    prefixes = table.prefixes
+    groups: Dict[GroupKey, List[str]] = {}
+    # members arrive sorted, so each group's list is sorted too
+    for vl_name in table.members.get(port_id, ()):
+        prefix = prefixes[(vl_name, port_id)]
+        key: GroupKey = prefix[-2] if len(prefix) > 1 else ("source", vl_name)
+        groups.setdefault(key, []).append(vl_name)
+    return groups
 
 
 def arrival_groups(network: Network, port_id: PortId) -> Dict[GroupKey, FrozenSet[str]]:
@@ -48,13 +67,10 @@ def arrival_groups(network: Network, port_id: PortId) -> Dict[GroupKey, FrozenSe
     Flows whose source end system owns the port get singleton groups
     (nothing upstream constrains them jointly).
     """
-    table = network.routing_table()
-    groups: Dict[GroupKey, List[str]] = {}
-    for vl_name in table.members.get(port_id, ()):
-        upstream = table.upstream((vl_name, port_id))
-        key: GroupKey = upstream if upstream is not None else ("source", vl_name)
-        groups.setdefault(key, []).append(vl_name)
-    return {key: frozenset(members) for key, members in groups.items()}
+    return {
+        key: frozenset(members)
+        for key, members in member_groups(network, port_id).items()
+    }
 
 
 def group_arrival_curve(

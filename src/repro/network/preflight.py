@@ -41,8 +41,9 @@ The rules run in two places:
   (parameter sweeps, what-if edits, generators) may use any positive
   BAG and frame size.
 
-The verifier never mutates the network and never changes computed
-bounds.  A document is checked in two stages so malformed input still
+The verifier never changes the network's configuration or computed
+bounds; it only marks a network that passed the gate's rules, so
+:func:`check_network` does not judge it twice.  A document is checked in two stages so malformed input still
 gets structured diagnostics: stage 1 checks the raw JSON document
 (frame sizes, BAGs, route hops) without constructing model objects — a
 config the :class:`~repro.network.virtual_link.VirtualLink`
@@ -167,6 +168,9 @@ CONFIG_RULES_BY_ID: Dict[str, ConfigRule] = {r.rule_id: r for r in CONFIG_RULES}
 
 #: Utilization above which CFG103 (warning) fires.
 DEFAULT_WARN_UTILIZATION = 0.75
+
+#: the stability limit of :func:`check_network`, the theoretical one
+_GATE_MAX_UTILIZATION = 1.0
 
 
 @dataclass
@@ -328,7 +332,7 @@ class ConfigVerifier:
 
     def __init__(
         self,
-        max_utilization: float = 1.0,
+        max_utilization: float = _GATE_MAX_UTILIZATION,
         warn_utilization: float = DEFAULT_WARN_UTILIZATION,
         utilization_table: bool = True,
     ) -> None:
@@ -573,7 +577,15 @@ class ConfigVerifier:
             )
 
     def _check_bound_preconditions(self, network: Network, report: ConfigReport) -> None:
-        """What a finite bound depends on: the :func:`check_network` rules."""
+        """What a finite bound depends on: the :func:`check_network` rules.
+
+        A pass at the gate's own limit (``max_utilization`` 1.0) is kept
+        on the network until its next mutation, so :func:`check_network`
+        does not judge the same configuration again; a pass at a
+        stricter limit (``afdx lint --max-utilization``) says nothing
+        about the gate and is not kept.
+        """
+        n_findings = len(report.findings)
         for es in network.end_systems():
             degree = len(network.neighbors(es.name))
             if degree != 1:
@@ -627,6 +639,10 @@ class ConfigVerifier:
                         f"({len(network.vls_at_port(port_id))} VLs)",
                     )
                 )
+        if self.max_utilization == _GATE_MAX_UTILIZATION and not any(
+            finding.severity is Severity.ERROR for finding in report.findings[n_findings:]
+        ):
+            network._gate_passed = True
 
 
 #: the verifier behind :func:`check_network`: the theoretical stability
@@ -642,6 +658,10 @@ def check_network(network: Network) -> None:
     rules CFG104/CFG105, which bind configuration files only, and not
     the cycle search, which the analyzers' port toposort performs.
 
+    Returns at once when the network passed these rules since its last
+    mutation (a verifier run at the same limit, such as the one
+    ``afdx`` loads every configuration file through).
+
     Raises
     ------
     UnstableNetworkError
@@ -649,6 +669,8 @@ def check_network(network: Network) -> None:
     ConfigurationError
         For any other violation.
     """
+    if network._gate_passed:
+        return
     report = ConfigReport(source=network.name, network=network)
     _GATE._check_bound_preconditions(network, report)
     report.findings.sort(key=lambda f: f.sort_key)

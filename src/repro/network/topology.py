@@ -10,7 +10,8 @@ instances, per-port flow sets, per-flow output-port sequences, and the
 from __future__ import annotations
 
 import math
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from types import MappingProxyType
+from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
 from repro import units
 from repro.errors import (
@@ -173,10 +174,29 @@ class Network:
         self._links: Dict[Tuple[str, str], float] = {}
         self._adjacency: Dict[str, Set[str]] = {}
         self._vls: Dict[str, VirtualLink] = {}
+        self._make_views()
         self._port_flows_cache: Optional[Dict[PortId, FrozenSet[str]]] = None
         self._routing_cache: Optional[RoutingTable] = None
         # set by `repro.incremental.fingerprint.network_fingerprint`
         self._fingerprint: Optional[str] = None
+        # set when the configuration gate's rules (CFG102/108/109 at
+        # utilization 1.0) pass: `repro.network.preflight.check_network`
+        # then has nothing left to judge
+        self._gate_passed = False
+
+    def _make_views(self) -> None:
+        """The read-only views :attr:`nodes` and :attr:`virtual_links` hand out."""
+        self._nodes_view: Mapping[str, Node] = MappingProxyType(self._nodes)
+        self._vls_view: Mapping[str, VirtualLink] = MappingProxyType(self._vls)
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        del state["_nodes_view"], state["_vls_view"]  # views do not pickle
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._make_views()
 
     # ------------------------------------------------------------------
     # Construction
@@ -254,6 +274,13 @@ class Network:
         self._invalidate()
         return vl
 
+    def remove_virtual_link(self, name: str) -> VirtualLink:
+        """Unregister a Virtual Link and return it."""
+        vl = self.vl(name)
+        del self._vls[name]
+        self._invalidate()
+        return vl
+
     def replace_virtual_link(self, vl: VirtualLink) -> VirtualLink:
         """Swap an existing VL for a modified copy (parameter sweeps)."""
         if vl.name not in self._vls:
@@ -297,20 +324,26 @@ class Network:
         self._port_flows_cache = None
         self._routing_cache = None
         self._fingerprint = None
+        self._gate_passed = False
 
     # ------------------------------------------------------------------
     # Topology queries
     # ------------------------------------------------------------------
 
     @property
-    def nodes(self) -> Dict[str, Node]:
-        """All registered nodes by name (do not mutate)."""
-        return self._nodes
+    def nodes(self) -> Mapping[str, Node]:
+        """All registered nodes by name, as a read-only view."""
+        return self._nodes_view
 
     @property
-    def virtual_links(self) -> Dict[str, VirtualLink]:
-        """All registered VLs by name (do not mutate)."""
-        return self._vls
+    def virtual_links(self) -> Mapping[str, VirtualLink]:
+        """All registered VLs by name, as a read-only view.
+
+        Change them through :meth:`add_virtual_link`,
+        :meth:`replace_virtual_link` and :meth:`remove_virtual_link`,
+        which drop every derived fact of the old configuration.
+        """
+        return self._vls_view
 
     def node(self, name: str) -> Node:
         """Look up a node, raising :class:`UnknownNodeError` if missing."""
@@ -494,10 +527,10 @@ class Network:
     def copy(self) -> "Network":
         """Deep-enough copy: nodes/links/VLs are immutable, so sharing is safe."""
         dup = Network(rate_bits_per_us=self.default_rate, name=self.name)
-        dup._nodes = dict(self._nodes)
+        dup._nodes.update(self._nodes)
         dup._links = dict(self._links)
         dup._adjacency = {k: set(v) for k, v in self._adjacency.items()}
-        dup._vls = dict(self._vls)
+        dup._vls.update(self._vls)
         return dup
 
     def __repr__(self) -> str:

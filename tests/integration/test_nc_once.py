@@ -113,6 +113,29 @@ class TestOnePropagationPerAnalysis:
         assert nc_runs == ["fig2"]
 
 
+@pytest.fixture
+def rule_runs(monkeypatch):
+    """Names of the networks the gate's rules (CFG102/108/109) judged,
+    by the loader's verifier or by ``check_network``."""
+    runs = []
+    check = preflight.ConfigVerifier._check_bound_preconditions
+
+    def counted(self, network, report):
+        runs.append(network.name)
+        return check(self, network, report)
+
+    monkeypatch.setattr(preflight.ConfigVerifier, "_check_bound_preconditions", counted)
+    return runs
+
+
+@pytest.mark.parametrize("mode", SERIALIZATION_MODES)
+def test_analyze_judges_its_configuration_once(mode, fig2_json, rule_runs, capsys):
+    """The loader's verifier passes the network; NC's ``check_network``
+    finds that pass on it and judges nothing again."""
+    assert main(["analyze", fig2_json, "--serialization", mode]) == 0
+    assert rule_runs == ["fig2"]
+
+
 @pytest.mark.parametrize("mode", SERIALIZATION_MODES)
 def test_run_analyses_gates_once(mode, gate_calls):
     network = fig2_network()

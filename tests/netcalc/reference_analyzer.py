@@ -1,15 +1,19 @@
 """Test oracle: the per-flow Network Calculus propagation.
 
 The product analyzer (:class:`repro.netcalc.analyzer.NetworkCalculusAnalyzer`)
-reads every path fact from the network's routing table and folds each
-input-link group's leaky buckets into one affine curve before the
-shaping ``min_curves`` (docs/PERFORMANCE.md, "Network Calculus").  This
-module keeps the straight transcription those two changes replaced:
-every port's flows, upstream ports and next ports are found by
-rescanning every path of every flow, every member bucket becomes its
-own :class:`~repro.curves.PiecewiseCurve` added to the group with
-:func:`~repro.curves.sum_curves`, and every port's utilization is
-summed afresh.
+reads every path fact from the network's routing table, folds each
+input-link group's flows into one ``(rate, burst)`` pair and bounds
+every port with the flat-float port kernel (:mod:`repro.netcalc.kernel`),
+which replays the curve algebra's float operations without curve
+objects (docs/PERFORMANCE.md, "Network Calculus").  This module keeps
+the straight transcription those changes replaced: every port's flows,
+upstream ports and next ports are found by rescanning every path of
+every flow, every flow is a :class:`~repro.curves.LeakyBucket` whose
+curve is added to its group with :func:`~repro.curves.sum_curves`, the
+groups are capped with ``min_curves`` and summed into one
+:class:`~repro.curves.PiecewiseCurve`, the bounds are
+``horizontal_deviation`` and ``vertical_deviation`` of that curve, and
+every port's utilization is summed afresh.
 
 The contract is *faster, not looser*, bit for bit: every port's
 ``delay_us``, ``backlog_bits``, ``utilization``, ``n_flows`` and
@@ -18,10 +22,10 @@ The contract is *faster, not looser*, bit for bit: every port's
 against it.
 
 :class:`ReferenceNetworkCalculusAnalyzer` is a plain, uncached
-:class:`NetworkCalculusAnalyzer`: the library gate, the ingress buckets
-and the path sums are inherited, and only the port order and the
-per-port walk are replaced.  Its own methods carry ``_ref_`` names so
-they never shadow the product's.
+:class:`NetworkCalculusAnalyzer`: the library gate and the path sums
+are inherited; the ingress buckets, the port order and the per-port
+walk are its own, so it shares no code with the port kernel.  Its own
+methods carry ``_ref_`` names so they never shadow the product's.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ class ReferenceNetworkCalculusAnalyzer(NetworkCalculusAnalyzer):
         """Run the per-flow propagation (uncached, no stats)."""
         network = self.network
         check_network(network)
-        entering = self.ingress_buckets()
+        entering = self._ref_ingress_buckets()
         result = NetworkCalculusResult(
             grouping=self.grouping, frame_overhead_bytes=self.frame_overhead_bytes
         )
@@ -75,6 +79,17 @@ class ReferenceNetworkCalculusAnalyzer(NetworkCalculusAnalyzer):
             self._ref_propagate_port(entering, port_id, analysis.delay_us)
         self.finalize_paths(result, port_delay)
         return result
+
+    def _ref_ingress_buckets(self) -> Dict[Tuple[str, PortId], LeakyBucket]:
+        """Every flow's leaky bucket at its source ES output port."""
+        entering: Dict[Tuple[str, PortId], LeakyBucket] = {}
+        for name, vl in self.network.virtual_links.items():
+            first_port = (vl.source, vl.paths[0][1])
+            entering[(name, first_port)] = LeakyBucket(
+                rate=(vl.s_max_bits + self.frame_overhead_bits) / vl.bag_us,
+                burst=vl.s_max_bits + self.frame_overhead_bits,
+            )
+        return entering
 
     # -- the port graph, by path rescan ----------------------------------
 
@@ -150,7 +165,11 @@ class ReferenceNetworkCalculusAnalyzer(NetworkCalculusAnalyzer):
         beta = RateLatency(rate=port.rate_bits_per_us, latency=port.latency_us).curve()
         delay = horizontal_deviation(aggregate, beta)
         if math.isinf(delay):
-            raise UnstableNetworkError(f"no finite delay bound at port {port}")
+            raise UnstableNetworkError(
+                f"no finite delay bound at port {port}: aggregate long-term rate "
+                f"{aggregate.final_slope:.3f} bits/us exceeds the link rate "
+                f"{port.rate_bits_per_us:.3f}"
+            )
         demand = math.fsum(network.vl(name).rate_bits_per_us for name in sorted(buckets))
         return PortAnalysis(
             port_id=port_id,

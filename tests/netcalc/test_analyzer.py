@@ -5,6 +5,22 @@ import pytest
 from repro.errors import UnstableNetworkError
 from repro.netcalc import NetworkCalculusAnalyzer, analyze_network_calculus
 from repro.network import NetworkBuilder
+from tests.netcalc.reference_analyzer import ReferenceNetworkCalculusAnalyzer
+
+
+def funnel_network(n):
+    """n 1518-B VLs at BAG 1 ms, each from its own ES, into port SW->d."""
+    builder = NetworkBuilder("u").switches("SW").end_systems(
+        *(f"e{i}" for i in range(n)), "d"
+    )
+    for i in range(n):
+        builder.link(f"e{i}", "SW")
+    builder.link("SW", "d")
+    for i in range(n):
+        builder.virtual_link(
+            f"v{i}", source=f"e{i}", destinations=["d"], bag_ms=1, s_max_bytes=1518
+        )
+    return builder.build(validate=False)
 
 
 class TestSingleHop:
@@ -82,18 +98,30 @@ class TestOverheads:
 
 class TestStability:
     def test_unstable_network_raises(self):
-        builder = NetworkBuilder("u").switches("SW").end_systems(
-            *(f"e{i}" for i in range(11)), "d"
-        )
-        for i in range(11):
-            builder.link(f"e{i}", "SW")
-        builder.link("SW", "d")
-        for i in range(11):
-            builder.virtual_link(
-                f"v{i}", source=f"e{i}", destinations=["d"], bag_ms=1, s_max_bytes=1518
-            )
         with pytest.raises(UnstableNetworkError):
-            analyze_network_calculus(builder.build(validate=False))
+            analyze_network_calculus(funnel_network(11))
+
+    @pytest.mark.parametrize("grouping", [True, False])
+    @pytest.mark.parametrize(
+        "analyze",
+        [
+            analyze_network_calculus,
+            lambda net, **kw: ReferenceNetworkCalculusAnalyzer(net, **kw).analyze(),
+        ],
+        ids=["product", "oracle"],
+    )
+    def test_port_without_finite_bound(self, analyze, grouping):
+        # utilization 8 x 12144 bits / 1000 us / 100 = 0.97 passes the
+        # gate (CFG102 counts bare frames); 100 B of overhead per frame
+        # lift the aggregate to 8 x 12.944 bits/us, over the link rate
+        network = funnel_network(8)
+        with pytest.raises(UnstableNetworkError) as info:
+            analyze(network, grouping=grouping, frame_overhead_bytes=100)
+        assert type(info.value) is UnstableNetworkError
+        assert str(info.value) == (
+            "no finite delay bound at port SW->d: aggregate long-term rate "
+            "103.552 bits/us exceeds the link rate 100.000"
+        )
 
 
 class TestMulticast:

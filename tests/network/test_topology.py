@@ -1,5 +1,7 @@
 """Network container: wiring rules, port queries, utilization."""
 
+import pickle
+
 import pytest
 
 from repro.errors import (
@@ -130,6 +132,16 @@ class TestVirtualLinks:
         with pytest.raises(UnknownNodeError):
             net.replace_virtual_link(vl(name="nope"))
 
+    def test_remove_virtual_link(self, net):
+        added = net.add_virtual_link(vl())
+        assert net.remove_virtual_link("v1") is added
+        assert "v1" not in net.virtual_links
+        assert net.used_ports() == []
+
+    def test_remove_unknown_rejected(self, net):
+        with pytest.raises(UnknownNodeError):
+            net.remove_virtual_link("nope")
+
 
 class TestPortQueries:
     def test_port_path(self, net):
@@ -184,6 +196,39 @@ class TestMisc:
         dup.add_virtual_link(vl(name="v2"))
         assert "v2" not in net.virtual_links
         assert "v1" in dup.virtual_links
+
+    def test_views_reject_writes(self, net):
+        net.add_virtual_link(vl())
+        with pytest.raises(TypeError):
+            net.virtual_links["v2"] = vl(name="v2")
+        with pytest.raises(TypeError):
+            del net.virtual_links["v1"]
+        with pytest.raises(TypeError):
+            net.nodes["S9"] = net.node("S1")
+        with pytest.raises(TypeError):
+            del net.nodes["S1"]
+        with pytest.raises(AttributeError):
+            net.virtual_links.pop("v1")
+        assert list(net.virtual_links) == ["v1"]
+        assert sorted(net.nodes) == ["S1", "S2", "e1", "e2"]
+
+    def test_views_are_built_once_and_follow_the_network(self, net):
+        vls, nodes = net.virtual_links, net.nodes
+        assert net.virtual_links is vls and net.nodes is nodes
+        net.add_virtual_link(vl())
+        net.add_switch("S3")
+        assert "v1" in vls and "S3" in nodes
+        dup = net.copy()
+        dup.remove_virtual_link("v1")
+        assert "v1" in vls and "v1" not in dup.virtual_links
+
+    def test_pickle_round_trip(self, net):
+        net.add_virtual_link(vl())
+        back = pickle.loads(pickle.dumps(net))
+        assert dict(back.virtual_links) == dict(net.virtual_links)
+        assert dict(back.nodes) == dict(net.nodes)
+        back.remove_virtual_link("v1")
+        assert "v1" not in back.virtual_links and "v1" in net.virtual_links
 
     def test_repr_counts(self, net):
         net.add_virtual_link(vl())
@@ -294,8 +339,7 @@ class TestRoutingTable:
 
     def test_remove_drops_the_table(self, mesh):
         # what RemoveVL does to the network it edits
-        del mesh.virtual_links["v1"]
-        mesh._invalidate()
+        mesh.remove_virtual_link("v1")
         assert routing_view(mesh) == routing_view(rebuilt(mesh))
         with pytest.raises(UnknownNodeError):
             mesh.upstream_port("v1", ("S1", "S2"))
@@ -367,8 +411,7 @@ class TestFingerprint:
 
     def test_remove_drops_the_digest(self, mesh):
         # what RemoveVL does to the network it edits
-        del mesh.virtual_links["v1"]
-        mesh._invalidate()
+        mesh.remove_virtual_link("v1")
         assert_fresh_fingerprint(mesh)
 
     def test_copy_shares_no_digest(self, mesh):

@@ -157,3 +157,76 @@ def test_admission_rules_bind_files_only():
 def test_port_utilization_reported(fig2):
     report = ConfigVerifier().verify_network(fig2)
     assert report.port_utilization[("S3", "e6")] == pytest.approx(0.04)
+
+
+class TestGatePass:
+    """A pass of the gate's rules at the gate's limit is kept on the
+    network until its next mutation; :func:`check_network` then judges
+    nothing."""
+
+    @pytest.fixture
+    def rule_runs(self, monkeypatch):
+        runs = []
+        check = ConfigVerifier._check_bound_preconditions
+
+        def counted(self, network, report):
+            runs.append(self.max_utilization)
+            return check(self, network, report)
+
+        monkeypatch.setattr(ConfigVerifier, "_check_bound_preconditions", counted)
+        return runs
+
+    def test_verified_network_is_not_judged_again(self, rule_runs):
+        # 8 x 1330 B / 1 ms: a CFG103 warning, no error
+        net = overload_network(s_max_bytes=1330, n=8)
+        assert ConfigVerifier().verify_network(net).ok
+        check_network(net)
+        check_network(net)
+        assert rule_runs == [1.0]
+
+    def test_stricter_limit_keeps_no_pass(self, rule_runs):
+        net = overload_network(s_max_bytes=1000, n=8)  # utilization 0.64
+        assert ConfigVerifier(max_utilization=0.9).verify_network(net).ok
+        assert not net._gate_passed
+        check_network(net)
+        assert rule_runs == [0.9, 1.0]
+        assert net._gate_passed
+
+    def test_failed_rules_keep_no_pass(self, rule_runs):
+        net = overload_network()
+        assert not ConfigVerifier().verify_network(net).ok
+        assert not net._gate_passed
+        with pytest.raises(UnstableNetworkError):
+            check_network(net)
+
+    def test_other_errors_do_not_void_the_pass(self):
+        # an admission error (CFG104) binds files only: the gate passed
+        net = overload_network(bag_ms=3, s_max_bytes=100, n=2)
+        report = ConfigVerifier().verify_network(net)
+        assert {f.rule_id for f in report.errors} == {"CFG104"}
+        assert net._gate_passed
+
+    def test_mutation_drops_the_pass(self):
+        net = overload_network(s_max_bytes=1250, n=8)  # utilization 0.8
+        check_network(net)
+        assert net._gate_passed
+        assert not net.copy()._gate_passed
+        # two more 1250 B flows saturate the port: utilization 1.0
+        for index in (8, 9):
+            net.add_end_system(f"e{index}")
+            net.add_link(f"e{index}", "SW")
+            net.add_virtual_link(
+                VirtualLink(
+                    name=f"v{index}", source=f"e{index}", paths=((f"e{index}", "SW", "d"),),
+                    bag_ms=1, s_max_bytes=1250,
+                )
+            )
+            assert not net._gate_passed
+        with pytest.raises(UnstableNetworkError, match="CFG102"):
+            check_network(net)
+
+    def test_removal_drops_the_pass(self):
+        net = overload_network(s_max_bytes=1000, n=8)
+        check_network(net)
+        net.remove_virtual_link("v0")
+        assert not net._gate_passed
