@@ -4,7 +4,9 @@
 Builds the paper's Fig. 2 sample configuration from scratch with the
 public API (five emitting end systems, three switches, five Virtual
 Links), runs both worst-case analyses and prints per-path bounds — the
-same numbers as Sec. II-B of the paper.
+numbers of Sec. II-B of the paper (the trajectory ones of its Fig. 3:
+the default mode is the sound one, without the serialization credit of
+Fig. 4).
 
 Run with:  python examples/quickstart.py
 """

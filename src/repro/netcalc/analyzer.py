@@ -30,7 +30,7 @@ import math
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import UnstableNetworkError
-from repro.netcalc.grouping import member_groups
+from repro.netcalc.grouping import is_source_key, member_groups
 from repro.netcalc.kernel import Group, port_bounds
 from repro.netcalc.results import NetworkCalculusResult, PathBound, PortAnalysis
 from repro.network.port import PortId
@@ -204,14 +204,19 @@ class NetworkCalculusAnalyzer:
         result: NetworkCalculusResult,
         port_delay: Dict[PortId, float],
     ) -> None:
-        """Fill ``result.paths`` by summing per-port delays along each path."""
+        """Fill ``result.paths`` by summing per-port delays along each path.
+
+        A path's ports are the routing table's interned prefix of its
+        last port: on a tree, the one prefix that ends there.
+        """
+        prefixes = self.network.routing_table().prefixes
         for vl_name, path_index, node_path in self.network.flow_paths():
-            port_ids = tuple((a, b) for a, b in zip(node_path, node_path[1:]))
-            delays = tuple(port_delay[pid] for pid in port_ids)
+            port_ids = prefixes[(vl_name, (node_path[-2], node_path[-1]))]
+            delays = tuple([port_delay[pid] for pid in port_ids])
             result.paths[(vl_name, path_index)] = PathBound(
                 vl_name=vl_name,
                 path_index=path_index,
-                node_path=tuple(node_path),
+                node_path=node_path,
                 port_ids=port_ids,
                 per_port_delay_us=delays,
                 total_us=math.fsum(delays),
@@ -274,7 +279,7 @@ class NetworkCalculusAnalyzer:
                 # repro-lint: allow[REPRO102] the sequential sum add_curves folds per member, kept bit for bit
                 rate += rates[name]
             shaping = None
-            if self.grouping and key[0] != "source":
+            if self.grouping and not is_source_key(key):
                 biggest_frame = max(map(frames.__getitem__, members))
                 shaping = (network.link_rate(*key), float(biggest_frame))
             groups.append((rate, burst, shaping))

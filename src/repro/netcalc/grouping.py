@@ -27,24 +27,41 @@ test_multicast_fan_out_counted_once_per_output_port``.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Mapping, Tuple
 
-from repro.curves import LeakyBucket, PiecewiseCurve, min_curves, sum_curves
 from repro.network.port import PortId
 from repro.network.topology import Network
+
+if TYPE_CHECKING:  # the curve algebra loads only with the curve-object functions
+    from repro.curves import LeakyBucket, PiecewiseCurve
 
 __all__ = [
     "GroupKey",
     "arrival_groups",
     "group_arrival_curve",
+    "is_source_key",
     "member_groups",
     "port_aggregate_curve",
+    "source_key",
 ]
 
-#: Flows are grouped by the upstream port they arrive through;
-#: locally-sourced flows (at their ES output port) are ungrouped and use
-#: a per-flow key ``("source", vl_name)``.
-GroupKey = Tuple[str, str]
+#: Flows are grouped by the upstream port they arrive through, a pair of
+#: node names.  A flow sourced at the port's own end system is ungrouped:
+#: its key is the 1-tuple ``(vl_name,)`` (:func:`source_key`), which no
+#: port id equals whatever the nodes are named.  An end system only
+#: sources, so a port's keys are either all ports or all source keys,
+#: and source keys sort by VL name.
+GroupKey = Tuple[str, ...]
+
+
+def source_key(vl_name: str) -> GroupKey:
+    """The group key of a flow sourced at the port's own end system."""
+    return (vl_name,)
+
+
+def is_source_key(key: GroupKey) -> bool:
+    """True for a :func:`source_key`, False for an upstream port id."""
+    return len(key) == 1
 
 
 def member_groups(network: Network, port_id: PortId) -> Dict[GroupKey, List[str]]:
@@ -55,7 +72,7 @@ def member_groups(network: Network, port_id: PortId) -> Dict[GroupKey, List[str]
     # members arrive sorted, so each group's list is sorted too
     for vl_name in table.members.get(port_id, ()):
         prefix = prefixes[(vl_name, port_id)]
-        key: GroupKey = prefix[-2] if len(prefix) > 1 else ("source", vl_name)
+        key: GroupKey = prefix[-2] if len(prefix) > 1 else source_key(vl_name)
         groups.setdefault(key, []).append(vl_name)
     return groups
 
@@ -77,16 +94,16 @@ def group_arrival_curve(
     network: Network,
     key: GroupKey,
     members: Iterable[str],
-    buckets: Mapping[str, LeakyBucket],
+    buckets: Mapping[str, "LeakyBucket"],
     grouping: bool,
-) -> PiecewiseCurve:
+) -> "PiecewiseCurve":
     """Arrival curve of one input-link group at a port.
 
     Parameters
     ----------
     key:
         The group key from :func:`arrival_groups` — an upstream port id,
-        or ``("source", vl)`` for a locally-sourced flow.
+        or :func:`source_key` of a locally-sourced flow.
     members:
         VL names in the group.
     buckets:
@@ -104,6 +121,8 @@ def group_arrival_curve(
     the curve's ``max(0.0, slope)`` clamp leaves a non-negative rate sum
     unchanged (``tests/netcalc/test_grouping.py`` checks the identity).
     """
+    from repro.curves import PiecewiseCurve, min_curves
+
     member_list = sorted(members)
     burst = 0.0
     rate = 0.0
@@ -114,7 +133,7 @@ def group_arrival_curve(
         # repro-lint: allow[REPRO102] the sequential sum add_curves folds per member, kept bit for bit
         rate += bucket.rate
     summed = PiecewiseCurve.affine(rate, burst)
-    if not grouping or key[0] == "source":
+    if not grouping or is_source_key(key):
         return summed
     link_rate = network.link_rate(*key)
     biggest_frame = max(network.vl(name).s_max_bits for name in member_list)
@@ -125,10 +144,12 @@ def group_arrival_curve(
 def port_aggregate_curve(
     network: Network,
     port_id: PortId,
-    buckets: Mapping[str, LeakyBucket],
+    buckets: Mapping[str, "LeakyBucket"],
     grouping: bool,
-) -> Tuple[PiecewiseCurve, int]:
+) -> Tuple["PiecewiseCurve", int]:
     """Aggregate arrival curve at a port and the number of groups used."""
+    from repro.curves import sum_curves
+
     groups = arrival_groups(network, port_id)
     curves: List[PiecewiseCurve] = [
         group_arrival_curve(network, key, members, buckets, grouping)

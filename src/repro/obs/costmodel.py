@@ -5,7 +5,7 @@ cannot gate a speedup PR, because the same algorithm jitters across
 machines and runs.  The cost ledger instead counts the analysis's own
 work units — candidate evaluations, competitor folds, curve-knot
 operations — *derived from the result structures themselves*
-(:class:`~repro.trajectory.results.TrajectoryPathBound` carries
+(:class:`~repro.trajectory.results.PrefixBound` carries
 ``n_candidates`` / ``n_competitors`` per tree port,
 :class:`~repro.netcalc.results.PortAnalysis` carries ``n_flows`` /
 ``n_groups``).  Because the bounds are bit-identical across
@@ -166,8 +166,8 @@ def record_trajectory_sweep(
 ) -> None:
     """Fold one trajectory sweep's prefix bounds into the ledger.
 
-    ``bounds`` is the sweep's ``(vl_name, port) -> TrajectoryPathBound``
-    map (``_sweep()`` output).
+    ``bounds`` is the sweep's ``(vl_name, port) -> PrefixBound`` map
+    (``sweep_vls()`` output).
     """
     candidates = 0
     competitors = 0

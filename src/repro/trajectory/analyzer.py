@@ -38,7 +38,9 @@ tree port is proportional to the *new* competitors met there rather
 than to the whole competitor set — this is what keeps the ~1000-VL
 industrial configuration tractable in seconds.  The walk reads flat
 per-port competitor tables (parallel ``(C, T, Smin, Smax)`` arrays over
-each port's sorted members) instead of dict walks; the meeting
+each port's sorted members) instead of dict walks; each tree port folds
+its joining competitors in one batch, and each VL's source port, where
+every offset is 0.0, once for all sweeps; the meeting
 structure is resolved once per port path into member *indices*;
 finished walks are memoized across sweeps keyed by the packed ``Smax``
 slices they read (``repro.incremental``'s content-addressed packing),
@@ -69,7 +71,7 @@ from repro.obs.costmodel import CostLedger, record_trajectory_sweep
 from repro.obs.instrument import Instrumentation
 from repro.obs.logging import get_logger, kv
 from repro.trajectory.busy_period import busy_period_bound, interference_count
-from repro.trajectory.results import TrajectoryPathBound, TrajectoryResult
+from repro.trajectory.results import PrefixBound, TrajectoryPathBound, TrajectoryResult
 from repro.trajectory.serialization import DEFAULT_SERIALIZATION, normalize_mode
 from repro.trajectory.timing import (
     FlowPortKey,
@@ -84,10 +86,10 @@ _LOG = get_logger("trajectory")
 
 _EPS = 1e-6
 
-#: smallest per-port competitor batch folded by `_batch_fold` and kept
-#: in the walk node's fold cache; smaller batches run the per-flow fold
-#: loop with the event memo (both paths compute the same floats, so the
-#: threshold is purely a tuning knob, not a semantics switch)
+#: smallest per-port competitor batch whose fold the walk node caches
+#: across sweeps (`_walk_tree`); narrower batches fold afresh each
+#: visit.  Both compute the same floats, so the threshold is a tuning
+#: knob, not a semantics switch
 _VEC_MIN = 16
 
 #: boundary tolerance of the `interference_count` fast path (one part
@@ -107,22 +109,29 @@ def _batch_fold(
     ``interference_count(0.0, offset[i], period[i]) * c[i]``: the loop
     inlines that function's fast path (the same IEEE-754 operations),
     and an element near a period boundary falls back to the exact
-    counter itself.
+    counter itself.  An offset of exactly zero (``-0.0`` included),
+    which every flow has at its source port, counts one frame:
+    ``1 * c == c``.
 
     ``maybe`` lists the positions whose first counter jump
     ``fl((offset // period + 1) * period - offset)`` — the exact float
-    `_flow_events` tests first — lands inside the busy period.  Only
-    those flows can contribute candidate events; callers fold them
-    through the exact `_flow_events` path.  On avionics-shaped
-    configurations (BAG orders of magnitude above the busy period) the
-    list is almost always empty.
+    `_flow_events` tests first, ``period`` itself at a zero offset —
+    lands inside the busy period.  Only those flows can contribute
+    candidate events; callers fold them through the exact
+    `_flow_events` path.  On avionics-shaped configurations (BAG orders
+    of magnitude above the busy period) the list is almost always empty.
     """
     bases: List[float] = []
     maybe: List[int] = []
     append = bases.append
     floor = math.floor
     for index, (ci, ti, ai) in enumerate(zip(c, period, offset)):
-        if ai >= 0.0:
+        if ai == 0.0:
+            append(ci)
+            if ti < horizon:
+                maybe.append(index)
+            continue
+        if ai > 0.0:
             quotient = ai / ti
             k = floor(quotient)
             fraction = quotient - k
@@ -143,11 +152,15 @@ def _batch_fold(
     return tuple(bases), maybe
 
 
-def _flag_reader(indices: Tuple[int, ...]) -> Callable[[bytearray], Tuple[int, ...]]:
-    """``bitmap -> tuple of bitmap[i] for i in indices``, in one C call."""
+def _picker(indices: Tuple[int, ...]) -> Callable[[Sequence], Tuple]:
+    """``seq -> tuple of seq[i] for i in indices``, in one C call.
+
+    Reads the members' met flags from the walk's bitmap and a fold
+    batch's columns from a port's parallel tuples.
+    """
     if len(indices) == 1:
         only = indices[0]
-        return lambda bitmap: (bitmap[only],)
+        return lambda seq: (seq[only],)
     return operator.itemgetter(*indices)
 
 
@@ -164,9 +177,8 @@ def _replay_add(value: float, terms) -> float:
     """``(((value + t0) + t1) + ...)`` — the exact sequential chain.
 
     This *is* the reference walk's accumulation: a ``+=`` chain over
-    the per-flow bases in add order, which replays a cached batch fold
-    without recomputing it.  Pass the negated terms for the rollback
-    chain: IEEE-754 guarantees ``a - b == a + (-b)`` exactly.
+    the per-flow bases in add order.  The rollback subtracts the same
+    floats in the same order, as the reference does.
     """
     for term in terms:
         value += term
@@ -178,9 +190,8 @@ def _flow_events(
 ) -> Tuple[float, Tuple[Tuple[float, float], ...]]:
     """One flow's base workload and candidate jump events ``(t, C)``.
 
-    Pure in its four floats, which is what makes the
-    event memo in :meth:`TrajectoryAnalyzer._walk_tree` exact: the same
-    ``(C, T, A, horizon)`` always reproduces the same event tuple.
+    The walk takes the events of the flows `_batch_fold` flags; the
+    test oracle and the provenance replay take both.
     """
     base = interference_count(0.0, offset, period) * c
     flow_events = []
@@ -204,13 +215,13 @@ class TrajectoryAnalyzer:
         The configuration to analyze (not mutated).
     serialization:
         Input-link serialization credit (the "enhanced trajectory
-        approach" of the paper's Fig. 4), by name.  ``"windowed"`` (the
+        approach" of the paper's Fig. 4), by name.  ``"safe"`` (the
         default, :data:`~repro.trajectory.serialization.DEFAULT_SERIALIZATION`)
-        applies one credit per port (the reconstruction matching the
-        published evaluation); ``"paper"`` applies the literal
-        per-group credit (known to be optimistic in corner cases — see
-        :mod:`repro.trajectory.serialization`); ``"safe"`` runs the
-        provably sound plain analysis.  Any other value, a bool
+        runs the provably sound plain analysis; ``"windowed"`` applies
+        one credit per port (the reconstruction matching the published
+        evaluation); ``"paper"`` applies the literal per-group credit
+        (both are optimistic in corner cases — see
+        :mod:`repro.trajectory.serialization`).  Any other value, a bool
         included, raises :class:`ValueError`.
     refine_smax:
         Tighten the ``Smax`` arrival-jitter terms with trajectory
@@ -297,11 +308,10 @@ class TrajectoryAnalyzer:
         )
         self._result: Optional[TrajectoryResult] = None
         self._prepared = False
-        self._event_memo_enabled = True  # test hook: equivalence guard
         # explain=True recording: the Smax map the final sweep ran with
         # and that sweep's complete prefix-bound dictionary
         self._explain_smax: Optional[Dict[FlowPortKey, float]] = None
-        self._explain_bounds: Optional[Dict[FlowPortKey, TrajectoryPathBound]] = None
+        self._explain_bounds: Optional[Dict[FlowPortKey, PrefixBound]] = None
 
     # ------------------------------------------------------------------
 
@@ -329,10 +339,9 @@ class TrajectoryAnalyzer:
                     incremental=self.incremental,
                     cache=self._cache,
                 )
-        smax_seed = seed_smax_from_netcalc(network, nc_seed)
+        self._smax: Dict[FlowPortKey, float] = seed_smax_from_netcalc(network, nc_seed)
         with obs.tracer.span("trajectory.precompute"):
             self._smin = compute_smin(network)
-            self._smax: Dict[FlowPortKey, float] = dict(smax_seed)
             self._prefixes = tree_prefixes(network)
             self._precompute_structure()
         self._prepared = True
@@ -459,7 +468,7 @@ class TrajectoryAnalyzer:
 
         self.prepare()
 
-        bounds: Dict[FlowPortKey, TrajectoryPathBound] = {}
+        bounds: Dict[FlowPortKey, PrefixBound] = {}
         sweeps = 0
         sweep_trace: List[Dict[str, object]] = []
         # integer sums over the sweep's own bounds: cheap, and computed
@@ -563,20 +572,25 @@ class TrajectoryAnalyzer:
         result.provenance = trajectory_provenance(self, result)
 
     def build_result(
-        self, bounds: Dict[FlowPortKey, TrajectoryPathBound], sweeps: int
+        self, bounds: Dict[FlowPortKey, PrefixBound], sweeps: int
     ) -> TrajectoryResult:
-        """Per-path result from one converged sweep's prefix bounds."""
+        """Per-path result from one converged sweep's prefix bounds.
+
+        A path's ports are the routing table's interned prefix of its
+        last port: on a tree, the one prefix that ends there.
+        """
         result = TrajectoryResult(
             serialization=self.serialization_mode, refinement_iterations=sweeps
         )
+        prefixes = self._prefixes
         for vl_name, path_index, node_path in self.network.flow_paths():
-            last_port = (node_path[-2], node_path[-1])
-            detail = bounds[(vl_name, last_port)]
+            key = (vl_name, (node_path[-2], node_path[-1]))
+            detail = bounds[key]
             result.paths[(vl_name, path_index)] = TrajectoryPathBound(
                 vl_name=vl_name,
                 path_index=path_index,
-                node_path=tuple(node_path),
-                port_ids=tuple((a, b) for a, b in zip(node_path, node_path[1:])),
+                node_path=node_path,
+                port_ids=prefixes[key],
                 total_us=detail.total_us,
                 critical_instant_us=detail.critical_instant_us,
                 busy_period_us=detail.busy_period_us,
@@ -603,10 +617,12 @@ class TrajectoryAnalyzer:
 
         ``C`` is built with the exact expression the reference walk
         evaluates per meeting (``vl.s_max_bits / rate``), so every float
-        read from these tables is bit-identical to the dict walk.
-        ``Smax`` is the only sweep-varying input; its per-port slices
-        are rebuilt lazily each sweep (:meth:`_smax_slice`).
-        Membership, trees and upstream ports come from the network's
+        read from these tables is bit-identical to the dict walk.  Link
+        rates and node latencies are read once per port, and each VL's
+        frame size and BAG once per VL.  ``Smax`` is the only
+        sweep-varying input; its per-port slices are rebuilt lazily
+        each sweep (:meth:`_smax_slice`).  Membership, trees and
+        upstream ports come from the network's
         :class:`~repro.network.topology.RoutingTable`.
         """
         network = self.network
@@ -616,20 +632,14 @@ class TrajectoryAnalyzer:
             name: index for index, name in enumerate(vl_order)
         }
         self._n_vls = len(vl_order)
+        frame_bits = {name: vl.s_max_bits for name, vl in network.virtual_links.items()}
+        bags = {name: vl.bag_us for name, vl in network.virtual_links.items()}
         # sorted flow tuple per port: a deterministic iteration order
         # regardless of process hash seed (frozenset order is not)
-        self._port_vls: Dict[PortId, Tuple[str, ...]] = {
-            pid: table.members[pid] for pid in network.used_ports()
+        self._port_vls: Dict[PortId, Tuple[str, ...]] = table.members
+        self._port_rate: Dict[PortId, float] = {
+            pid: network.link_rate(*pid) for pid in self._port_vls
         }
-        # largest frame transmission time crossing each port (Delta term)
-        self._port_max_c: Dict[PortId, float] = {}
-        self._port_rate: Dict[PortId, float] = {}
-        for pid, members in self._port_vls.items():
-            rate = network.link_rate(*pid)
-            self._port_rate[pid] = rate
-            self._port_max_c[pid] = max(
-                network.vl(v).s_max_bits / rate for v in members
-            )
         # owner-node technological latency per port (hot in every visit)
         self._port_lat: Dict[PortId, float] = {
             pid: network.node(pid[0]).technological_latency_us
@@ -651,38 +661,40 @@ class TrajectoryAnalyzer:
         }
         # upstream port of each VL at each of its tree ports
         self._upstream: Dict[FlowPortKey, Optional[PortId]] = {
-            key: table.upstream(key) for key in self._prefixes
+            key: prefix[-2] if len(prefix) > 1 else None
+            for key, prefix in self._prefixes.items()
         }
         # per-port tuples, plus a reader that gathers the members' met
         # flags from the walk's bitmap in one call (`_discover_meetings`)
+        # and the largest frame transmission time crossing each port
+        # (the Delta term)
         self._port_tab: Dict[PortId, Tuple] = {}
         self._port_flags: Dict[PortId, Callable[[bytearray], Tuple[int, ...]]] = {}
+        self._port_max_c: Dict[PortId, float] = {}
+        upstream = self._upstream
+        smin = self._smin
+        vl_index = self._vl_index
         for pid, members in self._port_vls.items():
             rate = self._port_rate[pid]
+            c_column = tuple([frame_bits[m] / rate for m in members])
             tab = (
                 members,
-                tuple(network.vl(m).s_max_bits / rate for m in members),
-                tuple(network.vl(m).bag_us for m in members),
-                tuple(self._vl_index[m] for m in members),
-                tuple(self._upstream[(m, pid)] for m in members),
-                tuple(self._smin[(m, pid)] for m in members),
+                c_column,
+                tuple([bags[m] for m in members]),
+                tuple([vl_index[m] for m in members]),
+                tuple([upstream[(m, pid)] for m in members]),
+                tuple([smin[(m, pid)] for m in members]),
                 {m: index for index, m in enumerate(members)},
             )
             self._port_tab[pid] = tab
-            self._port_flags[pid] = _flag_reader(tab[3])
+            self._port_flags[pid] = _picker(tab[3])
+            self._port_max_c[pid] = max(c_column)
 
         # ---- memo tiers ----------------------------------------------
         # the source busy period only involves flows sourced at the root
         # ES port, all with zero arrival offset, so it is one number per
         # root port shared by every VL of that port and every sweep
         self._horizon_cache: Dict[PortId, float] = {}
-        # candidate-event memo: the jump instants of a competitor entry
-        # depend only on (C, T, offset, horizon), and the same entry
-        # recurs at every meeting port of every studied VL sharing it
-        # (`_flow_events`)
-        self._event_cache: Dict[
-            Tuple[float, float, float, float], Tuple[float, Tuple[Tuple[float, float], ...]]
-        ] = {}
         # (port, parent) -> positions of the members that do not cross
         # parent (the re-meeting candidates of `_discover_meetings`)
         self._crosses_cache: Dict[Tuple[PortId, PortId], Tuple[int, ...]] = {}
@@ -706,9 +718,51 @@ class TrajectoryAnalyzer:
         self._cache_counters: Dict[str, List[int]] = {
             "horizon": [0, 0],
             "meetings": [0, 0],
-            "events": [0, 0],
             "sweep_memo": [0, 0],
         }
+        # each VL's walk state at its source port (`_root_state`)
+        self._roots: Dict[str, Tuple] = {}
+        root_flags: Dict[PortId, bytearray] = {}
+        for name in vl_order:
+            self._roots[name] = self._root_state(name, root_flags)
+
+    def _root_state(self, vl_name: str, root_flags: Dict[PortId, bytearray]) -> Tuple:
+        """One VL's walk state after its source port, for every sweep.
+
+        At a VL's source port every member's ``Smax`` and ``Smin`` are
+        ``math.fsum([]) == 0.0`` (the seed's empty prefix sum, which
+        :meth:`tighten_smax` never revisits), so every arrival offset
+        there is exactly 0.0 in every mode and sweep, and each member
+        folds one frame.  The fold runs once, in the reference walk's
+        order (the studied flow, then the other members in sorted
+        order).  Returns ``(root, horizon, base workload, events, met
+        flags, root prefix bound)``; ``root_flags`` shares one met
+        bitmap (every member of the port marked) per source port.
+        """
+        root = self._trees[vl_name][0]
+        members, mc, mt, mg, _mup, _msmin, mpos = self._port_tab[root]
+        own = mpos[vl_name]
+        pick = _picker((own, *(index for index in range(len(members)) if index != own)))
+        c_a, t_a = pick(mc), pick(mt)
+        horizon = self._root_horizon(root)
+        folded, maybe = _batch_fold(c_a, t_a, (0.0,) * len(c_a), horizon)
+        events: List[Tuple[float, float]] = []
+        for pos in maybe:
+            events.extend(_flow_events(c_a[pos], t_a[pos], 0.0, horizon)[1])
+        base_workload = _replay_add(0.0, folded)
+        met = root_flags.get(root)
+        if met is None:
+            met = root_flags[root] = bytearray(self._n_vls)
+            for g in mg:
+                met[g] = 1
+        latencies = 0.0 + self._port_lat[root]
+        best, best_t, best_w, n_cand = self._maximize(
+            base_workload, events, 0.0 + latencies - 0.0
+        )
+        bound = PrefixBound(
+            best, best_t, horizon, best_w, 0.0, latencies, 0.0, len(members) - 1, n_cand
+        )
+        return root, horizon, base_workload, tuple(events), met, bound
 
     def _smax_slice(self, port: PortId) -> List[float]:
         """This sweep's ``Smax`` values of one port's members, in order."""
@@ -734,9 +788,7 @@ class TrajectoryAnalyzer:
         """This sweep's packed ``Smax`` slice of one port's members."""
         pack = self._port_packs.get(port)
         if pack is None:
-            smax = self._smax
-            pack = pack_floats([smax[(m, port)] for m in self._port_vls[port]])
-            self._port_packs[port] = pack
+            pack = self._port_packs[port] = pack_floats(self._smax_slice(port))
         return pack
 
     def cache_stats(self) -> Dict[str, Tuple[int, int]]:
@@ -753,7 +805,7 @@ class TrajectoryAnalyzer:
     # ------------------------------------------------------------------
 
     def tighten_smax(
-        self, bounds: Dict[FlowPortKey, TrajectoryPathBound]
+        self, bounds: Dict[FlowPortKey, PrefixBound]
     ) -> Tuple[Dict[FlowPortKey, float], float]:
         """One descending update of Smax.
 
@@ -767,28 +819,27 @@ class TrajectoryAnalyzer:
         """
         updates: Dict[FlowPortKey, float] = {}
         max_delta = 0.0
-        for (vl_name, pid), prefix in self._prefixes.items():
-            if len(prefix) < 2:
+        smax = self._smax
+        port_lat = self._port_lat
+        for key, upstream in self._upstream.items():
+            if upstream is None:
                 continue
-            upstream = prefix[-2]
-            candidate = (
-                bounds[(vl_name, upstream)].total_us
-                + self.network.node(pid[0]).technological_latency_us
-            )
-            delta = self._smax[(vl_name, pid)] - candidate
+            vl_name, pid = key
+            candidate = bounds[(vl_name, upstream)].total_us + port_lat[pid]
+            delta = smax[key] - candidate
             if delta > _EPS:
-                self._smax[(vl_name, pid)] = candidate
-                updates[(vl_name, pid)] = candidate
+                smax[key] = candidate
+                updates[key] = candidate
                 if delta > max_delta:
                     max_delta = delta
         return updates, max_delta
 
-    def _sweep(self) -> Dict[FlowPortKey, TrajectoryPathBound]:
+    def _sweep(self) -> Dict[FlowPortKey, PrefixBound]:
         return self.sweep_vls(list(self.network.virtual_links))
 
     def sweep_vls(
         self, vl_names: List[str]
-    ) -> Dict[FlowPortKey, TrajectoryPathBound]:
+    ) -> Dict[FlowPortKey, PrefixBound]:
         """Walk the given VLs' trees once with the current ``Smax`` map.
 
         The prefix bounds of different VLs are independent within one
@@ -796,17 +847,12 @@ class TrajectoryAnalyzer:
         """
         if not self._prepared:
             raise RuntimeError("prepare() must run before sweep_vls()")
-        bounds: Dict[FlowPortKey, TrajectoryPathBound] = {}
+        bounds: Dict[FlowPortKey, PrefixBound] = {}
         progress = self._obs.progress
         memo_counters = self._cache_counters["sweep_memo"]
-        # the candidate-event memo persists across sweeps on purpose:
-        # its keys are the exact fold floats ``(C, T, offset, horizon)``
-        # so a stale entry is unreachable, and most offsets survive a
-        # tightening round unchanged (only ports whose Smax moved shift
-        # them) — later sweeps hit where they used to rebuild.
-        # port packs and Smax slices, by contrast, MUST be dropped:
-        # Smax tightened since the last sweep, and a stale pack would
-        # alias two different walk inputs onto one memo key
+        # port packs and Smax slices MUST be dropped: Smax tightened
+        # since the last sweep, and a stale pack would alias two
+        # different walk inputs onto one memo key
         self._port_packs.clear()
         self._port_smax.clear()
         for index, vl_name in enumerate(vl_names):
@@ -825,7 +871,7 @@ class TrajectoryAnalyzer:
                 bounds.update(memo[1])
                 continue
             memo_counters[1] += 1
-            local: Dict[FlowPortKey, TrajectoryPathBound] = {}
+            local: Dict[FlowPortKey, PrefixBound] = {}
             self._walk_tree(vl_name, local)
             self._sweep_memo[vl_name] = (memo_key, local)
             bounds.update(local)
@@ -869,13 +915,8 @@ class TrajectoryAnalyzer:
             hits_misses[0] += 1
             return cached
         hits_misses[1] += 1
-        rate = self._port_rate[root]
-        horizon = busy_period_bound(
-            [
-                (self.network.vl(name).s_max_bits / rate, self.network.vl(name).bag_us, 0.0)
-                for name in self._port_vls[root]
-            ]
-        )
+        _members, mc, mt = self._port_tab[root][:3]
+        horizon = busy_period_bound([(c, period, 0.0) for c, period in zip(mc, mt)])
         self._horizon_cache[root] = horizon
         return horizon
 
@@ -919,9 +960,11 @@ class TrajectoryAnalyzer:
         Returns ``(n_added, added, readded, gain, vec, joined)`` with
         ``added``/``readded`` as positions into the port's member tuple
         and ``joined`` the added members' global VL indices (the bitmap
-        marks the walk sets); for batches wide enough for
-        :func:`_batch_fold`, ``vec`` is ``(pick, C, T, Smin)``: the
-        getter of the added positions and their columns.
+        marks the walk sets).  ``vec`` is the port's one
+        :func:`_batch_fold` batch, ``(pick, C, T, Smin)``: the getter
+        of the positions that fold here (the added ones, then in
+        ``safe`` mode the re-added ones) and their columns; None when
+        no flow folds here.
         """
         members, mc, mt, mg, mup, msmin, _mpos = self._port_tab[port]
         flags = self._port_flags[port](met)
@@ -966,15 +1009,16 @@ class TrajectoryAnalyzer:
             ]
             if spans:
                 port_gain = math.fsum(spans) if mode == "paper" else max(spans)
+        batch = added + readded if mode == "safe" else added
         vec = None
-        if n_added >= _VEC_MIN:
-            pick = operator.itemgetter(*added)
+        if batch:
+            pick = _picker(batch)
             vec = (pick, pick(mc), pick(mt), pick(msmin))
         joined = tuple(mg[index] for index in added)
         return n_added, added, readded, port_gain, vec, joined
 
     def _walk_tree(
-        self, vl_name: str, bounds: Dict[FlowPortKey, TrajectoryPathBound]
+        self, vl_name: str, bounds: Dict[FlowPortKey, PrefixBound]
     ) -> None:
         """DFS one VL's tree, maintaining the interference state.
 
@@ -982,33 +1026,33 @@ class TrajectoryAnalyzer:
         the met bitmap over VL indices, the base workload
         ``sum_j N_j(0) C_j`` over the flows met so far (the studied
         flow included, with ``A = 0``), and the candidate jump events
-        ``(t, C)`` inside the source busy period.
+        ``(t, C)`` inside the source busy period.  The walk starts from
+        the VL's source-port state (:meth:`_root_state`).
 
         Every float is the one the plain dict-based walk (the test
         oracle) computes, by the same expression in the same order: the
-        base workload grows by sequential ``+=`` of the memoized
-        per-flow bases in add order (own flow, root members, then each
-        port's added/re-added members in sorted-member order) and
-        shrinks on backtrack by ``-=`` of the *same stored floats* in
-        the same order (never by restoring a saved value — float
-        addition does not cancel exactly).  Competitor contracts come
-        from the parallel per-port tuples, and the meeting structure is
-        replayed from the shared per-path index tuples of
-        :attr:`_meet_tree` after the first walk of each distinct port
-        path.
+        base workload grows by sequential ``+=`` of the per-flow bases
+        in add order (own flow, root members, then each port's
+        added/re-added members in sorted-member order) and shrinks on
+        backtrack by ``-=`` of the *same stored floats* in the same
+        order (never by restoring a saved value — float addition does
+        not cancel exactly).  Each tree port folds its joining flows in
+        one :func:`_batch_fold` call; a wide batch's fold is cached in
+        its :attr:`_meet_tree` node across sweeps.  Competitor
+        contracts come from the parallel per-port tuples, and the
+        meeting structure is replayed from the shared per-path index
+        tuples of :attr:`_meet_tree` after the first walk of each
+        distinct port path.
         """
-        network = self.network
-        vl = network.vl(vl_name)
-        root, children = self._trees[vl_name]
+        root, horizon, base_workload, root_events, root_met, root_bound = self._roots[
+            vl_name
+        ]
+        children = self._trees[vl_name][1]
         safe = self.serialization_mode == "safe"
-        self_g = self._vl_index[vl_name]
         smin = self._smin
-        port_tab = self._port_tab
+        smax = self._smax
         port_lat = self._port_lat
         port_max_c = self._port_max_c
-        event_cache = self._event_cache
-        event_counters = self._cache_counters["events"]
-        memo_enabled = self._event_memo_enabled
         meet_tree = self._meet_tree
         meeting_counters = self._cache_counters["meetings"]
         maximize = self._maximize
@@ -1016,81 +1060,14 @@ class TrajectoryAnalyzer:
         smax_slice = self._smax_slice
         port_pack = self._port_pack
 
-        horizon = self._root_horizon(root)
-        met = bytearray(self._n_vls)
-        met[self_g] = 1
+        met = bytearray(root_met)
+        events: List[Tuple[float, float]] = list(root_events)
+        bounds[(vl_name, root)] = root_bound
 
-        base_workload = 0.0
-        events: List[Tuple[float, float]] = []
-
-        def fold(c: float, period: float, offset: float) -> Tuple[float, int]:
-            """Add one flow's base and events; return them for rollback."""
-            nonlocal base_workload
-            if memo_enabled:
-                key = (c, period, offset, horizon)
-                cached = event_cache.get(key)
-                if cached is None:
-                    event_counters[1] += 1
-                    cached = _flow_events(c, period, offset, horizon)
-                    event_cache[key] = cached
-                else:
-                    event_counters[0] += 1
-            else:
-                cached = _flow_events(c, period, offset, horizon)
-            base, flow_events = cached
-            base_workload += base
-            events.extend(flow_events)
-            return base, len(flow_events)
-
-        def fold_events(c: float, period: float, offset: float) -> int:
-            """Events-only fold for flows whose base came from a batch."""
-            if memo_enabled:
-                key = (c, period, offset, horizon)
-                cached = event_cache.get(key)
-                if cached is None:
-                    event_counters[1] += 1
-                    cached = _flow_events(c, period, offset, horizon)
-                    event_cache[key] = cached
-                else:
-                    event_counters[0] += 1
-            else:
-                cached = _flow_events(c, period, offset, horizon)
-            flow_events = cached[1]
-            events.extend(flow_events)
-            return len(flow_events)
-
-        # ---- root-level folds (own flow, then the root port's other
-        # members in sorted-member order) -----------------------------
-        own_c = vl.s_max_bits / self._port_rate[root]
-        fold(own_c, vl.bag_us, 0.0)
-        _members, mc, mt, mg, _mup, msmin, mpos = port_tab[root]
-        smax_arr = self._smax_slice(root)
-        smin_self = smin[(vl_name, root)]
-        n_root = 0
-        if safe:
-            smax_self = smax_arr[mpos[vl_name]]
-            for index, g in enumerate(mg):
-                if g == self_g:
-                    continue
-                first = smax_arr[index] - smin_self
-                second = smax_self - msmin[index]
-                fold(mc[index], mt[index], first if first >= second else second)
-                met[g] = 1
-                n_root += 1
-        else:
-            for index, g in enumerate(mg):
-                if g == self_g:
-                    continue
-                fold(mc[index], mt[index], smax_arr[index] - smin_self)
-                met[g] = 1
-                n_root += 1
-
-        # ---- recursive descent ---------------------------------------
         def visit(
             port: PortId,
             node: list,
-            parent: Optional[PortId],
-            depth: int,
+            parent: PortId,
             transitions: float,
             latencies: float,
             gain: float,
@@ -1098,160 +1075,88 @@ class TrajectoryAnalyzer:
         ) -> None:
             nonlocal base_workload
             latencies += port_lat[port]
-            if depth > 0:
-                transitions += port_max_c[port]
-
-            n_added = 0
-            added_idx: Tuple[int, ...] = ()
-            joined: Tuple[int, ...] = ()
-            vec = None
-            folded_negs = None
-            removed: List[float] = []
-            added_events = 0
-            if depth > 0:
-                meetings = node[0]
-                if meetings is None:
-                    meeting_counters[1] += 1
-                    meetings = discover(port, parent, met)
-                    node[0] = meetings
-                else:
-                    meeting_counters[0] += 1
-                n_added, added_idx, readded_idx, port_gain, vec, joined = meetings
-                if n_added or (safe and readded_idx):
-                    _m, mc, mt, _mg, _mu, msmin, mpos = port_tab[port]
-                    smax_arr = smax_slice(port)
-                    smin_self = smin[(vl_name, port)]
-                    smax_self = smax_arr[mpos[vl_name]] if safe else 0.0
-                    if vec is not None:
-                        # wide batch: one fold over the batch, events
-                        # (rare) through the exact per-flow path.  The
-                        # node fold cache replays both across sweeps
-                        # while the inputs (Smin_i, Smax_i, the port's
-                        # packed Smax slice) are unchanged.
-                        pick, c_a, t_a, ms_a = vec
-                        fkey = (smin_self, smax_self, port_pack(port))
-                        cached_fold = node[2].get(fkey)
-                        if cached_fold is None:
-                            if safe:
-                                offs = []
-                                for smax_j, smin_j in zip(pick(smax_arr), ms_a):
-                                    first = smax_j - smin_self
-                                    second = smax_self - smin_j
-                                    offs.append(
-                                        first if first >= second else second
-                                    )
-                            else:
-                                offs = [
-                                    smax_j - smin_self for smax_j in pick(smax_arr)
-                                ]
-                            folded, maybe = _batch_fold(c_a, t_a, offs, horizon)
-                            folded_negs = tuple(map(operator.neg, folded))
-                            base_workload = _replay_add(
-                                base_workload, folded
-                            )
-                            event_start = len(events)
-                            for pos in maybe:
-                                added_events += fold_events(
-                                    c_a[pos], t_a[pos], offs[pos]
-                                )
-                            node[2][fkey] = (
-                                folded,
-                                folded_negs,
-                                tuple(events[event_start:]),
-                            )
-                        else:
-                            folded, folded_negs, batch_events = cached_fold
-                            base_workload = _replay_add(
-                                base_workload, folded
-                            )
-                            events.extend(batch_events)
-                            added_events = len(batch_events)
-                    elif safe:
-                        for index in added_idx:
-                            first = smax_arr[index] - smin_self
-                            second = smax_self - msmin[index]
-                            base, n_events = fold(
-                                mc[index],
-                                mt[index],
-                                first if first >= second else second,
-                            )
-                            removed.append(base)
-                            added_events += n_events
-                    else:
-                        for index in added_idx:
-                            base, n_events = fold(
-                                mc[index], mt[index], smax_arr[index] - smin_self
-                            )
-                            removed.append(base)
-                            added_events += n_events
-                    for g in joined:
-                        met[g] = 1
+            transitions += port_max_c[port]
+            meetings = node[0]
+            if meetings is None:
+                meeting_counters[1] += 1
+                meetings = node[0] = discover(port, parent, met)
+            else:
+                meeting_counters[0] += 1
+            _n_added, _added, _readded, port_gain, vec, joined = meetings
+            folded: Tuple[float, ...] = ()
+            n_events = 0
+            if vec is not None:
+                pick, c_a, t_a, ms_a = vec
+                smin_self = smin[(vl_name, port)]
+                smax_self = smax[(vl_name, port)] if safe else 0.0
+                cached = fkey = None
+                if len(c_a) >= _VEC_MIN:
+                    # the fold's only other input is the port's Smax
+                    # slice, so the node replays it across sweeps
+                    fkey = (smin_self, smax_self, port_pack(port))
+                    cached = node[2].get(fkey)
+                if cached is None:
                     if safe:
-                        # re-met competitors charge again (see
-                        # `_discover_meetings`); they are already marked
-                        for index in readded_idx:
-                            first = smax_arr[index] - smin_self
-                            second = smax_self - msmin[index]
-                            base, n_events = fold(
-                                mc[index],
-                                mt[index],
-                                first if first >= second else second,
-                            )
-                            removed.append(base)
-                            added_events += n_events
-                if safe:
-                    n_met += len(readded_idx)
-                gain += port_gain
-                n_met += n_added
+                        offs = []
+                        for smax_j, smin_j in zip(pick(smax_slice(port)), ms_a):
+                            first = smax_j - smin_self
+                            second = smax_self - smin_j
+                            offs.append(first if first >= second else second)
+                    else:
+                        offs = [smax_j - smin_self for smax_j in pick(smax_slice(port))]
+                    folded, maybe = _batch_fold(c_a, t_a, offs, horizon)
+                    start = len(events)
+                    for pos in maybe:
+                        events.extend(
+                            _flow_events(c_a[pos], t_a[pos], offs[pos], horizon)[1]
+                        )
+                    n_events = len(events) - start
+                    if fkey is not None:
+                        node[2][fkey] = (folded, tuple(events[start:]))
+                else:
+                    folded, batch_events = cached
+                    events.extend(batch_events)
+                    n_events = len(batch_events)
+                base_workload = _replay_add(base_workload, folded)
+                for g in joined:
+                    met[g] = 1
+                n_met += len(c_a)
+            gain += port_gain
 
             constant = transitions + latencies - gain
-            best, best_t, best_w, n_cand = maximize(
-                base_workload, events, constant
-            )
-            bounds[(vl_name, port)] = TrajectoryPathBound(
-                vl_name=vl_name,
-                path_index=-1,  # prefix record; path index filled by analyze()
-                node_path=(),
-                port_ids=(port,),
-                total_us=best,
-                critical_instant_us=best_t,
-                busy_period_us=horizon,
-                workload_us=best_w,
-                transition_us=transitions,
-                latency_us=latencies,
-                serialization_gain_us=gain,
-                n_competitors=n_met,
-                n_candidates=n_cand,
+            best, best_t, best_w, n_cand = maximize(base_workload, events, constant)
+            bounds[(vl_name, port)] = PrefixBound(
+                best, best_t, horizon, best_w, transitions, latencies, gain, n_met, n_cand
             )
 
             kids = node[1]
             for child in children.get(port, ()):
                 child_node = kids.get(child)
                 if child_node is None:
-                    child_node = [None, {}, {}]
-                    kids[child] = child_node
-                visit(
-                    child, child_node, port, depth + 1,
-                    transitions, latencies, gain, n_met,
-                )
+                    child_node = kids[child] = [None, {}, {}]
+                visit(child, child_node, port, transitions, latencies, gain, n_met)
 
             # rollback in add order, subtracting the stored floats
-            # (batch bases were added first, then any readded scalars)
-            if folded_negs is not None:
-                base_workload = _replay_add(base_workload, folded_negs)
-            for base in removed:
-                base_workload -= base
-            if added_events:
-                del events[-added_events:]
+            for term in folded:
+                base_workload -= term
+            if n_events:
+                del events[-n_events:]
             for g in joined:
                 met[g] = 0
 
         root_node = meet_tree.get(root)
         if root_node is None:
-            root_node = [None, {}, {}]
-            meet_tree[root] = root_node
+            root_node = meet_tree[root] = [None, {}, {}]
+        kids = root_node[1]
         try:
-            visit(root, root_node, None, 0, 0.0, 0.0, 0.0, n_root)
+            for child in children.get(root, ()):
+                child_node = kids.get(child)
+                if child_node is None:
+                    child_node = kids[child] = [None, {}, {}]
+                visit(
+                    child, child_node, root, 0.0, root_bound.latency_us, 0.0,
+                    root_bound.n_competitors,
+                )
         finally:
             # `visit` reaches itself through its own closure cell, and
             # through `discover` the analyzer: clearing the cell leaves

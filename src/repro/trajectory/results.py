@@ -3,13 +3,34 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.network.port import PortId
 
-__all__ = ["TrajectoryPathBound", "TrajectoryResult"]
+__all__ = ["PrefixBound", "TrajectoryPathBound", "TrajectoryResult"]
 
 FlowPathKey = Tuple[str, int]
+
+
+class PrefixBound(NamedTuple):
+    """One sweep's bound of a VL's tree prefix ending at one port.
+
+    A sweep emits one per ``(vl_name, port)`` of every walked tree;
+    ``tighten_smax`` and the cost ledger read them, and
+    :meth:`~repro.trajectory.analyzer.TrajectoryAnalyzer.build_result`
+    turns the last port's record of each path into its
+    :class:`TrajectoryPathBound`.  The fields mean what they mean there.
+    """
+
+    total_us: float
+    critical_instant_us: float
+    busy_period_us: float
+    workload_us: float
+    transition_us: float
+    latency_us: float
+    serialization_gain_us: float
+    n_competitors: int
+    n_candidates: int
 
 
 @dataclass(frozen=True)

@@ -48,17 +48,19 @@ def compute_smin(network: Network) -> Dict[FlowPortKey, float]:
     the frame crosses every earlier port in its bare minimum
     transmission time and incurs each downstream node's technological
     latency, meeting no contention at all.  ``Smin(v, first port) = 0``.
+    Link rates and latencies are read once per port, frame sizes once
+    per VL.
     """
+    table = network.routing_table()
+    rates = {pid: network.link_rate(*pid) for pid in table.members}
+    latencies = _owner_latencies(network, table.members)
+    frames = {name: vl.s_min_bits for name, vl in network.virtual_links.items()}
     smin: Dict[FlowPortKey, float] = {}
-    for (vl_name, pid), prefix in tree_prefixes(network).items():
-        vl = network.vl(vl_name)
-        terms = [
-            vl.s_min_bits / network.link_rate(*earlier) for earlier in prefix[:-1]
-        ]
-        terms.extend(
-            network.node(later[0]).technological_latency_us for later in prefix[1:]
-        )
-        smin[(vl_name, pid)] = math.fsum(terms)
+    for key, prefix in table.prefixes.items():
+        bits = frames[key[0]]
+        terms = [bits / rates[earlier] for earlier in prefix[:-1]]
+        terms.extend([latencies[later] for later in prefix[1:]])
+        smin[key] = math.fsum(terms)
     return smin
 
 
@@ -74,12 +76,20 @@ def seed_smax_from_netcalc(
                         + technological latency of p_m's owner
 
     with ``Smax(v, first port) = 0`` (release *is* the arrival in the
-    first queue).
+    first queue): ``math.fsum([]) == 0.0``.
     """
+    table = network.routing_table()
+    latencies = _owner_latencies(network, table.members)
+    delays = {pid: port.delay_us for pid, port in nc_result.ports.items()}
     smax: Dict[FlowPortKey, float] = {}
-    for (vl_name, pid), prefix in tree_prefixes(network).items():
-        terms = [nc_result.ports[earlier].delay_us for earlier in prefix[:-1]]
+    for key, prefix in table.prefixes.items():
+        terms = [delays[earlier] for earlier in prefix[:-1]]
         if len(prefix) > 1:
-            terms.append(network.node(pid[0]).technological_latency_us)
-        smax[(vl_name, pid)] = math.fsum(terms)
+            terms.append(latencies[key[1]])
+        smax[key] = math.fsum(terms)
     return smax
+
+
+def _owner_latencies(network: Network, ports) -> Dict[PortId, float]:
+    """The technological latency of each port's owner node."""
+    return {pid: network.node(pid[0]).technological_latency_us for pid in ports}

@@ -48,7 +48,7 @@ def test_whatif_matches_cold_analysis_of_edited_network(fig2_json, tmp_path, cap
     from repro.trajectory.analyzer import analyze_trajectory
 
     script = _script(tmp_path, [{"op": "retime", "vl": "v1", "bag_ms": 8}])
-    assert main(["whatif", fig2_json, script]) == 0
+    assert main(["whatif", fig2_json, script, "--serialization", "windowed"]) == 0
     out = capsys.readouterr().out
     edited, _ = apply_edits(fig2_network(), [RetimeVL(name="v1", bag_ms=8)])
     cold = analyze_trajectory(edited, serialization="windowed")

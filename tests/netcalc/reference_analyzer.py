@@ -137,12 +137,12 @@ class ReferenceNetworkCalculusAnalyzer(NetworkCalculusAnalyzer):
     # -- one port ---------------------------------------------------------
 
     def _ref_group_curve(
-        self, key: Tuple[str, str], members: List[str], buckets: Dict[str, LeakyBucket]
+        self, key: Tuple[str, ...], members: List[str], buckets: Dict[str, LeakyBucket]
     ) -> PiecewiseCurve:
         """One curve and one ``add_curves`` per member, then the shaping cap."""
         network = self.network
         summed = sum_curves(buckets[name].curve() for name in members)
-        if not self.grouping or key[0] == "source":
+        if not self.grouping or len(key) == 1:
             return summed
         link_rate = network.link_rate(*key)
         biggest_frame = max(network.vl(name).s_max_bits for name in members)
@@ -152,10 +152,12 @@ class ReferenceNetworkCalculusAnalyzer(NetworkCalculusAnalyzer):
         self, port_id: PortId, buckets: Dict[str, LeakyBucket]
     ) -> PortAnalysis:
         network = self.network
-        groups: Dict[Tuple[str, str], List[str]] = {}
+        groups: Dict[Tuple[str, ...], List[str]] = {}
         for name in sorted(buckets):
             upstream = self._ref_upstream_port(name, port_id)
-            key = upstream if upstream is not None else ("source", name)
+            # a locally sourced flow is its own group, keyed (name,):
+            # no port id, a pair of node names, can equal it
+            key = upstream if upstream is not None else (name,)
             groups.setdefault(key, []).append(name)
         aggregate = sum_curves(
             self._ref_group_curve(key, members, buckets)

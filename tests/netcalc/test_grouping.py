@@ -5,7 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.curves import LeakyBucket, PiecewiseCurve, min_curves, sum_curves
-from repro.netcalc.grouping import arrival_groups, group_arrival_curve, port_aggregate_curve
+from repro.netcalc.analyzer import analyze_network_calculus
+from repro.netcalc.grouping import (
+    arrival_groups,
+    group_arrival_curve,
+    port_aggregate_curve,
+    source_key,
+)
 from repro.network import Network, VirtualLink
 
 
@@ -27,7 +33,7 @@ def test_groups_at_fan_in_port(fig2):
 
 def test_source_flows_get_singleton_groups(fig2):
     groups = arrival_groups(fig2, ("e1", "S1"))
-    assert groups == {("source", "v1"): frozenset({"v1"})}
+    assert groups == {source_key("v1"): frozenset({"v1"})}
 
 
 def test_group_curve_capped_by_link(fig2):
@@ -53,7 +59,7 @@ def test_source_groups_never_capped(fig2):
     port = ("e1", "S1")
     buckets = buckets_for(fig2, port)
     curve = group_arrival_curve(
-        fig2, ("source", "v1"), {"v1"}, buckets, grouping=True
+        fig2, source_key("v1"), {"v1"}, buckets, grouping=True
     )
     assert curve(0) == pytest.approx(4000.0)
     assert curve.final_slope == pytest.approx(1.0)
@@ -168,7 +174,7 @@ def test_group_fold_equals_the_per_flow_fold(
         name: LeakyBucket(rate=rate, burst=burst)
         for name, (rate, burst) in zip(names, members)
     }
-    key = ("source", names[0]) if source_key else ("S0", "S1")
+    key = (names[0],) if source_key else ("S0", "S1")
     if source_key:
         names, buckets = names[:1], {names[0]: buckets[names[0]]}
 
@@ -183,3 +189,33 @@ def test_group_fold_equals_the_per_flow_fold(
     assert got.breakpoints == expected.breakpoints
     assert got.final_slope == expected.final_slope
     assert _bits(got) == _bits(expected)
+
+
+def _two_switches(first_switch):
+    """ES a, b -> ``first_switch`` -> T -> d: two 1518-B VLs at BAG 1 ms."""
+    net = Network()
+    for name in ("a", "b", "d"):
+        net.add_end_system(name)
+    net.add_switch(first_switch)
+    net.add_switch("T")
+    for a, b in (("a", first_switch), ("b", first_switch), (first_switch, "T"), ("T", "d")):
+        net.add_link(a, b)
+    for name, source in (("v1", "a"), ("v2", "b")):
+        net.add_virtual_link(
+            VirtualLink(
+                name=name, source=source, paths=((source, first_switch, "T", "d"),),
+                bag_ms=1, s_max_bytes=1518,
+            )
+        )
+    return net
+
+
+@pytest.mark.parametrize("first_switch", ["S", "source"])
+def test_grouping_does_not_depend_on_node_names(first_switch):
+    """Both flows reach T->d over one link, capped by its shaping curve
+    whatever the upstream switch is called (a switch named ``source``
+    once switched the cap off: 355.33 us)."""
+    net = _two_switches(first_switch)
+    assert arrival_groups(net, ("T", "d")) == {(first_switch, "T"): frozenset({"v1", "v2"})}
+    port = analyze_network_calculus(net).ports[("T", "d")]
+    assert port.delay_us == pytest.approx(137.44)

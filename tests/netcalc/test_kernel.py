@@ -62,7 +62,7 @@ def _curve_algebra(groups, rate, latency):
             buckets[name] = LeakyBucket(rate=member_rate, burst=burst)
             links.frames[name] = frame
         if link_rate is None:
-            key = ("source", names[0])
+            key = (names[0],)
         else:
             key = (f"L{index}", "P")
             links.rates[key] = link_rate

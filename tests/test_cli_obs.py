@@ -251,7 +251,7 @@ class TestObsQueries:
     ):
         # three analyses of one config at one rev: each option set has
         # its own bounds, so none of them is drift
-        for options in ([], ["--serialization", "safe"], ["--no-grouping"]):
+        for options in ([], ["--serialization", "windowed"], ["--no-grouping"]):
             assert _analyze(fig2_json, hist_dir, "rev-a", monkeypatch, *options) == 0
         # options that only change what is printed join the default group
         copy = tmp_path / "elsewhere.json"

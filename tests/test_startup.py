@@ -29,6 +29,7 @@ NOT_LOADED_BY_ANALYZE = (
     "repro.configs",
     "repro.core.jitter",
     "repro.core.reporting",
+    "repro.curves",
     "repro.experiments",
     "repro.explain",
     "repro.incremental",

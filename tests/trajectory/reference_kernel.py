@@ -31,7 +31,7 @@ from typing import Dict, List, Tuple
 from repro.network.port import PortId
 from repro.trajectory.analyzer import _EPS, TrajectoryAnalyzer, _flow_events
 from repro.trajectory.busy_period import busy_period_bound, interference_count
-from repro.trajectory.results import TrajectoryPathBound
+from repro.trajectory.results import PrefixBound
 from repro.trajectory.serialization import DEFAULT_SERIALIZATION
 from repro.trajectory.timing import FlowPortKey
 
@@ -59,11 +59,11 @@ class ReferenceTrajectoryAnalyzer(TrajectoryAnalyzer):
 
     def sweep_vls(
         self, vl_names: List[str]
-    ) -> Dict[FlowPortKey, TrajectoryPathBound]:
+    ) -> Dict[FlowPortKey, PrefixBound]:
         """Walk the given VLs' trees once with the current ``Smax`` map."""
         if not self._prepared:
             raise RuntimeError("prepare() must run before sweep_vls()")
-        bounds: Dict[FlowPortKey, TrajectoryPathBound] = {}
+        bounds: Dict[FlowPortKey, PrefixBound] = {}
         for vl_name in vl_names:
             self._ref_walk_tree(vl_name, bounds)
         return bounds
@@ -117,7 +117,7 @@ class ReferenceTrajectoryAnalyzer(TrajectoryAnalyzer):
         return tuple(added), tuple(readded), port_gain
 
     def _ref_walk_tree(
-        self, vl_name: str, bounds: Dict[FlowPortKey, TrajectoryPathBound]
+        self, vl_name: str, bounds: Dict[FlowPortKey, PrefixBound]
     ) -> None:
         """DFS one VL's tree, maintaining the interference state.
 
@@ -224,11 +224,7 @@ class ReferenceTrajectoryAnalyzer(TrajectoryAnalyzer):
             best, best_t, best_w, n_cand = self._ref_maximize(
                 base_workload, events, constant
             )
-            bounds[(vl_name, port)] = TrajectoryPathBound(
-                vl_name=vl_name,
-                path_index=-1,  # prefix record; path index filled by analyze()
-                node_path=(),
-                port_ids=(port,),
+            bounds[(vl_name, port)] = PrefixBound(
                 total_us=best,
                 critical_instant_us=best_t,
                 busy_period_us=horizon,

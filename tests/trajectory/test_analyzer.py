@@ -44,7 +44,7 @@ class TestLoneFlow:
 
 class TestFig2:
     def test_paper_worked_example(self, fig2):
-        enhanced = analyze_trajectory(fig2)
+        enhanced = analyze_trajectory(fig2, serialization="windowed")
         plain = analyze_trajectory(fig2, serialization="safe")
         # the numbers this library reproduces for the Sec. II-B scenario
         assert plain.bound_us("v1") == pytest.approx(272.0)
@@ -235,21 +235,34 @@ class TestMeshReMeeting:
                 assert stats.max_us <= safe.paths[key].total_us + 1e-9, key
 
 
-class TestEventMemoEquivalence:
-    """The per-sweep candidate-event memo must not change any bound."""
+class TestSourcePortInvariant:
+    """Every offset at a VL's source port is exactly 0.0.
 
-    def test_memo_off_gives_identical_results(self):
-        from repro.configs.random_topology import random_network
+    The walk folds each VL's source port once for every sweep
+    (``TrajectoryAnalyzer._root_state``), which is sound only while
+    ``Smax`` and ``Smin`` of every source-port entry stay ``+0.0``.
+    """
 
-        network = random_network(31, n_switches=3, n_end_systems=6,
-                                 n_virtual_links=10)
-        plain = TrajectoryAnalyzer(network, serialization="safe")
-        unmemoized = TrajectoryAnalyzer(network, serialization="safe")
-        unmemoized._event_memo_enabled = False  # test hook
-        with_memo = plain.analyze()
-        without_memo = unmemoized.analyze()
-        assert with_memo.paths == without_memo.paths
-        assert with_memo.refinement_iterations == without_memo.refinement_iterations
-        hits, misses = plain._cache_counters["events"]
-        assert hits > 0  # the memo actually engaged on this topology
-        assert unmemoized._cache_counters["events"] == [0, 0]
+    @pytest.mark.parametrize("mode", ["paper", "windowed", "safe"])
+    def test_source_entries_stay_zero_across_tightening(self, fig1, mode):
+        analyzer = TrajectoryAnalyzer(fig1, serialization=mode)
+        analyzer.prepare()
+        prefixes = fig1.routing_table().prefixes
+        sources = [key for key, prefix in prefixes.items() if len(prefix) == 1]
+        assert len(sources) == len(fig1.virtual_links)
+
+        def assert_zero():
+            for key in sources:
+                assert analyzer._smax[key].hex() == "0x0.0p+0", key
+                assert analyzer._smin[key].hex() == "0x0.0p+0", key
+
+        assert_zero()
+        tightened = 0
+        for _ in range(analyzer.max_refinements):
+            bounds = analyzer.sweep_vls(list(fig1.virtual_links))
+            updates, _delta = analyzer.tighten_smax(bounds)
+            assert_zero()
+            tightened += len(updates)
+            if not updates:
+                break
+        assert tightened  # the fixed point moved other entries

@@ -40,11 +40,12 @@ FLOAT_FIELDS = (
 MODES = ("paper", "windowed", "safe")
 
 
-def assert_kernels_identical(network, serialization):
+def assert_kernels_identical(network, serialization, fast=None):
     reference = ReferenceTrajectoryAnalyzer(
         network, serialization=serialization
     ).analyze()
-    fast = analyze_trajectory(network, serialization=serialization)
+    if fast is None:
+        fast = analyze_trajectory(network, serialization=serialization)
     assert set(reference.paths) == set(fast.paths)
     for key in reference.paths:
         ref, got = reference.paths[key], fast.paths[key]
@@ -81,6 +82,17 @@ WIDE_BATCHES = [
 ] + [pytest.param(120, 2010, "safe", id="120-safe")]
 
 
+def _node_cached_folds(analyzer):
+    """Fold-cache entries over every node of the analyzer's meeting tree."""
+    stack = list(analyzer._meet_tree.values())
+    entries = 0
+    while stack:
+        _meetings, children, fold_cache = stack.pop()
+        entries += len(fold_cache)
+        stack.extend(children.values())
+    return entries
+
+
 @pytest.mark.parametrize("n_vls, seed, mode", WIDE_BATCHES)
 def test_wide_batches_match_the_oracle(n_vls, seed, mode, monkeypatch):
     network = industrial_network(IndustrialConfigSpec(seed=seed, n_virtual_links=n_vls))
@@ -92,8 +104,11 @@ def test_wide_batches_match_the_oracle(n_vls, seed, mode, monkeypatch):
         return batch_fold(c, period, offset, horizon)
 
     monkeypatch.setattr(kernel, "_batch_fold", counted)
-    assert_kernels_identical(network, mode)
-    assert widths and min(widths) >= kernel._VEC_MIN
+    analyzer = kernel.TrajectoryAnalyzer(network, serialization=mode)
+    assert_kernels_identical(network, mode, fast=analyzer.analyze())
+    # a wide batch folded, and its node cached the fold for later sweeps
+    assert max(widths) >= kernel._VEC_MIN
+    assert _node_cached_folds(analyzer) > 0
 
 
 #: BAGs of 1-128 ms in us, as AFDX configurations use them
@@ -133,10 +148,54 @@ class TestBatchFold:
             assert bases[index].hex() == expected.hex(), (ci, ti, ai)
             if kernel._flow_events(ci, ti, ai, horizon)[1]:
                 assert index in maybe, (ci, ti, ai, horizon)
-            # exactly the first jump `_flow_events` tests, so the event
-            # memo sees the same lookups as the per-flow path would
+            # exactly the first jump `_flow_events` tests
             first_jump = (ai // ti + 1.0) * ti - ai
             assert (index in maybe) == (first_jump < horizon), (ti, ai, horizon)
+
+    @given(
+        batch=st.lists(
+            st.tuples(
+                st.floats(min_value=0.01, max_value=200.0),
+                st.one_of(_BAG_US, st.floats(min_value=100.0, max_value=2e5)),
+                st.integers(min_value=0, max_value=200),
+                st.sampled_from(["zero", "negative zero", "on", "above", "below"]),
+            ),
+            min_size=1,
+            max_size=24,
+        ),
+        # a horizon equal to a BAG pins the screen's strict `T < horizon`
+        horizon=st.one_of(st.floats(min_value=0.0, max_value=2e5), _BAG_US),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_zero_and_boundary_offsets_match_the_flow_fold(self, batch, horizon):
+        """Offsets at ``+-0.0`` (every source-port flow's) and on or one
+        ulp off a multiple of the period: each base is the scalar
+        counter's and `_flow_events`' float, and every flow with events
+        is flagged."""
+        c, period, offset = [], [], []
+        for ci, ti, k, where in batch:
+            multiple = k * ti
+            offset.append(
+                {
+                    "zero": 0.0,
+                    "negative zero": -0.0,
+                    "on": multiple,
+                    "above": math.nextafter(multiple, math.inf),
+                    "below": math.nextafter(multiple, -math.inf),
+                }[where]
+            )
+            c.append(ci)
+            period.append(ti)
+        bases, maybe = kernel._batch_fold(c, period, offset, horizon)
+        for index, (ci, ti, ai) in enumerate(zip(c, period, offset)):
+            flow_base, flow_events = kernel._flow_events(ci, ti, ai, horizon)
+            assert bases[index].hex() == (interference_count(0.0, ai, ti) * ci).hex()
+            assert bases[index].hex() == flow_base.hex()
+            if flow_events:
+                assert index in maybe, (ci, ti, ai, horizon)
+            if ai == 0.0:
+                assert bases[index].hex() == ci.hex()
+                assert (index in maybe) == (ti < horizon)
 
     def test_boundary_offsets(self):
         period = 3000.0

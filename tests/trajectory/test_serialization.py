@@ -9,7 +9,9 @@ scenario is kept here as a permanent regression artifact.
 
 import pytest
 
-from repro.sim import TrafficScenario, simulate
+from repro.core.combined import AnalysisOptions, analyze_network
+from repro.sim import NetworkSimulation, TrafficScenario, simulate
+from repro.sim.regulator import schedule_vl_traffic
 from repro.trajectory import analyze_trajectory
 from repro.trajectory.serialization import normalize_mode
 
@@ -87,3 +89,36 @@ class TestOptimismRegression:
         assert safe.paths[(worst.vl_name, worst.path_index)].total_us == pytest.approx(
             456.0
         )
+
+
+def _witness_delay(network, vl_name, offsets):
+    """One release pattern: every VL sends ``s_max`` every BAG from its
+    offset (0 unless named in ``offsets``), over twice the largest BAG."""
+    horizon = 2.0 * max(vl.bag_us for vl in network.virtual_links.values())
+    simulation = NetworkSimulation(network)
+    for name in sorted(network.virtual_links):
+        schedule_vl_traffic(simulation, name, horizon, offset_us=offsets.get(name, 0.0))
+    return simulation.run(horizon).max_delay_us(vl_name)
+
+
+class TestDefaultIsSound:
+    """The default combined bound covers simulated witnesses that the
+    ``windowed`` credit does not: on these paths the credited bound is
+    below a delay the network actually produces."""
+
+    @pytest.mark.parametrize(
+        "config, vl_name, offsets, observed_us, windowed_us",
+        [
+            pytest.param("fig2", "v2", {"v4": 3976.83}, 248.83, 232.0, id="fig2-v2"),
+            pytest.param("fig1", "v7", {"v4": 15938.24}, 539.20, 499.2, id="fig1-v7"),
+        ],
+    )
+    def test_default_bound_covers_the_witness(
+        self, request, config, vl_name, offsets, observed_us, windowed_us
+    ):
+        network = request.getfixturevalue(config)
+        observed = _witness_delay(network, vl_name, offsets)
+        assert observed == pytest.approx(observed_us)
+        windowed = analyze_network(network, AnalysisOptions(serialization="windowed"))
+        assert windowed.best_us(vl_name) == pytest.approx(windowed_us)
+        assert analyze_network(network).best_us(vl_name) >= observed
