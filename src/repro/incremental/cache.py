@@ -31,37 +31,47 @@ The in-memory layer is a plain LRU (``OrderedDict``); the optional
 disk layer (``cache_dir``) persists entries as one JSON file per
 fingerprint under ``cache_dir/v<CACHE_VERSION>/`` so independent
 processes — ``afdx whatif`` invocations, ``afdx batch-sweep`` workers,
-a warm CI run — share results.  Floats survive the JSON round trip
-exactly (``repr`` is shortest-round-trip in Python 3), which the disk
-tests assert.  Writes go through a temp-file + ``os.replace`` so
-concurrent writers can only ever publish complete entries; a write
-that fails removes its temp file.  A fingerprint covers a
-computation's inputs, not the code that computed it;
-:data:`CACHE_VERSION` covers the code, so once it is bumped the
-entries older code wrote are misses.
+a warm CI run — share results.  A result entry stores each float once,
+in one column of little-endian doubles (``struct``, then base64), and
+rows of names, indices, node paths and counts; port ids and a Network
+Calculus path's delays follow from those.  The directory is outside
+input, so entries are plain JSON, and one that is absent, torn or
+malformed in any way is a miss.  Writes go through a temp-file +
+``os.replace`` so concurrent writers can only ever publish complete
+entries; a write that fails removes its temp file.  A fingerprint
+covers a computation's inputs, not the code that computed it;
+:data:`CACHE_VERSION` covers the code and the entry layout, so once it
+is bumped the entries older code wrote are misses.
 """
 
 from __future__ import annotations
 
+import base64
 import contextlib
+import itertools
 import json
+import operator
 import os
+import struct
 import tempfile
 from collections import OrderedDict
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.netcalc.results import NetworkCalculusResult, PathBound, PortAnalysis
+from repro.netcalc.results import NetworkCalculusResult, PortAnalysis, path_bound
+from repro.network.port import PortId
 from repro.obs.costmodel import CostLedger
 from repro.trajectory.results import TrajectoryPathBound, TrajectoryResult
 
 __all__ = ["CACHE_VERSION", "BoundCache", "default_cache"]
 
-#: Version of the analysis semantics behind the disk entries.  Bump it
-#: with any change that alters the value a fingerprint should map to
-#: (a soundness fix, a new serialization rule): entries written under
-#: another version live in another directory and are never read.
-CACHE_VERSION = 2
+#: Version of the analysis semantics and entry layout behind the disk
+#: entries.  Bump it with any change that alters the value a
+#: fingerprint should map to (a soundness fix, a new serialization
+#: rule) or the bytes that store it: entries written under another
+#: version live in another directory and are never read.  The bounds
+#: it stands for are pinned in ``tests/incremental/test_pinned_runs.py``.
+CACHE_VERSION = 3
 
 #: Default in-memory entry capacity.  Each entry is one whole result
 #: (or its cost ledger), so this caps the count of analyzed
@@ -92,14 +102,9 @@ class BoundCache:
         self.max_entries = max_entries
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self._entries: "OrderedDict[Tuple[str, str], object]" = OrderedDict()
-        self._counters: Dict[str, int] = {
-            "hits": 0,
-            "misses": 0,
-            "disk_hits": 0,
-            "evictions": 0,
-            "invalidations": 0,
-            "stores": 0,
-        }
+        self._counters: Dict[str, int] = dict.fromkeys(
+            ("hits", "misses", "disk_hits", "evictions", "invalidations", "stores"), 0
+        )
         #: the key :meth:`get` last served, and whether from disk
         self._last_hit: Optional[Tuple[Tuple[str, str], bool]] = None
 
@@ -205,26 +210,17 @@ class BoundCache:
         if self.cache_dir is None:
             return None
         # two-level fan-out keeps directories small on big sweeps
-        return (
-            self.cache_dir
-            / f"v{CACHE_VERSION}"
-            / namespace
-            / fingerprint[:2]
-            / f"{fingerprint}.json"
-        )
+        version = self.cache_dir / f"v{CACHE_VERSION}"
+        return version / namespace / fingerprint[:2] / f"{fingerprint}.json"
 
     def _disk_get(self, namespace: str, fingerprint: str) -> Optional[object]:
         path = self._entry_path(namespace, fingerprint)
-        if path is None or not path.exists():
+        if path is None:
             return None
         try:
-            payload = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return None  # torn or corrupt entry: treat as a miss
-        try:
-            return _decode(payload)
-        except (KeyError, TypeError, ValueError):
-            return None
+            return _decode(json.loads(path.read_bytes()))
+        except (OSError, RecursionError, *_MALFORMED):
+            return None  # absent, torn or malformed entry: a miss
 
     def _disk_put(self, namespace: str, fingerprint: str, value: object) -> None:
         path = self._entry_path(namespace, fingerprint)
@@ -248,94 +244,82 @@ class BoundCache:
 
 
 # ----------------------------------------------------------------------
-# JSON codec for the cacheable value types
+# Entry codec: one JSON document per value, floats packed in one column
 # ----------------------------------------------------------------------
 
-
-def _encode_port_analysis(value: PortAnalysis) -> Dict[str, object]:
-    return {
-        "port_id": list(value.port_id),
-        "delay_us": value.delay_us,
-        "backlog_bits": value.backlog_bits,
-        "utilization": value.utilization,
-        "n_flows": value.n_flows,
-        "n_groups": value.n_groups,
-    }
-
-
-def _decode_port_analysis(entry: Dict[str, object]) -> PortAnalysis:
-    return PortAnalysis(
-        port_id=tuple(entry["port_id"]),
-        delay_us=entry["delay_us"],
-        backlog_bits=entry["backlog_bits"],
-        utilization=entry["utilization"],
-        n_flows=entry["n_flows"],
-        n_groups=entry["n_groups"],
-    )
+#: what decoding a malformed entry of any shape raises (ArithmeticError:
+#: a path total that overflows ``math.fsum``, a count that is ``inf``)
+_MALFORMED = (ArithmeticError, AttributeError, LookupError, TypeError, ValueError)
+#: each path row, and the floats each row stores, in constructor order
+_NC_PATH_ROW = operator.attrgetter("vl_name", "path_index", "node_path")
+_PORT_FLOATS = operator.attrgetter("delay_us", "backlog_bits", "utilization")
+_TRAJ_PATH_ROW = operator.attrgetter(
+    "vl_name", "path_index", "node_path", "n_competitors", "n_candidates"
+)
+_TRAJ_FLOATS = operator.attrgetter(
+    "total_us", "critical_instant_us", "busy_period_us", "workload_us",
+    "transition_us", "latency_us", "serialization_gain_us",
+)
 
 
-def _encode_trajectory_bound(bound: TrajectoryPathBound) -> Dict[str, object]:
-    return {
-        "vl_name": bound.vl_name,
-        "path_index": bound.path_index,
-        "node_path": list(bound.node_path),
-        "port_ids": [list(p) for p in bound.port_ids],
-        "total_us": bound.total_us,
-        "critical_instant_us": bound.critical_instant_us,
-        "busy_period_us": bound.busy_period_us,
-        "workload_us": bound.workload_us,
-        "transition_us": bound.transition_us,
-        "latency_us": bound.latency_us,
-        "serialization_gain_us": bound.serialization_gain_us,
-        "n_competitors": bound.n_competitors,
-        "n_candidates": bound.n_candidates,
-    }
+def _pack(values: List[float]) -> str:
+    """Little-endian IEEE-754 doubles, base64: every bit survives."""
+    return base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode("ascii")
 
 
-def _decode_trajectory_bound(entry: Dict[str, object]) -> TrajectoryPathBound:
-    return TrajectoryPathBound(
-        vl_name=entry["vl_name"],
-        path_index=entry["path_index"],
-        node_path=tuple(entry["node_path"]),
-        port_ids=tuple(tuple(p) for p in entry["port_ids"]),
-        total_us=entry["total_us"],
-        critical_instant_us=entry["critical_instant_us"],
-        busy_period_us=entry["busy_period_us"],
-        workload_us=entry["workload_us"],
-        transition_us=entry["transition_us"],
-        latency_us=entry["latency_us"],
-        serialization_gain_us=entry["serialization_gain_us"],
-        n_competitors=entry["n_competitors"],
-        n_candidates=entry["n_candidates"],
-    )
+def _unpack(text: str, rows: int, width: int) -> List[Tuple[float, ...]]:
+    """The ``width`` float columns of a table of ``rows`` rows."""
+    data = base64.b64decode(text, validate=True)
+    if len(data) != 8 * rows * width:
+        raise ValueError("the float column does not match the rows")
+    floats = struct.unpack(f"<{rows * width}d", data)
+    return [floats[i::width] for i in range(width)]
+
+
+def _checked(values: list, *types: type) -> list:
+    """``values``, if each has exactly its JSON type, else TypeError."""
+    if tuple(map(type, values)) != types:
+        raise TypeError("malformed cache entry")
+    return values
+
+
+def _columns(rows: list, *types: type) -> List[tuple]:
+    """A list of rows' columns, every cell checked against its column's type."""
+    if type(rows) is not list or set(map(len, rows)) - {len(types)}:
+        raise TypeError("malformed cache entry table")
+    columns = list(zip(*rows)) or [()] * len(types)
+    for column, kind in zip(columns, types):
+        if set(map(type, column)) - {kind}:
+            raise TypeError("malformed cache entry cell")
+    return columns
+
+
+def _paths(nodes: Tuple[list, ...]) -> Tuple[list, list]:
+    """The node paths of a column of node-name lists, and their ports."""
+    if set(map(type, itertools.chain.from_iterable(nodes))) - {str}:
+        raise TypeError("malformed node name")
+    node_paths = list(map(tuple, nodes))
+    return node_paths, [tuple(zip(path, path[1:])) for path in node_paths]
 
 
 def _encode(value: object) -> Dict[str, object]:
     if isinstance(value, NetworkCalculusResult):
+        ports = [value.ports[port_id] for port_id in sorted(value.ports)]
         return {
             "kind": "nc_result",
             "grouping": value.grouping,
-            "ports": [_encode_port_analysis(p) for _, p in sorted(value.ports.items())],
-            "paths": [
-                {
-                    "vl_name": b.vl_name,
-                    "path_index": b.path_index,
-                    "node_path": list(b.node_path),
-                    "port_ids": [list(p) for p in b.port_ids],
-                    "per_port_delay_us": list(b.per_port_delay_us),
-                    "total_us": b.total_us,
-                }
-                for _, b in sorted(value.paths.items())
-            ],
+            "ports": [[*p.port_id, p.n_flows, p.n_groups] for p in ports],
+            "paths": list(map(_NC_PATH_ROW, value.path_bounds())),
+            "floats": _pack([x for p in ports for x in _PORT_FLOATS(p)]),
         }
     if isinstance(value, TrajectoryResult):
+        bounds = value.path_bounds()
         return {
             "kind": "traj_result",
             "serialization": value.serialization,
             "refinement_iterations": value.refinement_iterations,
-            "paths": [
-                _encode_trajectory_bound(b) for _, b in sorted(value.paths.items())
-            ],
+            "paths": list(map(_TRAJ_PATH_ROW, bounds)),
+            "floats": _pack([x for b in bounds for x in _TRAJ_FLOATS(b)]),
         }
     if isinstance(value, CostLedger):
         return {"kind": "cost_ledger", "cost": value.to_dict()}
@@ -343,32 +327,39 @@ def _encode(value: object) -> Dict[str, object]:
 
 
 def _decode(payload: Dict[str, object]) -> object:
+    """The value :func:`_encode` wrote; a malformed entry raises one of
+    :data:`_MALFORMED`."""
     kind = payload["kind"]
     if kind == "nc_result":
-        result = NetworkCalculusResult(grouping=payload["grouping"])
-        for entry in payload["ports"]:
-            analysis = _decode_port_analysis(entry)
-            result.ports[analysis.port_id] = analysis
-        for entry in payload["paths"]:
-            bound = PathBound(
-                vl_name=entry["vl_name"],
-                path_index=entry["path_index"],
-                node_path=tuple(entry["node_path"]),
-                port_ids=tuple(tuple(p) for p in entry["port_ids"]),
-                per_port_delay_us=tuple(entry["per_port_delay_us"]),
-                total_us=entry["total_us"],
-            )
-            result.paths[(bound.vl_name, bound.path_index)] = bound
-        return result
-    if kind == "traj_result":
-        result = TrajectoryResult(
-            serialization=payload["serialization"],
-            refinement_iterations=payload["refinement_iterations"],
+        (grouping,) = _checked([payload["grouping"]], bool)
+        srcs, dsts, n_flows, n_groups = _columns(payload["ports"], str, str, int, int)
+        delays, backlogs, loads = _unpack(payload["floats"], len(srcs), 3)
+        port_ids = list(zip(srcs, dsts))
+        ports = map(PortAnalysis, port_ids, delays, backlogs, loads, n_flows, n_groups)
+        names, indices, nodes = _columns(payload["paths"], str, int, list)
+        port_delay = dict(zip(port_ids, delays))
+        paths = map(path_bound, names, indices, *_paths(nodes), itertools.repeat(port_delay))
+        return NetworkCalculusResult(
+            grouping=grouping,
+            ports=dict(zip(port_ids, ports)),
+            paths=dict(zip(zip(names, indices), paths)),
         )
-        for entry in payload["paths"]:
-            bound = _decode_trajectory_bound(entry)
-            result.paths[(bound.vl_name, bound.path_index)] = bound
-        return result
+    if kind == "traj_result":
+        serialization, iterations = _checked(
+            [payload["serialization"], payload["refinement_iterations"]], str, int
+        )
+        names, indices, nodes, competitors, candidates = _columns(
+            payload["paths"], str, int, list, int, int
+        )
+        bounds = map(
+            TrajectoryPathBound, names, indices, *_paths(nodes),
+            *_unpack(payload["floats"], len(names), 7), competitors, candidates,
+        )
+        return TrajectoryResult(
+            serialization=serialization,
+            refinement_iterations=iterations,
+            paths=dict(zip(zip(names, indices), bounds)),
+        )
     if kind == "cost_ledger":
         return CostLedger.from_dict(payload["cost"])
     raise ValueError(f"unknown cache entry kind {kind!r}")

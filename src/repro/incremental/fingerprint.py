@@ -60,17 +60,27 @@ def _fold(hasher, value: object) -> None:
 
 
 def vl_fingerprint(vl) -> str:
-    """Digest of one Virtual Link's complete traffic contract + routing."""
-    return stable_digest(
-        "vl",
-        vl.name,
-        vl.source,
-        float(vl.bag_ms),
-        float(vl.s_max_bytes),
-        float(vl.s_min_bytes),
-        int(vl.priority),
-        tuple(vl.paths),
-    )
+    """Digest of one Virtual Link's complete traffic contract + routing.
+
+    A :class:`VirtualLink` is frozen, so its digest is kept on it, as a
+    network's is: every ``Network.copy()`` shares its VL objects, so a
+    one-VL edit of a network hashes one VL.  ``dataclasses.replace``
+    builds a new VL, which is hashed afresh.
+    """
+    digest = vl.__dict__.get("_fingerprint")
+    if digest is None:
+        digest = stable_digest(
+            "vl",
+            vl.name,
+            vl.source,
+            float(vl.bag_ms),
+            float(vl.s_max_bytes),
+            float(vl.s_min_bytes),
+            int(vl.priority),
+            tuple(vl.paths),
+        )
+        object.__setattr__(vl, "_fingerprint", digest)
+    return digest
 
 
 def network_fingerprint(network: Network) -> str:

@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.errors import UnstableNetworkError
 from repro.netcalc.grouping import is_source_key, member_groups
 from repro.netcalc.kernel import Group, port_bounds
-from repro.netcalc.results import NetworkCalculusResult, PathBound, PortAnalysis
+from repro.netcalc.results import NetworkCalculusResult, PortAnalysis, path_bound
 from repro.network.port import PortId
 from repro.network.port_graph import topological_port_order
 from repro.network.preflight import check_network
@@ -212,14 +212,8 @@ class NetworkCalculusAnalyzer:
         prefixes = self.network.routing_table().prefixes
         for vl_name, path_index, node_path in self.network.flow_paths():
             port_ids = prefixes[(vl_name, (node_path[-2], node_path[-1]))]
-            delays = tuple([port_delay[pid] for pid in port_ids])
-            result.paths[(vl_name, path_index)] = PathBound(
-                vl_name=vl_name,
-                path_index=path_index,
-                node_path=node_path,
-                port_ids=port_ids,
-                per_port_delay_us=delays,
-                total_us=math.fsum(delays),
+            result.paths[(vl_name, path_index)] = path_bound(
+                vl_name, path_index, node_path, port_ids, port_delay
             )
 
     def analyze(self) -> NetworkCalculusResult:

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.network.port import PortId
 
-__all__ = ["PortAnalysis", "PathBound", "NetworkCalculusResult"]
+__all__ = ["PortAnalysis", "PathBound", "path_bound", "NetworkCalculusResult"]
 
 FlowPathKey = Tuple[str, int]
 
@@ -58,6 +58,22 @@ class PathBound:
     port_ids: Tuple[PortId, ...]
     per_port_delay_us: Tuple[float, ...]
     total_us: float
+
+
+def path_bound(
+    vl_name: str,
+    path_index: int,
+    node_path: Tuple[str, ...],
+    port_ids: Tuple[PortId, ...],
+    port_delay: Mapping[PortId, float],
+) -> PathBound:
+    """The bound of one path: its ports' delays and their ``math.fsum``.
+
+    The analyzer builds every path this way, and the bound cache
+    rebuilds stored paths the same way from the stored port delays.
+    """
+    delays = tuple([port_delay[pid] for pid in port_ids])
+    return PathBound(vl_name, path_index, node_path, port_ids, delays, math.fsum(delays))
 
 
 @dataclass

@@ -167,16 +167,26 @@ def record_trajectory_sweep(
     """Fold one trajectory sweep's prefix bounds into the ledger.
 
     ``bounds`` is the sweep's ``(vl_name, port) -> PrefixBound`` map
-    (``sweep_vls()`` output).
+    (``sweep_vls()`` output).  The counters are summed per port first
+    and each port is labelled once: integer sums do not depend on their
+    order, and :meth:`CostLedger.to_dict` sorts the labels.
     """
+    per_port: Dict[Sequence[str], List[int]] = {}
+    for (_vl_name, port), bound in bounds.items():
+        sums = per_port.get(port)
+        if sums is None:
+            per_port[port] = [bound.n_candidates, bound.n_competitors]
+        else:
+            sums[0] += bound.n_candidates
+            sums[1] += bound.n_competitors
     candidates = 0
     competitors = 0
-    for (_vl_name, port), bound in sorted(bounds.items()):
-        candidates += bound.n_candidates
-        competitors += bound.n_competitors
+    for port, (port_candidates, port_competitors) in per_port.items():
+        candidates += port_candidates
+        competitors += port_competitors
         label = port_label(port)
-        ledger.add_port_work(label, "candidate_evaluations", bound.n_candidates)
-        ledger.add_port_work(label, "competitor_folds", bound.n_competitors)
+        ledger.add_port_work(label, "candidate_evaluations", port_candidates)
+        ledger.add_port_work(label, "competitor_folds", port_competitors)
     ledger.add_work("sweeps", 1)
     ledger.add_work("tree_ports_visited", len(bounds))
     ledger.add_work("candidate_evaluations", candidates)

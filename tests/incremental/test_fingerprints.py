@@ -1,9 +1,15 @@
 """Fingerprints: stability and sensitivity; the dirty closure's soundness."""
 
+import dataclasses
 import subprocess
 import sys
+from pathlib import Path
 
+import pytest
+
+from repro.configs import fig1_network, fig2_network
 from repro.configs.random_topology import random_network
+from repro.incremental import fingerprint
 from repro.incremental.delta import dirty_closure
 from repro.incremental.edits import RetimeVL, apply_edits
 from repro.netcalc.analyzer import analyze_network_calculus
@@ -12,7 +18,10 @@ from repro.incremental.fingerprint import (
     stable_digest,
     vl_fingerprint,
 )
+from repro.network.serialization import network_from_json
 from repro.trajectory.analyzer import pack_floats
+
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples" / "configs"
 
 
 class TestStableDigest:
@@ -97,3 +106,58 @@ class TestNetworkFingerprints:
         assert clean, "the edit dirtied every port; the check would be vacuous"
         for pid in clean:
             assert after[pid] == before[pid], pid
+
+
+#: manifests, run history and ``afdx obs drift`` key on these bytes
+PINNED_NETWORK_FINGERPRINTS = {
+    "fig1": "b89fed02e631415626ef18f958f0dd306e4e7b2c48cf454eee5b1563ec43705f",
+    "fig2": "6eca296304bcf54411122945bc5be65382a3fdbe51b7aa5812db562f85403404",
+    "industrial_small":
+        "46d2c671365b4279e1e467498154b7fba27d9ff971310be8cdc71d7815ec5c69",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_NETWORK_FINGERPRINTS))
+def test_network_fingerprint_bytes_are_pinned(name):
+    network = {
+        "fig1": fig1_network,
+        "fig2": fig2_network,
+        "industrial_small": lambda: network_from_json(EXAMPLES / "industrial_small.json"),
+    }[name]()
+    assert network_fingerprint(network) == PINNED_NETWORK_FINGERPRINTS[name]
+
+
+class TestVlDigestReuse:
+    @pytest.fixture
+    def digests(self, monkeypatch):
+        """The ``stable_digest`` calls made, in order."""
+        calls = []
+
+        def counting(*parts):
+            calls.append(parts[0])
+            return stable_digest(*parts)
+
+        monkeypatch.setattr(fingerprint, "stable_digest", counting)
+        return calls
+
+    def test_an_edited_copy_hashes_only_the_edited_vl(self, digests):
+        network = random_network(11, n_switches=3, n_end_systems=6, n_virtual_links=8)
+        name = sorted(network.virtual_links)[0]
+        first = network_fingerprint(network)
+        assert digests == ["vl"] * 8 + ["network"]
+        edited, _ = apply_edits(
+            network, [RetimeVL(name=name, bag_ms=network.vl(name).bag_ms * 2)]
+        )
+        digests.clear()
+        assert network_fingerprint(edited) != first
+        assert digests == ["vl", "network"]
+        rebuilt = random_network(11, n_switches=3, n_end_systems=6, n_virtual_links=8)
+        assert network_fingerprint(rebuilt) == first
+
+    def test_equal_vls_are_told_apart_by_identity(self, digests):
+        network = random_network(11, n_switches=3, n_end_systems=6, n_virtual_links=8)
+        vl = network.vl(sorted(network.virtual_links)[0])
+        twin = dataclasses.replace(vl)
+        assert twin == vl and twin is not vl
+        assert vl_fingerprint(vl) == vl_fingerprint(vl) == vl_fingerprint(twin)
+        assert digests == ["vl", "vl"]

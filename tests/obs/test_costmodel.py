@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -22,6 +23,7 @@ from repro.obs.costmodel import (
     deterministic_section,
     netcalc_cost_ledger,
     port_label,
+    record_trajectory_sweep,
     trajectory_result_work,
     work_summary,
 )
@@ -107,6 +109,40 @@ class TestCostLedger:
 
     def test_port_label(self):
         assert port_label(("SW1", "dest")) == "SW1->dest"
+
+    def test_sweep_counters_are_summed_per_port(self):
+        def bound(candidates, competitors):
+            return SimpleNamespace(n_candidates=candidates, n_competitors=competitors)
+
+        ledger = CostLedger("trajectory")
+        record_trajectory_sweep(
+            ledger,
+            {
+                ("v2", ("S", "d")): bound(5, 6),
+                ("v1", ("a", "S")): bound(2, 3),
+                ("v2", ("a", "S")): bound(1, 4),
+            },
+            smax_updates=1,
+        )
+        assert ledger.ports == {
+            "a->S": {"candidate_evaluations": 3, "competitor_folds": 7},
+            "S->d": {"candidate_evaluations": 5, "competitor_folds": 6},
+        }
+        assert ledger.work == {
+            "sweeps": 1,
+            "tree_ports_visited": 3,
+            "candidate_evaluations": 8,
+            "competitor_folds": 13,
+        }
+        assert ledger.sweeps == [
+            {
+                "sweep": 1,
+                "candidate_evaluations": 8,
+                "competitor_folds": 13,
+                "smax_updates": 1,
+                "tree_ports_visited": 3,
+            }
+        ]
 
 
 class TestResultDerivedLedgers:

@@ -16,8 +16,12 @@ product.  ``scripts/kernel_gate.py``, ``tests/trajectory/test_kernels.py``
 and ``tests/batch/test_fleet_identity.py`` diff against it.
 
 :class:`ReferenceTrajectoryAnalyzer` is a sequential, non-incremental
-:class:`TrajectoryAnalyzer`: validation, the NC seed, the fixed-point
-driver, ``tighten_smax`` and ``build_result`` are inherited, and only
+:class:`TrajectoryAnalyzer`: validation, the NC seed, ``Smin``, the
+fixed-point loop, ``tighten_smax`` and ``build_result`` are inherited.
+The walk's tables (port members, rates, latencies, largest frames,
+upstream ports and trees) are derived here from the network's VLs,
+links and nodes, not taken from the product's precompute, so a wrong
+float there shows as a difference; and
 :meth:`~ReferenceTrajectoryAnalyzer.sweep_vls` is replaced.  Its walk
 methods carry their own ``_ref_`` names so they never shadow the
 product's.
@@ -57,6 +61,48 @@ class ReferenceTrajectoryAnalyzer(TrajectoryAnalyzer):
             collect_stats=collect_stats,
         )
 
+    def _precompute_structure(self) -> None:
+        """The walk's tables, read off the network's VLs, links and nodes.
+
+        Replaces the product's precompute (and its per-VL source-port
+        state): per port, the sorted names of the VLs crossing it, its
+        link rate, its owner's latency and its largest frame's
+        transmission time; per VL and port, the upstream port; per VL,
+        the root port and the children of each port, in path order.
+        """
+        network = self.network
+        members: Dict[PortId, List[str]] = {}
+        self._upstream = {}
+        self._trees = {}
+        for name in sorted(network.virtual_links):
+            paths = network.vl(name).paths
+            children: Dict[PortId, List[PortId]] = {}
+            for path in paths:
+                parent = None
+                for port in zip(path, path[1:]):
+                    if (name, port) not in self._upstream:
+                        self._upstream[(name, port)] = parent
+                        members.setdefault(port, []).append(name)
+                    if parent is not None:
+                        siblings = children.setdefault(parent, [])
+                        if port not in siblings:
+                            siblings.append(port)
+                    parent = port
+            self._trees[name] = (
+                (paths[0][0], paths[0][1]),
+                {port: tuple(nexts) for port, nexts in children.items()},
+            )
+        self._port_vls = {port: tuple(names) for port, names in members.items()}
+        self._port_rate = {port: network.link_rate(*port) for port in members}
+        self._port_lat = {
+            port: network.node(port[0]).technological_latency_us for port in members
+        }
+        self._port_max_c = {
+            port: max(network.vl(m).s_max_bits / self._port_rate[port] for m in names)
+            for port, names in members.items()
+        }
+        self._cache_counters = {}
+
     def sweep_vls(
         self, vl_names: List[str]
     ) -> Dict[FlowPortKey, PrefixBound]:
@@ -90,7 +136,7 @@ class ReferenceTrajectoryAnalyzer(TrajectoryAnalyzer):
                 continue
             if other not in competitors:
                 added.append(other)
-            elif parent is not None and (other, parent) not in self._prefixes:
+            elif parent is not None and (other, parent) not in self._upstream:
                 # `other` was met upstream but does not cross the port we
                 # arrived from: it left the path and is rejoining here.
                 readded.append(other)
