@@ -13,7 +13,11 @@ fi
 export PYTHONPATH
 
 echo "== compileall src =="
-python -m compileall -q src
+# the bytecode goes to a temporary prefix, not into src/**/__pycache__:
+# a tree left with compiled files imports faster than a fresh clone
+pycache=$(mktemp -d)
+trap 'rm -rf "$pycache"' EXIT
+PYTHONPYCACHEPREFIX="$pycache" python -m compileall -q src
 
 echo "== repro.lint (dataflow engine, zero unwaived findings in src/repro) =="
 python -m repro.lint --engine dataflow src/repro

@@ -34,12 +34,17 @@ the paper's per-candidate walk.  The contract is Zippo & Stea's:
 3. Product and oracle ledger sections agree after the
    candidate-evaluation counters (the only prune-dependent numbers)
    are dropped.
+4. Both fold paths face the oracle: in each serialization mode, over
+   its scenarios, the one-frame screen (``_one_frame``) accepts at
+   least one tree-port batch and declines at least one, which then
+   folds exactly (``_batch_fold``).
 
 Any violation prints the offending scenario and exits non-zero.
 """
 
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 _ROOT = Path(__file__).resolve().parent.parent
@@ -56,6 +61,7 @@ from repro.configs.random_topology import random_network  # noqa: E402
 from repro.incremental.cache import BoundCache  # noqa: E402
 from repro.netcalc.analyzer import analyze_network_calculus  # noqa: E402
 from repro.obs.costmodel import deterministic_section  # noqa: E402
+from repro.trajectory import analyzer as trajectory_kernel  # noqa: E402
 from repro.trajectory.analyzer import analyze_trajectory  # noqa: E402
 from tests.netcalc.reference_analyzer import (  # noqa: E402
     ReferenceNetworkCalculusAnalyzer,
@@ -86,6 +92,13 @@ def _scenarios():
         "random-589/safe",
         random_network(589, n_switches=3, n_end_systems=6, n_virtual_links=6),
         "safe",
+    )
+    # negative offsets: the one-frame screen declines batches here,
+    # which fig1 and fig2 never make it do in `paper` mode
+    yield (
+        "random-589/paper",
+        random_network(589, n_switches=3, n_end_systems=6, n_virtual_links=6),
+        "paper",
     )
     yield (
         "random-7/windowed",
@@ -227,7 +240,19 @@ def _ledger_section(result):
 
 def main():
     _check_netcalc()
+    one_frame = trajectory_kernel._one_frame
+    # `_one_frame` verdicts per mode; the product reads the module
+    # global on every call, so a wrapper sees each tree-port batch
+    screened = {}
     for scenario, network, mode in _scenarios():
+        verdicts = screened.setdefault(mode, Counter())
+
+        def counted(lo, hi, period_min, horizon, verdicts=verdicts):
+            verdict = one_frame(lo, hi, period_min, horizon)
+            verdicts[verdict] += 1
+            return verdict
+
+        trajectory_kernel._one_frame = counted
         reference = ReferenceTrajectoryAnalyzer(
             network, serialization=mode, collect_stats=True
         ).analyze()
@@ -269,6 +294,13 @@ def main():
             f"  {scenario}: {len(reference.paths)} paths bit-identical to "
             f"the oracle (3 shapes), ledgers agree, {pruned} candidates pruned"
         )
+    for mode, verdicts in screened.items():
+        print(
+            f"  {mode}: {verdicts[True]} batches folded as one frame each, "
+            f"{verdicts[False]} folded exactly"
+        )
+        if not verdicts[True] or not verdicts[False]:
+            _fail(f"every {mode} scenario", "a fold path never ran against the oracle")
     print("kernel gate OK")
 
 

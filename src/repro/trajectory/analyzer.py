@@ -32,20 +32,21 @@ the delayed-studied-packet alignments.  The reproduction modes
 (``"paper"`` / ``"windowed"``) keep the historical counter.
 
 Implementation note: each sweep walks every VL's multicast tree once,
-maintaining the competitor set, the base workload and the candidate
-jump events incrementally (with rollback on backtrack), so the cost per
-tree port is proportional to the *new* competitors met there rather
-than to the whole competitor set — this is what keeps the ~1000-VL
-industrial configuration tractable in seconds.  The walk reads flat
-per-port competitor tables (parallel ``(C, T, Smin, Smax)`` arrays over
-each port's sorted members) instead of dict walks; each tree port folds
-its joining competitors in one batch, and each VL's source port, where
-every offset is 0.0, once for all sweeps; the meeting
-structure is resolved once per port path into member *indices*;
-finished walks are memoized across sweeps keyed by the packed ``Smax``
-slices they read (``repro.incremental``'s content-addressed packing),
-so a converged region is never re-walked; and the candidate scan prunes
-provably dominated instants (:meth:`TrajectoryAnalyzer._maximize`).
+maintaining the base workload and the candidate jump events
+incrementally (with rollback on backtrack), so the cost per tree port
+is proportional to the *new* competitors met there rather than to the
+whole competitor set — this is what keeps the ~1000-VL industrial
+configuration tractable in seconds.  The walk reads flat per-port
+competitor tables (parallel ``(C, T, Smin, Smax)`` arrays over each
+port's sorted members) instead of dict walks; the meeting structure is
+resolved once per port path into member *indices*, and each VL's walk
+once into a flat plan; each tree port folds its joining competitors in
+one batch, a batch whose offset bounds prove one frame each without a
+loop (:func:`_one_frame`), and each VL's source port, where every
+offset is 0.0, once for all sweeps; a walk whose folds are those of its
+last walk replays that walk's bounds, so only VLs whose folds moved are
+re-walked; and the candidate scan prunes provably dominated instants
+(:meth:`TrajectoryAnalyzer._maximize`).
 
 None of this changes a float: every bound replays the operation
 sequence of the plain dict-based walk, which is kept as a test oracle
@@ -86,15 +87,18 @@ _LOG = get_logger("trajectory")
 
 _EPS = 1e-6
 
-#: smallest per-port competitor batch whose fold the walk node caches
-#: across sweeps (`_walk_tree`); narrower batches fold afresh each
-#: visit.  Both compute the same floats, so the threshold is a tuning
+#: smallest per-port competitor batch whose exact fold its meet-tree
+#: node caches across sweeps (`_exact_fold`); narrower batches fold
+#: afresh.  Both compute the same floats, so the threshold is a tuning
 #: knob, not a semantics switch
 _VEC_MIN = 16
 
 #: boundary tolerance of the `interference_count` fast path (one part
 #: in 2^50 of the quotient — 8x the worst-case division error)
 _BOUNDARY_TOL = 2.0 ** -50
+
+#: the fold of a tree port where no batch folds
+_NO_FOLD: Tuple = ((), ())
 
 
 def _batch_fold(
@@ -152,6 +156,20 @@ def _batch_fold(
     return tuple(bases), maybe
 
 
+def _one_frame(lo: float, hi: float, period_min: float, horizon: float) -> bool:
+    """Whether `_batch_fold` counts one frame and flags no position for
+    every competitor with offset in ``[lo, hi]`` and period at least
+    ``period_min``, under ``horizon``.
+
+    Then the fold is the batch's ``C`` column bit for bit: an offset in
+    ``[0, T)`` counts ``1 * C == C`` on every branch of `_batch_fold`,
+    whose first-jump screen then reads ``fl(T - A)`` (``T`` at a zero
+    offset), and ``fl(T - A) >= fl(period_min - hi)`` because rounding
+    is monotone (the proof is in docs/PERFORMANCE.md).
+    """
+    return lo >= 0.0 and hi < period_min and period_min - hi >= horizon
+
+
 def _picker(indices: Tuple[int, ...]) -> Callable[[Sequence], Tuple]:
     """``seq -> tuple of seq[i] for i in indices``, in one C call.
 
@@ -167,8 +185,8 @@ def _picker(indices: Tuple[int, ...]) -> Callable[[Sequence], Tuple]:
 def pack_floats(values: Sequence[float]) -> bytes:
     """Lossless binary encoding of a float sequence (one C call).
 
-    Used for the per-sweep ``Smax`` slices that key the sweep and fold
-    memos, where packing must stay far cheaper than the walk itself.
+    Used for the per-sweep ``Smax`` slices that key the node fold
+    caches, where packing must stay far cheaper than the fold itself.
     """
     return struct.pack(f"<{len(values)}d", *values)
 
@@ -654,11 +672,6 @@ class TrajectoryAnalyzer:
                 tree = self._trees[vl_name] = (pid, {})
             if targets:
                 tree[1][pid] = targets
-        # each VL's tree ports in walk order: the per-VL key of the
-        # sweep memo
-        self._walk_tree_ports: Dict[str, Tuple[PortId, ...]] = {
-            name: tuple(self._tree_ports(name)) for name in vl_order
-        }
         # upstream port of each VL at each of its tree ports
         self._upstream: Dict[FlowPortKey, Optional[PortId]] = {
             key: prefix[-2] if len(prefix) > 1 else None
@@ -711,10 +724,12 @@ class TrajectoryAnalyzer:
         # (`_port_pack`, `_smax_slice`) — cleared every sweep
         self._port_packs: Dict[PortId, bytes] = {}
         self._port_smax: Dict[PortId, List[float]] = {}
-        # cross-sweep walk memo: vl -> (packed Smax slices, bounds);
-        # a walk whose entire Smax input is unchanged since the last
-        # sweep is replayed from here without touching the tree
-        self._sweep_memo: Dict[str, Tuple[bytes, Dict]] = {}
+        # each VL's walk below its source port, resolved on its first
+        # sweep: vl -> (steps, fold sites) (`_plan`)
+        self._plans: Dict[str, Tuple[Tuple, Tuple]] = {}
+        # cross-sweep walk memo: vl -> (folds, bounds); a walk whose
+        # folds are those of its last walk replays its bounds
+        self._sweep_memo: Dict[str, Tuple[List, Dict]] = {}
         self._cache_counters: Dict[str, List[int]] = {
             "horizon": [0, 0],
             "meetings": [0, 0],
@@ -772,17 +787,6 @@ class TrajectoryAnalyzer:
             arr = [smax[(m, port)] for m in self._port_vls[port]]
             self._port_smax[port] = arr
         return arr
-
-    def _tree_ports(self, vl_name: str) -> List[PortId]:
-        """One VL's tree ports in the DFS preorder :meth:`_walk_tree` visits."""
-        root, children = self._trees[vl_name]
-        out: List[PortId] = []
-        stack = [root]
-        while stack:
-            port = stack.pop()
-            out.append(port)
-            stack.extend(reversed(children.get(port, ())))
-        return out
 
     def _port_pack(self, port: PortId) -> bytes:
         """This sweep's packed ``Smax`` slice of one port's members."""
@@ -850,30 +854,30 @@ class TrajectoryAnalyzer:
         bounds: Dict[FlowPortKey, PrefixBound] = {}
         progress = self._obs.progress
         memo_counters = self._cache_counters["sweep_memo"]
+        plans = self._plans
+        sweep_memo = self._sweep_memo
         # port packs and Smax slices MUST be dropped: Smax tightened
-        # since the last sweep, and a stale pack would alias two
-        # different walk inputs onto one memo key
+        # since the last sweep, and a stale slice would fold the old map
         self._port_packs.clear()
         self._port_smax.clear()
         for index, vl_name in enumerate(vl_names):
             if progress:
                 progress.update("trajectory.sweep", index, len(vl_names))
-            # cross-sweep memo: a walk reads only its tree ports' Smax
-            # slices beyond sweep-invariant structure, so an unchanged
-            # packed slice sequence proves the previous sweep's bounds
-            # replay bit for bit
-            memo_key = b"".join(
-                self._port_pack(port) for port in self._walk_tree_ports[vl_name]
-            )
-            memo = self._sweep_memo.get(vl_name)
-            if memo is not None and memo[0] == memo_key:
+            if vl_name not in plans:
+                plans[vl_name] = self._plan(vl_name)
+            # cross-sweep memo: beyond sweep-invariant structure a walk
+            # reads only its folds, so folds equal to its last walk's
+            # prove that walk's bounds replay bit for bit
+            folds = self._folds(vl_name)
+            memo = sweep_memo.get(vl_name)
+            if memo is not None and memo[0] == folds:
                 memo_counters[0] += 1
                 bounds.update(memo[1])
                 continue
             memo_counters[1] += 1
             local: Dict[FlowPortKey, PrefixBound] = {}
-            self._walk_tree(vl_name, local)
-            self._sweep_memo[vl_name] = (memo_key, local)
+            self._walk_tree(vl_name, folds, local)
+            sweep_memo[vl_name] = (folds, local)
             bounds.update(local)
         if progress:
             progress.update("trajectory.sweep", len(vl_names), len(vl_names))
@@ -961,10 +965,12 @@ class TrajectoryAnalyzer:
         ``added``/``readded`` as positions into the port's member tuple
         and ``joined`` the added members' global VL indices (the bitmap
         marks the walk sets).  ``vec`` is the port's one
-        :func:`_batch_fold` batch, ``(pick, C, T, Smin)``: the getter
-        of the positions that fold here (the added ones, then in
-        ``safe`` mode the re-added ones) and their columns; None when
-        no flow folds here.
+        :func:`_batch_fold` batch, ``(pick, C, T, Smin, min T, min Smin,
+        max Smin, one-frame fold)``: the getter of the positions that
+        fold here (the added ones, then in ``safe`` mode the re-added
+        ones), their columns, the ranges :func:`_one_frame` bounds the
+        offsets with, and the fold ``(C, ())`` it proves; None when no
+        flow folds here.
         """
         members, mc, mt, mg, mup, msmin, _mpos = self._port_tab[port]
         flags = self._port_flags[port](met)
@@ -1013,69 +1019,60 @@ class TrajectoryAnalyzer:
         vec = None
         if batch:
             pick = _picker(batch)
-            vec = (pick, pick(mc), pick(mt), pick(msmin))
+            c_a, t_a, ms_a = pick(mc), pick(mt), pick(msmin)
+            vec = (pick, c_a, t_a, ms_a, min(t_a), min(ms_a), max(ms_a), (c_a, ()))
         joined = tuple(mg[index] for index in added)
         return n_added, added, readded, port_gain, vec, joined
 
-    def _walk_tree(
-        self, vl_name: str, bounds: Dict[FlowPortKey, PrefixBound]
-    ) -> None:
-        """DFS one VL's tree, maintaining the interference state.
+    def _plan(self, vl_name: str) -> Tuple[Tuple, Tuple]:
+        """One VL's walk below its source port, resolved once.
 
-        State carried down the recursion (and rolled back on return):
-        the met bitmap over VL indices, the base workload
-        ``sum_j N_j(0) C_j`` over the flows met so far (the studied
-        flow included, with ``A = 0``), and the candidate jump events
-        ``(t, C)`` inside the source busy period.  The walk starts from
-        the VL's source-port state (:meth:`_root_state`).
+        A DFS of the VL's tree carries the met bitmap (rolled back on
+        backtrack) down to each port, so that :meth:`_discover_meetings`
+        fills each :attr:`_meet_tree` node the first time any walk
+        reaches it.  Returns ``(steps, sites)`` in DFS preorder:
 
-        Every float is the one the plain dict-based walk (the test
-        oracle) computes, by the same expression in the same order: the
-        base workload grows by sequential ``+=`` of the per-flow bases
-        in add order (own flow, root members, then each port's
-        added/re-added members in sorted-member order) and shrinks on
-        backtrack by ``-=`` of the *same stored floats* in the same
-        order (never by restoring a saved value — float addition does
-        not cancel exactly).  Each tree port folds its joining flows in
-        one :func:`_batch_fold` call; a wide batch's fold is cached in
-        its :attr:`_meet_tree` node across sweeps.  Competitor
-        contracts come from the parallel per-port tuples, and the
-        meeting structure is replayed from the shared per-path index
-        tuples of :attr:`_meet_tree` after the first walk of each
-        distinct port path.
+        * ``steps``: per tree port, ``(port, pops, folds, transitions,
+          latencies, gain, n_met, constant)`` — how many ports of the
+          current path the walk leaves before this one, whether a batch
+          folds here, and the prefix's sweep-invariant terms, each the
+          float the recursive walk computes by the same chain of ``+=``
+          down the path;
+        * ``sites``: per port whose batch folds, ``(port, (vl, port),
+          Smin_i, vec, node fold cache)`` (:meth:`_folds`).
         """
-        root, horizon, base_workload, root_events, root_met, root_bound = self._roots[
-            vl_name
-        ]
+        root, _horizon, _workload, _events, root_met, root_bound = self._roots[vl_name]
         children = self._trees[vl_name][1]
-        safe = self.serialization_mode == "safe"
         smin = self._smin
-        smax = self._smax
         port_lat = self._port_lat
         port_max_c = self._port_max_c
-        meet_tree = self._meet_tree
         meeting_counters = self._cache_counters["meetings"]
-        maximize = self._maximize
         discover = self._discover_meetings
-        smax_slice = self._smax_slice
-        port_pack = self._port_pack
-
+        root_node = self._meet_tree.get(root)
+        if root_node is None:
+            root_node = self._meet_tree[root] = [None, {}, {}]
         met = bytearray(root_met)
-        events: List[Tuple[float, float]] = list(root_events)
-        bounds[(vl_name, root)] = root_bound
-
-        def visit(
-            port: PortId,
-            node: list,
-            parent: PortId,
-            transitions: float,
-            latencies: float,
-            gain: float,
-            n_met: int,
-        ) -> None:
-            nonlocal base_workload
-            latencies += port_lat[port]
-            transitions += port_max_c[port]
+        # the VL indices each port of the current path marked in `met`
+        path_joins: List[Tuple[int, ...]] = []
+        steps: List[Tuple] = []
+        sites: List[Tuple] = []
+        stack = [
+            (child, root, root_node, 1, 0.0, root_bound.latency_us, 0.0,
+             root_bound.n_competitors)
+            for child in reversed(children.get(root, ()))
+        ]
+        while stack:
+            port, parent, parent_node, depth, transitions, latencies, gain, n_met = (
+                stack.pop()
+            )
+            pops = len(path_joins) - depth + 1
+            for _ in range(pops):
+                for g in path_joins.pop():
+                    met[g] = 0
+            kids = parent_node[1]
+            node = kids.get(port)
+            if node is None:
+                node = kids[port] = [None, {}, {}]
             meetings = node[0]
             if meetings is None:
                 meeting_counters[1] += 1
@@ -1083,85 +1080,163 @@ class TrajectoryAnalyzer:
             else:
                 meeting_counters[0] += 1
             _n_added, _added, _readded, port_gain, vec, joined = meetings
-            folded: Tuple[float, ...] = ()
-            n_events = 0
+            for g in joined:
+                met[g] = 1
+            path_joins.append(joined)
+            latencies += port_lat[port]
+            transitions += port_max_c[port]
             if vec is not None:
-                pick, c_a, t_a, ms_a = vec
-                smin_self = smin[(vl_name, port)]
-                smax_self = smax[(vl_name, port)] if safe else 0.0
-                cached = fkey = None
-                if len(c_a) >= _VEC_MIN:
-                    # the fold's only other input is the port's Smax
-                    # slice, so the node replays it across sweeps
-                    fkey = (smin_self, smax_self, port_pack(port))
-                    cached = node[2].get(fkey)
-                if cached is None:
-                    if safe:
-                        offs = []
-                        for smax_j, smin_j in zip(pick(smax_slice(port)), ms_a):
-                            first = smax_j - smin_self
-                            second = smax_self - smin_j
-                            offs.append(first if first >= second else second)
-                    else:
-                        offs = [smax_j - smin_self for smax_j in pick(smax_slice(port))]
-                    folded, maybe = _batch_fold(c_a, t_a, offs, horizon)
-                    start = len(events)
-                    for pos in maybe:
-                        events.extend(
-                            _flow_events(c_a[pos], t_a[pos], offs[pos], horizon)[1]
-                        )
-                    n_events = len(events) - start
-                    if fkey is not None:
-                        node[2][fkey] = (folded, tuple(events[start:]))
-                else:
-                    folded, batch_events = cached
-                    events.extend(batch_events)
-                    n_events = len(batch_events)
-                base_workload = _replay_add(base_workload, folded)
-                for g in joined:
-                    met[g] = 1
-                n_met += len(c_a)
+                n_met += len(vec[1])
+                key = (vl_name, port)
+                sites.append((port, key, smin[key], vec, node[2]))
             gain += port_gain
+            steps.append(
+                (port, pops, vec is not None, transitions, latencies, gain, n_met,
+                 transitions + latencies - gain)
+            )
+            stack.extend(
+                (child, port, node, depth + 1, transitions, latencies, gain, n_met)
+                for child in reversed(children.get(port, ()))
+            )
+        return tuple(steps), tuple(sites)
 
-            constant = transitions + latencies - gain
+    def _folds(self, vl_name: str) -> List[Tuple]:
+        """This sweep's fold at each of the VL's fold sites, in walk order.
+
+        A fold is ``(bases, events)``: what the port's joining batch
+        adds to the studied packet's workload (one base per competitor,
+        in batch order) and its candidate jump events.  Each batch's
+        offsets are bounded without a loop, from the batch's ``Smax``
+        range this sweep and, in ``safe`` mode, its ``Smin`` range: both
+        offset terms are float subtractions, and rounding is monotone.
+        When :func:`_one_frame` accepts the bounds, the fold is the
+        batch's ``(C, ())``, the same object every sweep; otherwise
+        :meth:`_exact_fold` folds it.
+        """
+        horizon = self._roots[vl_name][1]
+        safe = self.serialization_mode == "safe"
+        smax = self._smax
+        smax_slice = self._smax_slice
+        one_frame = _one_frame
+        folds: List[Tuple] = []
+        append = folds.append
+        for port, key, smin_self, vec, fold_cache in self._plans[vl_name][1]:
+            pick, _c, _t, _ms, period_min, smin_lo, smin_hi, one_frame_fold = vec
+            smax_b = pick(smax_slice(port))
+            lo = min(smax_b) - smin_self
+            hi = max(smax_b) - smin_self
+            smax_self = 0.0
+            if safe:
+                # catch-up offsets Smax_i - Smin_j
+                smax_self = smax[key]
+                catch_up = smax_self - smin_hi
+                if catch_up > lo:
+                    lo = catch_up
+                catch_up = smax_self - smin_lo
+                if catch_up > hi:
+                    hi = catch_up
+            if one_frame(lo, hi, period_min, horizon):
+                append(one_frame_fold)
+            else:
+                append(self._exact_fold(port, vec, smin_self, smax_self, horizon, fold_cache))
+        return folds
+
+    def _exact_fold(
+        self,
+        port: PortId,
+        vec: Tuple,
+        smin_self: float,
+        smax_self: float,
+        horizon: float,
+        fold_cache: Dict,
+    ) -> Tuple[Tuple[float, ...], Tuple[Tuple[float, float], ...]]:
+        """One batch's fold through :func:`_batch_fold` and `_flow_events`.
+
+        A batch of at least ``_VEC_MIN`` competitors caches its fold in
+        its meet-tree node keyed by its only other inputs,
+        ``(Smin_i, Smax_i, packed port Smax)``, and replays it across
+        sweeps.
+        """
+        pick, c_a, t_a, ms_a = vec[:4]
+        fkey = None
+        if len(c_a) >= _VEC_MIN:
+            fkey = (smin_self, smax_self, self._port_pack(port))
+            cached = fold_cache.get(fkey)
+            if cached is not None:
+                return cached
+        smax_b = pick(self._smax_slice(port))
+        if self.serialization_mode == "safe":
+            offs = []
+            for smax_j, smin_j in zip(smax_b, ms_a):
+                first = smax_j - smin_self
+                second = smax_self - smin_j
+                offs.append(first if first >= second else second)
+        else:
+            offs = [smax_j - smin_self for smax_j in smax_b]
+        folded, maybe = _batch_fold(c_a, t_a, offs, horizon)
+        events: List[Tuple[float, float]] = []
+        for pos in maybe:
+            events.extend(_flow_events(c_a[pos], t_a[pos], offs[pos], horizon)[1])
+        fold = (folded, tuple(events))
+        if fkey is not None:
+            fold_cache[fkey] = fold
+        return fold
+
+    def _walk_tree(
+        self,
+        vl_name: str,
+        folds: List[Tuple],
+        bounds: Dict[FlowPortKey, PrefixBound],
+    ) -> None:
+        """Accumulate one VL's folds down its tree and bound each prefix.
+
+        One loop over the VL's :meth:`_plan` steps, maintaining the
+        interference state of the current path: the base workload
+        ``sum_j N_j(0) C_j`` over the flows met so far (the studied flow
+        included, with ``A = 0``) and the candidate jump events ``(t, C)``
+        inside the source busy period.  The walk starts from the VL's
+        source-port state (:meth:`_root_state`) and takes each fold
+        site's fold from ``folds`` (:meth:`_folds`), in order.
+
+        Every float is the one the plain dict-based walk (the test
+        oracle) computes, by the same expression in the same order: the
+        base workload grows by sequential ``+=`` of the per-flow bases
+        in add order (own flow, root members, then each port's
+        added/re-added members in sorted-member order) and shrinks, when
+        the walk leaves a port, by ``-=`` of the *same stored floats* in
+        the same order (never by restoring a saved value — float
+        addition does not cancel exactly).
+        """
+        root, horizon, base_workload, root_events, _met, root_bound = self._roots[vl_name]
+        maximize = self._maximize
+        events: List[Tuple[float, float]] = list(root_events)
+        bounds[(vl_name, root)] = root_bound
+        next_fold = iter(folds).__next__
+        # the fold of each port on the current path, `_NO_FOLD` where
+        # no batch folds
+        path: List[Tuple] = []
+        for port, pops, has_fold, transitions, latencies, gain, n_met, constant in (
+            self._plans[vl_name][0]
+        ):
+            for _ in range(pops):
+                folded, batch_events = path.pop()
+                # rollback in add order, subtracting the stored floats
+                for term in folded:
+                    base_workload -= term
+                if batch_events:
+                    del events[-len(batch_events):]
+            if has_fold:
+                fold = next_fold()
+                folded, batch_events = fold
+                base_workload = _replay_add(base_workload, folded)
+                events.extend(batch_events)
+                path.append(fold)
+            else:
+                path.append(_NO_FOLD)
             best, best_t, best_w, n_cand = maximize(base_workload, events, constant)
             bounds[(vl_name, port)] = PrefixBound(
                 best, best_t, horizon, best_w, transitions, latencies, gain, n_met, n_cand
             )
-
-            kids = node[1]
-            for child in children.get(port, ()):
-                child_node = kids.get(child)
-                if child_node is None:
-                    child_node = kids[child] = [None, {}, {}]
-                visit(child, child_node, port, transitions, latencies, gain, n_met)
-
-            # rollback in add order, subtracting the stored floats
-            for term in folded:
-                base_workload -= term
-            if n_events:
-                del events[-n_events:]
-            for g in joined:
-                met[g] = 0
-
-        root_node = meet_tree.get(root)
-        if root_node is None:
-            root_node = meet_tree[root] = [None, {}, {}]
-        kids = root_node[1]
-        try:
-            for child in children.get(root, ()):
-                child_node = kids.get(child)
-                if child_node is None:
-                    child_node = kids[child] = [None, {}, {}]
-                visit(
-                    child, child_node, root, 0.0, root_bound.latency_us, 0.0,
-                    root_bound.n_competitors,
-                )
-        finally:
-            # `visit` reaches itself through its own closure cell, and
-            # through `discover` the analyzer: clearing the cell leaves
-            # no reference cycle, so a run makes no cyclic garbage
-            del visit
 
     @staticmethod
     def _maximize(

@@ -266,3 +266,62 @@ class TestSourcePortInvariant:
             if not updates:
                 break
         assert tightened  # the fixed point moved other entries
+
+
+class TestSweepMemo:
+    """A sweep replays each walk whose folds are those of its last walk.
+
+    In the counted-once modes a VL's walk reads ``Smax[(i, p)]`` only
+    where competitor ``i`` first meets its path, at ``p``; the tests
+    move ``Smax`` and check which walks the next sweep reruns, and that
+    every bound equals an unmemoized sweep's.
+    """
+
+    MODE = "windowed"
+
+    def fresh_sweep(self, network, smax):
+        fresh = TrajectoryAnalyzer(network, serialization=self.MODE)
+        fresh.prepare()
+        fresh._smax.update(smax)
+        return fresh.sweep_vls(sorted(network.virtual_links))
+
+    def test_a_tightening_that_moves_no_fold_replays_every_walk(self, fig1):
+        analyzer = TrajectoryAnalyzer(fig1, serialization=self.MODE)
+        analyzer.prepare()
+        names = sorted(fig1.virtual_links)
+        first = analyzer.sweep_vls(names)
+        updates, _delta = analyzer.tighten_smax(first)
+        assert updates
+        hits, misses = analyzer.cache_stats()["sweep_memo"]
+        second = analyzer.sweep_vls(names)
+        assert analyzer.cache_stats()["sweep_memo"] == (hits + len(names), misses)
+        assert second == first
+        assert second == self.fresh_sweep(fig1, analyzer._smax)
+
+    def test_a_moved_fold_rewalks_that_vl_alone(self, fig1):
+        analyzer = TrajectoryAnalyzer(fig1, serialization=self.MODE)
+        analyzer.prepare()
+        names = sorted(fig1.virtual_links)
+        before = analyzer.sweep_vls(names)
+        table = fig1.routing_table()
+        # (i, p) -> the VLs whose batch at p holds competitor i
+        readers = {}
+        for (vl_name, port), prefix in sorted(table.prefixes.items()):
+            if len(prefix) == 1:
+                continue  # a source port folds offsets of 0.0 only
+            met_before = set().union(*(table.members[q] for q in prefix[:-1]))
+            for other in table.members[port]:
+                if other not in met_before:
+                    readers.setdefault((other, port), []).append(vl_name)
+        key, (reader,) = next(
+            (key, vls) for key, vls in sorted(readers.items()) if len(vls) == 1
+        )
+        # five periods later: the reader counts five more frames of key[0]
+        analyzer._smax[key] += 5 * fig1.vl(key[0]).bag_us
+        hits, misses = analyzer.cache_stats()["sweep_memo"]
+        after = analyzer.sweep_vls(names)
+        assert analyzer.cache_stats()["sweep_memo"] == (
+            hits + len(names) - 1, misses + 1
+        )
+        assert {k[0] for k in after if after[k] != before[k]} == {reader}
+        assert after == self.fresh_sweep(fig1, analyzer._smax)

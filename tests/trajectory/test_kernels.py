@@ -8,7 +8,8 @@ close ones.  These tests enforce that promise on the paper
 configurations, on randomized topologies under hypothesis and on
 industrial configurations whose ports fold wide competitor batches
 (64 VLs in every mode, 120 VLs in safe mode), check the batch fold
-against the scalar counter under hypothesis, and smoke-test a seeded
+against the scalar counter and the one-frame screen against the batch
+fold under hypothesis, and smoke-test a seeded
 1000-VL industrial configuration; the committed-scenario sweep
 (including the incremental-cache shapes) lives in
 ``scripts/kernel_gate.py``.
@@ -104,6 +105,9 @@ def test_wide_batches_match_the_oracle(n_vls, seed, mode, monkeypatch):
         return batch_fold(c, period, offset, horizon)
 
     monkeypatch.setattr(kernel, "_batch_fold", counted)
+    # the one-frame screen accepts these batches; declined, they fold
+    # exactly, so the wide fold and its node cache face the oracle
+    monkeypatch.setattr(kernel, "_one_frame", lambda lo, hi, period_min, horizon: False)
     analyzer = kernel.TrajectoryAnalyzer(network, serialization=mode)
     assert_kernels_identical(network, mode, fast=analyzer.analyze())
     # a wide batch folded, and its node cached the fold for later sweeps
@@ -205,6 +209,76 @@ class TestBatchFold:
             (2.0,) * 4, (period,) * 4, offsets, 100.0
         )
         assert bases == (10.0, 10.0, 8.0, 0.0)
+
+
+@st.composite
+def _screened(draw):
+    """``(C, T, A)`` with ``A`` at 0, on or one ulp off ``T`` and its
+    first multiples, negative, or anywhere in ``[-T, 2T]``."""
+    c = draw(st.floats(min_value=0.01, max_value=200.0))
+    period = draw(st.one_of(_BAG_US, st.floats(min_value=100.0, max_value=2e5)))
+    multiple = draw(st.integers(min_value=1, max_value=3)) * period
+    offset = draw(
+        st.one_of(
+            st.sampled_from([0.0, -0.0]),
+            st.just(multiple),
+            st.just(math.nextafter(multiple, math.inf)),
+            st.just(math.nextafter(multiple, -math.inf)),
+            st.floats(min_value=-period, max_value=-1e-300),
+            st.floats(min_value=-period, max_value=2.0 * period),
+        )
+    )
+    return c, period, offset
+
+
+def _horizons(gap):
+    """Horizons at 0, at or one ulp around ``gap`` (a ``T - A``), or anywhere."""
+    return st.one_of(
+        st.just(0.0),
+        st.just(gap),
+        st.just(math.nextafter(gap, math.inf)),
+        st.just(math.nextafter(gap, -math.inf)),
+        st.floats(min_value=0.0, max_value=2e5),
+    ).filter(lambda horizon: horizon >= 0.0)
+
+
+class TestOneFrameScreen:
+    """`_one_frame` bounds a batch by its offset range and smallest
+    period; it may accept a batch only when `_batch_fold` folds it to
+    its ``C`` column with no flagged position."""
+
+    @given(data=st.data(), batch=st.lists(_screened(), min_size=1, max_size=12))
+    @settings(max_examples=400, deadline=None)
+    def test_accepts_only_batches_that_fold_to_one_frame(self, data, batch):
+        c, period, offset = (tuple(column) for column in zip(*batch))
+        lo, hi, period_min = min(offset), max(offset), min(period)
+        horizon = data.draw(_horizons(period_min - hi))
+        if kernel._one_frame(lo, hi, period_min, horizon):
+            bases, maybe = kernel._batch_fold(c, period, offset, horizon)
+            assert [base.hex() for base in bases] == [ci.hex() for ci in c]
+            assert maybe == []
+
+    @given(data=st.data(), competitor=_screened())
+    @settings(max_examples=400, deadline=None)
+    @example(data=None, competitor=(3.0, 1000.0, 1000.0))
+    def test_is_exact_for_one_competitor(self, data, competitor):
+        """For one competitor the screen accepts exactly the offsets in
+        ``[0, T)`` whose first jump `_batch_fold` does not flag — at a
+        horizon equal to ``fl(T - A)`` too."""
+        c, period, offset = competitor
+        horizon = 0.0 if data is None else data.draw(_horizons(period - offset))
+        bases, maybe = kernel._batch_fold((c,), (period,), (offset,), horizon)
+        one_frame = 0.0 <= offset < period and not maybe
+        assert kernel._one_frame(offset, offset, period, horizon) == one_frame
+        if one_frame:
+            assert bases[0].hex() == c.hex()
+
+    def test_first_jump_at_the_horizon_is_not_an_event(self):
+        period, offset = 1000.0, 400.0
+        horizon = period - offset
+        assert kernel._batch_fold((2.0,), (period,), (offset,), horizon) == ((2.0,), [])
+        assert kernel._one_frame(offset, offset, period, horizon)
+        assert not kernel._one_frame(offset, offset, period, math.nextafter(horizon, math.inf))
 
 
 class TestRandomConfigs:
