@@ -23,10 +23,12 @@ lint:
 
 # Interprocedural dataflow lint (taint + ownership + fork-safety) over
 # everything we ship plus the NC and trajectory test oracles the kernel
-# gate trusts, gated on the committed baseline: pre-existing
-# benchmark/script findings are tolerated, new findings fail.
+# gate trusts (the NC one with its curve algebra), gated on the committed
+# baseline: pre-existing benchmark/script findings are tolerated, new
+# findings fail.
 LINT_DATAFLOW_PATHS := src/repro benchmarks scripts perfbench examples \
-	tests/trajectory/reference_kernel.py tests/netcalc/reference_analyzer.py
+	tests/trajectory/reference_kernel.py tests/netcalc/reference_analyzer.py \
+	tests/netcalc/curves tests/netcalc/curve_grouping.py
 
 lint-dataflow:
 	python -m repro.lint --engine dataflow --baseline lint_baseline.json \

@@ -7,48 +7,11 @@ built from.
 
 import random
 
-from repro.curves import (
-    LeakyBucket,
-    PiecewiseCurve,
-    RateLatency,
-    horizontal_deviation,
-    min_curves,
-    sum_curves,
-)
 from repro.configs.fig2 import fig2_network
 from repro.netcalc.analyzer import NetworkCalculusAnalyzer
 from repro.sim.scenarios import TrafficScenario, simulate
 from repro.trajectory.analyzer import TrajectoryAnalyzer
 from repro.trajectory.busy_period import busy_period_bound
-
-
-def test_curve_aggregation(benchmark):
-    rng = random.Random(0)
-    curves = [
-        PiecewiseCurve.affine(rng.uniform(0.1, 2.0), rng.uniform(512, 12144))
-        for _ in range(64)
-    ]
-
-    def aggregate():
-        total = sum_curves(curves)
-        return min_curves(total, PiecewiseCurve.affine(100.0, 12144.0))
-
-    result = benchmark(aggregate)
-    assert result.is_concave()
-
-
-def test_horizontal_deviation_speed(benchmark):
-    rng = random.Random(1)
-    alpha = sum_curves(
-        min_curves(
-            PiecewiseCurve.affine(rng.uniform(0.1, 2.0), rng.uniform(512, 12144)),
-            PiecewiseCurve.affine(100.0, 12144.0),
-        )
-        for _ in range(16)
-    )
-    beta = RateLatency(100.0, 16.0).curve()
-    delay = benchmark(horizontal_deviation, alpha, beta)
-    assert delay > 16.0
 
 
 def test_busy_period_speed(benchmark):
@@ -84,16 +47,3 @@ def test_simulator_throughput(benchmark):
         iterations=1,
     )
     assert result.paths
-
-
-def test_leaky_bucket_propagation(benchmark):
-    bucket = LeakyBucket(rate=1.0, burst=4000.0)
-
-    def propagate():
-        current = bucket
-        for _ in range(1000):
-            current = current.delayed(40.0)
-        return current
-
-    final = benchmark(propagate)
-    assert final.burst > bucket.burst

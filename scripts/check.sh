@@ -22,10 +22,11 @@ PYTHONPYCACHEPREFIX="$pycache" python -m compileall -q src
 echo "== repro.lint (dataflow engine, zero unwaived findings in src/repro) =="
 python -m repro.lint --engine dataflow src/repro
 
-echo "== repro.lint dataflow baseline (src + benchmarks + scripts + perfbench + examples + NC and trajectory test oracles; new findings fail) =="
+echo "== repro.lint dataflow baseline (src + benchmarks + scripts + perfbench + examples + NC and trajectory test oracles, the NC curve algebra included; new findings fail) =="
 python -m repro.lint --engine dataflow --baseline lint_baseline.json \
     src/repro benchmarks scripts perfbench examples \
-    tests/trajectory/reference_kernel.py tests/netcalc/reference_analyzer.py
+    tests/trajectory/reference_kernel.py tests/netcalc/reference_analyzer.py \
+    tests/netcalc/curves tests/netcalc/curve_grouping.py
 
 echo "== afdx lint (config verifier over shipped examples) =="
 python -m repro.cli lint examples/configs/*.json --no-utilization-table

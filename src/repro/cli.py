@@ -92,6 +92,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from typing import Dict, List, Optional
 
@@ -1253,6 +1254,18 @@ def main(argv: Optional[List[str]] = None) -> int:
                     print(f"(profile written to {profile_path})", file=sys.stderr)
             else:
                 code = _COMMANDS[args.command](args, ctx)
+        # a closed pipe surfaces here, not at the interpreter's exit flush
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away (`afdx ... | head`): whatever is still
+        # buffered goes to os.devnull, so the exit flush cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        status, error, code = (
+            "error", "standard output closed before all output was written",
+            EXIT_FAILURE,
+        )
     except ConfigurationError as exc:
         status, error, code = "error", str(exc), EXIT_CONFIG_ERROR
     except CyclicRoutingError as exc:

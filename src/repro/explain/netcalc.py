@@ -3,9 +3,10 @@
 The NC propagation is a deterministic pure function of the
 configuration, so the recorder works **post hoc**: given a finished
 :class:`~repro.netcalc.results.NetworkCalculusResult` it replays the
-bucket propagation (using the recorded per-port delays, which it
-cross-checks against a fresh horizontal deviation bit for bit) and
-splits every hop's delay bound into the paper's additive pieces:
+burst propagation with the analyzer's own group folding and port
+kernel (using the recorded per-port delays, which it cross-checks bit
+for bit) and splits every hop's delay bound into the paper's additive
+pieces:
 
 ``service-latency``
     The rate-latency server's latency ``T`` (switching latency plus
@@ -38,9 +39,8 @@ from __future__ import annotations
 import math
 from typing import Dict, Tuple
 
-from repro.curves import LeakyBucket, RateLatency, horizontal_deviation
 from repro.errors import ProvenanceError
-from repro.netcalc.grouping import port_aggregate_curve
+from repro.netcalc.kernel import port_bounds
 from repro.network.port import PortId
 from repro.network.port_graph import topological_port_order
 from repro.obs.provenance import (
@@ -57,58 +57,44 @@ __all__ = ["netcalc_provenance"]
 _HopSplit = Tuple[float, float, float, "float | None", float]
 
 
-def _ingress_buckets(analyzer) -> Dict[Tuple[str, PortId], LeakyBucket]:
-    """Every flow's leaky bucket at its source ES output port."""
-    overhead = analyzer.frame_overhead_bits
-    entering: Dict[Tuple[str, PortId], LeakyBucket] = {}
-    for name, vl in analyzer.network.virtual_links.items():
-        entering[(name, (vl.source, vl.paths[0][1]))] = LeakyBucket(
-            rate=(vl.s_max_bits + overhead) / vl.bag_us,
-            burst=vl.s_max_bits + overhead,
-        )
-    return entering
-
-
 def _replay_ports(analyzer, result) -> Dict[PortId, _HopSplit]:
     """Replay the propagation, splitting each port's recorded delay.
 
-    The replay builds every aggregate from curve objects
-    (:func:`~repro.netcalc.grouping.port_aggregate_curve`) and leaky
-    buckets, so it shares no code with the analyzer's flat port kernel
-    (:mod:`repro.netcalc.kernel`) and cross-checks it on every run.
+    The replay folds every port's groups as the analyzer does
+    (:meth:`~repro.netcalc.analyzer.NetworkCalculusAnalyzer.ingress`,
+    :meth:`~repro.netcalc.analyzer.NetworkCalculusAnalyzer.port_groups`)
+    and bounds them with :func:`~repro.netcalc.kernel.port_bounds`: once
+    as analyzed, and once more without shaping for the ungrouped delay
+    the grouping credit is measured against.
 
-    Raises :class:`ProvenanceError` if any replayed horizontal
-    deviation disagrees with the recorded per-port delay — the replay
-    and the analyzer would have drifted apart.
+    Raises :class:`ProvenanceError` if any replayed delay disagrees
+    with the recorded per-port delay: the result was not computed from
+    this network and these options (a cache entry that decoded to
+    wrong floats, say).
     """
     network = analyzer.network
     order = topological_port_order(network)
-    next_ports = network.routing_table().next_ports
-    entering = _ingress_buckets(analyzer)
+    table = network.routing_table()
+    frames, rates, bursts = analyzer.ingress()
     splits: Dict[PortId, _HopSplit] = {}
     for port_id in order:
-        buckets = {
-            name: entering[(name, port_id)]
-            for name in sorted(network.vls_at_port(port_id))
-        }
         recorded = result.ports[port_id].delay_us
-        aggregate, _ = port_aggregate_curve(
-            network, port_id, buckets, analyzer.grouping
-        )
         port = network.output_port(*port_id)
-        beta = RateLatency(rate=port.rate_bits_per_us, latency=port.latency_us)
-        replayed = horizontal_deviation(aggregate, beta.curve())
+        rate, latency = port.rate_bits_per_us, port.latency_us
+        groups = analyzer.port_groups(
+            port_id, frames, rates, bursts, analyzer.grouping
+        )
+        replayed = port_bounds(groups, rate, latency)[0]
         if replayed != recorded:
             raise ProvenanceError(
                 f"NC replay of port {port_id[0]}->{port_id[1]} gives "
                 f"{replayed!r}, result recorded {recorded!r}"
             )
         if analyzer.grouping:
-            ungrouped, _ = port_aggregate_curve(network, port_id, buckets, False)
-            h_ungrouped = horizontal_deviation(ungrouped, beta.curve())
+            ungrouped = analyzer.port_groups(port_id, frames, rates, bursts, False)
+            h_ungrouped = port_bounds(ungrouped, rate, latency)[0]
         else:
             h_ungrouped = recorded
-        latency = port.latency_us
         queueing, queue_residual = two_sum(h_ungrouped, -latency)
         if h_ungrouped == recorded:
             credit, credit_residual = None, 0.0
@@ -117,13 +103,13 @@ def _replay_ports(analyzer, result) -> Dict[PortId, _HopSplit]:
         splits[port_id] = (
             latency, queueing, queue_residual, credit, credit_residual
         )
-        # buckets downstream inflate by the recorded (== replayed) delay
-        for name, bucket in buckets.items():
-            targets = next_ports[(name, port_id)]
+        # bursts downstream inflate by the recorded (== replayed) delay
+        for name in table.members[port_id]:
+            targets = table.next_ports[(name, port_id)]
             if targets:
-                out_bucket = bucket.delayed(recorded)
+                inflated = bursts[(name, port_id)] + rates[name] * recorded
                 for pid in targets:
-                    entering[(name, pid)] = out_bucket
+                    bursts[(name, pid)] = inflated
     return splits
 
 

@@ -29,6 +29,12 @@ pay: one edit of a realistic configuration dirties almost every VL
 entries rarely hit and cost more to write than to recompute.  The
 results are bit-identical to a cold analysis by construction, which
 ``scripts/check.sh`` checks on a randomized edit stream.
+
+**The gate comes first.**  An edited configuration has passed no
+configuration gate, and a cache hit runs no analyzer, so each round
+runs :func:`~repro.network.preflight.check_network` before the cache is
+probed: an entry written before a gate rule existed is never served for
+a configuration that rule refuses.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from repro.incremental.edits import Edit, EditImpact, apply_edits
 from repro.netcalc.results import NetworkCalculusResult
 from repro.network.port import PortId
 from repro.network.port_graph import port_successors
+from repro.network.preflight import check_network
 from repro.network.topology import FlowPath, Network
 from repro.obs.logging import get_logger, kv
 from repro.trajectory.results import TrajectoryResult
@@ -231,6 +238,7 @@ class DeltaAnalyzer:
     # ------------------------------------------------------------------
 
     def _run(self, network: Network) -> Tuple[NetworkCalculusResult, TrajectoryResult]:
+        check_network(network)
         return run_analyses(
             network,
             self.options,

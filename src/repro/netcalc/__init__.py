@@ -19,13 +19,10 @@ from repro._lazy import lazy_exports
 __all__ = [
     "NetworkCalculusAnalyzer",
     "analyze_network_calculus",
-    "StaticPriorityAnalyzer",
-    "analyze_static_priority",
     "NetworkCalculusResult",
     "PortAnalysis",
     "PathBound",
     "arrival_groups",
-    "group_arrival_curve",
 ]
 
 _EXPORTS = {
@@ -33,8 +30,7 @@ _EXPORTS = {
         "NetworkCalculusAnalyzer",
         "analyze_network_calculus",
     ),
-    "repro.netcalc.grouping": ("arrival_groups", "group_arrival_curve"),
-    "repro.netcalc.priority": ("StaticPriorityAnalyzer", "analyze_static_priority"),
+    "repro.netcalc.grouping": ("arrival_groups",),
     "repro.netcalc.results": ("NetworkCalculusResult", "PathBound", "PortAnalysis"),
 }
 

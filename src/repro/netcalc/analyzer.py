@@ -223,7 +223,7 @@ class NetworkCalculusAnalyzer:
             self._result = result if result is not None else self._propagate()
         return self._result
 
-    def _ingress(
+    def ingress(
         self,
     ) -> Tuple[Dict[str, float], Dict[str, float], Dict[Tuple[str, PortId], float]]:
         """Every flow's frame size, rate, and burst at its source ES port.
@@ -246,19 +246,21 @@ class NetworkCalculusAnalyzer:
             bursts[(name, (vl.source, vl.paths[0][1]))] = burst
         return frames, rates, bursts
 
-    def _port_groups(
+    def port_groups(
         self,
         port_id: PortId,
         frames: Dict[str, float],
         rates: Dict[str, float],
         bursts: Dict[Tuple[str, PortId], float],
+        grouping: bool,
     ) -> List[Group]:
         """The port's input-link groups as :func:`port_bounds` takes them.
 
         In sorted key order, each group's bursts and rates summed one
-        after the other in sorted-name order, with its shaping curve,
-        as :func:`~repro.netcalc.grouping.group_arrival_curve` builds
-        them.
+        after the other in sorted-name order, as the curve algebra's
+        ``sum_curves`` adds the members' affine curves.  With
+        ``grouping``, a group that arrives through a link carries that
+        link's shaping curve; without, no group does.
         """
         network = self.network
         by_key = member_groups(network, port_id)
@@ -273,7 +275,7 @@ class NetworkCalculusAnalyzer:
                 # repro-lint: allow[REPRO102] the sequential sum add_curves folds per member, kept bit for bit
                 rate += rates[name]
             shaping = None
-            if self.grouping and not is_source_key(key):
+            if grouping and not is_source_key(key):
                 biggest_frame = max(map(frames.__getitem__, members))
                 shaping = (network.link_rate(*key), float(biggest_frame))
             groups.append((rate, burst, shaping))
@@ -288,7 +290,7 @@ class NetworkCalculusAnalyzer:
             order = topological_port_order(network)
         obs.metrics.gauge("netcalc.ports", len(order))
 
-        frames, rates, bursts = self._ingress()
+        frames, rates, bursts = self.ingress()
         result = NetworkCalculusResult(
             grouping=self.grouping, frame_overhead_bytes=self.frame_overhead_bytes
         )
@@ -308,7 +310,9 @@ class NetworkCalculusAnalyzer:
                 if progress:
                     progress.update("netcalc.propagate", index, len(order))
                 names = members[port_id]
-                groups = self._port_groups(port_id, frames, rates, bursts)
+                groups = self.port_groups(
+                    port_id, frames, rates, bursts, self.grouping
+                )
                 port = network.output_port(*port_id)
                 delay, backlog, arrival_rate = port_bounds(
                     groups, port.rate_bits_per_us, port.latency_us

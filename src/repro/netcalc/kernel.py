@@ -4,11 +4,12 @@ At every output port the analysis needs one horizontal and one vertical
 deviation between the port's rate-latency service curve ``beta_{R,T}``
 and its aggregate arrival curve, the sum of one curve per input-link
 group, each the group's folded leaky bucket, capped by the link's
-shaping curve when grouping applies (paper Sec. II-B).  The curve
-algebra (:mod:`repro.curves`) computes them from general
-:class:`~repro.curves.PiecewiseCurve` objects.  :func:`port_bounds`
-computes the same two floats from parallel knot and value lists, by
-the same IEEE-754 operations in the same order:
+shaping curve when grouping applies (paper Sec. II-B).  This module is
+the product's only Network Calculus: :func:`port_bounds` computes the
+two floats from parallel knot and value lists.  The general min-plus
+curve algebra, a piecewise-linear curve class with its operations,
+stays in ``tests/netcalc/curves`` as the differential oracle, and the
+kernel applies its IEEE-754 operations in the same order:
 
 * each shaped group is ``min_curves`` of two affine curves: the
   crossing of ``_segment_crossings``, the pointwise minimum at ``0``
@@ -16,7 +17,7 @@ the same IEEE-754 operations in the same order:
   ``_concave_envelope`` and the curve's validation and slope clamp;
 * the groups are added to the zero curve one after the other, as
   ``sum_curves`` does: ``_merge_knots``, the sum of both curves at
-  every merged knot, then the ``PiecewiseCurve`` merge of knots closer
+  every merged knot, then the curve class's merge of knots closer
   than ``1e-9`` (earlier ``x``, later ``y``), its non-decreasing check
   and its ``max(0.0, ·)`` slope clamp;
 * the delay is ``horizontal_deviation`` against ``beta_{R,T}``, with
@@ -49,7 +50,7 @@ from typing import Iterable, List, Optional, Tuple
 
 __all__ = ["Group", "aggregate_curve", "port_bounds"]
 
-#: the curve algebra's tolerance (``repro.curves`` ``_EPS``)
+#: the curve algebra's tolerance (its ``_EPS``)
 _EPS = 1e-9
 
 #: one input-link group: its folded ``(rate, burst)`` and the shaping
@@ -58,7 +59,7 @@ Group = Tuple[float, float, Optional[Tuple[float, float]]]
 
 
 def _decreasing_error(xs: List[float], ys: List[float]) -> ValueError:
-    """The ``PiecewiseCurve`` error for the first decreasing pair."""
+    """The curve class's error for the first decreasing pair."""
     for k in range(1, len(ys)):
         if ys[k] < ys[k - 1] - _EPS:
             return ValueError(
@@ -69,7 +70,7 @@ def _decreasing_error(xs: List[float], ys: List[float]) -> ValueError:
 
 
 def _check_non_decreasing(xs: List[float], ys: List[float]) -> None:
-    """``PiecewiseCurve``'s ``y1 < y0 - 1e-9`` check, in one C-level pass."""
+    """The curve class's ``y1 < y0 - 1e-9`` check, in one C-level pass."""
     if any(map(lt, ys[1:], map(sub, ys, repeat(_EPS)))):
         raise _decreasing_error(xs, ys)
 
@@ -146,7 +147,7 @@ def _add_two_knots(
     ``c1 + slope * (x - t)`` from ``t`` on.  ``t`` joins the knots
     unless ``xs`` holds it exactly (``_merge_knots``); a new knot
     closer than ``1e-9`` to a neighbour merges into it the way
-    ``PiecewiseCurve`` merges: the earlier ``x`` stays, with the later
+    the curve class merges: the earlier ``x`` stays, with the later
     ``y``.  The other knots are ``1e-9`` or more apart already.
     """
     p = bisect_left(xs, t)
@@ -183,7 +184,7 @@ def aggregate_curve(groups: Iterable[Group]) -> Tuple[List[float], List[float], 
 
     Returns the knots (ascending, first ``0.0``), the curve's value at
     each knot and its final slope: the ``breakpoints`` and
-    ``final_slope`` of the ``PiecewiseCurve`` the curve algebra builds.
+    ``final_slope`` of the curve the curve algebra builds.
     """
     xs: List[float] = [0.0]
     ys: List[float] = [0.0]
@@ -224,7 +225,7 @@ def port_bounds(
     """
     xs, ys, total_slope = aggregate_curve(groups)
     service_rate = max(0.0, float(rate))
-    # beta_{R,T}'s last knot: T, unless PiecewiseCurve merged it into 0
+    # beta_{R,T}'s last knot: T, unless the curve class merged it into 0
     knee = float(latency) if latency > _EPS else 0.0
     if total_slope > service_rate + _EPS:
         return math.inf, math.inf, total_slope
@@ -256,7 +257,7 @@ def _backlog(
 
     ``beta`` is ``0.0`` before its knee and ``R * (x - knee)`` from it
     on; when the knee is not one of alpha's knots, alpha is evaluated
-    there as ``PiecewiseCurve.__call__`` would.
+    there as the curve class's ``__call__`` would.
     """
     backlog = 0.0
     for x, y in zip(xs, ys):

@@ -30,9 +30,6 @@ __all__ = [
     "VirtualLink",
     "Network",
     "NetworkBuilder",
-    "RedundantBound",
-    "duplicate_network",
-    "combine_redundant",
     "network_to_dict",
     "network_from_dict",
     "network_to_json",
@@ -45,11 +42,6 @@ _EXPORTS = {
     "repro.network.virtual_link": ("VirtualLink",),
     "repro.network.topology": ("Network",),
     "repro.network.builder": ("NetworkBuilder",),
-    "repro.network.redundancy": (
-        "RedundantBound",
-        "combine_redundant",
-        "duplicate_network",
-    ),
     "repro.network.serialization": (
         "network_from_dict",
         "network_from_json",

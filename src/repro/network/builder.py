@@ -73,7 +73,6 @@ class NetworkBuilder:
         bag_ms: float,
         s_max_bytes: float,
         s_min_bytes: float = 64,
-        priority: int = 0,
         paths: Optional[Sequence[Sequence[str]]] = None,
     ) -> "NetworkBuilder":
         """Register a VL; routes are auto-computed when ``paths`` is None."""
@@ -89,7 +88,6 @@ class NetworkBuilder:
                 bag_ms=bag_ms,
                 s_max_bytes=s_max_bytes,
                 s_min_bytes=s_min_bytes,
-                priority=priority,
             )
         )
         return self

@@ -22,6 +22,7 @@ CFG108    error     multicast paths form a tree (fork once, never re-join)
 CFG109    error     every end system wired to exactly one switch
 CFG110    info      per-port utilization table
 CFG111    error     duplicate VL names / duplicate paths within a VL
+CFG112    error     every VL at priority 0 (both analyzers model FIFO ports)
 ========  ========  ============================================================
 
 The rules run in two places:
@@ -34,9 +35,11 @@ The rules run in two places:
 * :func:`check_network` is the library gate.  The analyzers, the
   :class:`~repro.network.builder.NetworkBuilder` and the configuration
   generators run it on every network they are handed, and it raises on
-  what a bound depends on: stability (CFG102), multicast trees (CFG108)
-  and one link per end system (CFG109).  Cycles are left to the port
-  toposort every analyzer runs.  The ARINC admission rules (CFG104,
+  what a bound depends on: stability (CFG102), multicast trees (CFG108),
+  one link per end system (CFG109) and FIFO output ports (CFG112).
+  ``afdx whatif`` runs it on each edited network before the bound cache
+  is probed, since a cache entry may predate a rule.  Cycles are left
+  to the port toposort every analyzer runs.  The ARINC admission rules (CFG104,
   CFG105) bind configuration files only, so networks built in code
   (parameter sweeps, what-if edits, generators) may use any positive
   BAG and frame size.
@@ -161,6 +164,15 @@ CONFIG_RULES: List[ConfigRule] = [
         "CFG111", Severity.ERROR,
         "VL names and per-VL paths must be unique",
         "Duplicate names would silently merge two traffic contracts.",
+    ),
+    ConfigRule(
+        "CFG112", Severity.ERROR,
+        "a VL with priority != 0: priority classes are not analyzed",
+        "Both analyzers model FIFO output ports (paper Sec. II).  Under "
+        "static priority a low-priority frame is served only by what "
+        "the high class leaves, so a FIFO bound does not bound it; "
+        "priority classes need a per-class service curve in every "
+        "analysis (Finzi et al.).",
     ),
 ]
 
@@ -577,7 +589,7 @@ class ConfigVerifier:
             )
 
     def _check_bound_preconditions(self, network: Network, report: ConfigReport) -> None:
-        """What a finite bound depends on: the :func:`check_network` rules.
+        """What a bound depends on: the :func:`check_network` rules.
 
         A pass at the gate's own limit (``max_utilization`` 1.0) is kept
         on the network until its next mutation, so :func:`check_network`
@@ -598,13 +610,24 @@ class ConfigVerifier:
                     )
                 )
         for name in sorted(network.virtual_links):
-            if not _multicast_paths_form_tree(network.virtual_links[name].paths):
+            vl = network.virtual_links[name]
+            if not _multicast_paths_form_tree(vl.paths):
                 report.findings.append(
                     self._finding(
                         "CFG108",
                         report.source,
                         f"VL {name!r}: multicast paths re-join after forking; "
                         "they must form a tree rooted at the source",
+                    )
+                )
+            if vl.priority != 0:
+                report.findings.append(
+                    self._finding(
+                        "CFG112",
+                        report.source,
+                        f"VL {name!r} has priority {vl.priority}: priority "
+                        "classes are not analyzed; both analyzers model "
+                        "FIFO output ports",
                     )
                 )
         for port_id in network.used_ports():
@@ -651,12 +674,13 @@ _GATE = ConfigVerifier(utilization_table=False)
 
 
 def check_network(network: Network) -> None:
-    """The library gate: raise unless a finite bound can exist.
+    """The library gate: raise unless the analyzers can bound the network.
 
     Runs the verifier's rules for stability (CFG102), multicast trees
-    (CFG108) and one link per end system (CFG109) — not the admission
-    rules CFG104/CFG105, which bind configuration files only, and not
-    the cycle search, which the analyzers' port toposort performs.
+    (CFG108), one link per end system (CFG109) and FIFO output ports
+    (CFG112) — not the admission rules CFG104/CFG105, which bind
+    configuration files only, and not the cycle search, which the
+    analyzers' port toposort performs.
 
     Returns at once when the network passed these rules since its last
     mutation (a verifier run at the same limit, such as the one

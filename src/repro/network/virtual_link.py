@@ -63,12 +63,13 @@ class VirtualLink:
     s_max_bytes / s_min_bytes:
         Frame size bounds in bytes.
     priority:
-        Output-port scheduling class: 0 = low (default), 1 = high.
-        ARINC 664 switches support two statically configured priority
-        levels per VL; the DATE 2010 paper studies the pure-FIFO case
-        (all VLs at one level), which remains the default.  The
-        static-priority extension (:mod:`repro.netcalc.priority`)
-        follows the line of work the same group published on SPQ AFDX.
+        Output-port scheduling class as a configuration file states it:
+        0 = low (default), 1 = high.  ARINC 664 switches support two
+        statically configured priority levels per VL; the DATE 2010
+        paper studies the pure-FIFO case, and both analyzers model FIFO
+        output ports only, so the configuration gate refuses a VL at
+        priority 1 (rule CFG112 of :mod:`repro.network.preflight`).  The
+        field stays parsed so that such a file gets that diagnostic.
 
     Any positive BAG is accepted, so parameter sweeps (paper Figs. 7-9)
     can explore arbitrary values; the ARINC 664 BAG range binds
@@ -182,7 +183,3 @@ class VirtualLink:
     def with_paths(self, paths: Sequence[Path]) -> "VirtualLink":
         """Copy with re-computed routing."""
         return replace(self, paths=tuple(tuple(p) for p in paths))
-
-    def with_priority(self, priority: int) -> "VirtualLink":
-        """Copy scheduled at a different priority level."""
-        return replace(self, priority=priority)

@@ -78,7 +78,6 @@ class NetworkSimulation:
                 self.simulator,
                 rate_bits_per_us=network.link_rate(*port_id),
                 on_delivered=deliver,
-                priority_of=lambda frame: network.vl(frame.vl_name).priority,
             )
 
     # ------------------------------------------------------------------

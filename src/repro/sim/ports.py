@@ -1,18 +1,15 @@
-"""Simulated FIFO / static-priority output ports.
+"""Simulated FIFO output ports.
 
 Each :class:`SimOutputPort` mirrors the AFDX switch architecture of the
-paper's Sec. II-A: no input buffering, one buffer per output port,
+paper's Sec. II-A: no input buffering, one FIFO buffer per output port,
 frames clocked onto the link at the link rate, one at a time,
-non-preemptively.  The default is a single FIFO (the paper's model);
-passing a ``priority_of`` extractor turns the port into a two-level
-non-preemptive static-priority queue (FIFO within each level) — the
-ARINC-664 option analysed by :mod:`repro.netcalc.priority`.
+non-preemptively.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, Optional
+from typing import Callable, Deque, Optional
 
 from repro.sim.engine import Simulator
 from repro.sim.frames import Frame
@@ -25,7 +22,7 @@ DeliveryCallback = Callable[[Frame, float], None]
 
 
 class SimOutputPort:
-    """A FIFO (or static-priority) queue served at link rate.
+    """A FIFO queue served at link rate.
 
     Parameters
     ----------
@@ -37,9 +34,6 @@ class SimOutputPort:
         Called at the instant the frame's transmission completes (the
         frame is then entirely received by the downstream node — AFDX
         switches are store-and-forward).
-    priority_of:
-        Optional map from frame to scheduling class (higher serves
-        first, non-preemptively).  ``None`` (default) is plain FIFO.
     """
 
     def __init__(
@@ -47,15 +41,13 @@ class SimOutputPort:
         simulator: Simulator,
         rate_bits_per_us: float,
         on_delivered: DeliveryCallback,
-        priority_of: Optional[Callable[[Frame], int]] = None,
     ):
         if rate_bits_per_us <= 0:
             raise ValueError(f"port rate must be positive, got {rate_bits_per_us}")
         self._sim = simulator
         self._rate = rate_bits_per_us
         self._on_delivered = on_delivered
-        self._priority_of = priority_of
-        self._queues: Dict[int, Deque[Frame]] = {}
+        self._queue: Deque[Frame] = deque()
         self._transmitting: Optional[Frame] = None
         self._transmission_started = 0.0
         self._peak_backlog_bits = 0.0
@@ -97,19 +89,14 @@ class SimOutputPort:
 
     def enqueue(self, frame: Frame) -> None:
         """Accept a frame into the buffer; start transmitting if idle."""
-        level = 0 if self._priority_of is None else self._priority_of(frame)
-        self._queues.setdefault(level, deque()).append(frame)
+        self._queue.append(frame)
         self._arrived_bits += frame.size_bits
         self._peak_backlog_bits = max(self._peak_backlog_bits, self.backlog_bits)
         if self._transmitting is None:
             self._start_next()
 
-    def _pop_next(self) -> Frame:
-        level = max(lvl for lvl, queue in self._queues.items() if queue)
-        return self._queues[level].popleft()
-
     def _start_next(self) -> None:
-        frame = self._pop_next()
+        frame = self._queue.popleft()
         self._transmitting = frame
         self._transmission_started = self._sim.now
         duration = frame.size_bits / self._rate
@@ -121,5 +108,5 @@ class SimOutputPort:
         self._transmitting = None
         self._busy_bits += frame.size_bits
         self._on_delivered(frame, self._sim.now)
-        if any(self._queues.values()):
+        if self._queue:
             self._start_next()

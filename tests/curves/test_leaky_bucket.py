@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.curves import LeakyBucket
+from tests.netcalc.curves import LeakyBucket
 
 
 def test_vl_contract_values():

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.curves import (
+from tests.netcalc.curves import (
     LeakyBucket,
     PiecewiseCurve,
     RateLatency,
@@ -171,7 +171,7 @@ class TestConcaveEnvelope:
     got a garbage slope and is_concave() failed)."""
 
     def test_crossing_adjacent_to_knot_stays_concave(self):
-        from repro.curves import PiecewiseCurve
+        from tests.netcalc.curves import PiecewiseCurve
 
         f = PiecewiseCurve.affine(1.0, 100.0)  # 100 + t
         # crosses f a couple of 1e-7 before its own knot at x ~= 100
@@ -184,7 +184,7 @@ class TestConcaveEnvelope:
             assert low(t) == pytest.approx(min(f(t), g(t)), abs=1e-6)
 
     def test_crossing_within_knot_tolerance_stays_concave(self):
-        from repro.curves import PiecewiseCurve
+        from tests.netcalc.curves import PiecewiseCurve
 
         # hypothesis-found: f crosses g ~1e-9 after x = 0, closer than
         # the tolerance at which PiecewiseCurve merges two knots
@@ -197,13 +197,13 @@ class TestConcaveEnvelope:
             assert low(t) >= min(f(t), g(t)) - 1e-12
 
     def test_envelope_merges_points_within_tolerance(self):
-        from repro.curves.operations import _concave_envelope
+        from tests.netcalc.curves.operations import _concave_envelope
 
         close = [(0.0, 0.0), (5e-10, 6e-8), (1.0, 1.0 + 5e-8)]
         assert _concave_envelope(close, 1.0) == [(0.0, 6e-8)]
 
     def test_envelope_drops_noise_point(self):
-        from repro.curves.operations import _concave_envelope
+        from tests.netcalc.curves.operations import _concave_envelope
 
         noisy = [(0.0, 0.0), (10.0, 100.0), (10.0 + 1e-7, 100.0 - 1e-9),
                  (20.0, 105.0)]
@@ -211,7 +211,7 @@ class TestConcaveEnvelope:
         assert cleaned == [(0.0, 0.0), (10.0, 100.0), (20.0, 105.0)]
 
     def test_envelope_respects_tail_slope(self):
-        from repro.curves.operations import _concave_envelope
+        from tests.netcalc.curves.operations import _concave_envelope
 
         # last sampled point dips below: the 2.0 tail slope would make
         # slopes increase again, so the dip must be dropped
@@ -225,7 +225,7 @@ class TestMergeKnots:
     def test_matches_set_union_on_random_ascending_lists(self):
         import random
 
-        from repro.curves.operations import _merge_knots
+        from tests.netcalc.curves.operations import _merge_knots
 
         rng = random.Random(99)
         for _ in range(200):
@@ -235,7 +235,7 @@ class TestMergeKnots:
             assert _merge_knots(a, b) == sorted(set(a) | set(b))
 
     def test_empty_and_duplicate_edges(self):
-        from repro.curves.operations import _merge_knots
+        from tests.netcalc.curves.operations import _merge_knots
 
         assert _merge_knots([], []) == []
         assert _merge_knots([1.0], []) == [1.0]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.curves import PiecewiseCurve
+from tests.netcalc.curves import PiecewiseCurve
 
 
 class TestConstruction:

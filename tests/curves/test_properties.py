@@ -4,7 +4,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.curves import (
+from tests.netcalc.curves import (
     PiecewiseCurve,
     RateLatency,
     add_curves,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.curves import RateLatency
+from tests.netcalc.curves import RateLatency
 
 
 def test_afdx_port_service():

@@ -1,8 +1,13 @@
 """Network Calculus provenance: conservation and recording neutrality."""
 
 import math
+from dataclasses import replace
 
-from repro.netcalc.analyzer import analyze_network_calculus
+import pytest
+
+from repro.errors import ProvenanceError
+from repro.explain.netcalc import netcalc_provenance
+from repro.netcalc.analyzer import NetworkCalculusAnalyzer, analyze_network_calculus
 
 
 def assert_all_conserve(result):
@@ -76,3 +81,37 @@ def test_ledger_terms_carry_known_labels(fig2):
     result = analyze_network_calculus(fig2, explain=True)
     for decomposition in result.provenance.values():
         assert {term.label for term in decomposition.terms} <= known
+
+
+class TestReplayGuards:
+    """The replay recomputes every port delay and path total, so a
+    result whose floats are not this network's own (a cache entry that
+    decoded to wrong values, say) cannot get a ledger."""
+
+    @staticmethod
+    def _analyzed(network):
+        analyzer = NetworkCalculusAnalyzer(network)
+        return analyzer, analyzer.analyze()
+
+    @pytest.mark.parametrize("port_id", [("e1", "S1"), ("S1", "S3"), ("S3", "e6")])
+    def test_a_moved_port_delay_names_the_port(self, fig2, port_id):
+        analyzer, result = self._analyzed(fig2)
+        analysis = result.ports[port_id]
+        result.ports[port_id] = replace(
+            analysis, delay_us=math.nextafter(analysis.delay_us, math.inf)
+        )
+        port = f"{port_id[0]}->{port_id[1]}"
+        with pytest.raises(ProvenanceError, match=f"^NC replay of port {port} gives"):
+            netcalc_provenance(analyzer, result)
+
+    @pytest.mark.parametrize("key", [("v1", 0), ("v5", 0)])
+    def test_a_moved_path_total_names_the_path(self, fig2, key):
+        analyzer, result = self._analyzed(fig2)
+        path = result.paths[key]
+        result.paths[key] = replace(
+            path, total_us=math.nextafter(path.total_us, -math.inf)
+        )
+        with pytest.raises(
+            ProvenanceError, match=rf"^NC path replay of {key[0]}\[{key[1]}\] sums"
+        ):
+            netcalc_provenance(analyzer, result)

@@ -33,6 +33,7 @@ EXPECTED = {
     "disconnected.json": "CFG106",
     "multicast_not_tree.json": "CFG108",
     "saturated_switch_port.json": "CFG102",
+    "priority_class.json": "CFG112",
 }
 
 
@@ -225,3 +226,84 @@ class TestLintManifest:
         assert gauges["lint.configs"] == 1
         assert gauges["lint.errors"] == 1
         assert gauges["lint.warnings"] == 0
+
+
+class TestPriorityClasses:
+    """CFG112 on every command that reads a configuration file, and on
+    ``afdx whatif``'s edited networks, whose analysis may be served
+    from a bound cache that holds no analyzer's verdict on the rule."""
+
+    CONFIG = FIXTURES / "priority_class.json"
+
+    @pytest.mark.parametrize(
+        "command",
+        ["analyze", "profile", "simulate", "report", "whatif", "explain", "lint"],
+    )
+    def test_every_command_exits_3_naming_cfg112(self, command, tmp_path, capsys):
+        edits = tmp_path / "edits.json"
+        edits.write_text('{"edits": []}')
+        operands = [str(edits)] if command == "whatif" else []
+        code = main([command, str(self.CONFIG), *operands])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG_ERROR, captured.err
+        if command == "lint":
+            # the verifier's report is the output: one CFG112 error
+            lines = captured.out.splitlines()
+            assert len([line for line in lines if " error CFG112: " in line]) == 1
+            assert len([line for line in lines if " error " in line]) == 1
+        else:
+            error_lines = [
+                line for line in captured.err.splitlines()
+                if line.startswith("afdx: error:")
+            ]
+            assert len(error_lines) == 1, captured.err
+            assert error_lines[0].startswith("afdx: error: CFG112: VL 'v4'")
+            assert captured.out == ""
+
+    @staticmethod
+    def _add_priority_vl(tmp_path) -> Path:
+        """An edit script that adds a priority-1 copy of fig2's ``v4``."""
+        document = json.loads(TestPriorityClasses.CONFIG.read_text())
+        (vl,) = [
+            entry for entry in document["virtual_links"] if entry["name"] == "v4"
+        ]
+        edits = tmp_path / "add_priority.json"
+        edits.write_text(
+            json.dumps({"edits": [{"op": "add", "vl": dict(vl, name="v6")}]})
+        )
+        return edits
+
+    def test_whatif_refuses_an_added_priority_vl(self, fig2_json, tmp_path, capsys):
+        code = main(["whatif", fig2_json, str(self._add_priority_vl(tmp_path))])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG_ERROR, captured.out
+        (line,) = captured.err.splitlines()
+        assert line.startswith("afdx: error: CFG112: VL 'v6' has priority 1")
+        assert captured.out == ""
+
+    def test_whatif_refuses_before_a_warm_cache_is_probed(
+        self, fig2_json, tmp_path, capsys
+    ):
+        # a cache directory that holds FIFO bounds for the edited network,
+        # as one written before the rule existed would: the gate's pass
+        # is forced so that the analyzers store them
+        from repro.core.combined import AnalysisOptions, run_analyses
+        from repro.incremental.cache import BoundCache
+        from repro.incremental.edits import apply_edits, load_edit_script
+        from repro.network.serialization import network_from_json
+
+        script = self._add_priority_vl(tmp_path)
+        cache_dir = tmp_path / "cache"
+        edited, _ = apply_edits(
+            network_from_json(fig2_json), load_edit_script(script)
+        )
+        edited._gate_passed = True
+        run_analyses(edited, AnalysisOptions(), cache=BoundCache(cache_dir=cache_dir))
+        assert any(cache_dir.rglob("*")), "no cache entry written"
+
+        code = main(["whatif", fig2_json, str(script), "--cache-dir", str(cache_dir)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG_ERROR, captured.out
+        (line,) = captured.err.splitlines()
+        assert line.startswith("afdx: error: CFG112: VL 'v6' has priority 1")
+        assert captured.out == ""

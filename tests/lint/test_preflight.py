@@ -9,6 +9,7 @@ must not change a single computed bound bit.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -16,12 +17,14 @@ import pytest
 
 from repro.configs import fig1_network, fig2_network, industrial_network
 from repro.configs.industrial import IndustrialConfigSpec
+from repro.errors import ConfigurationError
 from repro.lint.findings import Severity
 from repro.network import NetworkBuilder
 from repro.network.preflight import (
     CONFIG_RULES,
     CONFIG_RULES_BY_ID,
     ConfigVerifier,
+    check_network,
     find_port_cycle,
 )
 from repro.network.virtual_link import STANDARD_BAGS_MS
@@ -38,6 +41,7 @@ EXPECTED = {
     "disconnected.json": "CFG106",
     "multicast_not_tree.json": "CFG108",
     "saturated_switch_port.json": "CFG102",
+    "priority_class.json": "CFG112",
 }
 
 
@@ -174,3 +178,16 @@ class TestAdmissionRules:
         (finding,) = report.errors
         assert finding.rule_id == "CFG104"
         assert "ARINC 664" in finding.message
+
+
+class TestPriorityClasses:
+    """CFG112: both analyzers model FIFO output ports, so the library
+    gate refuses a VL at priority 1 on a network built in code too."""
+
+    def test_check_network_refuses_a_code_built_network(self):
+        network = fig2_network()
+        network.replace_virtual_link(
+            dataclasses.replace(network.vl("v4"), priority=1)
+        )
+        with pytest.raises(ConfigurationError, match="^CFG112: VL 'v4'"):
+            check_network(network)

@@ -25,8 +25,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, List
 
-from repro.curves.piecewise import PiecewiseCurve
-from repro.curves.rate_latency import RateLatency
+from tests.netcalc.curves.piecewise import PiecewiseCurve
+from tests.netcalc.curves.rate_latency import RateLatency
 
 __all__ = [
     "add_curves",

@@ -172,7 +172,7 @@ class PiecewiseCurve:
         """The breakpoint x values — ascending by construction, cached.
 
         Curves are immutable, so the min-plus operations
-        (:mod:`repro.curves.operations`) treat this as a pre-sorted
+        (:mod:`tests.netcalc.curves.operations`) treat this as a pre-sorted
         knot list and take linear merges instead of re-sorting set
         unions on every operation.
         """

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.curves.piecewise import PiecewiseCurve
+from tests.netcalc.curves.piecewise import PiecewiseCurve
 
 __all__ = ["RateLatency"]
 

@@ -8,10 +8,10 @@ which replays the curve algebra's float operations without curve
 objects (docs/PERFORMANCE.md, "Network Calculus").  This module keeps
 the straight transcription those changes replaced: every port's flows,
 upstream ports and next ports are found by rescanning every path of
-every flow, every flow is a :class:`~repro.curves.LeakyBucket` whose
-curve is added to its group with :func:`~repro.curves.sum_curves`, the
+every flow, every flow is a :class:`~tests.netcalc.curves.LeakyBucket` whose
+curve is added to its group with :func:`~tests.netcalc.curves.sum_curves`, the
 groups are capped with ``min_curves`` and summed into one
-:class:`~repro.curves.PiecewiseCurve`, the bounds are
+:class:`~tests.netcalc.curves.PiecewiseCurve`, the bounds are
 ``horizontal_deviation`` and ``vertical_deviation`` of that curve, and
 every port's utilization is summed afresh.
 
@@ -33,7 +33,12 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.curves import (
+from repro.errors import CyclicRoutingError, InvalidVirtualLinkError, UnstableNetworkError
+from repro.netcalc.analyzer import NetworkCalculusAnalyzer
+from repro.netcalc.results import NetworkCalculusResult, PortAnalysis
+from repro.network.port import PortId
+from repro.network.preflight import check_network
+from tests.netcalc.curves import (
     LeakyBucket,
     PiecewiseCurve,
     RateLatency,
@@ -42,11 +47,6 @@ from repro.curves import (
     sum_curves,
     vertical_deviation,
 )
-from repro.errors import CyclicRoutingError, InvalidVirtualLinkError, UnstableNetworkError
-from repro.netcalc.analyzer import NetworkCalculusAnalyzer
-from repro.netcalc.results import NetworkCalculusResult, PortAnalysis
-from repro.network.port import PortId
-from repro.network.preflight import check_network
 
 __all__ = ["ReferenceNetworkCalculusAnalyzer"]
 

@@ -4,15 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.curves import LeakyBucket, PiecewiseCurve, min_curves, sum_curves
 from repro.netcalc.analyzer import analyze_network_calculus
-from repro.netcalc.grouping import (
-    arrival_groups,
-    group_arrival_curve,
-    port_aggregate_curve,
-    source_key,
-)
+from repro.netcalc.grouping import arrival_groups, source_key
 from repro.network import Network, VirtualLink
+from tests.netcalc.curve_grouping import group_arrival_curve, port_aggregate_curve
+from tests.netcalc.curves import LeakyBucket, PiecewiseCurve, min_curves, sum_curves
 
 
 def buckets_for(network, port_id):

@@ -15,15 +15,15 @@ from types import SimpleNamespace
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.curves import (
+from repro.netcalc.kernel import aggregate_curve, port_bounds
+from tests.netcalc.curve_grouping import group_arrival_curve
+from tests.netcalc.curves import (
     LeakyBucket,
     RateLatency,
     horizontal_deviation,
     sum_curves,
     vertical_deviation,
 )
-from repro.netcalc.grouping import group_arrival_curve
-from repro.netcalc.kernel import aggregate_curve, port_bounds
 
 
 class _Links:

@@ -1,6 +1,10 @@
 """Command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -533,3 +537,27 @@ def test_trace_does_not_change_bounds(fig2_json, tmp_path, capsys):
     assert main(["analyze", fig2_json, "--trace", str(tmp_path / "t.json")]) == 0
     traced = capsys.readouterr().out
     assert plain == traced  # the notice goes to stderr, bounds unchanged
+
+
+def test_closed_stdout_is_one_error_line(tmp_path):
+    """``afdx analyze CONFIG | head -1``: a reader that goes away makes
+    exit 1 with one ``afdx: error:`` line, no traceback and no
+    "Exception ignored" notice from the interpreter's exit flush."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    env.pop("AFDX_HISTORY_DIR", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "analyze",
+         str(root / "examples" / "configs" / "industrial_small.json")],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        cwd=tmp_path,
+        env=env,
+    )
+    proc.stdout.close()  # closed before the child writes a byte
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == 1, err
+    assert err.splitlines() == [
+        "afdx: error: standard output closed before all output was written"
+    ]

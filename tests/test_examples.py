@@ -24,7 +24,13 @@ ARGS = {"industrial_certification.py": ["60"]}
 
 
 def test_every_example_is_collected():
-    assert len(EXAMPLES) >= 6
+    assert [path.name for path in EXAMPLES] == [
+        "buffer_dimensioning.py",
+        "industrial_certification.py",
+        "parameter_sweep.py",
+        "quickstart.py",
+        "simulation_validation.py",
+    ]
 
 
 @pytest.mark.parametrize("script", EXAMPLES, ids=lambda path: path.name)

@@ -29,7 +29,6 @@ NOT_LOADED_BY_ANALYZE = (
     "repro.configs",
     "repro.core.jitter",
     "repro.core.reporting",
-    "repro.curves",
     "repro.experiments",
     "repro.explain",
     "repro.incremental",
@@ -37,9 +36,7 @@ NOT_LOADED_BY_ANALYZE = (
     "repro.lint.dataflow",
     "repro.lint.engine",
     "repro.lint.rules",
-    "repro.netcalc.priority",
     "repro.network.builder",
-    "repro.network.redundancy",
     "repro.obs.history",
     "repro.obs.hotspots",
     "repro.obs.manifest",
